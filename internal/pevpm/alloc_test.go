@@ -1,0 +1,37 @@
+package pevpm
+
+import (
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/mpibench"
+)
+
+// TestEvaluateAllocsFlatInIterations guards the sweep/match hot path:
+// once a Jacobi evaluation's processes, frame stacks, inboxes and flight
+// pool have grown to their working size, further iterations allocate
+// nothing, so 400 iterations cost the same allocations as 100.
+func TestEvaluateAllocsFlatInIterations(t *testing.T) {
+	db, err := NewEmpiricalDB(fakeSet(t), mpibench.OpIsend, cluster.Perseus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Parse(figure5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(iterations float64) float64 {
+		prog.Params["iterations"] = iterations
+		opts := Options{Procs: 16, DB: db, Seed: 1, NodeOf: func(proc int) int { return proc / 2 }}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Evaluate(prog, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(100), allocs(400)
+	t.Logf("allocations per Evaluate: %.0f at 100 iterations, %.0f at 400", short, long)
+	if long > short+8 {
+		t.Errorf("allocations grow with iterations: %.0f at 100, %.0f at 400", short, long)
+	}
+}

@@ -1,8 +1,10 @@
 package pevpm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -107,15 +109,13 @@ func Evaluate(prog *Program, opts Options) (*Report, error) {
 
 // flight is one message on the contention scoreboard.
 type flight struct {
-	seq        uint64
-	from, to   int
-	size       int
-	intra      bool // endpoints share a node: loopback, not the network
-	depart     float64
-	arrival    float64
-	determined bool
-	sender     *mproc // parked rendezvous sender, if any
-	node       *Msg
+	seq      uint64
+	from, to int
+	size     int
+	intra    bool // endpoints share a node: loopback, not the network
+	depart   float64
+	arrival  float64
+	sender   *mproc // parked rendezvous sender, if any
 }
 
 // procState enumerates where a model process is between phases.
@@ -129,12 +129,31 @@ const (
 	stateDone
 )
 
-// mproc is one process of the virtual parallel machine. Its program runs
-// in a goroutine, strictly interleaved with the evaluator.
+// frame is one block a process is executing: the program body, or the
+// body of an entered Loop or Runon branch.
+type frame struct {
+	block Block
+	pc    int // index of the next directive
+	left  int // Loop passes still to run after the current one
+}
+
+// mproc is one process of the virtual parallel machine. The evaluator
+// interprets its program directly: frames is the stack of blocks in
+// execution, innermost last, and step advances it until the process
+// parks or finishes.
 type mproc struct {
-	id    int
-	now   float64
-	state procState
+	id     int
+	now    float64
+	state  procState
+	env    Env
+	frames []frame
+
+	// The trace event that closes the receive or collective the process
+	// is parked on. step records it when the process next runs, at its
+	// completion time.
+	endDue           bool
+	endKind          trace.Kind
+	endPeer, endSize int
 
 	// Receive the process is parked on.
 	waitFrom   int
@@ -146,20 +165,35 @@ type mproc struct {
 	collSeq  int // how many collectives this process has entered
 	collSize int
 
-	bd  Breakdown
-	err error
+	// inbox holds the determined flights addressed to this process that
+	// no receive has taken yet.
+	inbox []*flight
 
-	resume chan struct{}
-	yield  chan any
+	// node is the process's cluster node, asked of Options.NodeOf on the
+	// process's first message.
+	node      int
+	nodeKnown bool
+
+	bd Breakdown
 }
 
+// machine is one evaluation: the processes, the contention scoreboard
+// and the Monte-Carlo stream. Processes step in id order in each sweep;
+// each match phase draws arrival times in (depart, seq) order over the
+// flights sent since the previous match.
 type machine struct {
 	prog *Program
 	opts Options
 	rng  *sim.RNG
 
-	procs   []*mproc
-	flights []*flight
+	procs []*mproc
+	// pending holds the flights sent since the last match phase, whose
+	// arrival times are not drawn yet; drawn flights wait in their
+	// receiver's inbox.
+	pending []*flight
+	// interFlights and intraFlights count every flight in the air,
+	// pending or in an inbox: the contention levels match samples under.
+	interFlights, intraFlights int
 	// flightFree recycles matched flight records: a long model run moves
 	// many messages but only a bounded number are ever in the air at once.
 	flightFree []*flight
@@ -188,8 +222,7 @@ func (m *machine) newFlight() *flight {
 	return &flight{}
 }
 
-// freeFlight recycles a matched flight, dropping its node and sender
-// references.
+// freeFlight recycles a matched flight, dropping its sender reference.
 func (m *machine) freeFlight(f *flight) {
 	*f = flight{}
 	m.flightFree = append(m.flightFree, f)
@@ -198,11 +231,12 @@ func (m *machine) freeFlight(f *flight) {
 func (m *machine) run() (*Report, error) {
 	m.procs = make([]*mproc, m.opts.Procs)
 	for i := range m.procs {
-		p := &mproc{id: i, resume: make(chan struct{}), yield: make(chan any)}
-		m.procs[i] = p
-		go m.procBody(p)
+		env := Env{"procnum": float64(i), "numprocs": float64(m.opts.Procs)}
+		for k, v := range m.prog.Params {
+			env[k] = v
+		}
+		m.procs[i] = &mproc{id: i, env: env, frames: []frame{{block: m.prog.Body}}}
 	}
-	defer m.releaseAll()
 
 	for {
 		m.sweeps++
@@ -210,9 +244,8 @@ func (m *machine) run() (*Report, error) {
 		for _, p := range m.procs {
 			if p.state == stateRunnable {
 				progress = true
-				m.step(p)
-				if p.err != nil {
-					return nil, p.err
+				if err := m.step(p); err != nil {
+					return nil, err
 				}
 			}
 		}
@@ -263,147 +296,109 @@ func (m *machine) anyRunnable() bool {
 	return false
 }
 
-// step transfers control into a process until it parks or finishes.
-func (m *machine) step(p *mproc) {
-	p.resume <- struct{}{}
-	if bad := <-p.yield; bad != nil {
-		panic(bad)
+// step executes p's directives from where it stopped until the process
+// parks on a receive, a rendezvous send or a collective, or finishes.
+//
+//detlint:hotpath
+func (m *machine) step(p *mproc) error {
+	if p.endDue {
+		p.endDue = false
+		m.rec(p.id, p.now, p.endKind, p.endPeer, 0, p.endSize)
 	}
-}
-
-// park gives control back to the evaluator.
-func (p *mproc) park() {
-	p.yield <- nil
-	<-p.resume
-}
-
-// releaseAll unwinds remaining goroutines after an error or completion.
-func (m *machine) releaseAll() {
-	for _, p := range m.procs {
-		if p.state != stateDone {
-			p.state = stateDone
-			close(p.resume)
-		}
-	}
-}
-
-type procAbort struct{}
-
-// procBody runs the model program for one process.
-func (m *machine) procBody(p *mproc) {
-	if _, ok := <-p.resume; !ok {
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(procAbort); ok {
-				return
+	for n := len(p.frames); n > 0; n = len(p.frames) {
+		f := &p.frames[n-1]
+		if f.pc == len(f.block) {
+			if f.left > 0 {
+				f.left--
+				f.pc = 0
+			} else {
+				p.frames = p.frames[:n-1]
 			}
-			p.state = stateDone
-			p.yield <- r
-			return
+			continue
 		}
-		p.state = stateDone
-		p.yield <- nil
-	}()
-	env := Env{"procnum": float64(p.id), "numprocs": float64(m.opts.Procs)}
-	for k, v := range m.prog.Params {
-		env[k] = v
-	}
-	if err := m.execBlock(p, env, m.prog.Body); err != nil {
-		p.err = err
-	}
-}
-
-// pause parks the process inside directive execution; it aborts the
-// goroutine if the machine is shutting down.
-func (p *mproc) pause() {
-	p.yield <- nil
-	if _, ok := <-p.resume; !ok {
-		panic(procAbort{})
-	}
-}
-
-func (m *machine) execBlock(p *mproc, env Env, b Block) error {
-	for _, n := range b {
-		if err := m.execNode(p, env, n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (m *machine) execNode(p *mproc, env Env, n Node) error {
-	switch node := n.(type) {
-	case *Serial:
-		t, err := node.Time.Eval(env)
-		if err != nil {
-			return err
-		}
-		if t < 0 {
-			return fmt.Errorf("pevpm: negative Serial time %v", t)
-		}
-		m.rec(p.id, p.now, trace.ComputeStart, -1, 0, 0)
-		p.now += t
-		p.bd.Compute += t
-		m.rec(p.id, p.now, trace.ComputeEnd, -1, 0, 0)
-		return nil
-
-	case *Loop:
-		cf, err := node.Count.Eval(env)
-		if err != nil {
-			return err
-		}
-		count := int(cf)
-		if count < 0 {
-			return fmt.Errorf("pevpm: negative Loop count %v", cf)
-		}
-		for i := 0; i < count; i++ {
-			if err := m.execBlock(p, env, node.Body); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	case *Runon:
-		for i, cond := range node.Conds {
-			v, err := cond.Eval(env)
+		directive := f.block[f.pc]
+		f.pc++
+		switch node := directive.(type) {
+		case *Serial:
+			t, err := node.Time.Eval(p.env)
 			if err != nil {
 				return err
 			}
-			if v != 0 {
-				return m.execBlock(p, env, node.Bodies[i])
+			if t < 0 {
+				return errNegative("Serial time", t)
 			}
+			m.rec(p.id, p.now, trace.ComputeStart, -1, 0, 0)
+			p.now += t
+			p.bd.Compute += t
+			m.rec(p.id, p.now, trace.ComputeEnd, -1, 0, 0)
+
+		case *Loop:
+			cf, err := node.Count.Eval(p.env)
+			if err != nil {
+				return err
+			}
+			count := int(cf)
+			if count < 0 {
+				return errNegative("Loop count", cf)
+			}
+			if count > 0 {
+				p.frames = append(p.frames, frame{block: node.Body, left: count - 1})
+			}
+
+		case *Runon:
+			for i, cond := range node.Conds {
+				v, err := cond.Eval(p.env)
+				if err != nil {
+					return err
+				}
+				if v != 0 {
+					p.frames = append(p.frames, frame{block: node.Bodies[i]})
+					break
+				}
+			}
+
+		case *Msg:
+			if err := m.execMsg(p, node); err != nil {
+				return err
+			}
+
+		case *Coll:
+			if err := m.execColl(p, node); err != nil {
+				return err
+			}
+
 		}
-		return nil
-
-	case *Msg:
-		return m.execMsg(p, env, node)
-
-	case *Coll:
-		return m.execColl(p, env, node)
+		if p.state != stateRunnable {
+			return nil
+		}
 	}
-	return fmt.Errorf("pevpm: unknown directive %T", n)
+	p.state = stateDone
+	return nil
+}
+
+func errNegative(what string, v float64) error {
+	return fmt.Errorf("pevpm: negative %s %v", what, v)
 }
 
 // execColl parks the process on a collective operation; the match phase
 // releases all processes together once everyone has arrived.
-func (m *machine) execColl(p *mproc, env Env, node *Coll) error {
-	if _, ok := m.opts.DB.(CollectiveSampler); !ok {
+func (m *machine) execColl(p *mproc, node *Coll) error {
+	cs, ok := m.opts.DB.(CollectiveSampler)
+	if !ok {
 		return fmt.Errorf("pevpm: model uses Collective %s but the database has no collective measurements", node.Op)
 	}
-	if cs := m.opts.DB.(CollectiveSampler); !cs.HasCollective(node.Op) {
+	if !cs.HasCollective(node.Op) {
 		return fmt.Errorf("pevpm: collective %s not present in the database", node.Op)
 	}
-	sizeF, err := node.Size.Eval(env)
+	sizeF, err := node.Size.Eval(p.env)
 	if err != nil {
 		return err
 	}
 	if sizeF < 0 {
-		return fmt.Errorf("pevpm: negative collective size %v", sizeF)
+		return errNegative("collective size", sizeF)
 	}
 	if node.Root != nil {
-		if _, err := node.Root.Eval(env); err != nil {
+		if _, err := node.Root.Eval(p.env); err != nil {
 			return err
 		}
 	}
@@ -413,8 +408,7 @@ func (m *machine) execColl(p *mproc, env Env, node *Coll) error {
 	p.collSeq++
 	p.waitPosted = p.now
 	p.state = stateParkedColl
-	p.pause()
-	m.rec(p.id, p.now, trace.CollectiveEnd, -1, 0, int(sizeF))
+	p.endDue, p.endKind, p.endPeer, p.endSize = true, trace.CollectiveEnd, -1, int(sizeF)
 	return nil
 }
 
@@ -473,16 +467,18 @@ func (m *machine) matchCollective() (bool, error) {
 	return true, nil
 }
 
-func (m *machine) execMsg(p *mproc, env Env, node *Msg) error {
-	sizeF, err := node.Size.Eval(env)
+// execMsg executes a Message directive. A receive parks the process, and
+// so does a blocking send above the eager limit.
+func (m *machine) execMsg(p *mproc, node *Msg) error {
+	sizeF, err := node.Size.Eval(p.env)
 	if err != nil {
 		return err
 	}
-	fromF, err := node.From.Eval(env)
+	fromF, err := node.From.Eval(p.env)
 	if err != nil {
 		return err
 	}
-	toF, err := node.To.Eval(env)
+	toF, err := node.To.Eval(p.env)
 	if err != nil {
 		return err
 	}
@@ -508,15 +504,19 @@ func (m *machine) execMsg(p *mproc, env Env, node *Msg) error {
 		m.sent++
 		f := m.newFlight()
 		f.seq, f.from, f.to, f.size = m.seq, from, to, size
-		f.intra = m.opts.NodeOf != nil && m.opts.NodeOf(from) == m.opts.NodeOf(to)
-		f.depart, f.node = p.now, node
-		m.flights = append(m.flights, f)
+		f.intra = m.opts.NodeOf != nil && m.nodeOf(from) == m.nodeOf(to)
+		f.depart = p.now
+		if f.intra {
+			m.intraFlights++
+		} else {
+			m.interFlights++
+		}
+		m.pending = append(m.pending, f)
 		if node.Kind == MsgSend && size > m.opts.DB.EagerLimit() {
 			// Rendezvous: the send blocks until the payload is
 			// delivered; the match phase resolves the arrival.
 			f.sender = p
 			p.state = stateParkedSend
-			p.pause()
 		}
 		return nil
 
@@ -529,86 +529,84 @@ func (m *machine) execMsg(p *mproc, env Env, node *Msg) error {
 		p.waitPosted = p.now
 		p.waitNode = node
 		p.state = stateParkedRecv
-		p.pause()
-		m.rec(p.id, p.now, trace.RecvEnd, from, 0, size)
+		p.endDue, p.endKind, p.endPeer, p.endSize = true, trace.RecvEnd, from, size
 		return nil
 	}
 	return fmt.Errorf("pevpm: unknown message kind %v", node.Kind)
 }
 
-// match is the PEVPM match phase: determine arrival times for every
-// in-transit message under the current contention level, wake rendezvous
-// senders, and match determined messages to parked receives.
+// nodeOf returns proc's cluster node, asking Options.NodeOf once per
+// process.
+func (m *machine) nodeOf(proc int) int {
+	q := m.procs[proc]
+	if !q.nodeKnown {
+		q.node, q.nodeKnown = m.opts.NodeOf(proc), true
+	}
+	return q.node
+}
+
+// match is the PEVPM match phase. It draws arrival times for the flights
+// sent since the previous match under the current contention levels,
+// wakes rendezvous senders, and matches parked receives. Every older
+// flight is already determined, so drawing the new ones in (depart, seq)
+// order keeps the draw order of a sort over every flight in the air.
+//
+//detlint:hotpath
 func (m *machine) match() bool {
 	progress := false
+	slices.SortFunc(m.pending, byDepartSeq)
 	// Contention is counted separately for the network and for the
 	// intra-node loopback path: a message between two CPUs of one node
 	// does not occupy the NIC or switch fabric.
-	interContention, intraContention := 0, 0
-	for _, f := range m.flights {
-		if f.intra {
-			intraContention++
-		} else {
-			interContention++
-		}
-	}
-
-	sort.Slice(m.flights, func(i, j int) bool {
-		if m.flights[i].depart != m.flights[j].depart {
-			return m.flights[i].depart < m.flights[j].depart
-		}
-		return m.flights[i].seq < m.flights[j].seq
-	})
-	for _, f := range m.flights {
-		if f.determined {
-			continue
-		}
+	for _, f := range m.pending {
 		if f.intra {
 			m.mDrawIntra.Inc()
-			f.arrival = f.depart + m.opts.DB.SampleIntra(m.rng, f.size, intraContention)
+			f.arrival = f.depart + m.opts.DB.SampleIntra(m.rng, f.size, m.intraFlights)
 		} else {
 			m.mDrawInt.Inc()
-			f.arrival = f.depart + m.opts.DB.Sample(m.rng, f.size, interContention)
+			f.arrival = f.depart + m.opts.DB.Sample(m.rng, f.size, m.interFlights)
 		}
-		f.determined = true
-		if f.sender != nil {
+		if s := f.sender; s != nil {
 			// Rendezvous completion: the sender was blocked from depart
 			// until delivery.
-			blocked := f.arrival - f.sender.now
+			blocked := f.arrival - s.now
 			if blocked > 0 {
-				f.sender.bd.SendBusy += blocked
-				f.sender.now = f.arrival
+				s.bd.SendBusy += blocked
+				s.now = f.arrival
 			}
-			f.sender.state = stateRunnable
+			s.state = stateRunnable
 			f.sender = nil
 			progress = true
 		}
+		to := m.procs[f.to]
+		to.inbox = append(to.inbox, f)
 	}
+	m.pending = m.pending[:0]
 
-	// Match parked receives against determined flights, oldest flight
-	// first per (from, to) pair — MPI's non-overtaking rule.
+	// Match parked receives against their inboxes, oldest flight first
+	// per sender — MPI's non-overtaking rule.
 	for _, p := range m.procs {
 		if p.state != stateParkedRecv {
 			continue
 		}
-		var best *flight
-		bestIdx := -1
-		for i, f := range m.flights {
-			if !f.determined || f.to != p.id || f.from != p.waitFrom {
-				continue
-			}
-			if best == nil || f.seq < best.seq {
-				best, bestIdx = f, i
+		best := -1
+		for i, f := range p.inbox {
+			if f.from == p.waitFrom && (best < 0 || f.seq < p.inbox[best].seq) {
+				best = i
 			}
 		}
-		if best == nil {
+		if best < 0 {
 			continue
 		}
+		f := p.inbox[best]
+		last := len(p.inbox) - 1
+		p.inbox[best] = p.inbox[last]
+		p.inbox = p.inbox[:last]
 		// If the message arrived before the receive was posted it was
 		// buffered: the receiver only pays the pickup cost. Otherwise
 		// the receive completes at the measured arrival time.
-		completion := best.arrival
-		if late := p.waitPosted + m.opts.DB.RecvBusy(best.size); late > completion {
+		completion := f.arrival
+		if late := p.waitPosted + m.opts.DB.RecvBusy(f.size); late > completion {
 			completion = late
 		}
 		wait := completion - p.waitPosted
@@ -616,11 +614,23 @@ func (m *machine) match() bool {
 		m.hot[p.waitNode] += wait
 		p.now = completion
 		p.state = stateRunnable
-		m.flights = append(m.flights[:bestIdx], m.flights[bestIdx+1:]...)
-		m.freeFlight(best)
+		if f.intra {
+			m.intraFlights--
+		} else {
+			m.interFlights--
+		}
+		m.freeFlight(f)
 		progress = true
 	}
 	return progress
+}
+
+// byDepartSeq orders flights by departure time, then by send sequence.
+func byDepartSeq(a, b *flight) int {
+	if c := cmp.Compare(a.depart, b.depart); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 func (m *machine) deadlockError() error {

@@ -34,15 +34,25 @@ func newLRU[V any](capacity int) *lru[V] {
 }
 
 // get returns the cached value and marks it most recently used.
-func (c *lru[V]) get(key string) (V, bool) {
+func (c *lru[V]) get(key string) (V, bool) { return c.lookup(key, true) }
+
+// peek is get without counting a hit or miss, for re-checking a key
+// whose lookup was already counted.
+func (c *lru[V]) peek(key string) (V, bool) { return c.lookup(key, false) }
+
+func (c *lru[V]) lookup(key string, count bool) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.order.MoveToFront(el)
-		c.hits++
+		if count {
+			c.hits++
+		}
 		return el.Value.(*lruEntry[V]).val, true
 	}
-	c.misses++
+	if count {
+		c.misses++
+	}
 	var zero V
 	return zero, false
 }
@@ -84,9 +94,10 @@ type flightGroup[V any] struct {
 }
 
 type flightCall[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
+	done      chan struct{}
+	val       V
+	err       error
+	followers int // callers that joined this call; guarded by the group's mu
 }
 
 func newFlightGroup[V any]() *flightGroup[V] {
@@ -100,6 +111,7 @@ func newFlightGroup[V any]() *flightGroup[V] {
 func (g *flightGroup[V]) do(key string, cancel <-chan struct{}, fn func() (V, error)) (val V, err error, shared, ok bool) {
 	g.mu.Lock()
 	if call, exists := g.inFlight[key]; exists {
+		call.followers++
 		g.mu.Unlock()
 		select {
 		case <-call.done:

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,6 +33,13 @@ func TestLRURefreshUpdatesValue(t *testing.T) {
 	c := newLRU[string](4)
 	c.put("k", "old")
 	c.put("k", "new")
+	// peek finds the same value but counts neither a hit nor a miss.
+	if v, ok := c.peek("k"); !ok || v != "new" {
+		t.Fatalf("peek k = %q, %v", v, ok)
+	}
+	if _, ok := c.peek("absent"); ok {
+		t.Fatal("peek found an absent key")
+	}
 	if v, _ := c.get("k"); v != "new" {
 		t.Fatalf("v = %q", v)
 	}
@@ -86,8 +94,11 @@ func TestFlightGroupCoalesces(t *testing.T) {
 			results[i], shared[i] = v, sh
 		}()
 	}
-	// Let callers pile up, then release the leader.
-	for calls.Load() == 0 {
+	// Release the leader only once every other caller has joined its
+	// call: a caller arriving after the leader returned would lead a
+	// second call.
+	for g.followersOf("key") < n-1 {
+		runtime.Gosched()
 	}
 	close(gate)
 	wg.Wait()
@@ -107,6 +118,17 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	if leaders != 1 {
 		t.Fatalf("%d leaders, want 1", leaders)
 	}
+}
+
+// followersOf reports how many callers have joined key's in-flight
+// call, or 0 when none is in flight.
+func (g *flightGroup[V]) followersOf(key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if call, ok := g.inFlight[key]; ok {
+		return call.followers
+	}
+	return 0
 }
 
 func TestFlightGroupFollowerCancel(t *testing.T) {

@@ -244,8 +244,9 @@ func (s *Service) lookupDB(key string, cfg cluster.Config, bench BenchSpec,
 	s.met.cacheEvent("db", false)
 	db, err, _, _ := s.dbFlight.do(key, nil, func() (pevpm.PerfDB, error) {
 		// Double-check under the flight: a just-finished leader may have
-		// populated the cache between our miss and our flight slot.
-		if db, ok := s.dbCache.get(key); ok {
+		// populated the cache between our miss and our flight slot. The
+		// miss above already counted this request's lookup.
+		if db, ok := s.dbCache.peek(key); ok {
 			return db, nil
 		}
 		db, err := s.buildDB(cfg, bench, placements, fitted)

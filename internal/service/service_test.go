@@ -285,6 +285,31 @@ func TestDBCacheSharedAcrossSeeds(t *testing.T) {
 	}
 }
 
+// TestDBCacheCountsOneLookupPerRequest checks the database cache's
+// hit/miss counters: a cold request counts one miss and one build, and a
+// reseed of it (a new response, the same database) one hit.
+func TestDBCacheCountsOneLookupPerRequest(t *testing.T) {
+	s := newTestService(t, 2)
+	check := func(when string, hits, misses, builds uint64) {
+		t.Helper()
+		st := s.Stats()
+		if db := st.Caches["db"]; db.Hits != hits || db.Misses != misses || st.DBBuilds != builds {
+			t.Fatalf("%s: db cache %d hits, %d misses, %d builds; want %d, %d, %d",
+				when, db.Hits, db.Misses, st.DBBuilds, hits, misses, builds)
+		}
+	}
+	req := testRequest()
+	if res := s.HandleRequest(context.Background(), mustJSON(t, req)); res.Status != 200 {
+		t.Fatalf("cold: %d %s", res.Status, res.Body)
+	}
+	check("cold request", 0, 1, 1)
+	req.Seed++
+	if res := s.HandleRequest(context.Background(), mustJSON(t, req)); res.Status != 200 {
+		t.Fatalf("reseed: %d %s", res.Status, res.Body)
+	}
+	check("reseed", 1, 1, 1)
+}
+
 func TestTraceRequested(t *testing.T) {
 	s := newTestService(t, 2)
 	req := testRequest()
