@@ -5,7 +5,10 @@
 #   1. go vet + build, plus the pinned staticcheck sweep (skips with a
 #      notice when the module proxy is unreachable; see
 #      scripts/staticcheck.sh)
-#   2. the full test suite under the race detector
+#   2. the full test suite under the race detector, then every
+#      allocation guard (tests named *Alloc*) repeated 20 times, so a
+#      guard whose count depends on map order or GC timing fails here
+#      rather than as an occasional flake
 #   3. the detlint sweep: the repository's own determinism/zero-alloc
 #      analyzers (internal/detlint, docs/DETLINT.md) over every
 #      package, warnings promoted to errors; stdlib-only, never skipped
@@ -45,6 +48,7 @@ go vet ./...
 go build ./...
 make staticcheck
 go test -race ./...
+go test -count=20 -run Alloc ./internal/...
 make detlint
 make lint
 make determinism

@@ -104,6 +104,26 @@ func TestSnapshotJSONByteStable(t *testing.T) {
 	}
 }
 
+// TestSnapshotAllocsIndependentOfMapOrder keeps allocation guards over
+// code that snapshots a registry deterministic: registries holding the
+// same instruments must allocate the same in Snapshot, whatever order
+// their map happens to iterate in.
+func TestSnapshotAllocsIndependentOfMapOrder(t *testing.T) {
+	var first float64
+	for i := 0; i < 100; i++ {
+		r := NewRegistry()
+		for n := 0; n < 12; n++ {
+			r.Counter("pevpm", "draws_total", L("dist", string(rune('a'+n)))).Inc()
+		}
+		got := testing.AllocsPerRun(1, func() { r.Snapshot() })
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("registry %d: Snapshot made %.0f allocations, registry 0 made %.0f", i, got, first)
+		}
+	}
+}
+
 func TestAggregateMergeSemantics(t *testing.T) {
 	cell := func(n uint64, g int64, obs []int64) Snapshot {
 		r := NewRegistry()

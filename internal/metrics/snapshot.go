@@ -60,10 +60,19 @@ func (r *Registry) Snapshot() Snapshot { return r.snapshot(false) }
 // inspection and tests only.
 func (r *Registry) SnapshotAll() Snapshot { return r.snapshot(true) }
 
+// snapshot appends points in sorted order of the registry's keys, which
+// are the canonical ids Key() returns. Sorting the keys once, rather
+// than the points by Key(), keeps the allocation count independent of
+// map iteration order: Key() builds a string on every comparison.
 func (r *Registry) snapshot(includeVolatile bool) Snapshot {
 	var s Snapshot
-	//detlint:ordered -- every appended point is sorted by s.sort() before the snapshot is returned
-	for _, e := range r.entries {
+	ids := make([]string, 0, len(r.entries))
+	for id := range r.entries {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		e := r.entries[id]
 		if e.volatile && !includeVolatile {
 			continue
 		}
@@ -86,7 +95,6 @@ func (r *Registry) snapshot(includeVolatile bool) Snapshot {
 			})
 		}
 	}
-	s.sort()
 	return s
 }
 
