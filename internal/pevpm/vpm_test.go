@@ -310,3 +310,141 @@ func TestEvaluateValidation(t *testing.T) {
 		t.Error("send executed by non-sender should fail")
 	}
 }
+
+// TestErrorsAreLazy pins when a failing expression or directive
+// surfaces: only when a process executes it, and then with the error of
+// the first failing check in that directive. A failure in a branch no
+// process takes, in a zero-pass Loop, or behind a receive that never
+// completes must not change the outcome.
+func TestErrorsAreLazy(t *testing.T) {
+	e := MustExpr
+	program := func(params map[string]float64, body ...Node) *Program {
+		prog := NewProgram()
+		for k, v := range params {
+			prog.Params[k] = v
+		}
+		prog.Body = body
+		return prog
+	}
+	recvLeft := &Msg{Kind: MsgRecv, Size: Num(4), From: e("(procnum+1) % numprocs"), To: Var("procnum")}
+	cases := []struct {
+		name      string
+		prog      *Program
+		procs     int
+		wantErr   string    // exact error text, or "" for success
+		wantTimes []float64 // per-process completion times on success
+	}{
+		{
+			name: "runon condition after an always-true one",
+			prog: program(nil, &Runon{
+				Conds:  []Expr{Num(1), e("1/0")},
+				Bodies: []Block{{&Serial{Time: Num(1)}}, {&Serial{Time: Num(2)}}},
+			}),
+			procs:     2,
+			wantTimes: []float64{1, 1},
+		},
+		{
+			name: "runon body no process takes",
+			prog: program(nil, &Runon{
+				Conds:  []Expr{e("procnum >= 0"), e("procnum < 0")},
+				Bodies: []Block{{&Serial{Time: Num(1)}}, {&Serial{Time: e("1/0")}}},
+			}),
+			procs:     2,
+			wantTimes: []float64{1, 1},
+		},
+		{
+			name: "zero-pass loop body",
+			prog: program(nil,
+				&Loop{Count: Num(0), Body: Block{&Serial{Time: e("1/0")}, &Loop{Count: Num(-1)}}},
+				&Serial{Time: Num(3)}),
+			procs:     2,
+			wantTimes: []float64{3, 3},
+		},
+		{
+			name: "loop count truncating to zero passes",
+			prog: program(nil,
+				&Loop{Count: Num(-0.5), Body: Block{&Serial{Time: e("1/0")}}},
+				&Serial{Time: Num(3)}),
+			procs:     1,
+			wantTimes: []float64{3},
+		},
+		{
+			name:    "deadlock before a failing serial",
+			prog:    program(nil, recvLeft, &Serial{Time: e("1/0")}),
+			procs:   2,
+			wantErr: "pevpm: model deadlock: proc 0 in Message MPI_Recv size=4 from=((procnum + 1) % numprocs) to=procnum (posted at 0.000000s); proc 1 in Message MPI_Recv size=4 from=((procnum + 1) % numprocs) to=procnum (posted at 0.000000s)",
+		},
+		{
+			name:      "params binding procnum",
+			prog:      program(map[string]float64{"procnum": 7}, &Serial{Time: e("procnum + numprocs")}),
+			procs:     3,
+			wantTimes: []float64{10, 10, 10},
+		},
+		{
+			// Process 1 fails at its second directive, process 2 at its
+			// first: the sweep steps process 1 first, so its error wins.
+			name: "lowest failing process wins",
+			prog: program(nil,
+				&Serial{Time: e("1/(procnum - 2) * (procnum - 2)")},
+				&Serial{Time: e("1/(procnum - 1) * (procnum - 1)")}),
+			procs:   3,
+			wantErr: "pevpm: division by zero in (1 / (procnum - 1))",
+		},
+		{
+			name:    "first failing field of a message",
+			prog:    program(nil, &Msg{Kind: MsgSend, Size: e("1/0"), From: Var("undefined"), To: Num(9)}),
+			procs:   2,
+			wantErr: "pevpm: division by zero in (1 / 0)",
+		},
+		{
+			name:    "collective without collective measurements",
+			prog:    program(nil, &Coll{Op: "MPI_Bcast", Size: e("1/0")}),
+			procs:   2,
+			wantErr: "pevpm: model uses Collective MPI_Bcast but the database has no collective measurements",
+		},
+		{
+			name:    "negative loop count",
+			prog:    program(nil, &Serial{Time: Num(1)}, &Loop{Count: Num(-2), Body: Block{&Serial{Time: Num(1)}}}),
+			procs:   1,
+			wantErr: "pevpm: negative Loop count -2",
+		},
+		{
+			name:    "send from another process",
+			prog:    program(nil, &Msg{Kind: MsgIsend, Size: Num(4), From: Num(1), To: Num(0)}),
+			procs:   2,
+			wantErr: "pevpm: process 0 executing a send whose from=1",
+		},
+		{
+			name: "failing serial after a loop of sends",
+			prog: program(nil, &Runon{
+				Conds: []Expr{e("procnum == 0"), e("procnum == 1")},
+				Bodies: []Block{
+					{&Loop{Count: Num(3), Body: Block{&Msg{Kind: MsgIsend, Size: Num(4), From: Num(0), To: Num(1)}}},
+						&Serial{Time: Num(-1)}},
+					{&Loop{Count: Num(3), Body: Block{&Msg{Kind: MsgRecv, Size: Num(4), From: Num(0), To: Num(1)}}}},
+				},
+			}),
+			procs:   2,
+			wantErr: "pevpm: negative Serial time -1",
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rep, err := Evaluate(c.prog, Options{Procs: c.procs, DB: constDB(1e-4, 0, 0, 1<<20)})
+			if c.wantErr != "" {
+				if err == nil || err.Error() != c.wantErr {
+					t.Fatalf("err = %v, want %q", err, c.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range c.wantTimes {
+				if rep.ProcTimes[i] != want {
+					t.Errorf("proc %d time = %v, want %v", i, rep.ProcTimes[i], want)
+				}
+			}
+		})
+	}
+}
