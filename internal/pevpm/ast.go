@@ -121,8 +121,13 @@ type Msg struct {
 func (m *Msg) Pos() Pos { return m.At }
 
 func (m *Msg) describe() string {
-	return fmt.Sprintf("Message %s size=%s from=%s to=%s",
-		m.Kind, m.Size.String(), m.From.String(), m.To.String())
+	var buf [128]byte
+	b := append(buf[:0], "Message "...)
+	b = append(b, m.Kind.String()...)
+	b = appendExpr(append(b, " size="...), m.Size)
+	b = appendExpr(append(b, " from="...), m.From)
+	b = appendExpr(append(b, " to="...), m.To)
+	return string(b)
 }
 
 // Coll is a Collective directive — an extension beyond the paper's
@@ -141,7 +146,11 @@ type Coll struct {
 func (c *Coll) Pos() Pos { return c.At }
 
 func (c *Coll) describe() string {
-	return fmt.Sprintf("Collective %s size=%s", c.Op, c.Size.String())
+	var buf [128]byte
+	b := append(buf[:0], "Collective "...)
+	b = append(b, c.Op...)
+	b = appendExpr(append(b, " size="...), c.Size)
+	return string(b)
 }
 
 // Serial is a Serial directive: the executing process computes for Time

@@ -111,9 +111,7 @@ func (b binary) Eval(env Env) (float64, error) {
 	return 0, fmt.Errorf("pevpm: unknown operator %q", b.op)
 }
 
-func (b binary) String() string {
-	return "(" + b.l.String() + " " + b.op + " " + b.r.String() + ")"
-}
+func (b binary) String() string { return string(appendExpr(nil, b)) }
 
 type unary struct {
 	op string
@@ -134,7 +132,29 @@ func (u unary) Eval(env Env) (float64, error) {
 	return 0, fmt.Errorf("pevpm: unknown unary operator %q", u.op)
 }
 
-func (u unary) String() string { return u.op + u.x.String() }
+func (u unary) String() string { return string(appendExpr(nil, u)) }
+
+// appendExpr appends e's String form to dst, building a compound
+// expression's text in one buffer rather than one string per node.
+func appendExpr(dst []byte, e Expr) []byte {
+	switch x := e.(type) {
+	case numLit:
+		return strconv.AppendFloat(dst, float64(x), 'g', -1, 64)
+	case varRef:
+		return append(dst, x...)
+	case binary:
+		dst = append(dst, '(')
+		dst = appendExpr(dst, x.l)
+		dst = append(dst, ' ')
+		dst = append(dst, x.op...)
+		dst = append(dst, ' ')
+		dst = appendExpr(dst, x.r)
+		return append(dst, ')')
+	case unary:
+		return appendExpr(append(dst, x.op...), x.x)
+	}
+	return append(dst, e.String()...)
+}
 
 func boolVal(b bool) float64 {
 	if b {
