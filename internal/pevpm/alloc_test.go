@@ -8,8 +8,8 @@ import (
 )
 
 // TestEvaluateAllocsFlatInIterations guards the sweep/match hot path:
-// once a Jacobi evaluation's processes, frame stacks, inboxes and flight
-// pool have grown to their working size, further iterations allocate
+// once a Jacobi evaluation's processes, ops, loop stacks, inboxes and
+// flight pool have grown to their working size, further iterations allocate
 // nothing, so 400 iterations cost the same allocations as 100.
 func TestEvaluateAllocsFlatInIterations(t *testing.T) {
 	db, err := NewEmpiricalDB(fakeSet(t), mpibench.OpIsend, cluster.Perseus())
