@@ -49,6 +49,82 @@ func TestCancelZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestProcSwitchZeroAllocSteadyState: once a process is running, handing
+// control to it and back allocates nothing, whether it wakes from Sleep
+// or from Block via Unblock.
+func TestProcSwitchZeroAllocSteadyState(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Shutdown()
+	e.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(Microsecond)
+		}
+	})
+	blocked := e.Spawn("blocked", func(p *Proc) {
+		for {
+			p.Block("await unblock")
+		}
+	})
+	step := func() {
+		blocked.Unblock()
+		if _, err := e.Run(e.Now().Add(Microsecond)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*eventChunk; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Errorf("steady-state process switch allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// BenchmarkProcSwitch is the process layer's unit cost: one Sleep→wake
+// round trip, and one Block/Unblock ping-pong between two processes
+// (two wakes per op).
+func BenchmarkProcSwitch(b *testing.B) {
+	b.Run("sleep", func(b *testing.B) {
+		e := NewEngine(1)
+		e.Spawn("sleeper", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				p.Sleep(Microsecond)
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		if _, err := e.Run(Forever); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("block", func(b *testing.B) {
+		e := NewEngine(1)
+		done := false
+		var ping *Proc
+		pong := e.Spawn("pong", func(p *Proc) {
+			for {
+				p.Block("await ping")
+				if done {
+					return
+				}
+				ping.Unblock()
+			}
+		})
+		ping = e.Spawn("ping", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				pong.Unblock()
+				p.Block("await pong")
+			}
+			done = true
+			pong.Unblock()
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		if _, err := e.Run(Forever); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
 func BenchmarkScheduleRun(b *testing.B) {
 	e := NewEngine(1)
 	fn := func() {}
