@@ -77,8 +77,9 @@ type Engine struct {
 	seed uint64
 	rngs map[string]*RNG
 
-	procs   map[*Proc]struct{}
-	current *Proc // process currently holding control, nil in event context
+	procs   []*Proc // every spawned process in spawn order, kept until Shutdown
+	alive   int     // processes whose body has not returned
+	current *Proc   // process currently holding control, nil in event context
 
 	// Tracer, when non-nil, receives a line for significant kernel
 	// happenings (process start/stop, deadlock diagnosis). Model code can
@@ -107,10 +108,9 @@ type Engine struct {
 // The same seed always yields the same simulation.
 func NewEngine(seed uint64) *Engine {
 	e := &Engine{
-		seed:  seed,
-		rngs:  make(map[string]*RNG),
-		procs: make(map[*Proc]struct{}),
-		reg:   metrics.NewRegistry(),
+		seed: seed,
+		rngs: make(map[string]*RNG),
+		reg:  metrics.NewRegistry(),
 	}
 	e.mScheduled = e.reg.Counter("sim", "events_scheduled_total")
 	e.mCancelled = e.reg.Counter("sim", "events_cancelled_total")
@@ -249,7 +249,7 @@ func (e *Engine) Run(until Time) (Time, error) {
 // no pending wakeup, sorted for stable error messages.
 func (e *Engine) blockedProcs() []string {
 	var names []string
-	for p := range e.procs {
+	for _, p := range e.procs {
 		if p.state == procBlocked {
 			names = append(names, p.describeBlocked())
 		}
