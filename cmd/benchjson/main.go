@@ -24,7 +24,8 @@
 //     is larger than both measurements' noise.
 //   - Wall-clock metrics (*_wall_s) measure how long each figure took.
 //     Before comparing, -check divides them by the run's own
-//     calibration_wall_s — a fixed pure-arithmetic spin measured in the
+//     calibration_wall_s — the fastest of several timings of a fixed
+//     pure-arithmetic spin, interleaved with the replications in the
 //     same process — so a slower CI machine cancels out. They fail only
 //     in the regression direction: the current interval lying entirely
 //     above the baseline's. Speedups never fail.
@@ -45,6 +46,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -94,9 +96,10 @@ type File struct {
 	Seed   uint64 `json:"seed"`
 	Reps   int    `json:"reps"`
 
-	// Calibration is the wall time of a fixed pure-arithmetic spin
-	// measured once per file; wall cells are compared as multiples of
-	// it so machine speed divides out of the regression check.
+	// Calibration is the fastest wall time of a fixed pure-arithmetic
+	// spin, timed before each replication and once after the last; wall
+	// cells are compared as multiples of it so machine speed divides out
+	// of the regression check.
 	Calibration float64 `json:"calibration_wall_s"`
 
 	Metrics map[string]Cell `json:"metrics"`
@@ -179,7 +182,11 @@ func measure(seed uint64, reps, workers int) (*File, error) {
 		reps = 2 // one observation has no interval
 	}
 	series := map[string][]float64{}
+	// One spin before each replication and one after the last: the
+	// fastest is the least disturbed by other load on the host.
+	spins := make([]float64, 0, reps+1)
 	for rep := 0; rep < reps; rep++ {
+		spins = append(spins, calibrate())
 		repSeed := sim.SubSeed(seed, fmt.Sprintf("bench:rep%d", rep))
 		m, err := measureOnce(repSeed, workers)
 		if err != nil {
@@ -198,12 +205,15 @@ func measure(seed uint64, reps, workers int) (*File, error) {
 		}
 	}
 
+	spins = append(spins, calibrate())
+	fmt.Fprintf(os.Stderr, "benchjson: calibration spins (s): %v\n", spins)
+
 	f := &File{
 		Schema:      Schema,
 		Go:          runtime.Version(),
 		Seed:        seed,
 		Reps:        reps,
-		Calibration: calibrate(),
+		Calibration: slices.Min(spins),
 		Metrics:     make(map[string]Cell, len(series)),
 	}
 	var names []string
