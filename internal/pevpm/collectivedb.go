@@ -97,16 +97,5 @@ func (db *CollectiveDB) SampleCollective(r stats.Rand, op string, size, procs in
 	if len(grid) == 0 {
 		panic(fmt.Sprintf("pevpm: collective %q not benchmarked", op))
 	}
-	u := r.Float64()
-	return at(grid, size, procs, func(h *stats.Histogram) float64 { return h.Quantile(u) })
-}
-
-// MeanCollective blends the measured means (used by collapsed modes and
-// reporting).
-func (db *CollectiveDB) MeanCollective(op string, size, procs int) float64 {
-	grid := db.grids[op]
-	if len(grid) == 0 {
-		panic(fmt.Sprintf("pevpm: collective %q not benchmarked", op))
-	}
-	return at(grid, size, procs, (*stats.Histogram).Mean)
+	return quantileAt(grid, size, procs, r.Float64())
 }

@@ -169,7 +169,7 @@ func bracketDB(grid []dbEntry, value int) (lo, hi int, w float64) {
 }
 
 // at evaluates f over the four bracketing (procs, size) grid points and
-// blends bilinearly.
+// blends bilinearly. Draws use quantileAt, its closure-free twin.
 func at(grid []dbEntry, size, contention int, f func(h *stats.Histogram) float64) float64 {
 	pLo, pHi, pw := bracketDB(grid, contention)
 	blendEntry := func(e dbEntry) float64 {
@@ -187,10 +187,35 @@ func at(grid []dbEntry, size, contention int, f func(h *stats.Histogram) float64
 	return lo*(1-pw) + blendEntry(grid[pHi])*pw
 }
 
+// quantileAt is at with f = Quantile(u), written out so a draw calls
+// Quantile directly rather than through a closure. The blend arithmetic
+// is at's, in the same order, so draws keep their bits.
+//
+//detlint:hotpath
+func quantileAt(grid []dbEntry, size, contention int, u float64) float64 {
+	pLo, pHi, pw := bracketDB(grid, contention)
+	lo := grid[pLo].quantile(size, u)
+	if pLo == pHi {
+		return lo
+	}
+	return lo*(1-pw) + grid[pHi].quantile(size, u)*pw
+}
+
+// quantile blends the quantile functions of e's sizes bracketing size.
+//
+//detlint:hotpath
+func (e *dbEntry) quantile(size int, u float64) float64 {
+	sLo, sHi, sw := bracket(e.sizes, size)
+	lo := e.hists[sLo].Quantile(u)
+	if sLo == sHi {
+		return lo
+	}
+	return lo*(1-sw) + e.hists[sHi].Quantile(u)*sw
+}
+
 // Sample draws by blending quantile functions with one shared uniform.
 func (db *EmpiricalDB) Sample(r stats.Rand, size, contention int) float64 {
-	u := r.Float64()
-	return at(db.grid, size, contention, func(h *stats.Histogram) float64 { return h.Quantile(u) })
+	return quantileAt(db.grid, size, contention, r.Float64())
 }
 
 // Mean blends the measured means.
@@ -215,8 +240,7 @@ func (db *EmpiricalDB) intraGrid() []dbEntry {
 
 // SampleIntra draws an intra-node time.
 func (db *EmpiricalDB) SampleIntra(r stats.Rand, size, contention int) float64 {
-	u := r.Float64()
-	return at(db.intraGrid(), size, contention, func(h *stats.Histogram) float64 { return h.Quantile(u) })
+	return quantileAt(db.intraGrid(), size, contention, r.Float64())
 }
 
 // MeanIntra blends the intra-node means.
