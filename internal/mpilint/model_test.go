@@ -87,6 +87,7 @@ func TestAnalyzeFixtures(t *testing.T) {
 		{"bad_size.pvm", 2, []string{RuleBadSize}},
 		{"bad_loop.pvm", 2, []string{RuleBadLoop}},
 		{"bad_time.pvm", 2, []string{RuleBadTime}},
+		{"bad_nonfinite.pvm", 2, []string{RuleBadTime, RuleBadLoop, RuleBadSize, RuleRankBounds}},
 		{"eval_error.pvm", 2, []string{RuleEvalError}},
 
 		// Whole-model checks.

@@ -318,22 +318,9 @@ func TestEvaluateValidation(t *testing.T) {
 // completes must not change the outcome.
 func TestErrorsAreLazy(t *testing.T) {
 	e := MustExpr
-	program := func(params map[string]float64, body ...Node) *Program {
-		prog := NewProgram()
-		for k, v := range params {
-			prog.Params[k] = v
-		}
-		prog.Body = body
-		return prog
-	}
+	program := lazyProgram
 	recvLeft := &Msg{Kind: MsgRecv, Size: Num(4), From: e("(procnum+1) % numprocs"), To: Var("procnum")}
-	cases := []struct {
-		name      string
-		prog      *Program
-		procs     int
-		wantErr   string    // exact error text, or "" for success
-		wantTimes []float64 // per-process completion times on success
-	}{
+	cases := []lazyCase{
 		{
 			name: "runon condition after an always-true one",
 			prog: program(nil, &Runon{
@@ -428,9 +415,95 @@ func TestErrorsAreLazy(t *testing.T) {
 			wantErr: "pevpm: negative Serial time -1",
 		},
 	}
+	runLazyCases(t, constDB(1e-4, 0, 0, 1<<20), cases)
+}
+
+// TestNonFiniteValuesFailLazily pins the checks on values a directive
+// converts or accumulates: NaN, ±Inf and, where an int is needed, values
+// outside the int range are errors, not a makespan of 0 or +Inf or an
+// implementation-defined conversion. Like every directive error, each
+// surfaces only when a process executes it.
+func TestNonFiniteValuesFailLazily(t *testing.T) {
+	e := MustExpr
+	program := lazyProgram
+	inf, nan := e("1e308*10"), e("(1e308*10) - (1e308*10)")
+	isend := func(size, to Expr) *Msg {
+		return &Msg{Kind: MsgIsend, Size: size, From: Num(0), To: to}
+	}
+	cases := []lazyCase{
+		{name: "NaN serial time", prog: program(nil, &Serial{Time: nan}), procs: 1,
+			wantErr: "pevpm: Serial time NaN is not finite"},
+		{name: "infinite serial time", prog: program(nil, &Serial{Time: inf}), procs: 1,
+			wantErr: "pevpm: Serial time +Inf is not finite"},
+		{name: "infinite loop count", prog: program(nil, &Loop{Count: inf, Body: Block{&Serial{Time: Num(1)}}}), procs: 1,
+			wantErr: "pevpm: Loop count +Inf is not finite"},
+		{name: "NaN loop count", prog: program(nil, &Loop{Count: nan, Body: Block{&Serial{Time: Num(1)}}}), procs: 1,
+			wantErr: "pevpm: Loop count NaN is not finite"},
+		{name: "loop count outside the int range", prog: program(nil, &Loop{Count: Num(1e19), Body: Block{&Serial{Time: Num(1)}}}), procs: 1,
+			wantErr: "pevpm: Loop count 1e+19 is outside the int range"},
+		{name: "NaN message size", prog: program(nil, isend(nan, Num(1))), procs: 1,
+			wantErr: "pevpm: message size NaN is not finite"},
+		{name: "message size outside the int range", prog: program(nil, isend(Num(1e300), Num(1))), procs: 1,
+			wantErr: "pevpm: message size 1e+300 is outside the int range"},
+		{name: "infinite message destination", prog: program(nil, isend(Num(4), inf)), procs: 1,
+			wantErr: "pevpm: message to +Inf is not finite"},
+		{name: "NaN collective size", prog: program(nil, &Coll{Op: "MPI_Bcast", Size: nan}), procs: 4,
+			wantErr: "pevpm: collective size NaN is not finite"},
+		{name: "negative infinite collective size", prog: program(nil, &Coll{Op: "MPI_Bcast", Size: e("0 - 1e308*10")}), procs: 4,
+			wantErr: "pevpm: collective size -Inf is not finite"},
+		{
+			name: "NaN serial time in a branch no process takes",
+			prog: program(nil, &Runon{
+				Conds:  []Expr{e("procnum >= 0"), Num(1)},
+				Bodies: []Block{{&Serial{Time: Num(1)}}, {&Serial{Time: nan}}},
+			}),
+			procs:     2,
+			wantTimes: []float64{1, 1},
+		},
+		{
+			name: "infinite loop count in a zero-pass loop",
+			prog: program(nil,
+				&Loop{Count: Num(0), Body: Block{&Loop{Count: inf}}},
+				&Serial{Time: Num(2)}),
+			procs:     1,
+			wantTimes: []float64{2},
+		},
+		{
+			name: "deadlock before an infinite serial time",
+			prog: program(nil,
+				&Msg{Kind: MsgRecv, Size: Num(4), From: e("1 - procnum"), To: Var("procnum")},
+				&Serial{Time: inf}),
+			procs:   2,
+			wantErr: "pevpm: model deadlock: proc 0 in Message MPI_Recv size=4 from=(1 - procnum) to=procnum (posted at 0.000000s); proc 1 in Message MPI_Recv size=4 from=(1 - procnum) to=procnum (posted at 0.000000s)",
+		},
+	}
+	runLazyCases(t, collDB(t), cases)
+}
+
+// lazyCase is one program whose evaluation either fails with an exact
+// error or completes with exact per-process times.
+type lazyCase struct {
+	name      string
+	prog      *Program
+	procs     int
+	wantErr   string    // exact error text, or "" for success
+	wantTimes []float64 // per-process completion times on success
+}
+
+func lazyProgram(params map[string]float64, body ...Node) *Program {
+	prog := NewProgram()
+	for k, v := range params {
+		prog.Params[k] = v
+	}
+	prog.Body = body
+	return prog
+}
+
+func runLazyCases(t *testing.T, db PerfDB, cases []lazyCase) {
+	t.Helper()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			rep, err := Evaluate(c.prog, Options{Procs: c.procs, DB: constDB(1e-4, 0, 0, 1<<20)})
+			rep, err := Evaluate(c.prog, Options{Procs: c.procs, DB: db})
 			if c.wantErr != "" {
 				if err == nil || err.Error() != c.wantErr {
 					t.Fatalf("err = %v, want %q", err, c.wantErr)

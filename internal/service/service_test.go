@@ -211,6 +211,26 @@ func TestLintErrorIsDeterministic400(t *testing.T) {
 	}
 }
 
+// TestInfiniteSerialTimeIsLint400: a Serial time that overflows to +Inf
+// is a lint error, not a prediction whose +Inf makespan cannot be
+// encoded.
+func TestInfiniteSerialTimeIsLint400(t *testing.T) {
+	s := newTestService(t, 1)
+	req := testRequest()
+	req.Model = "PEVPM Serial time = 1e308*10\n"
+	res := s.HandleRequest(context.Background(), mustJSON(t, req))
+	if res.Status != 400 {
+		t.Fatalf("status = %d, want 400; body: %s", res.Status, res.Body)
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(res.Body, &er); err != nil {
+		t.Fatal(err)
+	}
+	if len(er.Findings) != 1 || er.Findings[0].Rule != "bad-time" {
+		t.Fatalf("want one bad-time finding, got %s", res.Body)
+	}
+}
+
 func TestParseErrorCarriesFinding(t *testing.T) {
 	s := newTestService(t, 1)
 	req := testRequest()
