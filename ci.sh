@@ -8,7 +8,9 @@
 #   2. the full test suite under the race detector, then every
 #      allocation guard (tests named *Alloc*) repeated 20 times, so a
 #      guard whose count depends on map order or GC timing fails here
-#      rather than as an occasional flake
+#      rather than as an occasional flake; then a 10 s fuzz smoke of
+#      FuzzQuantile, which holds Histogram.Quantile's guide-table search
+#      to the binary search bit for bit
 #   3. the detlint sweep: the repository's own determinism/zero-alloc
 #      analyzers (internal/detlint, docs/DETLINT.md) over every
 #      package, warnings promoted to errors; stdlib-only, never skipped
@@ -49,6 +51,7 @@ go build ./...
 make staticcheck
 go test -race ./...
 go test -count=20 -run Alloc ./internal/...
+go test -run '^$' -fuzz '^FuzzQuantile$' -fuzztime 10s ./internal/stats
 make detlint
 make lint
 make determinism
