@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -285,4 +286,104 @@ func TestTopologyPlacementLocality(t *testing.T) {
 	if scatterSame != 0 {
 		t.Fatalf("test premise wrong: scatter gives %d same-leaf pairs", scatterSame)
 	}
+}
+
+func TestFlatPathsAreTheStackingChain(t *testing.T) {
+	cfg := Perseus()
+	topo := cfg.Paths()
+	if err := topo.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Topo != nil {
+		t.Fatal("Paths set Topo on the flat machine")
+	}
+	if topo.Leaves != cfg.NumSwitches() || topo.LeafPorts != cfg.PortsPerSwitch || topo.NumSegments() != cfg.NumSegments() {
+		t.Fatalf("chain: leaves=%d ports=%d links=%d", topo.Leaves, topo.LeafPorts, topo.NumSegments())
+	}
+	for _, tc := range []struct {
+		src, dst int
+		want     []int32
+	}{
+		{2, 2, []int32{FabricHop(2)}},
+		{0, 1, []int32{FabricHop(0), 0, FabricHop(1)}},
+		{1, 4, []int32{FabricHop(1), 1, 2, 3, FabricHop(4)}},
+		{3, 0, []int32{FabricHop(3), 2, 1, 0, FabricHop(0)}},
+	} {
+		if got := topo.PathHops(tc.src, tc.dst); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("chain path %d->%d = %v, want %v", tc.src, tc.dst, got, tc.want)
+		}
+	}
+	hier, _, err := ParseTopology("fattree:64x16x4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg, err = Perseus().WithTopology(hier, 64); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Paths() != hier {
+		t.Error("Paths of a hierarchical machine is not its topology")
+	}
+}
+
+// A topology spec can arrive in a service request, so a spec whose path
+// table or node state would exhaust memory must be an error, not a
+// panic or an out-of-memory crash.
+func TestParseTopologyRejectsOversizedSpecs(t *testing.T) {
+	for _, spec := range []string{
+		"tree:4x65536x65536x65536x65536", // panicked: makeslice: len out of range
+		"tree:1x4294967296x4294967296",   // died: runtime: out of memory
+		"fattree:2048x1x1",               // 2048 leaves: 201 MB of paths
+		"dragonfly:64x32x1",              // 2048 leaves
+		"fattree:257x1x1",                // one leaf over the bound
+		"dragonfly:257x1x1",
+		"tree:1x257",
+		"fattree:64x1x961",    // spines push the switch count over
+		"fattree:256x1x65",    // 256 × 65 links
+		"dragonfly:1x1x65537", // nodes
+		"tree:65537x1",        // nodes
+		"tree:1" + strings.Repeat("x1", MaxTopoSwitches), // levels
+		"fattree:64x16x4+17rail",
+		"fattree:9223372036854775807x9223372036854775807x1",
+		"dragonfly:9223372036854775807x9223372036854775807x1",
+	} {
+		if _, _, err := ParseTopology(spec); err == nil {
+			t.Errorf("spec %q accepted", spec)
+		}
+	}
+	for _, spec := range []string{"fattree:256x1x1", "dragonfly:16x16x1", "tree:1x256", "fattree:65536x256x1", "fattree:64x16x4+16rail"} {
+		if _, _, err := ParseTopology(spec); err != nil {
+			t.Errorf("spec %q at the bound rejected: %v", spec, err)
+		}
+	}
+}
+
+// FuzzParseTopology: no spec panics, and an accepted spec yields a
+// valid topology whose leaves hold every node it implies.
+func FuzzParseTopology(f *testing.F) {
+	for _, spec := range []string{
+		"dragonfly:4x2x4", "dragonfly:4x2x4+2rail", "dragonfly:4x4", "dragonfly:4x4x8+0rail",
+		"dragonfly:4x4x8+2rail", "dragonfly:64x32x1", "dragonfly:8x4x8", "dragonfly:8x4x8+2rail",
+		"fattree:0x32x8", "fattree:100x16x4", "fattree:128x32x4", "fattree:128x32x4+2rail",
+		"fattree:2048", "fattree:2048x1x1", "fattree:2048x32x8", "fattree:2048x32x8+0rail",
+		"fattree:2048x32x8+2rail", "fattree:256x16x4", "fattree:256x32x8", "fattree:2x16x1",
+		"fattree:32x8x2", "fattree:32x8x2+2rail", "fattree:512x16x4", "fattree:64x16x2",
+		"fattree:64x16x4", "fattree:64x32x1", "fattree:64x8x4", "tree:1x4294967296x4294967296",
+		"tree:4", "tree:4x4+0rail", "tree:4x4x2", "tree:4x65536x65536x65536x65536", "tree:8x4x2",
+		"", "fattree", "mesh:4x4", "fattree:ax32x8", "fattree:2048x32x8+xrail",
+		"fattree:2048x32x8+2lanes", "fattree:2048x32x8+-2rail",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		topo, nodes, err := ParseTopology(spec)
+		if err != nil {
+			return
+		}
+		if err := topo.Validate(); err != nil {
+			t.Fatalf("%q: %v", spec, err)
+		}
+		if nodes < 1 || nodes > topo.Capacity() || topo.LeafOf(nodes-1) >= topo.Leaves {
+			t.Fatalf("%q: %d nodes do not fit %d leaves of %d ports", spec, nodes, topo.Leaves, topo.LeafPorts)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -228,6 +229,25 @@ func TestInfiniteSerialTimeIsLint400(t *testing.T) {
 	}
 	if len(er.Findings) != 1 || er.Findings[0].Rule != "bad-time" {
 		t.Fatalf("want one bad-time finding, got %s", res.Body)
+	}
+}
+
+// TestOversizedTopologyIs400: a topology spec whose path table or node
+// state would exhaust memory is a request error. The first two specs
+// used to crash the server from the request's goroutine.
+func TestOversizedTopologyIs400(t *testing.T) {
+	s := newTestService(t, 1)
+	for _, spec := range []string{
+		"tree:4x65536x65536x65536x65536",
+		"tree:1x4294967296x4294967296",
+		fmt.Sprintf("fattree:%dx1x1", cluster.MaxTopoLeaves+1),
+	} {
+		req := testRequest()
+		req.Cluster.Topology = spec
+		res := s.HandleRequest(context.Background(), mustJSON(t, req))
+		if res.Status != 400 || !bytes.Contains(res.Body, []byte("cluster.topology")) {
+			t.Errorf("%s: status = %d, want 400 naming cluster.topology; body: %s", spec, res.Status, res.Body)
+		}
 	}
 }
 
