@@ -101,7 +101,7 @@ func TestDropAccountingReconciles(t *testing.T) {
 	// The saturated stacking segment must have recorded a peak backlog
 	// at least at the drop threshold.
 	found := false
-	for seg := 0; seg < len(n.segments); seg++ {
+	for seg := 0; seg < n.topo.NumSegments(); seg++ {
 		if v, ok := s.Gauge("net", "segment_backlog_ns_max", metrics.L("segment", strconv.Itoa(seg))); ok && v > 0 {
 			found = true
 		}

@@ -10,6 +10,12 @@
 // saturation cliff, and retransmission-timeout outliers in the tails of
 // the latency distributions.
 //
+// There is one stage pipeline, run by logical processes (LPs). An LP is
+// an engine with its RNG streams, the serializers of the nodes, switches
+// and links it owns, its transfer pool, counters and instruments. The
+// serial Network is one LP on the caller's engine that owns everything;
+// ShardedNet (shardnet.go) runs one LP per leaf switch plus a core LP.
+//
 // netsim moves opaque byte counts between nodes. The MPI protocol
 // (eager/rendezvous, matching, collectives) lives in internal/mpi.
 package netsim
@@ -49,45 +55,36 @@ type Counters struct {
 	MaxStackWait sim.Duration // worst backlog observed at the backplane
 }
 
-// Network simulates the communication fabric of one cluster.
-type Network struct {
+// Receiver is the allocation-free alternative to Transfer's callback: the
+// network delivers completion through the interface, so callers that
+// already have a per-message object (e.g. an MPI packet) avoid building a
+// closure per transfer.
+type Receiver interface {
+	Deliver(TransferStats)
+}
+
+// model is the network both entry points run: the cluster, the path
+// table its messages follow and the LPs that own its resources.
+//
+// LP i below the last owns leaf switch i and its nodes. The last LP, the
+// core, owns every other switch and every inter-switch link; with one LP
+// the core owns everything.
+type model struct {
 	cfg cluster.Config
-	e   *sim.Engine
-
-	// rails is how many parallel NIC rails each node drives (1 on flat
-	// clusters). nicTx/nicRx are indexed node*rails+rail; a transfer
-	// rides rail (src+dst) mod rails, a deterministic spread that keeps
-	// both directions of a pair on one rail.
-	rails  int
-	nicTx  []*sim.Serializer // per-node, per-rail NIC transmit engines
-	nicRx  []*sim.Serializer // per-node, per-rail NIC receive engines
-	memBus []*sim.Serializer // per-node shared-memory copy engines
-
-	// fabrics model each switch's internal switching capacity. The Intel
-	// 510T's fabric ran at 2.1 Gbit/s — less than half of what 24
-	// full-duplex ports can offer — so a switch full of communicating
-	// nodes congests internally even before the stacking backplane is
-	// involved. Under a hierarchical topology there is one fabric per
-	// switch of the tree, spines and routers included.
-	fabrics []*sim.Serializer
-
-	// segments model the inter-switch channels. On the flat cluster they
-	// are the stacking backplane daisy-chain the Intel 510T matrix cards
-	// form: segment i joins switch i and i+1, and a message spanning
-	// several switches consumes capacity on every segment along the way
-	// — what makes wide spans (the paper's 64×1 across three switches)
-	// congest first. Under a hierarchical topology, segment i is link i
-	// of the topology, with its own rate in segRate.
-	segments []*sim.Serializer
-	segRate  []float64 // per-segment bit rate (StackRate unless a link overrides)
-
-	// topo is the hierarchical topology, nil on flat clusters. Paths
-	// between leaves come precomputed from the topology; the flat walk
-	// builds its daisy-chain path into the xfer's scratch buffer.
+	// topo is the path table: cfg.Topo, or the flat machine's stacking
+	// chain (cluster.Config.Paths).
 	topo *cluster.Topology
+	// rails is how many parallel NIC rails each node drives (1 on flat
+	// clusters). A transfer rides rail (src+dst) mod rails, a
+	// deterministic spread that keeps both directions of a pair on one
+	// rail.
+	rails int
+	lps   []*lp
 
-	loss   *sim.RNG
-	jitter *sim.RNG
+	// sh carries a message between LPs; it lands lookahead later. The
+	// one-LP Network never moves a message and has no sh.
+	sh        *sim.Shards
+	lookahead sim.Duration
 
 	// sched is the active fault schedule (nil or empty = healthy). It is
 	// read-only while the simulation runs; an empty schedule draws no
@@ -100,17 +97,60 @@ type Network struct {
 	// slept. Tests use it to verify the backoff envelope.
 	retryObs func(srcNode, dstNode, try int, rto float64)
 
-	// freeXfer pools per-message transfer state machines. Each pooled
-	// xfer carries its callbacks prebuilt, so the steady-state send path
+	// deliver receives every completed transfer that has no callback or
+	// Receiver of its own — every sharded transfer — in the destination
+	// LP's event context.
+	deliver func(srcNode, dstNode, payload int, st TransferStats)
+}
+
+// lp is one logical process of the model.
+type lp struct {
+	m  *model
+	id int
+	e  *sim.Engine
+
+	loss   *sim.RNG
+	jitter *sim.RNG
+
+	// The owned nodes are node0 onwards. nicTx/nicRx are indexed
+	// (node-node0)*rails+rail, memBus node-node0.
+	node0  int
+	nicTx  []*sim.Serializer // per-node, per-rail NIC transmit engines
+	nicRx  []*sim.Serializer // per-node, per-rail NIC receive engines
+	memBus []*sim.Serializer // per-node shared-memory copy engines
+
+	// fabrics model each owned switch's internal switching capacity,
+	// indexed sw-sw0. The Intel 510T's fabric ran at 2.1 Gbit/s — less
+	// than half of what 24 full-duplex ports can offer — so a switch full
+	// of communicating nodes congests internally even before the
+	// stacking backplane is involved. Under a hierarchical topology
+	// there is one fabric per switch of the tree, spines and routers
+	// included.
+	sw0     int
+	fabrics []*sim.Serializer
+
+	// segments model the inter-switch channels, indexed by link, on the
+	// core LP only. On the flat cluster they are the stacking backplane
+	// daisy-chain the Intel 510T matrix cards form: segment i joins
+	// switch i and i+1, and a message spanning several switches consumes
+	// capacity on every segment along the way — what makes wide spans
+	// (the paper's 64×1 across three switches) congest first. Under a
+	// hierarchical topology, segment i is link i of the topology, with
+	// its own rate in segRate.
+	segments []*sim.Serializer
+	segRate  []float64 // per-segment bit rate (StackRate unless a link overrides)
+
+	// free pools per-message transfer state machines. Each pooled xfer
+	// carries its callbacks prebuilt, so the steady-state send path
 	// allocates neither closures nor state per message.
-	freeXfer []*xfer
+	free []*xfer
 
 	counters Counters
 
-	// Deterministic instruments, registered on the engine's registry at
-	// New so one snapshot covers the whole cell. Per-node and per-segment
-	// series are pre-resolved into slices: the hot paths index, never
-	// format labels.
+	// Deterministic instruments, registered on the LP engine's registry
+	// so one snapshot covers the cell (ShardedNet merges its LPs').
+	// Per-node and per-segment series are pre-resolved into slices: the
+	// hot paths index, never format labels.
 	mTransfers *metrics.Counter
 	mIntra     *metrics.Counter
 	mCross     *metrics.Counter
@@ -120,25 +160,22 @@ type Network struct {
 	mDropFault *metrics.Counter   // drops from the fault schedule
 	mRetries   *metrics.Counter   // retransmission timeouts (= all drops)
 	mRTODepth  *metrics.Histogram // backoff depth at each retransmission
-	mTxBytes   []*metrics.Counter // per-node NIC wire bytes, retransmits included
-	mTxFrames  []*metrics.Counter // per-node Ethernet frames clocked out
 	mSegPeak   []*metrics.Gauge   // per-segment peak backlog, ns
+	// Per-node NIC wire bytes (retransmits included) and Ethernet
+	// frames, indexed node-node0. Only the serial Network registers
+	// them: across a sharded fabric's LPs they would cost more than
+	// the rest of its instruments together.
+	mTxBytes  []*metrics.Counter
+	mTxFrames []*metrics.Counter
 }
 
-// Receiver is the allocation-free alternative to Transfer's callback: the
-// network delivers completion through the interface, so callers that
-// already have a per-message object (e.g. an MPI packet) avoid building a
-// closure per transfer.
-type Receiver interface {
-	Deliver(TransferStats)
-}
-
-// xfer is the state of one message moving through the fabric, pooled and
-// recycled at delivery. The func fields are bound once when the struct is
-// first created; because the struct is reused, the per-message cost of the
-// whole callback pipeline is zero allocations in steady state.
+// xfer is the state of one message moving through one LP, pooled and
+// recycled at delivery or when the message moves to another LP. The
+// func fields are bound once when the struct is first created; because
+// the struct is reused, the per-message cost of the whole callback
+// pipeline is zero allocations in steady state.
 type xfer struct {
-	n                *Network
+	lp               *lp
 	srcNode, dstNode int
 	payload          int
 	start            sim.Time
@@ -146,17 +183,13 @@ type xfer struct {
 	done             func(TransferStats)
 	recv             Receiver
 
-	crossSwitch          bool
-	srcSwitch, dstSwitch int
-	rail                 int
-
+	rail  int
+	cross bool // the endpoints sit on different leaf switches
 	// path is the encoded hop walk (cluster.Topology encoding: >= 0 a
-	// segment index, < 0 a switch fabric as ^switchID) and pos the next
-	// hop to traverse. Topology paths are shared precomputed slices;
-	// the flat daisy-chain builds into pathBuf, which the pool reuses.
-	path    []int32
-	pos     int
-	pathBuf []int32
+	// segment index, < 0 a switch fabric as ^switchID), shared with the
+	// path table, and pos the next hop to traverse.
+	path []int32
+	pos  int
 
 	latency sim.Duration // intraNode: host-side delivery latency
 
@@ -167,16 +200,162 @@ type xfer struct {
 	memDeliver func()                    // intraNode: delivery after host latency
 }
 
-// acquireXfer returns a pooled transfer state machine, creating (and
+// init builds the model with one LP per engine; the last engine's LP is
+// the core.
+func (m *model) init(cfg cluster.Config, engines []*sim.Engine) {
+	m.cfg = cfg
+	m.topo = cfg.Paths()
+	m.rails = cfg.Rails()
+	m.lps = make([]*lp, len(engines))
+	core := len(engines) - 1
+	for i, e := range engines {
+		l := &lp{
+			m:      m,
+			id:     i,
+			e:      e,
+			loss:   e.RNG("netsim.loss"),
+			jitter: e.RNG("netsim.jitter"),
+			sw0:    i,
+			node0:  i * m.topo.LeafPorts,
+		}
+		m.lps[i] = l
+		for node := l.node0; node < cfg.Nodes && m.nodeLP(node) == i; node++ {
+			for r := 0; r < m.rails; r++ {
+				txName, rxName := fmt.Sprintf("node%d.tx", node), fmt.Sprintf("node%d.rx", node)
+				if m.rails > 1 {
+					txName = fmt.Sprintf("node%d.rail%d.tx", node, r)
+					rxName = fmt.Sprintf("node%d.rail%d.rx", node, r)
+				}
+				l.nicTx = append(l.nicTx, sim.NewSerializer(e, txName))
+				l.nicRx = append(l.nicRx, sim.NewSerializer(e, rxName))
+			}
+			l.memBus = append(l.memBus, sim.NewSerializer(e, fmt.Sprintf("node%d.mem", node)))
+		}
+		for sw := i; sw < m.topo.Switches && m.switchLP(sw) == i; sw++ {
+			l.fabrics = append(l.fabrics, sim.NewSerializer(e, fmt.Sprintf("switch%d.fabric", sw)))
+		}
+
+		reg := e.Metrics()
+		l.mTransfers = reg.Counter("net", "transfers_total")
+		l.mIntra = reg.Counter("net", "intra_node_total")
+		l.mCross = reg.Counter("net", "cross_switch_total")
+		l.mWireBytes = reg.Counter("net", "wire_bytes_total")
+		l.mHops = reg.Counter("net", "store_forward_hops_total")
+		l.mDropCong = reg.Counter("net", "drops_congestion_total")
+		l.mDropFault = reg.Counter("net", "drops_fault_total")
+		l.mRetries = reg.Counter("net", "retries_total")
+		l.mRTODepth = reg.Histogram("net", "rto_backoff_depth", []int64{0, 1, 2, 3, 4, 5})
+		if i != core {
+			continue
+		}
+		for s, link := range m.topo.Links {
+			l.segments = append(l.segments, sim.NewSerializer(e, fmt.Sprintf("link%d(sw%d-sw%d)", s, link.A, link.B)))
+			rate := link.Rate
+			if rate <= 0 {
+				rate = cfg.StackRate
+			}
+			l.segRate = append(l.segRate, rate)
+			l.mSegPeak = append(l.mSegPeak, reg.Gauge("net", "segment_backlog_ns_max",
+				metrics.L("segment", strconv.Itoa(s))))
+		}
+	}
+}
+
+// switchLP returns the LP that owns switch sw.
+func (m *model) switchLP(sw int) int {
+	if core := len(m.lps) - 1; sw < core {
+		return sw
+	}
+	return len(m.lps) - 1
+}
+
+// nodeLP returns the LP that owns a node: its leaf switch's LP.
+func (m *model) nodeLP(node int) int { return m.switchLP(node / m.topo.LeafPorts) }
+
+// hopLP returns the LP that owns an encoded hop. Links belong to the
+// core.
+func (m *model) hopLP(h int32) int {
+	if sw, ok := cluster.IsFabricHop(h); ok {
+		return m.switchLP(sw)
+	}
+	return len(m.lps) - 1
+}
+
+// SetFaults installs a fault schedule. Pass nil to restore the healthy
+// cluster. The schedule must not be mutated while the simulation runs.
+// It panics on an invalid schedule — including one whose rules bind no
+// node or segment of this cluster — which is a programming error:
+// a silently-unmatched fault window would run the healthy model while
+// claiming to be degraded.
+func (m *model) SetFaults(s *faults.Schedule) {
+	if err := s.ValidateFor(m.cfg.Nodes, m.topo.NumSegments()); err != nil {
+		panic(err)
+	}
+	m.sched = s
+}
+
+// Config returns the cluster configuration the network models.
+func (m *model) Config() cluster.Config { return m.cfg }
+
+// sum adds up the per-LP activity counters; MaxStackWait is the max.
+// Every field is commutative across LPs, so the sum is deterministic.
+func (m *model) sum() Counters {
+	var total Counters
+	for _, l := range m.lps {
+		c := l.counters
+		total.Transfers += c.Transfers
+		total.IntraNode += c.IntraNode
+		total.CrossSwitch += c.CrossSwitch
+		total.Retries += c.Retries
+		total.FaultDrops += c.FaultDrops
+		total.WireBytes += c.WireBytes
+		if c.MaxStackWait > total.MaxStackWait {
+			total.MaxStackWait = c.MaxStackWait
+		}
+	}
+	return total
+}
+
+// transfer starts a message on the source node's LP, which must be the
+// LP whose event context the caller runs in. Completion goes to done,
+// else to recv, else to the model's deliver handler.
+func (m *model) transfer(srcNode, dstNode, payload int, done func(TransferStats), recv Receiver) {
+	if srcNode < 0 || srcNode >= m.cfg.Nodes || dstNode < 0 || dstNode >= m.cfg.Nodes {
+		panic(fmt.Sprintf("netsim: transfer %d->%d outside cluster of %d nodes",
+			srcNode, dstNode, m.cfg.Nodes))
+	}
+	if payload < 0 {
+		panic(fmt.Sprintf("netsim: negative payload %d", payload))
+	}
+	l := m.lps[m.nodeLP(srcNode)]
+	l.counters.Transfers++
+	l.mTransfers.Inc()
+	t := l.acquire()
+	t.route(srcNode, dstNode, payload)
+	t.start = l.e.Now()
+	t.done, t.recv = done, recv
+	if srcNode == dstNode {
+		l.counters.IntraNode++
+		l.mIntra.Inc()
+		t.intraNode()
+		return
+	}
+	wire := uint64(m.cfg.WireBytes(payload))
+	l.counters.WireBytes += wire
+	l.mWireBytes.Add(wire)
+	t.attempt()
+}
+
+// acquire returns a pooled transfer state machine, creating (and
 // binding the callbacks of) a new one only when the pool is empty.
-func (n *Network) acquireXfer() *xfer {
-	if k := len(n.freeXfer) - 1; k >= 0 {
-		t := n.freeXfer[k]
-		n.freeXfer[k] = nil
-		n.freeXfer = n.freeXfer[:k]
+func (l *lp) acquire() *xfer {
+	if k := len(l.free) - 1; k >= 0 {
+		t := l.free[k]
+		l.free[k] = nil
+		l.free = l.free[:k]
 		return t
 	}
-	t := &xfer{n: n}
+	t := &xfer{lp: l}
 	t.stepFn = t.step
 	t.deliverFn = t.deliver
 	t.retryFn = t.reattempt
@@ -185,274 +364,128 @@ func (n *Network) acquireXfer() *xfer {
 	return t
 }
 
-// releaseXfer recycles a completed transfer, dropping caller references so
-// the pool does not pin them.
-func (n *Network) releaseXfer(t *xfer) {
+// release recycles a transfer, dropping caller references so the pool
+// does not pin them.
+func (l *lp) release(t *xfer) {
 	t.done = nil
 	t.recv = nil
 	t.try = 0
-	n.freeXfer = append(n.freeXfer, t)
+	l.free = append(l.free, t)
 }
 
-// New builds the network for a cluster configuration. It panics on an
-// invalid configuration, which is a programming error.
-func New(e *sim.Engine, cfg cluster.Config) *Network {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	rails := cfg.Rails()
-	n := &Network{
-		cfg:    cfg,
-		e:      e,
-		rails:  rails,
-		topo:   cfg.Topo,
-		nicTx:  make([]*sim.Serializer, cfg.Nodes*rails),
-		nicRx:  make([]*sim.Serializer, cfg.Nodes*rails),
-		memBus: make([]*sim.Serializer, cfg.Nodes),
-		loss:   e.RNG("netsim.loss"),
-		jitter: e.RNG("netsim.jitter"),
-	}
-	for i := 0; i < cfg.Nodes; i++ {
-		for r := 0; r < rails; r++ {
-			txName, rxName := fmt.Sprintf("node%d.tx", i), fmt.Sprintf("node%d.rx", i)
-			if rails > 1 {
-				txName = fmt.Sprintf("node%d.rail%d.tx", i, r)
-				rxName = fmt.Sprintf("node%d.rail%d.rx", i, r)
-			}
-			n.nicTx[i*rails+r] = sim.NewSerializer(e, txName)
-			n.nicRx[i*rails+r] = sim.NewSerializer(e, rxName)
-		}
-		n.memBus[i] = sim.NewSerializer(e, fmt.Sprintf("node%d.mem", i))
-	}
-	for i := 0; i < cfg.NumSwitches(); i++ {
-		n.fabrics = append(n.fabrics, sim.NewSerializer(e, fmt.Sprintf("switch%d.fabric", i)))
-	}
-	if n.topo != nil {
-		for i, l := range n.topo.Links {
-			n.segments = append(n.segments, sim.NewSerializer(e, fmt.Sprintf("link%d(sw%d-sw%d)", i, l.A, l.B)))
-			rate := l.Rate
-			if rate <= 0 {
-				rate = cfg.StackRate
-			}
-			n.segRate = append(n.segRate, rate)
-		}
-	} else {
-		for i := 0; i < cfg.NumSwitches()-1; i++ {
-			n.segments = append(n.segments, sim.NewSerializer(e, fmt.Sprintf("stack%d-%d", i, i+1)))
-			n.segRate = append(n.segRate, cfg.StackRate)
-		}
-	}
-
-	reg := e.Metrics()
-	n.mTransfers = reg.Counter("net", "transfers_total")
-	n.mIntra = reg.Counter("net", "intra_node_total")
-	n.mCross = reg.Counter("net", "cross_switch_total")
-	n.mWireBytes = reg.Counter("net", "wire_bytes_total")
-	n.mHops = reg.Counter("net", "store_forward_hops_total")
-	n.mDropCong = reg.Counter("net", "drops_congestion_total")
-	n.mDropFault = reg.Counter("net", "drops_fault_total")
-	n.mRetries = reg.Counter("net", "retries_total")
-	n.mRTODepth = reg.Histogram("net", "rto_backoff_depth", []int64{0, 1, 2, 3, 4, 5})
-	n.mTxBytes = make([]*metrics.Counter, cfg.Nodes)
-	n.mTxFrames = make([]*metrics.Counter, cfg.Nodes)
-	for i := range n.mTxBytes {
-		node := metrics.L("node", strconv.Itoa(i))
-		n.mTxBytes[i] = reg.Counter("net", "nic_tx_bytes_total", node)
-		n.mTxFrames[i] = reg.Counter("net", "nic_tx_frames_total", node)
-	}
-	n.mSegPeak = make([]*metrics.Gauge, len(n.segments))
-	for i := range n.mSegPeak {
-		n.mSegPeak[i] = reg.Gauge("net", "segment_backlog_ns_max",
-			metrics.L("segment", strconv.Itoa(i)))
-	}
-	return n
-}
-
-// Config returns the cluster configuration the network models.
-func (n *Network) Config() cluster.Config { return n.cfg }
-
-// SetFaults installs a fault schedule. Pass nil to restore the healthy
-// cluster. The schedule must not be mutated while the simulation runs.
-// It panics on an invalid schedule — including one whose rules bind no
-// node or segment of this cluster — which is a programming error:
-// a silently-unmatched fault window would run the healthy model while
-// claiming to be degraded.
-func (n *Network) SetFaults(s *faults.Schedule) {
-	if err := s.ValidateFor(n.cfg.Nodes, len(n.segments)); err != nil {
-		panic(err)
-	}
-	n.sched = s
-}
-
-// Faults returns the active fault schedule (nil when healthy).
-func (n *Network) Faults() *faults.Schedule { return n.sched }
-
-// SetRetryObserver installs a hook called on every retransmission with
-// the source and destination node, the attempt number that failed, and
-// the jittered RTO in seconds the retry will wait. Tests use it to
-// check the backoff envelope; pass nil to remove.
-func (n *Network) SetRetryObserver(f func(srcNode, dstNode, try int, rto float64)) {
-	n.retryObs = f
-}
-
-// Stats returns a snapshot of the activity counters.
-func (n *Network) Stats() Counters { return n.counters }
-
-// jittered multiplies a nominal latency by a small lognormal factor,
-// modelling interrupt coalescence and forwarding-engine variance.
-func (n *Network) jittered(nominal float64) sim.Duration {
-	f := 1 + n.cfg.JitterSigma*n.jitter.NormFloat64()
-	if f < 0.5 {
-		f = 0.5
-	}
-	return sim.DurationFromSeconds(nominal * f)
-}
-
-// Transfer moves payload bytes from srcNode to dstNode, invoking done in
-// event context when the last byte has arrived at the destination host.
-// Host CPU costs (MPI send/receive overheads) are deliberately excluded:
-// they belong to the process and are modelled by internal/mpi.
-func (n *Network) Transfer(srcNode, dstNode, payload int, done func(TransferStats)) {
-	n.transfer(srcNode, dstNode, payload, done, nil)
-}
-
-// TransferTo is Transfer with an interface destination instead of a
-// callback: completion arrives via to.Deliver. Callers that already own a
-// per-message object implement Receiver on it and save the per-transfer
-// closure allocation of the func form.
-func (n *Network) TransferTo(srcNode, dstNode, payload int, to Receiver) {
-	n.transfer(srcNode, dstNode, payload, nil, to)
-}
-
-func (n *Network) transfer(srcNode, dstNode, payload int, done func(TransferStats), recv Receiver) {
-	if srcNode < 0 || srcNode >= n.cfg.Nodes || dstNode < 0 || dstNode >= n.cfg.Nodes {
-		panic(fmt.Sprintf("netsim: transfer %d->%d outside cluster of %d nodes",
-			srcNode, dstNode, n.cfg.Nodes))
-	}
-	if payload < 0 {
-		panic(fmt.Sprintf("netsim: negative payload %d", payload))
-	}
-	n.counters.Transfers++
-	n.mTransfers.Inc()
-	t := n.acquireXfer()
+// route sets a message's endpoints and recomputes its rail and its
+// leaf-to-leaf path.
+//
+//detlint:hotpath
+func (t *xfer) route(srcNode, dstNode, payload int) {
+	m := t.lp.m
 	t.srcNode, t.dstNode, t.payload = srcNode, dstNode, payload
 	t.rail = 0
-	if n.rails > 1 {
-		t.rail = (srcNode + dstNode) % n.rails
+	if m.rails > 1 {
+		t.rail = (srcNode + dstNode) % m.rails
 	}
-	t.start = n.e.Now()
-	t.done, t.recv = done, recv
-	if srcNode == dstNode {
-		n.counters.IntraNode++
-		n.mIntra.Inc()
-		t.intraNode()
-		return
-	}
-	n.counters.WireBytes += uint64(n.cfg.WireBytes(payload))
-	n.mWireBytes.Add(uint64(n.cfg.WireBytes(payload)))
-	t.attempt()
+	srcLeaf, dstLeaf := srcNode/m.topo.LeafPorts, dstNode/m.topo.LeafPorts
+	t.path = m.topo.PathHops(srcLeaf, dstLeaf)
+	t.cross = srcLeaf != dstLeaf
+}
+
+// move carries the message to LP `to`, one lookahead later, and runs
+// next there. The posted closure carries only the message's scalars:
+// pooled state never crosses engines, and the receiving LP recomputes
+// rail and path. The one-LP Network never moves a message.
+func (t *xfer) move(to int, next func(*xfer)) {
+	from := t.lp
+	m := from.m
+	src, dst, payload := t.srcNode, t.dstNode, t.payload
+	start, try, pos := t.start, t.try, t.pos
+	at := from.e.Now().Add(m.lookahead)
+	from.release(t)
+	dest := m.lps[to]
+	m.sh.Post(from.id, to, at, func() {
+		y := dest.acquire()
+		y.route(src, dst, payload)
+		y.start, y.try, y.pos = start, try, pos
+		next(y)
+	})
 }
 
 // finish hands the completed transfer to its consumer and recycles the
-// state machine. The xfer is released before the callback runs so a
-// consumer that immediately starts another transfer reuses it.
+// state machine. The xfer is released before the consumer runs so one
+// that immediately starts another transfer reuses it.
 func (t *xfer) finish(st TransferStats) {
+	l := t.lp
 	done, recv := t.done, t.recv
-	t.n.releaseXfer(t)
-	if done != nil {
+	src, dst, payload := t.srcNode, t.dstNode, t.payload
+	l.release(t)
+	switch {
+	case done != nil:
 		done(st)
-	} else if recv != nil {
+	case recv != nil:
 		recv.Deliver(st)
+	case l.m.deliver != nil:
+		l.m.deliver(src, dst, payload, st)
 	}
 }
 
 // intraNode models a shared-memory copy through the node's memory bus,
 // which both CPUs of an SMP node contend for.
 func (t *xfer) intraNode() {
-	n := t.n
-	service := sim.DurationFromSeconds(float64(t.payload) * 8 / n.cfg.MemRate)
-	t.latency = n.jittered(n.cfg.MemLatency)
-	n.memBus[t.srcNode].Enqueue(service, t.memDoneFn)
+	l := t.lp
+	cfg := &l.m.cfg
+	service := sim.DurationFromSeconds(float64(t.payload) * 8 / cfg.MemRate)
+	t.latency = l.jittered(cfg.MemLatency)
+	l.memBus[t.srcNode-l.node0].Enqueue(service, t.memDoneFn)
 }
 
-func (t *xfer) memDone(_, _ sim.Time) { t.n.e.Schedule(t.latency, t.memDeliver) }
+func (t *xfer) memDone(_, _ sim.Time) { t.lp.e.Schedule(t.latency, t.memDeliver) }
 
 func (t *xfer) memDeliverNow() {
-	t.finish(TransferStats{Sent: t.start, Delivered: t.n.e.Now()})
+	t.finish(TransferStats{Sent: t.start, Delivered: t.lp.e.Now()})
 }
 
-// attempt runs one end-to-end transmission try. A drop at the backplane
-// or the destination port triggers a TCP-like retransmission timeout and
-// a full retry from the source, exactly as a lost segment would.
+// attempt runs one end-to-end transmission try, on the sender's LP. A
+// drop at a stage or the destination port triggers a TCP-like
+// retransmission timeout and a full retry from the source, exactly as a
+// lost segment would.
 //
 //detlint:hotpath
 func (t *xfer) attempt() {
-	n := t.n
-	cfg := &n.cfg
+	l := t.lp
+	m := l.m
+	cfg := &m.cfg
 	wire := cfg.WireBytes(t.payload)
 
 	// NIC outage windows lose the attempt outright — the segment went
 	// onto a dead wire — and the sender discovers it via the TCP timeout.
 	// This checks only the schedule (no RNG), so it is deterministic.
-	if n.sched.NICDown(t.srcNode, n.e.Now()) || n.sched.NICDown(t.dstNode, n.e.Now()) {
-		n.counters.FaultDrops++
-		n.mDropFault.Inc()
-		n.retry(t)
+	if m.sched.NICDown(t.srcNode, l.e.Now()) || m.sched.NICDown(t.dstNode, l.e.Now()) {
+		l.counters.FaultDrops++
+		l.mDropFault.Inc()
+		t.retry()
 		return
 	}
 
 	// Link degradation stretches the serialisation time: the NIC clocks
 	// bits onto the wire at a fraction of the nominal rate.
-	txRate := cfg.LinkRate * n.sched.LinkFactor(t.srcNode, n.e.Now())
+	txRate := cfg.LinkRate * m.sched.LinkFactor(t.srcNode, l.e.Now())
 	txService := sim.DurationFromSeconds(float64(wire) * 8 / txRate)
 
 	// Per-NIC accounting sits here, not in transfer, so retransmissions
 	// count as the real wire activity they are.
-	n.mTxBytes[t.srcNode].Add(uint64(wire))
-	n.mTxFrames[t.srcNode].Add(uint64(cfg.Frames(t.payload)))
+	local := t.srcNode - l.node0
+	if l.mTxBytes != nil {
+		l.mTxBytes[local].Add(uint64(wire))
+		l.mTxFrames[local].Add(uint64(cfg.Frames(t.payload)))
+	}
 
-	txEnd := n.nicTx[t.srcNode*n.rails+t.rail].Enqueue(txService, nil)
+	txEnd := l.nicTx[local*m.rails+t.rail].Enqueue(txService, nil)
 	txStart := txEnd.Add(-txService)
 
 	// The first frame must be fully received by the switch before it can
 	// be forwarded (store-and-forward), then crosses one hop.
-	sfDelay := sim.DurationFromSeconds(cfg.FrameTime(t.payload)) + n.jittered(cfg.SwitchLatency)
-
-	t.srcSwitch, t.dstSwitch = cfg.SwitchOf(t.srcNode), cfg.SwitchOf(t.dstNode)
-	t.crossSwitch = t.srcSwitch != t.dstSwitch
-	t.buildPath()
-	n.e.At(txStart.Add(sfDelay), t.stepFn)
-}
-
-// buildPath resolves the hop walk for this attempt. Hierarchical
-// topologies hand back their precomputed leaf-pair path; the flat
-// cluster rebuilds the daisy-chain walk — ingress fabric, the stacking
-// segments between the two switches in travel order (segment i joins
-// switch i and i+1), egress fabric — into the xfer's pooled buffer.
-//
-//detlint:hotpath
-func (t *xfer) buildPath() {
+	sfDelay := sim.DurationFromSeconds(cfg.FrameTime(t.payload)) + l.jittered(cfg.SwitchLatency)
 	t.pos = 0
-	if topo := t.n.topo; topo != nil {
-		t.path = topo.PathHops(t.srcSwitch, t.dstSwitch)
-		return
-	}
-	p := t.pathBuf[:0]
-	p = append(p, cluster.FabricHop(t.srcSwitch))
-	if t.crossSwitch {
-		if t.srcSwitch < t.dstSwitch {
-			for s := t.srcSwitch; s < t.dstSwitch; s++ {
-				p = append(p, int32(s))
-			}
-		} else {
-			for s := t.srcSwitch - 1; s >= t.dstSwitch; s-- {
-				p = append(p, int32(s))
-			}
-		}
-		p = append(p, cluster.FabricHop(t.dstSwitch))
-	}
-	t.pathBuf = p
-	t.path = p
+	l.e.At(txStart.Add(sfDelay), t.stepFn)
 }
 
 // step traverses the next hop of the walk — a switch fabric (the 510T's
@@ -460,73 +493,120 @@ func (t *xfer) buildPath() {
 // or an inter-switch segment, the chain whose saturation produces the
 // paper's Figure 4 tails — and is re-entered on each un-dropped
 // store-and-forward handoff until the path ends at the destination
-// port.
+// port. A hop another LP owns moves the message there first.
 //
 //detlint:hotpath
 func (t *xfer) step() {
-	n := t.n
+	l := t.lp
 	if t.pos >= len(t.path) {
-		t.afterFabric()
+		t.arrive()
 		return
 	}
 	h := t.path[t.pos]
-	t.pos++
-	if sw, ok := cluster.IsFabricHop(h); ok {
-		if n.traverseStage(n.fabrics[sw], -1, t.payload, true, t.stepFn) {
-			n.retry(t)
-		}
+	if owner := l.m.hopLP(h); owner != l.id {
+		t.move(owner, (*xfer).step)
 		return
 	}
-	if n.traverseStage(n.segments[h], int(h), t.payload, false, t.stepFn) {
-		n.retry(t)
+	t.pos++
+	var dropped bool
+	if sw, ok := cluster.IsFabricHop(h); ok {
+		dropped = l.traverseStage(l.fabrics[sw-l.sw0], -1, t.payload, true, t.stepFn)
+	} else {
+		dropped = l.traverseStage(l.segments[h], int(h), t.payload, false, t.stepFn)
+	}
+	if dropped {
+		t.retry()
 	}
 }
 
-// afterFabric is the destination port: the last hop from the egress
-// switch into the receiving host's NIC.
+// arrive is the destination port, on the destination's LP: the last
+// hop from the egress switch into the receiving host's NIC.
 //
 //detlint:hotpath
-func (t *xfer) afterFabric() {
-	n := t.n
-	cfg := &n.cfg
+func (t *xfer) arrive() {
+	l := t.lp
+	m := l.m
+	cfg := &m.cfg
+	rx := l.nicRx[(t.dstNode-l.node0)*m.rails+t.rail]
 	// Drop if the port's buffers have overflowed. The congestion check
 	// runs first so healthy runs consume the loss stream identically
 	// whether or not a schedule is installed.
-	if n.dropped(n.nicRx[t.dstNode*n.rails+t.rail].Backlog(), cfg.NICBufferDelay()) {
-		n.mDropCong.Inc()
-		n.retry(t)
+	if l.dropped(rx.Backlog(), cfg.NICBufferDelay()) {
+		l.mDropCong.Inc()
+		t.retry()
 		return
 	}
-	if boost := n.sched.DropBoost(t.dstNode, n.e.Now()); boost > 0 && n.loss.Bool(boost) {
-		n.counters.FaultDrops++
-		n.mDropFault.Inc()
-		n.retry(t)
+	if boost := m.sched.DropBoost(t.dstNode, l.e.Now()); boost > 0 && l.loss.Bool(boost) {
+		l.counters.FaultDrops++
+		l.mDropFault.Inc()
+		t.retry()
 		return
 	}
 	// The delivered stream cannot run faster than the slowest link on
 	// the path: a degraded source NIC throttles the whole pipeline,
 	// not just its own transmit queue.
-	lf := n.sched.LinkFactor(t.dstNode, n.e.Now())
-	if src := n.sched.LinkFactor(t.srcNode, n.e.Now()); src < lf {
+	lf := m.sched.LinkFactor(t.dstNode, l.e.Now())
+	if src := m.sched.LinkFactor(t.srcNode, l.e.Now()); src < lf {
 		lf = src
 	}
 	wire := cfg.WireBytes(t.payload)
 	rxService := sim.DurationFromSeconds(float64(wire) * 8 / (cfg.LinkRate * lf))
-	n.nicRx[t.dstNode*n.rails+t.rail].Enqueue(rxService, t.deliverFn)
+	rx.Enqueue(rxService, t.deliverFn)
 }
 
 //detlint:hotpath
 func (t *xfer) deliver(_, end sim.Time) {
-	if t.crossSwitch {
-		t.n.counters.CrossSwitch++
-		t.n.mCross.Inc()
+	l := t.lp
+	if t.cross {
+		l.counters.CrossSwitch++
+		l.mCross.Inc()
 	}
 	t.finish(TransferStats{
 		Sent:        t.start,
 		Delivered:   end,
 		Retries:     t.try,
-		CrossSwitch: t.crossSwitch,
+		CrossSwitch: t.cross,
 	})
+}
+
+// retry handles a dropped attempt. The retransmission timer runs on the
+// sender's LP: a drop on another LP moves the loss notification back
+// across the boundary, one lookahead like any other signal.
+//
+//detlint:hotpath
+func (t *xfer) retry() {
+	if src := t.lp.m.nodeLP(t.srcNode); src != t.lp.id {
+		t.move(src, (*xfer).backoff)
+		return
+	}
+	t.backoff()
+}
+
+// backoff schedules a retransmission after the TCP timeout, with
+// exponential backoff capped to keep simulated time bounded under
+// pathological saturation.
+//
+//detlint:hotpath
+func (t *xfer) backoff() {
+	l := t.lp
+	cfg := &l.m.cfg
+	l.counters.Retries++
+	l.mRetries.Inc()
+	l.mRTODepth.Observe(int64(t.try))
+	exp := t.try
+	if exp > 5 {
+		exp = 5
+	}
+	rto := cfg.RTO
+	for i := 0; i < exp; i++ {
+		rto *= cfg.RTOBackoff
+	}
+	// ±10% jitter so synchronized losses do not retransmit in lock-step.
+	rto *= 0.9 + 0.2*l.jitter.Float64()
+	if obs := l.m.retryObs; obs != nil {
+		obs(t.srcNode, t.dstNode, t.try, rto)
+	}
+	l.e.Schedule(sim.DurationFromSeconds(rto), t.retryFn)
 }
 
 // reattempt runs when the retransmission timeout expires.
@@ -535,6 +615,22 @@ func (t *xfer) deliver(_, end sim.Time) {
 func (t *xfer) reattempt() {
 	t.try++
 	t.attempt()
+}
+
+// jittered multiplies a nominal latency by a small lognormal factor,
+// modelling interrupt coalescence and forwarding-engine variance.
+func (l *lp) jittered(nominal float64) sim.Duration {
+	f := 1 + l.m.cfg.JitterSigma*l.jitter.NormFloat64()
+	if f < 0.5 {
+		f = 0.5
+	}
+	return sim.DurationFromSeconds(nominal * f)
+}
+
+// dropped decides whether congestion claims this message.
+func (l *lp) dropped(backlog sim.Duration, threshold float64) bool {
+	p := l.m.cfg.DropProb(backlog.Seconds(), threshold)
+	return p > 0 && l.loss.Bool(p)
 }
 
 // traverseStage sends a message through one backplane-speed stage (a
@@ -556,74 +652,103 @@ func (t *xfer) reattempt() {
 //
 // A buffer overflow claims the message immediately and traverseStage
 // reports it by returning true; otherwise arrive fires at handoff time.
-func (n *Network) traverseStage(s *sim.Serializer, seg, payload int, perFrame bool, arrive func()) (droppedNow bool) {
-	n.mHops.Inc()
+//
+//detlint:hotpath
+func (l *lp) traverseStage(s *sim.Serializer, seg, payload int, perFrame bool, arrive func()) (droppedNow bool) {
+	cfg := &l.m.cfg
+	l.mHops.Inc()
 	wait := s.Backlog()
-	if wait > n.counters.MaxStackWait {
-		n.counters.MaxStackWait = wait
+	if wait > l.counters.MaxStackWait {
+		l.counters.MaxStackWait = wait
 	}
 	if seg >= 0 {
-		n.mSegPeak[seg].SetMax(int64(wait))
+		l.mSegPeak[seg].SetMax(int64(wait))
 	}
-	if n.dropped(wait, n.cfg.StackBufferDelay()) {
-		n.mDropCong.Inc()
+	if l.dropped(wait, cfg.StackBufferDelay()) {
+		l.mDropCong.Inc()
 		return true
 	}
-	rate := n.cfg.StackRate
+	rate := cfg.StackRate
 	if seg >= 0 {
-		rate = n.segRate[seg] * n.sched.StackFactor(seg, n.e.Now())
+		rate = l.segRate[seg] * l.m.sched.StackFactor(seg, l.e.Now())
 	}
-	serviceSec := float64(n.cfg.WireBytes(payload)) * 8 / rate
-	frame := n.cfg.WireBytes(payload)
-	if max := n.cfg.MTU + n.cfg.FrameOverhead; frame > max {
+	serviceSec := float64(cfg.WireBytes(payload)) * 8 / rate
+	frame := cfg.WireBytes(payload)
+	if max := cfg.MTU + cfg.FrameOverhead; frame > max {
 		frame = max
 	}
 	oneFrame := float64(frame) * 8 / rate
 	if perFrame {
-		serviceSec = n.cfg.FabricService(payload)
-		oneFrame += n.cfg.FabricPerFrame
+		serviceSec = cfg.FabricService(payload)
+		oneFrame += cfg.FabricPerFrame
 	}
-	if n.cfg.FabricJitter > 0 {
+	if cfg.FabricJitter > 0 {
 		// Lognormal service variance: mean preserved, CV ≈ FabricJitter.
-		sigma2 := math.Log1p(n.cfg.FabricJitter * n.cfg.FabricJitter)
-		serviceSec *= n.jitter.LogNormal(-sigma2/2, math.Sqrt(sigma2))
+		sigma2 := math.Log1p(cfg.FabricJitter * cfg.FabricJitter)
+		serviceSec *= l.jitter.LogNormal(-sigma2/2, math.Sqrt(sigma2))
 	}
 	service := sim.DurationFromSeconds(serviceSec)
 	end := s.Enqueue(service, nil)
-	handoff := end.Add(-service).Add(sim.DurationFromSeconds(oneFrame)).Add(n.jittered(n.cfg.SwitchLatency))
-	n.e.At(handoff, arrive)
+	handoff := end.Add(-service).Add(sim.DurationFromSeconds(oneFrame)).Add(l.jittered(cfg.SwitchLatency))
+	l.e.At(handoff, arrive)
 	return false
 }
 
-// dropped decides whether congestion claims this message.
-func (n *Network) dropped(backlog sim.Duration, threshold float64) bool {
-	p := n.cfg.DropProb(backlog.Seconds(), threshold)
-	return p > 0 && n.loss.Bool(p)
+// Network simulates the communication fabric of one cluster on the
+// caller's engine: the model as one LP that owns every node, fabric and
+// segment.
+type Network struct {
+	model
 }
 
-// retry schedules a retransmission after the TCP timeout, with
-// exponential backoff capped to keep simulated time bounded under
-// pathological saturation.
-//
-//detlint:hotpath
-func (n *Network) retry(t *xfer) {
-	n.counters.Retries++
-	n.mRetries.Inc()
-	n.mRTODepth.Observe(int64(t.try))
-	exp := t.try
-	if exp > 5 {
-		exp = 5
+// New builds the network for a cluster configuration. It panics on an
+// invalid configuration, which is a programming error.
+func New(e *sim.Engine, cfg cluster.Config) *Network {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
-	rto := n.cfg.RTO
-	for i := 0; i < exp; i++ {
-		rto *= n.cfg.RTOBackoff
+	n := &Network{}
+	n.init(cfg, []*sim.Engine{e})
+	l := n.lps[0]
+	reg := e.Metrics()
+	l.mTxBytes = make([]*metrics.Counter, cfg.Nodes)
+	l.mTxFrames = make([]*metrics.Counter, cfg.Nodes)
+	for i := range l.mTxBytes {
+		node := metrics.L("node", strconv.Itoa(i))
+		l.mTxBytes[i] = reg.Counter("net", "nic_tx_bytes_total", node)
+		l.mTxFrames[i] = reg.Counter("net", "nic_tx_frames_total", node)
 	}
-	// ±10% jitter so synchronized losses do not retransmit in lock-step.
-	rto *= 0.9 + 0.2*n.jitter.Float64()
-	if n.retryObs != nil {
-		n.retryObs(t.srcNode, t.dstNode, t.try, rto)
-	}
-	n.e.Schedule(sim.DurationFromSeconds(rto), t.retryFn)
+	return n
+}
+
+// Faults returns the active fault schedule (nil when healthy).
+func (n *Network) Faults() *faults.Schedule { return n.sched }
+
+// SetRetryObserver installs a hook called on every retransmission with
+// the source and destination node, the attempt number that failed, and
+// the jittered RTO in seconds the retry will wait. Tests use it to
+// check the backoff envelope; pass nil to remove.
+func (n *Network) SetRetryObserver(f func(srcNode, dstNode, try int, rto float64)) {
+	n.retryObs = f
+}
+
+// Stats returns a snapshot of the activity counters.
+func (n *Network) Stats() Counters { return n.sum() }
+
+// Transfer moves payload bytes from srcNode to dstNode, invoking done in
+// event context when the last byte has arrived at the destination host.
+// Host CPU costs (MPI send/receive overheads) are deliberately excluded:
+// they belong to the process and are modelled by internal/mpi.
+func (n *Network) Transfer(srcNode, dstNode, payload int, done func(TransferStats)) {
+	n.transfer(srcNode, dstNode, payload, done, nil)
+}
+
+// TransferTo is Transfer with an interface destination instead of a
+// callback: completion arrives via to.Deliver. Callers that already own a
+// per-message object implement Receiver on it and save the per-transfer
+// closure allocation of the func form.
+func (n *Network) TransferTo(srcNode, dstNode, payload int, to Receiver) {
+	n.transfer(srcNode, dstNode, payload, nil, to)
 }
 
 // Utilization summarises how busy each class of resource has been over
@@ -647,7 +772,8 @@ type Utilization struct {
 // creation, so pass start=0 (or accept slight over-counting if traffic
 // flowed before the window).
 func (n *Network) UtilizationSince(start sim.Time) Utilization {
-	elapsed := n.e.Now().Sub(start).Seconds()
+	l := n.lps[0]
+	elapsed := l.e.Now().Sub(start).Seconds()
 	if elapsed <= 0 {
 		return Utilization{}
 	}
@@ -661,64 +787,19 @@ func (n *Network) UtilizationSince(start sim.Time) Utilization {
 		return worst
 	}
 	u := Utilization{
-		BusiestNICTx:   maxBusy(n.nicTx),
-		BusiestNICRx:   maxBusy(n.nicRx),
-		BusiestFabric:  maxBusy(n.fabrics),
-		BusiestSegment: maxBusy(n.segments),
+		BusiestNICTx:   maxBusy(l.nicTx),
+		BusiestNICRx:   maxBusy(l.nicRx),
+		BusiestFabric:  maxBusy(l.fabrics),
+		BusiestSegment: maxBusy(l.segments),
 	}
 	var total float64
-	for _, s := range n.segments {
+	for _, s := range l.segments {
 		busy := s.BusyTime().Seconds()
 		total += busy / elapsed
 		u.DeliveredStackBits += busy * n.cfg.StackRate
 	}
-	if len(n.segments) > 0 {
-		u.MeanSegment = total / float64(len(n.segments))
+	if len(l.segments) > 0 {
+		u.MeanSegment = total / float64(len(l.segments))
 	}
 	return u
-}
-
-// TxBacklog reports the deepest transmit queue across a node's NIC
-// rails; tests and the MPI library's flow-control heuristics use it.
-func (n *Network) TxBacklog(node int) sim.Duration {
-	var worst sim.Duration
-	for r := 0; r < n.rails; r++ {
-		if b := n.nicTx[node*n.rails+r].Backlog(); b > worst {
-			worst = b
-		}
-	}
-	return worst
-}
-
-// RxBacklog reports the deepest receive-side queue across a node's NIC
-// rails.
-func (n *Network) RxBacklog(node int) sim.Duration {
-	var worst sim.Duration
-	for r := 0; r < n.rails; r++ {
-		if b := n.nicRx[node*n.rails+r].Backlog(); b > worst {
-			worst = b
-		}
-	}
-	return worst
-}
-
-// StackBacklog reports the deepest backplane-segment queue right now.
-func (n *Network) StackBacklog() sim.Duration {
-	var worst sim.Duration
-	for _, s := range n.segments {
-		if b := s.Backlog(); b > worst {
-			worst = b
-		}
-	}
-	return worst
-}
-
-// StackBusyTime reports cumulative service time across all backplane
-// segments, for utilisation accounting in saturation experiments.
-func (n *Network) StackBusyTime() sim.Duration {
-	var total sim.Duration
-	for _, s := range n.segments {
-		total += s.BusyTime()
-	}
-	return total
 }

@@ -3,7 +3,7 @@
 // sim.Shards' conservative windows. The per-hop switch forwarding
 // latency (Config.SwitchLatency) is the lookahead bound: every
 // LP-boundary crossing — a message handed from a leaf into the core, a
-// drop notification travelling back to the sender — takes at least one
+// drop notification travelling back to the sender — takes exactly one
 // un-jittered switch latency of virtual time, so LPs can execute a full
 // lookahead window without ever hearing from each other mid-window.
 //
@@ -13,97 +13,23 @@
 // byte-identical because the LP decomposition, per-LP RNG streams and
 // barrier merge order are all worker-independent.
 //
-// The sharded model is a sibling of the serial Network, not a
-// byte-compatible replacement: jitter draws happen on the LP that owns
-// each hop and boundary crossings quantise to the lookahead, so its
-// transcripts are compared sharded-vs-sharded (any worker count),
-// while the serial model keeps its own goldens.
+// The LPs run the same stage pipeline as the serial Network, which is
+// its one-LP case. Two things differ: each LP draws loss and jitter from
+// its own RNG streams, and every LP crossing on a message's path adds
+// one lookahead to its latency.
 package netsim
 
 import (
 	"fmt"
-	"math"
-	"strconv"
 
 	"repro/internal/cluster"
-	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
 // ShardedNet runs one large cluster simulation across LPs.
 type ShardedNet struct {
-	cfg       cluster.Config
-	topo      *cluster.Topology
-	sh        *sim.Shards
-	lps       []*netLP
-	sched     *faults.Schedule
-	rails     int
-	lookahead sim.Duration
-
-	// deliver receives every completed transfer, in the destination
-	// LP's event context. The model calls it instead of per-message
-	// callbacks so drivers keep their state sharded by LP.
-	deliver func(srcNode, dstNode, payload int, st TransferStats)
-}
-
-// netLP is one logical process: a leaf switch with its attached nodes,
-// or the core (every upper-level switch plus all inter-switch links).
-type netLP struct {
-	n  *ShardedNet
-	id int
-	e  *sim.Engine
-
-	loss   *sim.RNG
-	jitter *sim.RNG
-
-	// Leaf LPs: local node resources, indexed (node-nodeBase)*rails+rail.
-	nodeBase int
-	nicTx    []*sim.Serializer
-	nicRx    []*sim.Serializer
-	memBus   []*sim.Serializer
-	fabric   *sim.Serializer // this leaf's switch fabric
-
-	// Core LP: upper-level fabrics (indexed switch-leaves) and every
-	// inter-switch link (indexed by topology link id).
-	coreFabrics []*sim.Serializer
-	segments    []*sim.Serializer
-
-	free     []*sxfer
-	counters Counters
-
-	mTransfers *metrics.Counter
-	mIntra     *metrics.Counter
-	mCross     *metrics.Counter
-	mWireBytes *metrics.Counter
-	mHops      *metrics.Counter
-	mDropCong  *metrics.Counter
-	mDropFault *metrics.Counter
-	mRetries   *metrics.Counter
-	mSegPeak   []*metrics.Gauge // core LP only, per link
-}
-
-// sxfer is the LP-local slice of a message's journey, pooled per LP.
-// When a message crosses into another LP its parameters travel in the
-// cross-post closure and a fresh sxfer is acquired on the other side —
-// pooled state never migrates between engines.
-type sxfer struct {
-	lp               *netLP
-	srcNode, dstNode int
-	payload          int
-	start            sim.Time
-	try              int
-	rail             int
-	pos              int
-	path             []int32 // shared precomputed topology path
-
-	latency sim.Duration // intra-node delivery latency
-
-	stepFn     func()
-	deliverFn  func(start, end sim.Time)
-	retryFn    func()
-	memDoneFn  func(start, end sim.Time)
-	memDeliver func()
+	model
 }
 
 // NewSharded builds the sharded network for a hierarchical cluster:
@@ -124,69 +50,15 @@ func NewSharded(seed uint64, cfg cluster.Config, workers int) (*ShardedNet, erro
 	if err != nil {
 		return nil, err
 	}
-	n := &ShardedNet{
-		cfg:       cfg,
-		topo:      cfg.Topo,
-		sh:        sh,
-		rails:     cfg.Rails(),
-		lookahead: lookahead,
+	engines := make([]*sim.Engine, sh.NumLPs())
+	for i := range engines {
+		engines[i] = sh.LP(i)
 	}
-	leaves := n.topo.Leaves
-	n.lps = make([]*netLP, leaves+1)
-	for i := range n.lps {
-		lp := &netLP{
-			n:      n,
-			id:     i,
-			e:      sh.LP(i),
-			loss:   sh.LP(i).RNG("netsim.loss"),
-			jitter: sh.LP(i).RNG("netsim.jitter"),
-		}
-		reg := lp.e.Metrics()
-		lp.mTransfers = reg.Counter("net", "transfers_total")
-		lp.mIntra = reg.Counter("net", "intra_node_total")
-		lp.mCross = reg.Counter("net", "cross_switch_total")
-		lp.mWireBytes = reg.Counter("net", "wire_bytes_total")
-		lp.mHops = reg.Counter("net", "store_forward_hops_total")
-		lp.mDropCong = reg.Counter("net", "drops_congestion_total")
-		lp.mDropFault = reg.Counter("net", "drops_fault_total")
-		lp.mRetries = reg.Counter("net", "retries_total")
-		n.lps[i] = lp
-	}
-	for leaf := 0; leaf < leaves; leaf++ {
-		lp := n.lps[leaf]
-		lp.nodeBase = leaf * n.topo.LeafPorts
-		lp.fabric = sim.NewSerializer(lp.e, fmt.Sprintf("switch%d.fabric", leaf))
-		hi := lp.nodeBase + n.topo.LeafPorts
-		if hi > cfg.Nodes {
-			hi = cfg.Nodes
-		}
-		for node := lp.nodeBase; node < hi; node++ {
-			for r := 0; r < n.rails; r++ {
-				suffix := ""
-				if n.rails > 1 {
-					suffix = ".rail" + strconv.Itoa(r)
-				}
-				lp.nicTx = append(lp.nicTx, sim.NewSerializer(lp.e, fmt.Sprintf("node%d%s.tx", node, suffix)))
-				lp.nicRx = append(lp.nicRx, sim.NewSerializer(lp.e, fmt.Sprintf("node%d%s.rx", node, suffix)))
-			}
-			lp.memBus = append(lp.memBus, sim.NewSerializer(lp.e, fmt.Sprintf("node%d.mem", node)))
-		}
-	}
-	core := n.lps[leaves]
-	for sw := leaves; sw < n.topo.Switches; sw++ {
-		core.coreFabrics = append(core.coreFabrics, sim.NewSerializer(core.e, fmt.Sprintf("switch%d.fabric", sw)))
-	}
-	coreReg := core.e.Metrics()
-	for i, l := range n.topo.Links {
-		core.segments = append(core.segments, sim.NewSerializer(core.e, fmt.Sprintf("link%d(sw%d-sw%d)", i, l.A, l.B)))
-		core.mSegPeak = append(core.mSegPeak, coreReg.Gauge("net", "segment_backlog_ns_max",
-			metrics.L("segment", strconv.Itoa(i))))
-	}
+	n := &ShardedNet{}
+	n.init(cfg, engines)
+	n.sh, n.lookahead = sh, lookahead
 	return n, nil
 }
-
-// Config returns the cluster configuration.
-func (n *ShardedNet) Config() cluster.Config { return n.cfg }
 
 // NumLPs returns leaf count + 1 (the core).
 func (n *ShardedNet) NumLPs() int { return len(n.lps) }
@@ -202,11 +74,11 @@ func (n *ShardedNet) Lookahead() sim.Duration { return n.lookahead }
 
 // OwnerLP returns the LP that owns a node's state. Driver state for the
 // node (send queues, completion records) must live on this LP.
-func (n *ShardedNet) OwnerLP(node int) int { return node / n.topo.LeafPorts }
+func (n *ShardedNet) OwnerLP(node int) int { return n.nodeLP(node) }
 
 // Engine returns LP i's engine, for drivers to schedule kick-off events
 // and timers on.
-func (n *ShardedNet) Engine(lp int) *sim.Engine { return n.sh.LP(lp) }
+func (n *ShardedNet) Engine(lp int) *sim.Engine { return n.lps[lp].e }
 
 // SetDeliver installs the delivery handler. It is invoked on the
 // destination node's LP, in event context, once per completed transfer.
@@ -214,44 +86,20 @@ func (n *ShardedNet) SetDeliver(fn func(srcNode, dstNode, payload int, st Transf
 	n.deliver = fn
 }
 
-// SetFaults installs a fault schedule, validated against the cluster
-// shape like the serial Network.
-func (n *ShardedNet) SetFaults(s *faults.Schedule) {
-	if err := s.ValidateFor(n.cfg.Nodes, n.topo.NumSegments()); err != nil {
-		panic(err)
-	}
-	n.sched = s
-}
-
 // Run executes the sharded simulation to completion and returns the
 // makespan (the largest LP clock).
 func (n *ShardedNet) Run() (sim.Time, error) { return n.sh.Run() }
 
 // Counters aggregates the per-LP activity counters (sums; MaxStackWait
-// is the max). Deterministic: each field is commutative across LPs.
-func (n *ShardedNet) Counters() Counters {
-	var total Counters
-	for _, lp := range n.lps {
-		c := lp.counters
-		total.Transfers += c.Transfers
-		total.IntraNode += c.IntraNode
-		total.CrossSwitch += c.CrossSwitch
-		total.Retries += c.Retries
-		total.FaultDrops += c.FaultDrops
-		total.WireBytes += c.WireBytes
-		if c.MaxStackWait > total.MaxStackWait {
-			total.MaxStackWait = c.MaxStackWait
-		}
-	}
-	return total
-}
+// is the max).
+func (n *ShardedNet) Counters() Counters { return n.sum() }
 
 // MetricsSnapshot merges every LP's registry into one deterministic
 // snapshot (counters add, gauges max, histograms add), in LP order.
 func (n *ShardedNet) MetricsSnapshot() metrics.Snapshot {
 	agg := metrics.NewAggregate()
-	for _, lp := range n.lps {
-		agg.Merge(lp.e.Metrics().Snapshot())
+	for _, l := range n.lps {
+		agg.Merge(l.e.Metrics().Snapshot())
 	}
 	return agg.Snapshot()
 }
@@ -261,336 +109,8 @@ func (n *ShardedNet) MetricsSnapshot() metrics.Snapshot {
 // Engine(OwnerLP(src))). Completion reaches the SetDeliver handler on
 // the destination's LP.
 func (n *ShardedNet) Send(srcNode, dstNode, payload int) {
-	if srcNode < 0 || srcNode >= n.cfg.Nodes || dstNode < 0 || dstNode >= n.cfg.Nodes {
-		panic(fmt.Sprintf("netsim: transfer %d->%d outside cluster of %d nodes",
-			srcNode, dstNode, n.cfg.Nodes))
-	}
-	if payload < 0 {
-		panic(fmt.Sprintf("netsim: negative payload %d", payload))
-	}
 	if n.deliver == nil {
 		panic("netsim: ShardedNet.Send before SetDeliver")
 	}
-	lp := n.lps[n.OwnerLP(srcNode)]
-	lp.counters.Transfers++
-	lp.mTransfers.Inc()
-	x := lp.acquire()
-	x.srcNode, x.dstNode, x.payload = srcNode, dstNode, payload
-	x.rail = 0
-	if n.rails > 1 {
-		x.rail = (srcNode + dstNode) % n.rails
-	}
-	x.start = lp.e.Now()
-	x.try = 0
-	if srcNode == dstNode {
-		lp.counters.IntraNode++
-		lp.mIntra.Inc()
-		x.intraNode()
-		return
-	}
-	wire := uint64(n.cfg.WireBytes(payload))
-	lp.counters.WireBytes += wire
-	lp.mWireBytes.Add(wire)
-	x.path = n.topo.PathHops(n.OwnerLP(srcNode), n.OwnerLP(dstNode))
-	x.attempt()
-}
-
-// acquire returns a pooled LP-local transfer state machine.
-func (lp *netLP) acquire() *sxfer {
-	if k := len(lp.free) - 1; k >= 0 {
-		x := lp.free[k]
-		lp.free[k] = nil
-		lp.free = lp.free[:k]
-		return x
-	}
-	x := &sxfer{lp: lp}
-	x.stepFn = x.step
-	x.deliverFn = x.deliverDone
-	x.retryFn = x.reattempt
-	x.memDoneFn = x.memDone
-	x.memDeliver = x.memDeliverNow
-	return x
-}
-
-func (lp *netLP) release(x *sxfer) {
-	x.path = nil
-	x.try = 0
-	lp.free = append(lp.free, x)
-}
-
-// local maps a global node id to the LP's serializer index for a rail.
-func (lp *netLP) local(node, rail int) int {
-	return (node-lp.nodeBase)*lp.n.rails + rail
-}
-
-// intraNode mirrors the serial model's shared-memory path, entirely
-// within the owner LP.
-func (x *sxfer) intraNode() {
-	lp := x.lp
-	cfg := &lp.n.cfg
-	service := sim.DurationFromSeconds(float64(x.payload) * 8 / cfg.MemRate)
-	x.latency = lp.jitteredDur(cfg.MemLatency)
-	lp.memBus[x.srcNode-lp.nodeBase].Enqueue(service, x.memDoneFn)
-}
-
-func (x *sxfer) memDone(_, _ sim.Time) { x.lp.e.Schedule(x.latency, x.memDeliver) }
-
-func (x *sxfer) memDeliverNow() {
-	lp := x.lp
-	st := TransferStats{Sent: x.start, Delivered: lp.e.Now()}
-	src, dst, payload := x.srcNode, x.dstNode, x.payload
-	lp.release(x)
-	lp.n.deliver(src, dst, payload, st)
-}
-
-// attempt runs one end-to-end try from the source LP, mirroring the
-// serial model: outage check, rail serialisation, store-and-forward
-// delay, then the hop walk.
-//
-//detlint:hotpath
-func (x *sxfer) attempt() {
-	lp := x.lp
-	n := lp.n
-	cfg := &n.cfg
-	wire := cfg.WireBytes(x.payload)
-
-	if n.sched.NICDown(x.srcNode, lp.e.Now()) || n.sched.NICDown(x.dstNode, lp.e.Now()) {
-		lp.counters.FaultDrops++
-		lp.mDropFault.Inc()
-		x.retryHere()
-		return
-	}
-	txRate := cfg.LinkRate * n.sched.LinkFactor(x.srcNode, lp.e.Now())
-	txService := sim.DurationFromSeconds(float64(wire) * 8 / txRate)
-	txEnd := lp.nicTx[lp.local(x.srcNode, x.rail)].Enqueue(txService, nil)
-	txStart := txEnd.Add(-txService)
-	sfDelay := sim.DurationFromSeconds(cfg.FrameTime(x.payload)) + lp.jitteredDur(cfg.SwitchLatency)
-	x.pos = 0
-	lp.e.At(txStart.Add(sfDelay), x.stepFn)
-}
-
-// step advances the hop walk. Hops owned by the current LP traverse
-// locally; the first foreign hop hands the message off across the shard
-// boundary at exactly one lookahead of latency (the un-jittered switch
-// hop the conservative window is built on).
-//
-//detlint:hotpath
-func (x *sxfer) step() {
-	lp := x.lp
-	n := lp.n
-	if x.pos >= len(x.path) {
-		x.arrive()
-		return
-	}
-	h := x.path[x.pos]
-	owner := n.hopOwner(h)
-	if owner != lp.id {
-		n.handoff(lp, owner, x)
-		return
-	}
-	x.pos++
-	if sw, ok := cluster.IsFabricHop(h); ok {
-		if lp.traverseStage(lp.fabricFor(sw), -1, x.payload, true, x.stepFn) {
-			x.failed()
-		}
-		return
-	}
-	if lp.traverseStage(lp.segments[h], int(h), x.payload, false, x.stepFn) {
-		x.failed()
-	}
-}
-
-// hopOwner maps an encoded hop to its LP: leaf fabrics to their leaf,
-// everything else (upper fabrics, all links) to the core.
-func (n *ShardedNet) hopOwner(h int32) int {
-	if sw, ok := cluster.IsFabricHop(h); ok && sw < n.topo.Leaves {
-		return sw
-	}
-	return n.topo.Leaves
-}
-
-// fabricFor resolves a fabric switch id to the serializer this LP owns.
-func (lp *netLP) fabricFor(sw int) *sim.Serializer {
-	if sw < lp.n.topo.Leaves {
-		return lp.fabric
-	}
-	return lp.coreFabrics[sw-lp.n.topo.Leaves]
-}
-
-// handoff posts the message's continuation to the owning LP one
-// lookahead ahead, releasing the local state machine. The closure
-// carries the message by value — pooled state never crosses engines.
-func (n *ShardedNet) handoff(from *netLP, owner int, x *sxfer) {
-	src, dst, payload := x.srcNode, x.dstNode, x.payload
-	start, try, pos := x.start, x.try, x.pos
-	at := from.e.Now().Add(n.lookahead)
-	from.release(x)
-	to := n.lps[owner]
-	n.sh.Post(from.id, owner, at, func() {
-		y := to.acquire()
-		y.srcNode, y.dstNode, y.payload = src, dst, payload
-		y.start, y.try, y.pos = start, try, pos
-		y.rail = 0
-		if n.rails > 1 {
-			y.rail = (src + dst) % n.rails
-		}
-		y.path = n.topo.PathHops(n.OwnerLP(src), n.OwnerLP(dst))
-		y.step()
-	})
-}
-
-// traverseStage is the per-LP twin of the serial Network's stage walk:
-// same service model, same drop rule, drawing jitter from this LP's
-// streams only.
-//
-//detlint:hotpath
-func (lp *netLP) traverseStage(s *sim.Serializer, seg, payload int, perFrame bool, arrive func()) (droppedNow bool) {
-	n := lp.n
-	cfg := &n.cfg
-	lp.mHops.Inc()
-	wait := s.Backlog()
-	if wait > lp.counters.MaxStackWait {
-		lp.counters.MaxStackWait = wait
-	}
-	if seg >= 0 {
-		lp.mSegPeak[seg].SetMax(int64(wait))
-	}
-	if p := cfg.DropProb(wait.Seconds(), cfg.StackBufferDelay()); p > 0 && lp.loss.Bool(p) {
-		lp.mDropCong.Inc()
-		return true
-	}
-	rate := cfg.StackRate
-	if seg >= 0 {
-		if lr := n.topo.Links[seg].Rate; lr > 0 {
-			rate = lr
-		}
-		rate *= n.sched.StackFactor(seg, lp.e.Now())
-	}
-	serviceSec := float64(cfg.WireBytes(payload)) * 8 / rate
-	frame := cfg.WireBytes(payload)
-	if max := cfg.MTU + cfg.FrameOverhead; frame > max {
-		frame = max
-	}
-	oneFrame := float64(frame) * 8 / rate
-	if perFrame {
-		serviceSec = cfg.FabricService(payload)
-		oneFrame += cfg.FabricPerFrame
-	}
-	if cfg.FabricJitter > 0 {
-		sigma2 := math.Log1p(cfg.FabricJitter * cfg.FabricJitter)
-		serviceSec *= lp.jitter.LogNormal(-sigma2/2, math.Sqrt(sigma2))
-	}
-	service := sim.DurationFromSeconds(serviceSec)
-	end := s.Enqueue(service, nil)
-	handoff := end.Add(-service).Add(sim.DurationFromSeconds(oneFrame)).Add(lp.jitteredDur(cfg.SwitchLatency))
-	lp.e.At(handoff, arrive)
-	return false
-}
-
-// arrive is the destination port, on the destination's LP: congestion
-// and fault drop checks, then receive-side serialisation and delivery.
-//
-//detlint:hotpath
-func (x *sxfer) arrive() {
-	lp := x.lp
-	n := lp.n
-	cfg := &n.cfg
-	if p := cfg.DropProb(lp.nicRx[lp.local(x.dstNode, x.rail)].Backlog().Seconds(), cfg.NICBufferDelay()); p > 0 && lp.loss.Bool(p) {
-		lp.mDropCong.Inc()
-		x.failed()
-		return
-	}
-	if boost := n.sched.DropBoost(x.dstNode, lp.e.Now()); boost > 0 && lp.loss.Bool(boost) {
-		lp.counters.FaultDrops++
-		lp.mDropFault.Inc()
-		x.failed()
-		return
-	}
-	lf := n.sched.LinkFactor(x.dstNode, lp.e.Now())
-	if src := n.sched.LinkFactor(x.srcNode, lp.e.Now()); src < lf {
-		lf = src
-	}
-	wire := cfg.WireBytes(x.payload)
-	rxService := sim.DurationFromSeconds(float64(wire) * 8 / (cfg.LinkRate * lf))
-	lp.nicRx[lp.local(x.dstNode, x.rail)].Enqueue(rxService, x.deliverFn)
-}
-
-//detlint:hotpath
-func (x *sxfer) deliverDone(_, end sim.Time) {
-	lp := x.lp
-	cross := lp.n.OwnerLP(x.srcNode) != lp.n.OwnerLP(x.dstNode)
-	if cross {
-		lp.counters.CrossSwitch++
-		lp.mCross.Inc()
-	}
-	st := TransferStats{Sent: x.start, Delivered: end, Retries: x.try, CrossSwitch: cross}
-	src, dst, payload := x.srcNode, x.dstNode, x.payload
-	lp.release(x)
-	lp.n.deliver(src, dst, payload, st)
-}
-
-// failed handles a drop: if the current LP owns the sender, the
-// retransmission timer runs right here; otherwise the loss notification
-// travels back across the shard boundary (one lookahead, like any other
-// signal) and the source LP schedules the timeout.
-func (x *sxfer) failed() {
-	lp := x.lp
-	n := lp.n
-	srcLP := n.OwnerLP(x.srcNode)
-	if srcLP == lp.id {
-		x.retryHere()
-		return
-	}
-	src, dst, payload := x.srcNode, x.dstNode, x.payload
-	start, try := x.start, x.try
-	at := lp.e.Now().Add(n.lookahead)
-	lp.release(x)
-	to := n.lps[srcLP]
-	n.sh.Post(lp.id, srcLP, at, func() {
-		y := to.acquire()
-		y.srcNode, y.dstNode, y.payload = src, dst, payload
-		y.start, y.try = start, try
-		y.rail = 0
-		if n.rails > 1 {
-			y.rail = (src + dst) % n.rails
-		}
-		y.path = n.topo.PathHops(n.OwnerLP(src), n.OwnerLP(dst))
-		y.retryHere()
-	})
-}
-
-// retryHere schedules the TCP-style retransmission on the source LP,
-// with the serial model's backoff envelope and ±10% jitter.
-//
-//detlint:hotpath
-func (x *sxfer) retryHere() {
-	lp := x.lp
-	cfg := &lp.n.cfg
-	lp.counters.Retries++
-	lp.mRetries.Inc()
-	exp := x.try
-	if exp > 5 {
-		exp = 5
-	}
-	rto := cfg.RTO
-	for i := 0; i < exp; i++ {
-		rto *= cfg.RTOBackoff
-	}
-	rto *= 0.9 + 0.2*lp.jitter.Float64()
-	lp.e.Schedule(sim.DurationFromSeconds(rto), x.retryFn)
-}
-
-//detlint:hotpath
-func (x *sxfer) reattempt() {
-	x.try++
-	x.attempt()
-}
-
-// jitteredDur is the per-LP twin of Network.jittered.
-func (lp *netLP) jitteredDur(nominal float64) sim.Duration {
-	f := 1 + lp.n.cfg.JitterSigma*lp.jitter.NormFloat64()
-	if f < 0.5 {
-		f = 0.5
-	}
-	return sim.DurationFromSeconds(nominal * f)
+	n.transfer(srcNode, dstNode, payload, nil, nil)
 }
