@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
@@ -79,11 +77,9 @@ type LargeRunReport struct {
 	Metrics    metrics.Snapshot
 }
 
-// lrNode is one rank's workload state, owned by (and only touched on)
-// the rank's leaf LP.
+// lrNode is one rank's transcript counters, owned by (and only touched
+// on) the rank's leaf LP.
 type lrNode struct {
-	rounds   int // completed send windows
-	recvData int // data messages of the current window received
 	dataSeen uint64
 	ackSeen  uint64
 	bytes    uint64
@@ -92,7 +88,9 @@ type lrNode struct {
 }
 
 // LargeRun executes the spec and reports. The worker count never
-// changes a byte of the report; everything else in the spec does.
+// changes a byte of the report; everything else in the spec does. It is
+// PatternRun's driver fed the ring: pairs r -> r+1 mod n, one message
+// per window slot, in rank order.
 func LargeRun(spec LargeRunSpec) (*LargeRunReport, error) {
 	topo, nodes, err := cluster.ParseTopology(spec.Topo)
 	if err != nil {
@@ -102,131 +100,14 @@ func LargeRun(spec LargeRunSpec) (*LargeRunReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case nodes < 2:
+	if nodes < 2 {
 		return nil, fmt.Errorf("largerun: ring needs at least 2 nodes, topology %q has %d", spec.Topo, nodes)
-	case spec.Rounds <= 0 || spec.Window <= 0:
-		return nil, fmt.Errorf("largerun: rounds and window must be positive, got %d and %d", spec.Rounds, spec.Window)
-	case spec.Size <= 0:
-		return nil, fmt.Errorf("largerun: size must be positive, got %d", spec.Size)
-	case spec.Size == cfg.CtrlBytes:
-		return nil, fmt.Errorf("largerun: size %d collides with the %d-byte acknowledgements", spec.Size, cfg.CtrlBytes)
 	}
-	if spec.Faults != nil {
-		if err := spec.Faults.ValidateFor(cfg.Nodes, topo.NumSegments()); err != nil {
-			return nil, err
-		}
+	ring := mpibench.Matrix{Pairs: make([]mpibench.Pair, nodes)}
+	for r := range ring.Pairs {
+		ring.Pairs[r] = mpibench.Pair{Src: r, Dst: (r + 1) % nodes, Count: 1}
 	}
-	net, err := netsim.NewSharded(spec.Seed, cfg, spec.Workers)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Faults != nil {
-		net.SetFaults(spec.Faults)
-	}
-
-	// state[r] is only touched by r's owner LP: the delivery handler
-	// runs on the destination's LP and every send a rank reacts with
-	// originates from itself. Distinct LPs therefore write distinct
-	// index ranges — no locking, race-free by ownership.
-	state := make([]lrNode, nodes)
-	next := func(r int) int { return (r + 1) % nodes }
-	prev := func(r int) int { return (r + nodes - 1) % nodes }
-	sendWindow := func(r int) {
-		for i := 0; i < spec.Window; i++ {
-			net.Send(r, next(r), spec.Size)
-		}
-	}
-	net.SetDeliver(func(src, dst, payload int, st netsim.TransferStats) {
-		s := &state[dst]
-		s.last = st.Delivered
-		s.bytes += uint64(payload)
-		if payload == cfg.CtrlBytes { // window acknowledged: next round
-			s.ackSeen++
-			s.rounds++
-			if s.rounds < spec.Rounds {
-				sendWindow(dst)
-			}
-			return
-		}
-		s.dataSeen++
-		s.latency += st.Delivered.Sub(st.Sent)
-		s.recvData++
-		if s.recvData == spec.Window {
-			s.recvData = 0
-			net.Send(dst, prev(dst), cfg.CtrlBytes)
-		}
-	})
-	// Kick-off: each rank opens its first window from its own LP, at a
-	// start time staggered by its position within the leaf so a
-	// 32-port leaf does not fire 32 simultaneous events.
-	for r := 0; r < nodes; r++ {
-		rank := r
-		at := sim.Time(r%topo.LeafPorts+1) * sim.Time(sim.Microsecond)
-		net.Engine(net.OwnerLP(rank)).At(at, func() { sendWindow(rank) })
-	}
-	makespan, err := net.Run()
-	if err != nil {
-		return nil, err
-	}
-	for r := range state {
-		if got := state[r].rounds; got != spec.Rounds {
-			return nil, fmt.Errorf("largerun: rank %d finished %d of %d rounds", r, got, spec.Rounds)
-		}
-	}
-
-	rep := &LargeRunReport{
-		Manifest: LargeRunManifest{
-			Schema:      1,
-			Pattern:     "windowed-ring",
-			Topology:    topo.Name,
-			Nodes:       nodes,
-			LPs:         net.NumLPs(),
-			Rounds:      spec.Rounds,
-			Window:      spec.Window,
-			Size:        spec.Size,
-			Seed:        spec.Seed,
-			Cluster:     cfg.Name,
-			ClusterHash: mpibench.ClusterHash(&cfg),
-			GoVersion:   runtime.Version(),
-		},
-		Makespan: makespan,
-		Windows:  net.Windows(),
-		Counters: net.Counters(),
-		Metrics:  net.MetricsSnapshot(),
-	}
-	if spec.Faults != nil {
-		rep.Manifest.Scenario = spec.Faults.Name
-	}
-
-	// Per-leaf aggregation in LP order: compact at 2048 nodes, still
-	// sensitive to any divergence in any rank's deliveries.
-	var b strings.Builder
-	fmt.Fprintf(&b, "largerun topo=%s nodes=%d rounds=%d window=%d size=%d seed=%d\n",
+	header := fmt.Sprintf("largerun topo=%s nodes=%d rounds=%d window=%d size=%d seed=%d",
 		topo.Name, nodes, spec.Rounds, spec.Window, spec.Size, spec.Seed)
-	for leaf := 0; leaf < topo.Leaves; leaf++ {
-		lo := leaf * topo.LeafPorts
-		hi := lo + topo.LeafPorts
-		if hi > nodes {
-			hi = nodes
-		}
-		var data, acks, bytes uint64
-		var latency sim.Duration
-		var last sim.Time
-		for r := lo; r < hi; r++ {
-			s := &state[r]
-			data += s.dataSeen
-			acks += s.ackSeen
-			bytes += s.bytes
-			latency += s.latency
-			if s.last > last {
-				last = s.last
-			}
-		}
-		fmt.Fprintf(&b, "leaf%d data=%d acks=%d bytes=%d latency=%v last=%v\n",
-			leaf, data, acks, bytes, latency, last)
-	}
-	fmt.Fprintf(&b, "makespan=%v windows=%d counters=%+v\n", makespan, net.Windows(), rep.Counters)
-	rep.Transcript = b.String()
-	return rep, nil
+	return windowedRun("largerun", "windowed-ring", header, cfg, ring, spec)
 }

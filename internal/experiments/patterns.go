@@ -56,8 +56,7 @@ type PatternRunSpec struct {
 
 // prPair is one matrix pair's live state. The sender-side fields
 // (rounds) are only touched on the source's LP, the receiver-side
-// fields (recv) only on the destination's LP — race-free by ownership,
-// like LargeRun's per-rank state.
+// fields (recv) only on the destination's LP — race-free by ownership.
 type prPair struct {
 	src, dst int
 	msgs     int // data messages per window (count × window)
@@ -82,22 +81,39 @@ func PatternRun(spec PatternRunSpec) (*LargeRunReport, error) {
 		return nil, err
 	}
 	key := fmt.Sprintf("%s:p%dg%dk%d:w%d:%s", spec.Pattern, spec.P, spec.G, spec.K, spec.Window, spec.Direction)
-	switch {
-	case spec.P*spec.G > nodes:
+	if spec.P*spec.G > nodes {
 		return nil, fmt.Errorf("patternrun: pattern %s needs %d nodes, topology %q has %d",
 			key, spec.P*spec.G, spec.Topo, nodes)
+	}
+	header := fmt.Sprintf("patternrun topo=%s pattern=%s nodes=%d rounds=%d window=%d size=%d seed=%d",
+		topo.Name, key, nodes, spec.Rounds, spec.Window, spec.Size, spec.Seed)
+	return windowedRun("patternrun", key, header, cfg, matrix, LargeRunSpec{
+		Topo: spec.Topo, Rounds: spec.Rounds, Window: spec.Window, Size: spec.Size,
+		Seed: spec.Seed, Workers: spec.Workers, Faults: spec.Faults,
+	})
+}
+
+// windowedRun is the driver behind LargeRun and PatternRun: every pair
+// of the matrix streams Count × Window data messages per round over the
+// sharded network of cfg, and the receiver acknowledges each window
+// before the sender starts its next round. kind prefixes errors,
+// pattern is the manifest's pattern key and header the transcript's
+// first line; spec.Topo is not re-read.
+func windowedRun(kind, pattern, header string, cfg cluster.Config, matrix mpibench.Matrix, spec LargeRunSpec) (*LargeRunReport, error) {
+	topo, nodes := cfg.Topo, cfg.Nodes
+	switch {
 	case spec.Rounds <= 0 || spec.Window <= 0:
-		return nil, fmt.Errorf("patternrun: rounds and window must be positive, got %d and %d", spec.Rounds, spec.Window)
+		return nil, fmt.Errorf("%s: rounds and window must be positive, got %d and %d", kind, spec.Rounds, spec.Window)
 	case spec.Size <= 0:
-		return nil, fmt.Errorf("patternrun: size must be positive, got %d", spec.Size)
+		return nil, fmt.Errorf("%s: size must be positive, got %d", kind, spec.Size)
 	case spec.Size == cfg.CtrlBytes:
-		return nil, fmt.Errorf("patternrun: size %d collides with the %d-byte acknowledgements", spec.Size, cfg.CtrlBytes)
+		return nil, fmt.Errorf("%s: size %d collides with the %d-byte acknowledgements", kind, spec.Size, cfg.CtrlBytes)
 	}
 	if fs := matrix.Findings(nodes); len(fs) > 0 {
-		return nil, fmt.Errorf("patternrun: matrix rejected: %s", fs[0])
+		return nil, fmt.Errorf("%s: matrix rejected: %s", kind, fs[0])
 	}
 	if spec.Faults != nil {
-		if err := spec.Faults.ValidateFor(cfg.Nodes, topo.NumSegments()); err != nil {
+		if err := spec.Faults.ValidateFor(nodes, topo.NumSegments()); err != nil {
 			return nil, err
 		}
 	}
@@ -116,7 +132,10 @@ func PatternRun(spec PatternRunSpec) (*LargeRunReport, error) {
 		index[[2]int{pr.Src, pr.Dst}] = i
 	}
 	// state[r] carries the per-rank transcript counters, owned by r's
-	// leaf LP exactly as in LargeRun.
+	// leaf LP: the delivery handler runs on the destination's LP and
+	// every send a rank reacts with originates from itself. Distinct LPs
+	// therefore write distinct index ranges — no locking, race-free by
+	// ownership.
 	state := make([]lrNode, nodes)
 	sendWindow := func(i int) {
 		p := &pairs[i]
@@ -148,8 +167,9 @@ func PatternRun(spec PatternRunSpec) (*LargeRunReport, error) {
 			net.Send(dst, src, cfg.CtrlBytes)
 		}
 	})
-	// Kick-off: each pair's first window opens from its sender's LP,
-	// staggered by the sender's position within its leaf.
+	// Kick-off: each pair's first window opens from its sender's LP, at
+	// a start time staggered by the sender's position within its leaf so
+	// a 32-port leaf does not fire 32 simultaneous events.
 	for i := range pairs {
 		pair := i
 		src := pairs[i].src
@@ -162,15 +182,15 @@ func PatternRun(spec PatternRunSpec) (*LargeRunReport, error) {
 	}
 	for i := range pairs {
 		if got := pairs[i].rounds; got != spec.Rounds {
-			return nil, fmt.Errorf("patternrun: pair %d->%d finished %d of %d rounds",
-				pairs[i].src, pairs[i].dst, got, spec.Rounds)
+			return nil, fmt.Errorf("%s: pair %d->%d finished %d of %d rounds",
+				kind, pairs[i].src, pairs[i].dst, got, spec.Rounds)
 		}
 	}
 
 	rep := &LargeRunReport{
 		Manifest: LargeRunManifest{
 			Schema:      1,
-			Pattern:     key,
+			Pattern:     pattern,
 			Topology:    topo.Name,
 			Nodes:       nodes,
 			LPs:         net.NumLPs(),
@@ -191,9 +211,11 @@ func PatternRun(spec PatternRunSpec) (*LargeRunReport, error) {
 		rep.Manifest.Scenario = spec.Faults.Name
 	}
 
+	// Per-leaf aggregation in LP order: compact at 2048 nodes, still
+	// sensitive to any divergence in any rank's deliveries.
 	var b strings.Builder
-	fmt.Fprintf(&b, "patternrun topo=%s pattern=%s nodes=%d rounds=%d window=%d size=%d seed=%d\n",
-		topo.Name, key, nodes, spec.Rounds, spec.Window, spec.Size, spec.Seed)
+	b.WriteString(header)
+	b.WriteByte('\n')
 	for leaf := 0; leaf < topo.Leaves; leaf++ {
 		lo := leaf * topo.LeafPorts
 		hi := lo + topo.LeafPorts
