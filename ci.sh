@@ -8,9 +8,11 @@
 #   2. the full test suite under the race detector, then every
 #      allocation guard (tests named *Alloc*) repeated 20 times, so a
 #      guard whose count depends on map order or GC timing fails here
-#      rather than as an occasional flake; then a 10 s fuzz smoke of
+#      rather than as an occasional flake; then 10 s fuzz smokes of
 #      FuzzQuantile, which holds Histogram.Quantile's guide-table search
-#      to the binary search bit for bit
+#      to the binary search bit for bit, and of FuzzParseTopology, which
+#      holds the topology grammar to errors, never panics or oversized
+#      path tables
 #   3. the detlint sweep: the repository's own determinism/zero-alloc
 #      analyzers (internal/detlint, docs/DETLINT.md) over every
 #      package, warnings promoted to errors; stdlib-only, never skipped
@@ -52,6 +54,7 @@ make staticcheck
 go test -race ./...
 go test -count=20 -run Alloc ./internal/...
 go test -run '^$' -fuzz '^FuzzQuantile$' -fuzztime 10s ./internal/stats
+go test -run '^$' -fuzz '^FuzzParseTopology$' -fuzztime 10s ./internal/cluster
 make detlint
 make lint
 make determinism
