@@ -254,14 +254,14 @@ func runPatterns(cfg cluster.Config, a patternArgs, agg *metrics.Aggregate) {
 		Workers:       a.workers,
 		Estimates:     a.estimates,
 	}
-	set, err := mpibench.RunPatternSweepObserved(cfg, base, cells, agg)
+	set, err := mpibench.RunPatternSweep(cfg, base, cells, agg)
 	if err != nil {
 		fatal(err)
 	}
 	if a.summary {
 		for _, res := range set.Results {
 			fmt.Printf("\n%s on %s %s (%d pairs, %d samples/size)\n",
-				res.Key(), res.Cluster, res.Placement, res.Pairs, res.Samples)
+				res.Pattern, res.Cluster, res.Placement, res.Pairs, res.Samples)
 			fmt.Printf("%10s %12s %12s %12s %12s\n",
 				"bytes", "round µs", "p99 µs", "slowest µs", "MB/s")
 			for _, pt := range res.Points {

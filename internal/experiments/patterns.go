@@ -80,7 +80,10 @@ func PatternRun(spec PatternRunSpec) (*LargeRunReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("%s:p%dg%dk%d:w%d:%s", spec.Pattern, spec.P, spec.G, spec.K, spec.Window, spec.Direction)
+	key := mpibench.PatternCell{
+		Pattern: spec.Pattern, P: spec.P, G: spec.G, K: spec.K,
+		Window: spec.Window, Direction: spec.Direction,
+	}.String()
 	if spec.P*spec.G > nodes {
 		return nil, fmt.Errorf("patternrun: pattern %s needs %d nodes, topology %q has %d",
 			key, spec.P*spec.G, spec.Topo, nodes)
@@ -390,14 +393,12 @@ func patternStudyCell(params PatternStudyParams, cell PatternStudyCell) (Pattern
 	if err != nil {
 		return row, fmt.Errorf("pattern study %s: calibration: %w", cell.key(), err)
 	}
-	set := &mpibench.PatternSet{Cluster: cfg.Name}
-	set.Add(calRes)
-	db, err := pevpm.NewPatternDB(set)
+	db, err := pevpm.NewPatternDB(&mpibench.Set{Cluster: cfg.Name, Results: []*mpibench.Result{calRes}})
 	if err != nil {
 		return row, err
 	}
 	rng := sim.NewCellRNG(params.Seed, "pattern-study:predict:"+cell.key())
-	pred, err := db.PredictMakespan(rng, pevpm.KeyOf(calRes), cell.Size, params.ValRounds, params.Reps, params.Level)
+	pred, err := db.PredictMakespan(rng, *calRes.Pattern, cell.Size, params.ValRounds, params.Reps, params.Level)
 	if err != nil {
 		return row, err
 	}

@@ -144,35 +144,26 @@ func mergeResults(dst, src *Result) {
 // count and of everything the simulation itself drew.
 func attachEstimates(res *Result, samples [][]float64, spec Spec, c estConfig) {
 	boot := stats.NewBootstrap(c.resamples)
-	for si := range res.Points {
-		res.Points[si].Est = estimateSamples(samples[si], spec.Seed,
-			fmt.Sprintf("est:size%d", si), c, boot)
-	}
-}
-
-// estimateSamples computes one Estimates block from a raw sample slice.
-// The bootstrap RNG is the named substream of the run seed, so the
-// block is bit-identical at any sweep worker count. Shared between the
-// op benchmarks (attachEstimates) and the pattern engine.
-func estimateSamples(xs []float64, seed uint64, key string, c estConfig, boot *stats.Bootstrap) *Estimates {
-	if len(xs) == 0 {
-		return nil
-	}
-	var sum stats.Summary
-	for _, x := range xs {
-		sum.Add(x)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	scratch := make([]float64, 0, len(sorted))
-	rng := sim.NewCellRNG(seed, key)
-	return &Estimates{
-		Mean:        stats.StudentCI(sum, c.level),
-		Quantile:    c.quantile,
-		QuantileCI:  boot.QuantileCI(xs, c.quantile, c.level, rng),
-		Median:      stats.Median(sorted),
-		TrimmedMean: stats.TrimmedMean(sorted, 0.1),
-		MAD:         stats.MAD(sorted, scratch),
+	for si, xs := range samples {
+		if len(xs) == 0 {
+			continue
+		}
+		var sum stats.Summary
+		for _, x := range xs {
+			sum.Add(x)
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		scratch := make([]float64, 0, len(sorted))
+		rng := sim.NewCellRNG(spec.Seed, fmt.Sprintf("est:size%d", si))
+		res.Points[si].Est = &Estimates{
+			Mean:        stats.StudentCI(sum, c.level),
+			Quantile:    c.quantile,
+			QuantileCI:  boot.QuantileCI(xs, c.quantile, c.level, rng),
+			Median:      stats.Median(sorted),
+			TrimmedMean: stats.TrimmedMean(sorted, 0.1),
+			MAD:         stats.MAD(sorted, scratch),
+		}
 	}
 }
 

@@ -18,19 +18,23 @@ const ManifestSchema = 1
 // came from bit-identical experiments; a result without one is an
 // anecdote. ("MPI Benchmarking Revisited" lists unreported experiment
 // parameters among the main reasons published MPI measurements cannot
-// be reproduced.)
+// be reproduced.) A pattern run records its cell and pair count instead
+// of an op, and its rounds as Repetitions; it runs no sync probes or
+// barrier interval.
 type Manifest struct {
-	Schema        int     `json:"schema"`
-	Op            Op      `json:"op"`
-	Placement     string  `json:"placement"`
-	Sizes         []int   `json:"sizes"`
-	Repetitions   int     `json:"repetitions"`
-	WarmUp        int     `json:"warmup"`
-	BinWidth      float64 `json:"bin_width"`
-	SyncProbes    int     `json:"sync_probes"`
-	BarrierEvery  int     `json:"barrier_every"`
-	PerfectClocks bool    `json:"perfect_clocks,omitempty"`
-	Seed          uint64  `json:"seed"`
+	Schema        int          `json:"schema"`
+	Op            Op           `json:"op,omitempty"`
+	Pattern       *PatternCell `json:"pattern,omitempty"`
+	Pairs         int          `json:"pairs,omitempty"`
+	Placement     string       `json:"placement"`
+	Sizes         []int        `json:"sizes"`
+	Repetitions   int          `json:"repetitions"`
+	WarmUp        int          `json:"warmup"`
+	BinWidth      float64      `json:"bin_width"`
+	SyncProbes    int          `json:"sync_probes"`
+	BarrierEvery  int          `json:"barrier_every"`
+	PerfectClocks bool         `json:"perfect_clocks,omitempty"`
+	Seed          uint64       `json:"seed"`
 
 	// Cluster names the simulated machine; ClusterHash fingerprints its
 	// full parameter set (an FNV-1a over the canonical JSON encoding),

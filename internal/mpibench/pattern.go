@@ -299,13 +299,45 @@ func (s PatternSpec) Defaults() PatternSpec {
 	return s
 }
 
-// Key identifies the pattern cell: name, (p, g, k), window, direction.
-func (s PatternSpec) Key() string {
-	return patternKey(s.Pattern, s.P, s.G, s.K, s.Window, s.Direction)
+// PatternCell selects one cell of a pattern sweep: the pattern name,
+// its (p, g, k) shape, the window depth and the direction. Zero Window
+// and empty Direction inherit the base spec's values. A pattern Result
+// carries its cell, resolved, as its key.
+type PatternCell struct {
+	Pattern   string    `json:"pattern"`
+	P         int       `json:"p"`
+	G         int       `json:"g"`
+	K         int       `json:"k"`
+	Window    int       `json:"window,omitempty"`
+	Direction Direction `json:"direction,omitempty"`
 }
 
-func patternKey(pattern string, p, g, k, window int, dir Direction) string {
-	return fmt.Sprintf("%s:p%dg%dk%d:w%d:%s", pattern, p, g, k, window, dir)
+// String formats the cell as its key, e.g. "dense:p32g4k2:w2:uni".
+func (c PatternCell) String() string {
+	return fmt.Sprintf("%s:p%dg%dk%d:w%d:%s", c.Pattern, c.P, c.G, c.K, c.Window, c.Direction)
+}
+
+// cell is the pattern cell the spec measures.
+func (s PatternSpec) cell() PatternCell {
+	return PatternCell{Pattern: s.Pattern, P: s.P, G: s.G, K: s.K, Window: s.Window, Direction: s.Direction}
+}
+
+// benchSpec is the part of the spec an operation benchmark shares —
+// sizes, placement, rounds as repetitions, warm-up, bins, clocks,
+// faults, estimates and seed — so a pattern run builds its machine,
+// manifest and estimates the way Run does. It names no Op.
+func (s PatternSpec) benchSpec() Spec {
+	return Spec{
+		Sizes:         s.Sizes,
+		Placement:     s.Placement,
+		Repetitions:   s.Rounds,
+		WarmUp:        s.WarmUp,
+		BinWidth:      s.BinWidth,
+		PerfectClocks: s.PerfectClocks,
+		Faults:        s.Faults,
+		Estimates:     s.Estimates,
+		Seed:          s.Seed,
+	}
 }
 
 // Validate reports the first problem with the spec. The matrix must

@@ -172,7 +172,7 @@ func TestPatternSweepDeterminism(t *testing.T) {
 		var blobs [][]byte
 		for _, workers := range []int{1, 8} {
 			s.Workers = workers
-			set, err := RunPatternSweep(cfg, s, cells)
+			set, err := RunPatternSweep(cfg, s, cells, nil)
 			if err != nil {
 				t.Fatalf("scenario %q workers %d: %v", scenario, workers, err)
 			}
@@ -261,9 +261,10 @@ func TestMatrixMaxRank(t *testing.T) {
 	}
 }
 
-// PatternSet round-trip: Add replaces same-key results, Find retrieves
-// by key, and SaveFile/LoadPatternFile reproduce the set byte for byte.
-func TestPatternSetRoundTrip(t *testing.T) {
+// Pattern results live in a Set: Add replaces a result for the same
+// cell (whatever its placement) and keeps operation results apart, and
+// SaveFile/LoadFile reproduce the set byte for byte.
+func TestPatternCellsRoundTripInSet(t *testing.T) {
 	cfg := cluster.Perseus()
 	pl, err := cluster.NewPlacement(&cfg, 8, 1)
 	if err != nil {
@@ -278,17 +279,42 @@ func TestPatternSetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := &PatternSet{Cluster: cfg.Name}
+	if want := (PatternCell{Pattern: PatternRail, P: 4, G: 2, K: 2, Window: 4, Direction: Unidirectional}); res.Pattern == nil || *res.Pattern != want {
+		t.Fatalf("Pattern = %v, want %v", res.Pattern, want)
+	}
+	if res.Op != "" || res.Manifest.Op != "" || res.Manifest.Pattern == nil || *res.Manifest.Pattern != *res.Pattern {
+		t.Errorf("pattern result carries op %q, manifest op %q and manifest cell %v",
+			res.Op, res.Manifest.Op, res.Manifest.Pattern)
+	}
+	if res.Manifest.Pairs != res.Pairs || res.Manifest.Repetitions != 3 {
+		t.Errorf("manifest pairs %d (result %d), repetitions %d (want the 3 rounds)",
+			res.Manifest.Pairs, res.Pairs, res.Manifest.Repetitions)
+	}
+	wider := spec
+	wider.Placement, err = cluster.NewPlacement(&cfg, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := RunPattern(cfg, wider)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := Run(cfg, Spec{Op: OpIsend, Placement: pl, Sizes: []int{1024}, Repetitions: 4, WarmUp: 1, SyncProbes: 4, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := &Set{Cluster: cfg.Name}
 	set.Add(res)
-	set.Add(res) // same key replaces, not appends
-	if len(set.Results) != 1 {
-		t.Fatalf("Add should replace same-key results, got %d", len(set.Results))
+	set.Add(op)
+	set.Add(again) // same cell replaces, not appends
+	if len(set.Results) != 2 || set.Results[0] != again || set.Results[1] != op {
+		t.Fatalf("Add should replace the same cell and keep the op result, got %d results", len(set.Results))
 	}
-	if _, ok := set.Find(res.Key()); !ok {
-		t.Fatalf("Find(%q) missed", res.Key())
+	if got, ok := set.Find(OpIsend, pl.String()); !ok || got != op {
+		t.Error("Find misses the operation result beside a pattern result")
 	}
-	if _, ok := set.Find("dense:p9g9k9:w1:uni"); ok {
-		t.Error("Find on an absent key should miss")
+	if ps := set.Placements(OpIsend); len(ps) != 1 {
+		t.Errorf("Placements(MPI_Isend) = %v, want the op result's only", ps)
 	}
 	if _, ok := res.PointFor(4096); ok {
 		t.Error("PointFor on an unmeasured size should miss")
@@ -298,7 +324,7 @@ func TestPatternSetRoundTrip(t *testing.T) {
 	if err := set.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadPatternFile(path)
+	loaded, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,15 +338,15 @@ func TestPatternSetRoundTrip(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("set does not survive a save/load round trip")
 	}
-	if _, err := LoadPatternFile(t.TempDir() + "/missing.json"); err == nil {
-		t.Error("loading a missing file should fail")
+	if *loaded.Results[0].Pattern != *again.Pattern || loaded.Results[0].Points[0].Bandwidth != again.Points[0].Bandwidth {
+		t.Error("loaded pattern result lost its cell or bandwidth")
 	}
 }
 
 // Satellite regression: the manifest's cluster hash must cover the
 // topology spec — the same pattern on a different fabric (or rail
 // count) is a different experiment.
-func TestPatternManifestHashCoversTopology(t *testing.T) {
+func TestPatternClusterHashCoversTopology(t *testing.T) {
 	flat := cluster.Perseus()
 	hashes := map[string]string{"flat": ClusterHash(&flat)}
 	for _, spec := range []string{"fattree:128x32x4", "fattree:128x32x4+2rail", "dragonfly:4x2x4"} {

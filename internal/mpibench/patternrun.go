@@ -1,154 +1,26 @@
 package mpibench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
-	"runtime"
 
 	"repro/internal/cluster"
-	"repro/internal/experiments/sweep"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/vclock"
 )
 
-// PatternPoint is the measured distribution of one message size:
-// per-rank round durations plus the per-round slowest participant
-// (the pattern's completion, the quantity PEVPM predicts).
-type PatternPoint struct {
-	Size int              `json:"size"`
-	Hist *stats.Histogram `json:"hist"`
-
-	// MaxHist is the distribution of the per-round slowest participant —
-	// the windowed round as a whole, which is what gates the next round
-	// of a real group-to-group exchange.
-	MaxHist *stats.Histogram `json:"max_hist"`
-
-	// BytesPerRound is the total payload injected per round
-	// (sum of pair counts × window × size); Bandwidth divides it by the
-	// mean round completion time.
-	BytesPerRound int     `json:"bytes_per_round"`
-	Bandwidth     float64 `json:"bandwidth_bps"`
-
-	Est *Estimates `json:"est,omitempty"`
-}
-
-// PatternResult is the output of one pattern benchmark run.
-type PatternResult struct {
-	Cluster   string    `json:"cluster"`
-	Pattern   string    `json:"pattern"`
-	Direction Direction `json:"direction"`
-	P         int       `json:"p"`
-	G         int       `json:"g"`
-	K         int       `json:"k"`
-	Window    int       `json:"window"`
-	Placement string    `json:"placement"`
-	Procs     int       `json:"procs"`
-	Pairs     int       `json:"pairs"`
-	BinWidth  float64   `json:"bin_width"`
-
-	Points []PatternPoint `json:"points"`
-
-	// Samples is the number of per-rank round timings per size.
-	Samples uint64 `json:"samples"`
-
-	Scenario   string `json:"scenario,omitempty"`
-	Retries    uint64 `json:"retries,omitempty"`
-	FaultDrops uint64 `json:"fault_drops,omitempty"`
-
-	Manifest PatternManifest `json:"manifest"`
-
-	// Metrics is the run's instrument snapshot, excluded from saved JSON
-	// like Result.Metrics.
-	Metrics metrics.Snapshot `json:"-"`
-}
-
-// Key identifies the pattern cell this result measured.
-func (r *PatternResult) Key() string {
-	return patternKey(r.Pattern, r.P, r.G, r.K, r.Window, r.Direction)
-}
-
-// PointFor returns the distribution for an exact message size.
-func (r *PatternResult) PointFor(size int) (PatternPoint, bool) {
-	for _, p := range r.Points {
-		if p.Size == size {
-			return p, true
-		}
-	}
-	return PatternPoint{}, false
-}
-
-// PatternManifest is the reproducibility record of a pattern run — the
-// same contract as Manifest, keyed by pattern parameters instead of an
-// op. ClusterHash covers the full cluster configuration including the
-// topology's link list, so the same pattern on a different fabric can
-// never masquerade as the same experiment.
-type PatternManifest struct {
-	Schema        int       `json:"schema"`
-	Pattern       string    `json:"pattern"`
-	Direction     Direction `json:"direction"`
-	P             int       `json:"p"`
-	G             int       `json:"g"`
-	K             int       `json:"k"`
-	Window        int       `json:"window"`
-	Pairs         int       `json:"pairs"`
-	Placement     string    `json:"placement"`
-	Sizes         []int     `json:"sizes"`
-	Rounds        int       `json:"rounds"`
-	WarmUp        int       `json:"warmup"`
-	BinWidth      float64   `json:"bin_width"`
-	PerfectClocks bool      `json:"perfect_clocks,omitempty"`
-	Seed          uint64    `json:"seed"`
-
-	Cluster     string `json:"cluster"`
-	ClusterHash string `json:"cluster_hash"`
-	Topology    string `json:"topology,omitempty"`
-	GoVersion   string `json:"go_version"`
-	Scenario    string `json:"scenario,omitempty"`
-}
-
-func newPatternManifest(cfg *cluster.Config, spec PatternSpec) PatternManifest {
-	m := PatternManifest{
-		Schema:        ManifestSchema,
-		Pattern:       spec.Pattern,
-		Direction:     spec.Direction,
-		P:             spec.P,
-		G:             spec.G,
-		K:             spec.K,
-		Window:        spec.Window,
-		Pairs:         len(spec.Matrix.Pairs),
-		Placement:     spec.Placement.String(),
-		Sizes:         spec.Sizes,
-		Rounds:        spec.Rounds,
-		WarmUp:        spec.WarmUp,
-		BinWidth:      spec.BinWidth,
-		PerfectClocks: spec.PerfectClocks,
-		Seed:          spec.Seed,
-		Cluster:       cfg.Name,
-		ClusterHash:   ClusterHash(cfg),
-		GoVersion:     runtime.Version(),
-	}
-	if cfg.Topo != nil {
-		m.Topology = cfg.Topo.Name
-	}
-	if spec.Faults != nil {
-		m.Scenario = spec.Faults.Name
-	}
-	return m
-}
-
 // RunPattern executes one group-to-group pattern benchmark on a freshly
-// simulated cluster. Every round is an aligned burst: the participants
-// barrier, post window×count receives and sends per matrix pair, and
-// Waitall; the round duration is read start-to-finish on each rank's
-// own local clock, so clock offsets cancel without a sync phase and
-// only skew (<= 50 ppm) and read granularity contribute noise.
-func RunPattern(cfg cluster.Config, spec PatternSpec) (*PatternResult, error) {
+// simulated cluster and returns a Result whose Pattern names the cell.
+// Every round is an aligned burst: the participants barrier, post
+// window×count receives and sends per matrix pair, and Waitall; the
+// round duration is read start-to-finish on each rank's own local
+// clock, so clock offsets cancel without a sync phase and only skew
+// (<= 50 ppm) and read granularity contribute noise. Each Point holds
+// the per-participant round durations (Hist), the per-round slowest
+// participant (MaxHist, the pattern's completion and the quantity PEVPM
+// predicts), the bytes injected per round and the bandwidth achieved.
+func RunPattern(cfg cluster.Config, spec PatternSpec) (*Result, error) {
 	spec = spec.Defaults()
 	if spec.Matrix.Empty() && spec.Pattern != PatternCustom {
 		m, err := BuildPattern(spec.Pattern, spec.P, spec.G, spec.K, spec.Direction)
@@ -160,22 +32,11 @@ func RunPattern(cfg cluster.Config, spec PatternSpec) (*PatternResult, error) {
 	if err := spec.Validate(&cfg); err != nil {
 		return nil, err
 	}
-
-	e := sim.NewEngine(spec.Seed)
-	net := netsim.New(e, cfg)
-	w := mpi.NewWorld(e, net, spec.Placement)
-	w.SetComputeModel(cluster.ComputeModel{}) // benchmarks do no compute
-	if spec.Faults != nil {
-		w.SetFaults(spec.Faults)
-	}
+	bs := spec.benchSpec()
+	w, clocks := newWorld(cfg, bs)
 
 	pl := spec.Placement
 	procs := pl.NumProcs()
-	maxOffset, maxSkew, jitter := clockMaxOffset, clockMaxSkew, clockJitter
-	if spec.PerfectClocks {
-		maxOffset, maxSkew, jitter = 0, 0, 0
-	}
-	clocks := vclock.NewClockSet(e, pl.NodeCount, maxOffset, maxSkew, jitter)
 
 	// Per-rank pair lists in matrix order; ranks outside every pair just
 	// ride the barriers.
@@ -199,7 +60,8 @@ func RunPattern(cfg cluster.Config, spec PatternSpec) (*PatternResult, error) {
 		}
 	}
 
-	w.Launch(func(c *mpi.Comm) {
+	cell := spec.cell()
+	res, err := execute(cfg, bs, w, func(c *mpi.Comm) {
 		rank := c.Rank()
 		read := func() float64 {
 			return clocks[pl.LogicalNode(rank)].Read(c.Now())
@@ -227,32 +89,14 @@ func RunPattern(cfg cluster.Config, spec PatternSpec) (*PatternResult, error) {
 			}
 		}
 	})
-	defer w.Shutdown()
-	if _, err := w.Wait(); err != nil {
-		return nil, fmt.Errorf("mpibench: pattern %s on %s: %w", spec.Key(), pl, err)
+	if err != nil {
+		return nil, fmt.Errorf("mpibench: pattern %s on %s: %w", cell, pl, err)
 	}
-
-	res := &PatternResult{
-		Cluster:   cfg.Name,
-		Pattern:   spec.Pattern,
-		Direction: spec.Direction,
-		P:         spec.P,
-		G:         spec.G,
-		K:         spec.K,
-		Window:    spec.Window,
-		Placement: pl.String(),
-		Procs:     procs,
-		Pairs:     len(spec.Matrix.Pairs),
-		BinWidth:  spec.BinWidth,
-		Manifest:  newPatternManifest(&cfg, spec),
-	}
-	nc := net.Stats()
-	res.Retries = nc.Retries
-	res.FaultDrops = nc.FaultDrops
-	res.Metrics = e.Metrics().Snapshot()
-	if spec.Faults != nil {
-		res.Scenario = spec.Faults.Name
-	}
+	res.Pattern = &cell
+	res.Pairs = len(spec.Matrix.Pairs)
+	res.Manifest = newManifest(&cfg, bs)
+	res.Manifest.Pattern = &cell
+	res.Manifest.Pairs = res.Pairs
 
 	bytesPerRound := spec.Matrix.MessagesPerWindow() * spec.Window
 	samples := make([][]float64, nSizes)
@@ -278,7 +122,7 @@ func RunPattern(cfg cluster.Config, spec PatternSpec) (*PatternResult, error) {
 				maxH.Add(slowest)
 			}
 		}
-		pt := PatternPoint{
+		pt := Point{
 			Size:          size,
 			Hist:          h,
 			MaxHist:       maxH,
@@ -291,114 +135,21 @@ func RunPattern(cfg cluster.Config, spec PatternSpec) (*PatternResult, error) {
 		res.Samples = h.Count()
 	}
 	if spec.Estimates {
-		c := estConfig{quantile: 0.5, level: 0.95, resamples: 200}
-		boot := stats.NewBootstrap(c.resamples)
-		for si := range res.Points {
-			res.Points[si].Est = estimateSamples(samples[si], spec.Seed,
-				fmt.Sprintf("est:size%d", si), c, boot)
-		}
+		attachEstimates(res, samples, bs, estDefaults(bs))
 	}
 	return res, nil
 }
 
-// PatternSet is a collection of pattern results — the per-pattern
-// performance database pevpm.NewPatternDB consumes.
-type PatternSet struct {
-	Cluster string           `json:"cluster"`
-	Results []*PatternResult `json:"results"`
-}
-
-// Add appends a result, replacing any previous result for the same key.
-func (s *PatternSet) Add(r *PatternResult) {
-	for i, old := range s.Results {
-		if old.Key() == r.Key() {
-			s.Results[i] = r
-			return
-		}
-	}
-	s.Results = append(s.Results, r)
-}
-
-// Find returns the result for a pattern key.
-func (s *PatternSet) Find(key string) (*PatternResult, bool) {
-	for _, r := range s.Results {
-		if r.Key() == key {
-			return r, true
-		}
-	}
-	return nil, false
-}
-
-// WriteJSON serialises the set.
-func (s *PatternSet) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(s)
-}
-
-// SaveFile writes the set to a file.
-func (s *PatternSet) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := s.WriteJSON(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// ReadPatternJSON deserialises a set written by WriteJSON.
-func ReadPatternJSON(r io.Reader) (*PatternSet, error) {
-	var s PatternSet
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("mpibench: decoding pattern set: %w", err)
-	}
-	return &s, nil
-}
-
-// LoadPatternFile reads a set from a file.
-func LoadPatternFile(path string) (*PatternSet, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadPatternJSON(f)
-}
-
-// PatternCell selects one cell of a pattern sweep: the pattern name,
-// its (p, g, k) shape, the window depth and the direction. Zero Window
-// and empty Direction inherit the base spec's values.
-type PatternCell struct {
-	Pattern   string    `json:"pattern"`
-	P         int       `json:"p"`
-	G         int       `json:"g"`
-	K         int       `json:"k"`
-	Window    int       `json:"window,omitempty"`
-	Direction Direction `json:"direction,omitempty"`
-}
-
 // RunPatternSweep benchmarks every cell of the (p, g, k) × window ×
-// direction space on the sweep worker pool. Each cell is an
-// independent simulation whose seed is the "pattern:<key>" substream
-// of the base seed, and results merge in cell order, so the sweep is
-// bit-identical at any worker count.
-func RunPatternSweep(cfg cluster.Config, base PatternSpec, cells []PatternCell) (*PatternSet, error) {
-	return RunPatternSweepObserved(cfg, base, cells, nil)
-}
-
-// RunPatternSweepObserved is RunPatternSweep that additionally folds
-// every cell's instrument snapshot — plus the worker pool's own
-// counters — into agg, in cell order on the calling goroutine.
-func RunPatternSweepObserved(cfg cluster.Config, base PatternSpec, cells []PatternCell, agg *metrics.Aggregate) (*PatternSet, error) {
-	base = base.Defaults() // resolve window/direction before keys are derived
-	var obs *sweep.Observer
-	if agg != nil {
-		obs = sweep.NewObserver()
-	}
-	results, err := sweep.MapObserved(base.sweepWorkers(), len(cells), obs, func(i int) (*PatternResult, error) {
+// direction space on the sweep worker pool and returns the Results in
+// a Set. Each cell is an independent simulation whose seed is the
+// "pattern:<cell>" substream of the base seed, and results merge in
+// cell order, so the sweep is bit-identical at any worker count. With
+// agg non-nil, every cell's instrument snapshot — plus the worker
+// pool's own counters — folds into agg; pass nil to skip metrics.
+func RunPatternSweep(cfg cluster.Config, base PatternSpec, cells []PatternCell, agg *metrics.Aggregate) (*Set, error) {
+	base = base.Defaults() // resolve window/direction before cells are keyed
+	return collect(cfg.Name, base.sweepWorkers(), len(cells), agg, func(i int) (*Result, error) {
 		s := base
 		c := cells[i]
 		s.Pattern, s.P, s.G, s.K = c.Pattern, c.P, c.G, c.K
@@ -409,21 +160,7 @@ func RunPatternSweepObserved(cfg cluster.Config, base PatternSpec, cells []Patte
 			s.Direction = c.Direction
 		}
 		s.Matrix = Matrix{}
-		s.Seed = sim.SubSeed(base.Seed, "pattern:"+s.Key())
+		s.Seed = sim.SubSeed(base.Seed, "pattern:"+s.cell().String())
 		return RunPattern(cfg, s)
 	})
-	if err != nil {
-		return nil, err
-	}
-	set := &PatternSet{Cluster: cfg.Name}
-	for _, r := range results {
-		set.Add(r)
-		if agg != nil {
-			agg.Merge(r.Metrics)
-		}
-	}
-	if agg != nil {
-		agg.Merge(obs.Snapshot())
-	}
-	return set, nil
 }

@@ -35,13 +35,13 @@ func pinHash(t *testing.T, v any) string {
 // pinPatternLines renders every point of every pattern result: hashes
 // of its Hist, MaxHist and Est, the exact bytes per round and bandwidth
 // bits, and the result's samples, retries, fault drops and cluster hash.
-func pinPatternLines(t *testing.T, results []*PatternResult) string {
+func pinPatternLines(t *testing.T, results []*Result) string {
 	t.Helper()
 	var b strings.Builder
 	for _, r := range results {
 		for _, pt := range r.Points {
 			fmt.Fprintf(&b, "%s size=%d hist=%s max=%s est=%s bytes=%d bw=%016x samples=%d retries=%d drops=%d cluster=%s\n",
-				r.Key(), pt.Size, pinHash(t, pt.Hist), pinHash(t, pt.MaxHist), pinHash(t, pt.Est),
+				r.Pattern, pt.Size, pinHash(t, pt.Hist), pinHash(t, pt.MaxHist), pinHash(t, pt.Est),
 				pt.BytesPerRound, math.Float64bits(pt.Bandwidth),
 				r.Samples, r.Retries, r.FaultDrops, r.Manifest.ClusterHash)
 		}
@@ -73,7 +73,7 @@ func pinPatterns(t *testing.T) string {
 	for _, workers := range []int{1, 4} {
 		s := base
 		s.Workers = workers
-		set, err := RunPatternSweep(cfg, s, cells)
+		set, err := RunPatternSweep(cfg, s, cells, nil)
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
@@ -101,7 +101,7 @@ func pinPatterns(t *testing.T) string {
 	if res.Retries == 0 && res.FaultDrops == 0 {
 		t.Error("lossy-links cell recorded no retries or fault drops")
 	}
-	return lines[0] + "faulted " + pinPatternLines(t, []*PatternResult{res})
+	return lines[0] + "faulted " + pinPatternLines(t, []*Result{res})
 }
 
 // goVersionField matches the toolchain name the manifest records.

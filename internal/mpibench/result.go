@@ -16,12 +16,19 @@ type Point struct {
 	Size int              `json:"size"`
 	Hist *stats.Histogram `json:"hist"`
 
-	// MaxHist, present for collective operations, is the distribution of
-	// the per-repetition slowest rank — the completion of the collective
-	// as a whole, which is what gates the next step of an iterative
-	// program. Only a benchmark that times every rank individually (the
-	// paper's globally-synchronised-clock design) can measure it.
+	// MaxHist, present for collective operations and patterns, is the
+	// distribution of the per-repetition slowest rank — the completion
+	// of the collective (or of the pattern's round) as a whole, which is
+	// what gates the next step of an iterative program. Only a benchmark
+	// that times every rank individually (the paper's
+	// globally-synchronised-clock design) can measure it.
 	MaxHist *stats.Histogram `json:"max_hist,omitempty"`
+
+	// BytesPerRound, present for patterns, is the total payload injected
+	// per round (sum of pair counts × window × size); Bandwidth divides
+	// it by the mean round completion time.
+	BytesPerRound int     `json:"bytes_per_round,omitempty"`
+	Bandwidth     float64 `json:"bandwidth_bps,omitempty"`
 
 	// Est carries the robust estimators and confidence intervals for
 	// this size, present when the spec asked for them (Spec.Estimates
@@ -53,10 +60,17 @@ func (p Point) Min() float64 { return p.Hist.Min() }
 func (p Point) Avg() float64 { return p.Hist.Mean() }
 
 // Result is the output of one benchmark run: per-size distributions of
-// individual operation times across all processes.
+// individual operation times across all processes or, for a
+// group-to-group pattern, of every participant's round times.
 type Result struct {
-	Cluster   string  `json:"cluster"`
-	Op        Op      `json:"op"`
+	Cluster string `json:"cluster"`
+	Op      Op     `json:"op,omitempty"`
+
+	// Pattern, set instead of Op on a pattern result, names the measured
+	// cell; Pairs is the pattern matrix's pair count.
+	Pattern *PatternCell `json:"pattern,omitempty"`
+	Pairs   int          `json:"pairs,omitempty"`
+
 	Placement string  `json:"placement"` // n×p notation, e.g. "64x2"
 	Procs     int     `json:"procs"`
 	BinWidth  float64 `json:"bin_width"`
@@ -103,23 +117,32 @@ func (r *Result) PointFor(size int) (Point, bool) {
 	return Point{}, false
 }
 
-// Set is a collection of results across operations and placements — the
-// "performance database" PEVPM draws from.
+// Set is a collection of results across operations, placements and
+// pattern cells — the "performance database" PEVPM draws from.
 type Set struct {
 	Cluster string    `json:"cluster"`
 	Results []*Result `json:"results"`
 }
 
 // Add appends a result, replacing any previous result for the same
-// (op, placement) pair.
+// (op, placement) pair or, for a pattern result, the same cell.
 func (s *Set) Add(r *Result) {
 	for i, old := range s.Results {
-		if old.Op == r.Op && old.Placement == r.Placement {
+		if sameExperiment(old, r) {
 			s.Results[i] = r
 			return
 		}
 	}
 	s.Results = append(s.Results, r)
+}
+
+// sameExperiment reports whether two results measured the same pattern
+// cell, or the same operation on the same placement.
+func sameExperiment(a, b *Result) bool {
+	if a.Pattern != nil || b.Pattern != nil {
+		return a.Pattern != nil && b.Pattern != nil && *a.Pattern == *b.Pattern
+	}
+	return a.Op == b.Op && a.Placement == b.Placement
 }
 
 // Find returns the result for an (op, placement) pair.

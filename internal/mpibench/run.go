@@ -66,25 +66,60 @@ type rawRun struct {
 	perRep  [][]float64 // [size][measured repetition] mean across ranks
 }
 
-// runBatch executes one simulated benchmark (the fixed-count core Run
-// has always had) and additionally returns the raw samples. The spec
-// must already have defaults applied and be validated.
-func runBatch(cfg cluster.Config, spec Spec) (*Result, *rawRun, error) {
+// newWorld builds the simulated machine a benchmark run measures: an
+// engine seeded with spec.Seed, the network, an MPI world over
+// spec.Placement that does no compute and runs under spec.Faults, and
+// one drifting local clock per node (ideal ones with PerfectClocks).
+func newWorld(cfg cluster.Config, spec Spec) (*mpi.World, []*vclock.LocalClock) {
 	e := sim.NewEngine(spec.Seed)
-	net := netsim.New(e, cfg)
-	w := mpi.NewWorld(e, net, spec.Placement)
+	w := mpi.NewWorld(e, netsim.New(e, cfg), spec.Placement)
 	w.SetComputeModel(cluster.ComputeModel{}) // benchmarks do no compute
 	if spec.Faults != nil {
 		w.SetFaults(spec.Faults)
 	}
-
-	pl := spec.Placement
-	procs := pl.NumProcs()
 	maxOffset, maxSkew, jitter := clockMaxOffset, clockMaxSkew, clockJitter
 	if spec.PerfectClocks {
 		maxOffset, maxSkew, jitter = 0, 0, 0
 	}
-	clocks := vclock.NewClockSet(e, pl.NodeCount, maxOffset, maxSkew, jitter)
+	return w, vclock.NewClockSet(e, spec.Placement.NodeCount, maxOffset, maxSkew, jitter)
+}
+
+// execute runs program on every rank of w and starts the run's Result:
+// what ran where, the network's retry and fault-drop counters and the
+// instrument snapshot. The caller adds the measured points.
+func execute(cfg cluster.Config, spec Spec, w *mpi.World, program func(c *mpi.Comm)) (*Result, error) {
+	w.Launch(program)
+	// Unwind rank processes even when the run aborts (deadlock, lint
+	// panic): sweeps execute many engines concurrently and must not
+	// accumulate parked processes. After a clean Wait this is a no-op.
+	defer w.Shutdown()
+	if _, err := w.Wait(); err != nil {
+		return nil, err
+	}
+	nc := w.Network().Stats()
+	res := &Result{
+		Cluster:    cfg.Name,
+		Op:         spec.Op,
+		Placement:  spec.Placement.String(),
+		Procs:      spec.Placement.NumProcs(),
+		BinWidth:   spec.BinWidth,
+		Retries:    nc.Retries,
+		FaultDrops: nc.FaultDrops,
+		Metrics:    w.Engine().Metrics().Snapshot(),
+	}
+	if spec.Faults != nil {
+		res.Scenario = spec.Faults.Name
+	}
+	return res, nil
+}
+
+// runBatch executes one simulated benchmark (the fixed-count core Run
+// has always had) and additionally returns the raw samples. The spec
+// must already have defaults applied and be validated.
+func runBatch(cfg cluster.Config, spec Spec) (*Result, *rawRun, error) {
+	w, clocks := newWorld(cfg, spec)
+	pl := spec.Placement
+	procs := pl.NumProcs()
 
 	total := spec.WarmUp + spec.Repetitions
 	nSizes := len(spec.Sizes)
@@ -103,45 +138,26 @@ func runBatch(cfg cluster.Config, spec Spec) (*Result, *rawRun, error) {
 	probes := make([][]vclock.Probe, pl.NodeCount)
 
 	run := newRunner(w, clocks, spec, sendStarts, recvEnds, probes)
-	w.Launch(run.program)
-	// Unwind rank goroutines even when the run aborts (deadlock, lint
-	// panic): sweeps execute many engines concurrently and must not
-	// accumulate parked goroutines. After a clean Wait this is a no-op.
-	defer w.Shutdown()
-	if _, err := w.Wait(); err != nil {
+	res, err := execute(cfg, spec, w, run.program)
+	if err != nil {
 		return nil, nil, fmt.Errorf("mpibench: %s on %s: %w", spec.Op, pl, err)
 	}
 
 	// Fit one clock correction per node; node 0 holds the reference.
+	// SyncResidual keeps the worst fit.
 	corr := make([]vclock.Correction, pl.NodeCount)
-	worstResidual := 0.0
 	for node := 1; node < pl.NodeCount; node++ {
 		c, err := vclock.Estimate(probes[node])
 		if err != nil {
 			return nil, nil, fmt.Errorf("mpibench: syncing node %d: %w", node, err)
 		}
 		corr[node] = c
-		if c.Residual > worstResidual {
-			worstResidual = c.Residual
+		if c.Residual > res.SyncResidual {
+			res.SyncResidual = c.Residual
 		}
 	}
 
 	// Build one histogram per size from the per-operation global times.
-	res := &Result{
-		Cluster:      cfg.Name,
-		Op:           spec.Op,
-		Placement:    pl.String(),
-		Procs:        procs,
-		BinWidth:     spec.BinWidth,
-		SyncResidual: worstResidual,
-	}
-	nc := net.Stats()
-	res.Retries = nc.Retries
-	res.FaultDrops = nc.FaultDrops
-	res.Metrics = e.Metrics().Snapshot()
-	if spec.Faults != nil {
-		res.Scenario = spec.Faults.Name
-	}
 	raw := &rawRun{
 		samples: make([][]float64, nSizes),
 		perRep:  make([][]float64, nSizes),
@@ -352,20 +368,29 @@ func RunSweep(cfg cluster.Config, spec Spec, placements []cluster.Placement) (*S
 // in placement order on the calling goroutine. Pass nil to skip
 // metrics; the benchmark results are identical either way.
 func RunSweepObserved(cfg cluster.Config, spec Spec, placements []cluster.Placement, agg *metrics.Aggregate) (*Set, error) {
-	var obs *sweep.Observer
-	if agg != nil {
-		obs = sweep.NewObserver()
-	}
-	results, err := sweep.MapObserved(spec.sweepWorkers(), len(placements), obs, func(i int) (*Result, error) {
+	return collect(cfg.Name, spec.sweepWorkers(), len(placements), agg, func(i int) (*Result, error) {
 		s := spec
 		s.Placement = placements[i]
 		s.Seed = spec.Seed + uint64(i)*1000003
 		return Run(cfg, s)
 	})
+}
+
+// collect runs n independent benchmark cells on the sweep worker pool
+// and adds their results to a Set in cell order, so the Set is
+// bit-identical at any worker count. With agg non-nil, every cell's
+// instrument snapshot and then the pool's own counters fold into agg
+// on the calling goroutine.
+func collect(clusterName string, workers, n int, agg *metrics.Aggregate, cell func(i int) (*Result, error)) (*Set, error) {
+	var obs *sweep.Observer
+	if agg != nil {
+		obs = sweep.NewObserver()
+	}
+	results, err := sweep.MapObserved(workers, n, obs, cell)
 	if err != nil {
 		return nil, err
 	}
-	set := &Set{Cluster: cfg.Name}
+	set := &Set{Cluster: clusterName}
 	for _, r := range results {
 		set.Add(r)
 		if agg != nil {

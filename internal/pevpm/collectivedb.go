@@ -29,11 +29,12 @@ type CollectiveDB struct {
 }
 
 // NewCollectiveDB builds the decorator from every collective result in
-// the set. The base database continues to price Message directives.
+// the set; point-to-point and pattern results are skipped. The base
+// database continues to price Message directives.
 func NewCollectiveDB(base PerfDB, set *mpibench.Set) (*CollectiveDB, error) {
 	db := &CollectiveDB{PerfDB: base, grids: make(map[string][]dbEntry)}
 	for _, res := range set.Results {
-		if res.Op.PointToPoint() {
+		if res.Op.PointToPoint() || res.Pattern != nil {
 			continue
 		}
 		entry := dbEntry{procs: res.Procs}

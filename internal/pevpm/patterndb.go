@@ -8,29 +8,6 @@ import (
 	"repro/internal/stats"
 )
 
-// PatternKey identifies one measured group-to-group pattern cell: the
-// pattern name, its (p, g, k) shape, the window depth and direction.
-// It is the lookup key of a PatternDB, mirroring how EmpiricalDB keys
-// on (op, placement).
-type PatternKey struct {
-	Pattern   string
-	P, G, K   int
-	Window    int
-	Direction mpibench.Direction
-}
-
-// KeyOf extracts the PatternKey a result was measured under.
-func KeyOf(r *mpibench.PatternResult) PatternKey {
-	return PatternKey{
-		Pattern: r.Pattern, P: r.P, G: r.G, K: r.K,
-		Window: r.Window, Direction: r.Direction,
-	}
-}
-
-func (k PatternKey) String() string {
-	return fmt.Sprintf("%s:p%dg%dk%d:w%d:%s", k.Pattern, k.P, k.G, k.K, k.Window, k.Direction)
-}
-
 // PatternDB is the per-pattern performance database: for every
 // measured pattern cell, the distribution of the *round completion
 // time* (the per-round slowest participant) per message size. Where
@@ -42,106 +19,92 @@ func (k PatternKey) String() string {
 type PatternDB struct {
 	Cluster string
 
-	// entries stay sorted by key string; no map anywhere, so iteration
+	// entries stay sorted by cell key; no map anywhere, so iteration
 	// and lookup order are deterministic (the detlint contract).
-	entries []patternEntry
+	entries []cellEntry
 }
 
-type patternEntry struct {
-	key   PatternKey
-	sizes []int
-	round []*stats.Histogram // per size, frozen round-completion dists
+// cellEntry is one measured cell's round-completion distributions,
+// ascending by size and frozen.
+type cellEntry struct {
+	cell mpibench.PatternCell
+	dbEntry
 }
 
-// NewPatternDB builds a database from a pattern benchmark set. Every
-// result contributes one keyed entry; histograms are frozen so
-// concurrent Monte-Carlo evaluations can share the database.
-func NewPatternDB(set *mpibench.PatternSet) (*PatternDB, error) {
+// NewPatternDB builds a database from the pattern results of a
+// benchmark set, one entry per cell; operation results are skipped.
+// Histograms are frozen so concurrent Monte-Carlo evaluations can share
+// the database.
+func NewPatternDB(set *mpibench.Set) (*PatternDB, error) {
 	db := &PatternDB{Cluster: set.Cluster}
 	for _, r := range set.Results {
-		e := patternEntry{key: KeyOf(r)}
+		if r.Pattern == nil {
+			continue
+		}
+		e := cellEntry{cell: *r.Pattern, dbEntry: dbEntry{procs: r.Procs}}
 		for _, pt := range r.Points {
 			if pt.MaxHist == nil || pt.MaxHist.Count() == 0 {
-				return nil, fmt.Errorf("pevpm: empty round distribution for %s size %d", r.Key(), pt.Size)
+				return nil, fmt.Errorf("pevpm: empty round distribution for %s size %d", r.Pattern, pt.Size)
 			}
 			e.sizes = append(e.sizes, pt.Size)
-			e.round = append(e.round, pt.MaxHist)
+			e.hists = append(e.hists, pt.MaxHist)
 		}
 		if len(e.sizes) == 0 {
-			return nil, fmt.Errorf("pevpm: pattern result %s has no sizes", r.Key())
+			return nil, fmt.Errorf("pevpm: pattern result %s has no sizes", r.Pattern)
 		}
 		if !sort.IntsAreSorted(e.sizes) {
-			sort.Sort(&patternBySize{&e})
+			sort.Sort(&entryBysize{&e.dbEntry})
 		}
-		for _, h := range e.round {
+		for _, h := range e.hists {
 			h.Freeze()
 		}
 		db.entries = append(db.entries, e)
 	}
 	if len(db.entries) == 0 {
-		return nil, fmt.Errorf("pevpm: pattern set is empty")
+		return nil, fmt.Errorf("pevpm: result set contains no pattern measurements")
 	}
 	sort.Slice(db.entries, func(i, j int) bool {
-		return db.entries[i].key.String() < db.entries[j].key.String()
+		return db.entries[i].cell.String() < db.entries[j].cell.String()
 	})
 	return db, nil
 }
 
-type patternBySize struct{ e *patternEntry }
-
-func (s *patternBySize) Len() int           { return len(s.e.sizes) }
-func (s *patternBySize) Less(i, j int) bool { return s.e.sizes[i] < s.e.sizes[j] }
-func (s *patternBySize) Swap(i, j int) {
-	s.e.sizes[i], s.e.sizes[j] = s.e.sizes[j], s.e.sizes[i]
-	s.e.round[i], s.e.round[j] = s.e.round[j], s.e.round[i]
-}
-
 // Keys lists the measured pattern cells in deterministic order.
-func (db *PatternDB) Keys() []PatternKey {
-	out := make([]PatternKey, len(db.entries))
+func (db *PatternDB) Keys() []mpibench.PatternCell {
+	out := make([]mpibench.PatternCell, len(db.entries))
 	for i, e := range db.entries {
-		out[i] = e.key
+		out[i] = e.cell
 	}
 	return out
 }
 
-func (db *PatternDB) entry(key PatternKey) (*patternEntry, error) {
+func (db *PatternDB) entry(cell mpibench.PatternCell) (*dbEntry, error) {
 	for i := range db.entries {
-		if db.entries[i].key == key {
-			return &db.entries[i], nil
+		if db.entries[i].cell == cell {
+			return &db.entries[i].dbEntry, nil
 		}
 	}
-	return nil, fmt.Errorf("pevpm: pattern %s not in database", key)
+	return nil, fmt.Errorf("pevpm: pattern %s not in database", cell)
 }
 
 // SampleRound draws one round-completion time for a pattern at a
 // message size, blending the bracketing measured sizes' quantile
 // functions with a single shared uniform (the EmpiricalDB scheme).
-func (db *PatternDB) SampleRound(r stats.Rand, key PatternKey, size int) (float64, error) {
-	e, err := db.entry(key)
+func (db *PatternDB) SampleRound(r stats.Rand, cell mpibench.PatternCell, size int) (float64, error) {
+	e, err := db.entry(cell)
 	if err != nil {
 		return 0, err
 	}
-	u := r.Float64()
-	return blendSize(e, size, func(h *stats.Histogram) float64 { return h.Quantile(u) }), nil
+	return e.quantile(size, r.Float64()), nil
 }
 
 // MeanRound blends the measured mean round-completion times.
-func (db *PatternDB) MeanRound(key PatternKey, size int) (float64, error) {
-	e, err := db.entry(key)
+func (db *PatternDB) MeanRound(cell mpibench.PatternCell, size int) (float64, error) {
+	e, err := db.entry(cell)
 	if err != nil {
 		return 0, err
 	}
-	return blendSize(e, size, (*stats.Histogram).Mean), nil
-}
-
-func blendSize(e *patternEntry, size int, f func(h *stats.Histogram) float64) float64 {
-	lo, hi, w := bracket(e.sizes, size)
-	v := f(e.round[lo])
-	if lo == hi {
-		return v
-	}
-	return v*(1-w) + f(e.round[hi])*w
+	return e.blend(size, (*stats.Histogram).Mean), nil
 }
 
 // PredictMakespan predicts the makespan of rounds consecutive windowed
@@ -150,11 +113,11 @@ func blendSize(e *patternEntry, size int, f func(h *stats.Histogram) float64) fl
 // distribution, and the Student-t interval over the replication sums is
 // the prediction. The caller supplies the RNG (a sim.SubSeed substream)
 // so predictions are bit-identical at any worker count.
-func (db *PatternDB) PredictMakespan(r stats.Rand, key PatternKey, size, rounds, reps int, level float64) (stats.Interval, error) {
+func (db *PatternDB) PredictMakespan(r stats.Rand, cell mpibench.PatternCell, size, rounds, reps int, level float64) (stats.Interval, error) {
 	if rounds <= 0 || reps < 2 {
 		return stats.Interval{}, fmt.Errorf("pevpm: predict wants rounds > 0 and reps >= 2, got %d/%d", rounds, reps)
 	}
-	e, err := db.entry(key)
+	e, err := db.entry(cell)
 	if err != nil {
 		return stats.Interval{}, err
 	}
@@ -162,8 +125,7 @@ func (db *PatternDB) PredictMakespan(r stats.Rand, key PatternKey, size, rounds,
 	for rep := 0; rep < reps; rep++ {
 		total := 0.0
 		for i := 0; i < rounds; i++ {
-			u := r.Float64()
-			total += blendSize(e, size, func(h *stats.Histogram) float64 { return h.Quantile(u) })
+			total += e.quantile(size, r.Float64())
 		}
 		sum.Add(total)
 	}

@@ -35,7 +35,7 @@ func patternPinDB(t *testing.T) *pevpm.PatternDB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := &mpibench.PatternSet{Cluster: cfg.Name}
+	set := &mpibench.Set{Cluster: cfg.Name}
 	for i, spec := range []mpibench.PatternSpec{
 		{Pattern: mpibench.PatternDense, P: 16, G: 3, K: 2, Direction: mpibench.Unidirectional},
 		{Pattern: mpibench.PatternRail, P: 16, G: 4, K: 4, Direction: mpibench.Omnidirectional},

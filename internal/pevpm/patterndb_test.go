@@ -9,7 +9,7 @@ import (
 	"repro/internal/stats"
 )
 
-func patternDBFixture(t *testing.T) (*PatternDB, PatternKey, *mpibench.PatternResult) {
+func patternDBFixture(t *testing.T) (*PatternDB, mpibench.PatternCell, *mpibench.Result) {
 	t.Helper()
 	topo, nodes, err := cluster.ParseTopology("fattree:64x16x4")
 	if err != nil {
@@ -32,13 +32,19 @@ func patternDBFixture(t *testing.T) (*PatternDB, PatternKey, *mpibench.PatternRe
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := &mpibench.PatternSet{Cluster: cfg.Name}
-	set.Add(res)
-	db, err := NewPatternDB(set)
+	// An operation result beside the pattern result is skipped.
+	op, err := mpibench.Run(cfg, mpibench.Spec{
+		Op: mpibench.OpIsend, Placement: pl, Sizes: []int{1024},
+		Repetitions: 2, WarmUp: 1, SyncProbes: 4, Seed: 5,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db, KeyOf(res), res
+	db, err := NewPatternDB(&mpibench.Set{Cluster: cfg.Name, Results: []*mpibench.Result{op, res}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, *res.Pattern, res
 }
 
 func TestPatternDBLookupAndSample(t *testing.T) {
@@ -71,8 +77,12 @@ func TestPatternDBLookupAndSample(t *testing.T) {
 		}
 	}
 	// Unknown keys are clean errors.
-	if _, err := db.SampleRound(rng, PatternKey{Pattern: "rail"}, 1024); err == nil {
+	if _, err := db.SampleRound(rng, mpibench.PatternCell{Pattern: "rail"}, 1024); err == nil {
 		t.Error("unknown key should fail")
+	}
+	// A set without pattern results builds no database.
+	if _, err := NewPatternDB(&mpibench.Set{}); err == nil {
+		t.Error("empty set should fail")
 	}
 }
 

@@ -172,19 +172,22 @@ func bracketDB(grid []dbEntry, value int) (lo, hi int, w float64) {
 // blends bilinearly. Draws use quantileAt, its closure-free twin.
 func at(grid []dbEntry, size, contention int, f func(h *stats.Histogram) float64) float64 {
 	pLo, pHi, pw := bracketDB(grid, contention)
-	blendEntry := func(e dbEntry) float64 {
-		sLo, sHi, sw := bracket(e.sizes, size)
-		lo := f(e.hists[sLo])
-		if sLo == sHi {
-			return lo
-		}
-		return lo*(1-sw) + f(e.hists[sHi])*sw
-	}
-	lo := blendEntry(grid[pLo])
+	lo := grid[pLo].blend(size, f)
 	if pLo == pHi {
 		return lo
 	}
-	return lo*(1-pw) + blendEntry(grid[pHi])*pw
+	return lo*(1-pw) + grid[pHi].blend(size, f)*pw
+}
+
+// blend evaluates f at e's sizes bracketing size and interpolates
+// linearly between them; quantile is its closure-free twin for draws.
+func (e *dbEntry) blend(size int, f func(h *stats.Histogram) float64) float64 {
+	sLo, sHi, sw := bracket(e.sizes, size)
+	lo := f(e.hists[sLo])
+	if sLo == sHi {
+		return lo
+	}
+	return lo*(1-sw) + f(e.hists[sHi])*sw
 }
 
 // quantileAt is at with f = Quantile(u), written out so a draw calls
