@@ -9,7 +9,6 @@
 //
 //	benchjson -out BENCH.json [-seed S] [-reps 3] [-parallel W]
 //	benchjson -check -current BENCH.json -baseline BENCH_baseline.json
-//	benchjson -check -legacy-tol [-tol 0.15] [-dtol 0.05] ...   (deprecated)
 //
 // Schema 2 stores each metric as a cell: the mean across -reps
 // replications (each a full figure run on its own sub-seeded RNG
@@ -32,10 +31,6 @@
 //
 // When GITHUB_STEP_SUMMARY is set, -check appends a markdown verdict
 // table (metric, baseline interval, current interval, verdict) to it.
-//
-// The -legacy-tol flag restores the old fixed percentage bands
-// (-tol/-dtol) on cell means. It exists as an escape hatch while
-// baselines migrate and will be removed; it warns on stderr.
 package main
 
 import (
@@ -118,14 +113,11 @@ func run(argv []string) int {
 	check := fs.Bool("check", false, "compare -current against -baseline instead of running")
 	current := fs.String("current", "BENCH.json", "current metrics file for -check")
 	baseline := fs.String("baseline", "BENCH_baseline.json", "baseline metrics file for -check")
-	legacy := fs.Bool("legacy-tol", false, "DEPRECATED: use fixed -tol/-dtol bands on means instead of CI overlap")
-	tol := fs.Float64("tol", 0.15, "allowed relative wall-clock regression (only with -legacy-tol)")
-	dtol := fs.Float64("dtol", 0.05, "allowed relative drift of figure metrics (only with -legacy-tol)")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
 	if *check {
-		return runCheck(*current, *baseline, *legacy, *tol, *dtol)
+		return runCheck(*current, *baseline)
 	}
 	f, err := measure(*seed, *reps, *parallel)
 	if err != nil {
@@ -244,17 +236,7 @@ func measureOnce(seed uint64, workers int) (map[string]float64, error) {
 	cfg := cluster.Perseus()
 	p := benchParams(seed, workers)
 	m := map[string]float64{}
-
-	timed := func(name string, f func() error) error {
-		//detlint:allow wallclock -- *_wall_s metrics are deliberate wall timings, normalised by calibrate() before comparison
-		start := time.Now()
-		if err := f(); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		//detlint:allow wallclock -- see above: ledger wall metric, not simulation output
-		m[name+"_wall_s"] = time.Since(start).Seconds()
-		return nil
-	}
+	timed := timer(m)
 
 	curveAt := func(curves []experiments.Curve, label string, size int) float64 {
 		for _, c := range curves {
@@ -402,6 +384,21 @@ func measureOnce(seed uint64, workers int) (map[string]float64, error) {
 	}
 
 	return m, nil
+}
+
+// timer returns the function that runs one named measurement and
+// records its wall time in m as name_wall_s.
+func timer(m map[string]float64) func(name string, f func() error) error {
+	return func(name string, f func() error) error {
+		//detlint:allow wallclock -- *_wall_s metrics are deliberate wall timings, normalised by calibrate() before comparison
+		start := time.Now()
+		if err := f(); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		//detlint:allow wallclock -- see above: ledger wall metric, not simulation output
+		m[name+"_wall_s"] = time.Since(start).Seconds()
+		return nil
+	}
 }
 
 // measureService drives the prediction service in-process: one cold
@@ -599,20 +596,13 @@ type verdictRow struct {
 	failed   bool
 }
 
-func runCheck(currentPath, baselinePath string, legacy bool, tol, dtol float64) int {
+func runCheck(currentPath, baselinePath string) int {
 	cur, err := readFile(currentPath)
 	if err == nil {
 		var base *File
 		base, err = readFile(baselinePath)
 		if err == nil {
-			var code int
-			var rows []verdictRow
-			if legacy {
-				fmt.Fprintln(os.Stderr, "benchjson: -legacy-tol is deprecated; the CI-overlap test is the supported gate and this flag will be removed")
-				code, rows = compareLegacy(cur, base, tol, dtol)
-			} else {
-				code, rows = compare(cur, base)
-			}
+			code, rows := compare(cur, base)
 			if err := writeStepSummary(rows, code); err != nil {
 				fmt.Fprintf(os.Stderr, "benchjson: step summary: %v\n", err)
 			}
@@ -722,75 +712,6 @@ func compare(cur, base *File) (int, []verdictRow) {
 		return 1, rows
 	}
 	fmt.Printf("benchjson: all %d metrics within CI overlap\n", len(names))
-	return 0, rows
-}
-
-// compareLegacy is the deprecated fixed-band gate, kept behind
-// -legacy-tol for baseline migration: wall means within 1+tol of the
-// baseline (calibration-normalised), figure means within dtol drift.
-func compareLegacy(cur, base *File, tol, dtol float64) (int, []verdictRow) {
-	if !usableCalibration(cur.Calibration) || !usableCalibration(base.Calibration) {
-		fmt.Fprintf(os.Stderr, "benchjson: unusable calibration_wall_s (current %v, baseline %v); refresh both files\n",
-			cur.Calibration, base.Calibration)
-		return 2, nil
-	}
-	names, newOnly := metricNames(cur, base)
-	var rows []verdictRow
-	failures := 0
-	for _, name := range names {
-		b := base.Metrics[name]
-		c, ok := cur.Metrics[name]
-		row := verdictRow{name: name, baseline: fmt.Sprintf("%.4g", b.Mean)}
-		switch {
-		case !ok:
-			row.current = "—"
-			row.verdict, row.failed = "missing from current run", true
-		case !finite(c.Mean) || !finite(b.Mean):
-			row.current = fmt.Sprintf("%v", c.Mean)
-			row.verdict, row.failed = "non-finite value", true
-		case isWall(name):
-			cn, bn := c.Mean/cur.Calibration, b.Mean/base.Calibration
-			ratio := cn / bn
-			row.baseline = fmt.Sprintf("%.3fx cal", bn)
-			row.current = fmt.Sprintf("%.3fx cal", cn)
-			if !finite(ratio) || ratio > 1+tol {
-				row.verdict, row.failed = fmt.Sprintf("%+.1f%% over limit +%.0f%%", (ratio-1)*100, tol*100), true
-			} else {
-				row.verdict = "ok"
-			}
-		default:
-			drift := 0.0
-			if c.Mean != b.Mean {
-				drift = math.Abs(c.Mean-b.Mean) / math.Abs(b.Mean)
-			}
-			row.current = fmt.Sprintf("%.4g", c.Mean)
-			if !finite(drift) || drift > dtol {
-				row.verdict, row.failed = fmt.Sprintf("drift %.2f%% over limit %.0f%%", drift*100, dtol*100), true
-			} else {
-				row.verdict = "ok"
-			}
-		}
-		rows = append(rows, row)
-	}
-	for _, name := range newOnly {
-		rows = append(rows, verdictRow{
-			name: name, baseline: "—", current: fmt.Sprintf("%.4g", cur.Metrics[name].Mean),
-			verdict: "new metric not in baseline", failed: true,
-		})
-	}
-	for _, row := range rows {
-		status := "ok  "
-		if row.failed {
-			status = "FAIL"
-			failures++
-		}
-		fmt.Printf("%s %-34s %20s vs %20s  %s\n", status, row.name, row.current, row.baseline, row.verdict)
-	}
-	if failures > 0 {
-		fmt.Printf("benchjson: %d metric(s) regressed or drifted (legacy bands)\n", failures)
-		return 1, rows
-	}
-	fmt.Printf("benchjson: all %d metrics within legacy bands\n", len(names))
 	return 0, rows
 }
 

@@ -149,22 +149,6 @@ func TestCompareTouchingIntervalsPass(t *testing.T) {
 	}
 }
 
-func TestLegacyBandsStillWork(t *testing.T) {
-	base := bench(map[string]Cell{"fig1_wall_s": cell(2.0, 0.0), "fig1_ratio": cell(1.70, 0)})
-	cur := bench(map[string]Cell{"fig1_wall_s": cell(2.1, 0.0), "fig1_ratio": cell(1.72, 0)})
-	if got, _ := compareLegacy(cur, base, 0.15, 0.05); got != 0 {
-		t.Errorf("within legacy bands: compare = %d, want 0", got)
-	}
-	cur = bench(map[string]Cell{"fig1_wall_s": cell(2.5, 0.0), "fig1_ratio": cell(1.72, 0)})
-	if got, _ := compareLegacy(cur, base, 0.15, 0.05); got != 1 {
-		t.Errorf("25%% wall regression: legacy compare = %d, want 1", got)
-	}
-	cur = bench(map[string]Cell{"fig1_wall_s": cell(2.0, 0.0), "fig1_ratio": cell(1.90, 0)})
-	if got, _ := compareLegacy(cur, base, 0.15, 0.05); got != 1 {
-		t.Errorf("12%% figure drift: legacy compare = %d, want 1", got)
-	}
-}
-
 func writeTemp(t *testing.T, name, content string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)
@@ -191,10 +175,10 @@ func TestRunCheckSchemaMismatchExitsTwo(t *testing.T) {
 	v1 := writeTemp(t, "old.json", `{"schema":1,"metrics":{"fig1_ratio":1.7}}`)
 	v2 := writeTemp(t, "new.json",
 		`{"schema":2,"reps":3,"calibration_wall_s":1,"metrics":{"fig1_ratio":{"n":3,"mean":1.7,"lo":1.6,"hi":1.8,"min":1.6,"max":1.8}}}`)
-	if got := runCheck(v2, v1, false, 0.15, 0.05); got != 2 {
+	if got := runCheck(v2, v1); got != 2 {
 		t.Errorf("v1 baseline: runCheck = %d, want 2", got)
 	}
-	if got := runCheck(v1, v2, false, 0.15, 0.05); got != 2 {
+	if got := runCheck(v1, v2); got != 2 {
 		t.Errorf("v1 current: runCheck = %d, want 2", got)
 	}
 }
@@ -339,5 +323,24 @@ func TestMeasurePatternBandwidth(t *testing.T) {
 	}
 	if a != b {
 		t.Errorf("pattern_dense_bw not deterministic: %v vs %v", a, b)
+	}
+}
+
+// measureService asserts the service's cache contract while it
+// measures: the cold request misses, the identical repeat is a
+// response-cache hit, the two requests run one prediction, and the hit
+// is faster than the miss. Any broken assert is an error here.
+func TestMeasureService(t *testing.T) {
+	m := map[string]float64{}
+	if err := measureService(m, timer(m), 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if mean := m["service_predict_mean_s"]; !(mean > 0) {
+		t.Errorf("service_predict_mean_s = %v, want > 0", mean)
+	}
+	for _, name := range []string{"service_predict_wall_s", "service_cached_wall_s"} {
+		if !(m[name] > 0) {
+			t.Errorf("%s = %v, want a positive wall time", name, m[name])
+		}
 	}
 }
