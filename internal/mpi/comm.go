@@ -34,10 +34,6 @@ type Request struct {
 // Done reports whether the operation has completed (test without blocking).
 func (r *Request) Done() bool { return r.done }
 
-// CompletedAt returns the virtual time the operation completed; only
-// meaningful once Done reports true.
-func (r *Request) CompletedAt() sim.Time { return r.completedAt }
-
 // Comm is one rank's handle to the job — the equivalent of
 // MPI_COMM_WORLD seen from that rank. All methods must be called from
 // the rank's own program.

@@ -86,22 +86,6 @@ func (f Finding) String() string {
 	return s
 }
 
-// FromMPI converts runtime findings collected by an mpi.Linter into the
-// static analyzer's finding type, so one reporting path serves both
-// layers.
-func FromMPI(in []mpi.Finding) []Finding {
-	out := make([]Finding, 0, len(in))
-	for _, f := range in {
-		out = append(out, Finding{
-			Severity: Severity(f.Severity),
-			Rule:     f.Rule,
-			Rank:     f.Rank,
-			Message:  f.Message,
-		})
-	}
-	return out
-}
-
 // Count returns how many findings carry the severity.
 func Count(fs []Finding, sev Severity) int {
 	n := 0

@@ -158,9 +158,6 @@ func (p *Proc) Unblock() {
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.state == procDone }
 
-// Blocked reports whether the process is parked waiting for Unblock.
-func (p *Proc) Blocked() bool { return p.state == procBlocked }
-
 // BlockedOn returns the reason the process is currently blocked on (as
 // passed to Block), or "" when it is not blocked. Diagnostic tooling
 // uses it to name a stuck process's pending operation.

@@ -117,13 +117,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle randomises the order of n elements using the given swap func.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
 // NormFloat64 returns a standard normal draw (polar Box-Muller).
 func (r *RNG) NormFloat64() float64 {
 	if r.haveGauss {

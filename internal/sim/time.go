@@ -19,7 +19,7 @@ type Time int64
 
 // Duration is a span of virtual time in nanoseconds. It is distinct from
 // time.Duration only to keep virtual and wall-clock quantities from being
-// mixed accidentally; use FromReal/Real to convert deliberately.
+// mixed accidentally; String formats it like time.Duration.
 type Duration int64
 
 // Convenient duration units, mirroring package time.
@@ -32,13 +32,6 @@ const (
 
 // Forever is a Time later than any event a simulation will produce.
 const Forever Time = 1<<63 - 1
-
-// FromReal converts a wall-clock duration into a virtual duration.
-func FromReal(d time.Duration) Duration { return Duration(d.Nanoseconds()) }
-
-// Real converts a virtual duration into a wall-clock duration, which is
-// handy for printing with time.Duration's formatter.
-func (d Duration) Real() time.Duration { return time.Duration(d) }
 
 // Seconds reports the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
