@@ -45,6 +45,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/mpibench"
 	"repro/internal/netsim"
@@ -205,19 +206,7 @@ func main() {
 		fmt.Printf("wrote %s (load in chrome://tracing or Perfetto)\n", *chromeOut)
 	}
 	if *metricsOut != "" || *metricsProm != "" {
-		snap := e.Metrics().Snapshot()
-		if *metricsOut != "" {
-			if err := snap.SaveJSON(*metricsOut); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *metricsOut)
-		}
-		if *metricsProm != "" {
-			if err := snap.SavePrometheus(*metricsProm); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *metricsProm)
-		}
+		writeSnapshot(e.Metrics().Snapshot(), *metricsOut, *metricsProm)
 	}
 }
 
@@ -240,58 +229,19 @@ func retargetNodes(s *faults.Schedule, pl cluster.Placement) {
 // sharded-vs-serial gate diffs this output across -shards values.
 func runLarge(topoSpec string, shards, rounds, window, msgSize int, seed uint64,
 	faultsName string, faultsSpan float64, manifestOut, metricsOut, metricsProm string) {
-	spec := experiments.LargeRunSpec{
+	rep, err := experiments.LargeRun(experiments.LargeRunSpec{
 		Topo:    topoSpec,
 		Rounds:  rounds,
 		Window:  window,
 		Size:    msgSize,
 		Seed:    seed,
 		Workers: shards,
-	}
-	if faultsName != "" {
-		topo, nodes, err := cluster.ParseTopology(topoSpec)
-		if err != nil {
-			fatal(err)
-		}
-		s, err := cluster.Scenario(faultsName, seed, cluster.ScenarioEnv{
-			Nodes: nodes, Segments: topo.NumSegments(), Span: faultsSpan,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		spec.Faults = s
-		fmt.Printf("fault scenario %s over [0, %.2fs):\n", s.Name, faultsSpan)
-		for _, r := range s.Rules {
-			fmt.Printf("  %s\n", r.String())
-		}
-	}
-	rep, err := experiments.LargeRun(spec)
+		Faults:  topologyFaults(topoSpec, faultsName, seed, faultsSpan),
+	})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Print(rep.Transcript)
-	if manifestOut != "" {
-		data, err := json.MarshalIndent(rep.Manifest, "", " ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(manifestOut, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", manifestOut)
-	}
-	if metricsOut != "" {
-		if err := rep.Metrics.SaveJSON(metricsOut); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", metricsOut)
-	}
-	if metricsProm != "" {
-		if err := rep.Metrics.SavePrometheus(metricsProm); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", metricsProm)
-	}
+	report(rep, manifestOut, metricsOut, metricsProm)
 }
 
 // runPattern executes one group-to-group pattern through the sharded
@@ -307,7 +257,7 @@ func runPattern(topoSpec, pattern, pgk, direction string, shards, rounds, window
 	if err != nil {
 		fatal(err)
 	}
-	spec := experiments.PatternRunSpec{
+	rep, err := experiments.PatternRun(experiments.PatternRunSpec{
 		Topo:      topoSpec,
 		Pattern:   pattern,
 		P:         p,
@@ -319,28 +269,41 @@ func runPattern(topoSpec, pattern, pgk, direction string, shards, rounds, window
 		Size:      msgSize,
 		Seed:      seed,
 		Workers:   shards,
-	}
-	if faultsName != "" {
-		topo, nodes, err := cluster.ParseTopology(topoSpec)
-		if err != nil {
-			fatal(err)
-		}
-		s, err := cluster.Scenario(faultsName, seed, cluster.ScenarioEnv{
-			Nodes: nodes, Segments: topo.NumSegments(), Span: faultsSpan,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		spec.Faults = s
-		fmt.Printf("fault scenario %s over [0, %.2fs):\n", s.Name, faultsSpan)
-		for _, r := range s.Rules {
-			fmt.Printf("  %s\n", r.String())
-		}
-	}
-	rep, err := experiments.PatternRun(spec)
+		Faults:    topologyFaults(topoSpec, faultsName, seed, faultsSpan),
+	})
 	if err != nil {
 		fatal(err)
 	}
+	report(rep, manifestOut, metricsOut, metricsProm)
+}
+
+// topologyFaults builds the named fault preset over the nodes and
+// segments of a topology spec and prints its rules; an empty name is a
+// healthy run.
+func topologyFaults(topoSpec, name string, seed uint64, span float64) *faults.Schedule {
+	if name == "" {
+		return nil
+	}
+	topo, nodes, err := cluster.ParseTopology(topoSpec)
+	if err != nil {
+		fatal(err)
+	}
+	s, err := cluster.Scenario(name, seed, cluster.ScenarioEnv{
+		Nodes: nodes, Segments: topo.NumSegments(), Span: span,
+	})
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("fault scenario %s over [0, %.2fs):\n", s.Name, span)
+	for _, r := range s.Rules {
+		fmt.Printf("  %s\n", r.String())
+	}
+	return s
+}
+
+// report prints a sharded run's transcript and writes its manifest and
+// instrument snapshot to the files named, skipping empty names.
+func report(rep *experiments.LargeRunReport, manifestOut, metricsOut, metricsProm string) {
 	fmt.Print(rep.Transcript)
 	if manifestOut != "" {
 		data, err := json.MarshalIndent(rep.Manifest, "", " ")
@@ -352,17 +315,23 @@ func runPattern(topoSpec, pattern, pgk, direction string, shards, rounds, window
 		}
 		fmt.Printf("wrote %s\n", manifestOut)
 	}
-	if metricsOut != "" {
-		if err := rep.Metrics.SaveJSON(metricsOut); err != nil {
+	writeSnapshot(rep.Metrics, metricsOut, metricsProm)
+}
+
+// writeSnapshot writes an instrument snapshot as JSON and as Prometheus
+// text to the files named, skipping empty names.
+func writeSnapshot(snap metrics.Snapshot, jsonOut, promOut string) {
+	if jsonOut != "" {
+		if err := snap.SaveJSON(jsonOut); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %s\n", metricsOut)
+		fmt.Printf("wrote %s\n", jsonOut)
 	}
-	if metricsProm != "" {
-		if err := rep.Metrics.SavePrometheus(metricsProm); err != nil {
+	if promOut != "" {
+		if err := snap.SavePrometheus(promOut); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %s\n", metricsProm)
+		fmt.Printf("wrote %s\n", promOut)
 	}
 }
 
