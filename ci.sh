@@ -4,7 +4,10 @@
 #
 #   1. go vet + build, plus the pinned staticcheck sweep (skips with a
 #      notice when the module proxy is unreachable; see
-#      scripts/staticcheck.sh)
+#      scripts/staticcheck.sh); then vet and test of perfbench/, the
+#      repository benchmark's own module, which imports internal/
+#      packages, so an internal API change that breaks it fails here
+#      rather than when the benchmark runs
 #   2. the full test suite under the race detector, then every
 #      allocation guard (tests named *Alloc*) repeated 20 times, so a
 #      guard whose count depends on map order or GC timing fails here
@@ -50,6 +53,7 @@ set -eux
 
 go vet ./...
 go build ./...
+(cd perfbench && go vet ./... && go test ./...)
 make staticcheck
 go test -race ./...
 go test -count=20 -run Alloc ./internal/...
