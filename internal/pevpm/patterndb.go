@@ -41,7 +41,7 @@ func NewPatternDB(set *mpibench.Set) (*PatternDB, error) {
 		if r.Pattern == nil {
 			continue
 		}
-		e := cellEntry{cell: *r.Pattern, dbEntry: dbEntry{procs: r.Procs}}
+		e := cellEntry{cell: *r.Pattern}
 		for _, pt := range r.Points {
 			if pt.MaxHist == nil || pt.MaxHist.Count() == 0 {
 				return nil, fmt.Errorf("pevpm: empty round distribution for %s size %d", r.Pattern, pt.Size)

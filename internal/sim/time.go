@@ -19,7 +19,7 @@ type Time int64
 
 // Duration is a span of virtual time in nanoseconds. It is distinct from
 // time.Duration only to keep virtual and wall-clock quantities from being
-// mixed accidentally; String formats it like time.Duration.
+// mixed accidentally.
 type Duration int64
 
 // Convenient duration units, mirroring package time.
