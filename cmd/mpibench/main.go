@@ -25,6 +25,10 @@
 //	mpibench -pattern dense -topo fattree:2048x32x8 -pgk 32x4x2 \
 //	         -direction omni -window 2,4 -sizes 4096,65536
 //
+// A flag the chosen mode does not read exits 2 with a usage error:
+// -op, -adapt-* or a -config list with -pattern, and -pgk, -direction
+// or -window without it.
+//
 // -estimates attaches confidence intervals and robust estimators to
 // every size; -adapt-relwidth enables adaptive stopping (batches of
 // repetitions until the CI on the chosen quantile is narrower than the
@@ -71,6 +75,13 @@ func main() {
 	adaptBatch := flag.Int("adapt-batch", 0, "adaptive stopping: repetitions per batch (default -reps)")
 	adaptMaxBatches := flag.Int("adapt-max-batches", 0, "adaptive stopping: batch cap (default 8)")
 	flag.Parse()
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	if err := modeFlagError(given, *pattern != "", *configs); err != nil {
+		fmt.Fprintln(os.Stderr, "mpibench:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg := cluster.Perseus()
 	if *topoFlag != "" {
@@ -98,7 +109,7 @@ func main() {
 			direction: *direction,
 			windows:   *windowArg,
 			config:    *configs,
-			configSet: flagProvided("config"),
+			configSet: given["config"],
 			sizes:     sizes,
 			rounds:    *reps,
 			warm:      *warm,
@@ -233,11 +244,11 @@ func runPatterns(cfg cluster.Config, a patternArgs, agg *metrics.Aggregate) {
 		}
 	}
 	// The placement defaults to exactly the pattern's ranks, one per
-	// node; an explicit -config overrides it.
+	// node; an explicit -config (one placement, as modeFlagError
+	// checks) overrides it.
 	var pl cluster.Placement
 	if a.configSet {
-		first := strings.TrimSpace(strings.Split(a.config, ",")[0])
-		if pl, err = cluster.ParsePlacement(&cfg, first); err != nil {
+		if pl, err = cluster.ParsePlacement(&cfg, strings.TrimSpace(a.config)); err != nil {
 			fatal(err)
 		}
 	} else if pl, err = cluster.NewPlacement(&cfg, maxRanks, 1); err != nil {
@@ -284,15 +295,36 @@ func runPatterns(cfg cluster.Config, a patternArgs, agg *metrics.Aggregate) {
 	}
 }
 
-// flagProvided reports whether a flag was set on the command line.
-func flagProvided(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
+// opOnlyFlags are read only without -pattern; patternOnlyFlags only
+// with it.
+var (
+	opOnlyFlags      = []string{"op", "adapt-relwidth", "adapt-quantile", "adapt-level", "adapt-batch", "adapt-max-batches"}
+	patternOnlyFlags = []string{"pgk", "direction", "window"}
+)
+
+// modeFlagError rejects flags the selected mode would silently ignore:
+// the operation and adaptive-stopping flags with -pattern, the pattern
+// shape flags without it, and a -config list with -pattern, which runs
+// one placement. given holds the flags set on the command line
+// (flag.Visit), so a flag repeating its default value still counts.
+func modeFlagError(given map[string]bool, pattern bool, config string) error {
+	ignored, why := patternOnlyFlags, "read only with -pattern"
+	if pattern {
+		ignored, why = opOnlyFlags, "not read with -pattern"
+	}
+	var names []string
+	for _, name := range ignored {
+		if given[name] {
+			names = append(names, "-"+name)
 		}
-	})
-	return set
+	}
+	if len(names) > 0 {
+		return fmt.Errorf("%s: %s", strings.Join(names, ", "), why)
+	}
+	if pattern && given["config"] && strings.Contains(config, ",") {
+		return fmt.Errorf("-config %s: -pattern runs one placement, give one", config)
+	}
+	return nil
 }
 
 func writeMetrics(agg *metrics.Aggregate, metricsOut, metricsProm string) {

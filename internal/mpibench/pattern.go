@@ -157,57 +157,56 @@ func BuildPattern(name string, p, g, k int, dir Direction) (Matrix, error) {
 	if !dir.Valid() {
 		return m, fmt.Errorf("mpibench: pattern %s: unknown direction %q", name, dir)
 	}
-	between := func(a, b int) error {
+	switch name {
+	case PatternRail, PatternFan, PatternDense:
+	default:
+		return m, fmt.Errorf("mpibench: unknown pattern %q (want rail, fan or dense)", name)
+	}
+	// Groups are disjoint rank ranges and every group pair is visited
+	// once, so no two edges coincide: append them directly rather than
+	// through Add, whose duplicate scan makes a build quadratic.
+	edge := func(src, dst int) {
+		m.Pairs = append(m.Pairs, Pair{Src: src, Dst: dst, Count: 1})
+	}
+	between := func(a, b int) {
 		switch name {
 		case PatternRail:
 			// k parallel rails: participant i of a talks only to its
 			// peer i of b, so rails contend on the fabric, never on a NIC.
 			for i := 0; i < k; i++ {
-				m.Add(a*p+i, b*p+i, 1)
+				edge(a*p+i, b*p+i)
 			}
 		case PatternFan:
 			// Group a's lead fans out to the first k ranks of b: one NIC
 			// drives k flows (an incast in the bi/omni variants).
 			for i := 0; i < k; i++ {
-				m.Add(a*p, b*p+i, 1)
+				edge(a*p, b*p+i)
 			}
 		case PatternDense:
 			// All k*k participant pairs: the densest group-to-group load,
 			// the pattern whose makespan PEVPM must predict.
 			for i := 0; i < k; i++ {
 				for j := 0; j < k; j++ {
-					m.Add(a*p+i, b*p+j, 1)
+					edge(a*p+i, b*p+j)
 				}
 			}
-		default:
-			return fmt.Errorf("mpibench: unknown pattern %q (want rail, fan or dense)", name)
 		}
-		return nil
 	}
 	switch dir {
 	case Unidirectional:
 		for b := 1; b < g; b++ {
-			if err := between(0, b); err != nil {
-				return Matrix{}, err
-			}
+			between(0, b)
 		}
 	case Bidirectional:
 		for b := 1; b < g; b++ {
-			if err := between(0, b); err != nil {
-				return Matrix{}, err
-			}
-			if err := between(b, 0); err != nil {
-				return Matrix{}, err
-			}
+			between(0, b)
+			between(b, 0)
 		}
 	case Omnidirectional:
 		for a := 0; a < g; a++ {
 			for b := 0; b < g; b++ {
-				if a == b {
-					continue
-				}
-				if err := between(a, b); err != nil {
-					return Matrix{}, err
+				if a != b {
+					between(a, b)
 				}
 			}
 		}

@@ -2,6 +2,8 @@ package mpibench
 
 import (
 	"bytes"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,6 +67,64 @@ func TestBuildPatternShapes(t *testing.T) {
 	}
 	if _, err := BuildPattern(PatternRail, 4, 2, 2, "diag"); err == nil {
 		t.Error("unknown direction should fail")
+	}
+}
+
+// addPattern builds a named pattern edge by edge through Matrix.Add,
+// visiting group pairs in BuildPattern's order: the reference that
+// shows BuildPattern's direct appends merge nothing Add would.
+func addPattern(name string, p, g, k int, dir Direction) Matrix {
+	var groups [][2]int
+	for a := 0; a < g; a++ {
+		for b := 0; b < g; b++ {
+			switch {
+			case a == b:
+			case dir == Omnidirectional:
+				groups = append(groups, [2]int{a, b})
+			case a == 0:
+				groups = append(groups, [2]int{0, b})
+				if dir == Bidirectional {
+					groups = append(groups, [2]int{b, 0})
+				}
+			}
+		}
+	}
+	var m Matrix
+	for _, ab := range groups {
+		a, b := ab[0], ab[1]
+		for i := 0; i < k; i++ {
+			switch name {
+			case PatternRail:
+				m.Add(a*p+i, b*p+i, 1)
+			case PatternFan:
+				m.Add(a*p, b*p+i, 1)
+			case PatternDense:
+				for j := 0; j < k; j++ {
+					m.Add(a*p+i, b*p+j, 1)
+				}
+			}
+		}
+	}
+	return m
+}
+
+func TestBuildPatternMatchesAdd(t *testing.T) {
+	shapes := [][3]int{{1, 2, 1}, {4, 3, 2}, {8, 3, 8}, {32, 4, 2}, {16, 5, 4}}
+	for _, name := range []string{PatternRail, PatternFan, PatternDense} {
+		for _, dir := range []Direction{Unidirectional, Bidirectional, Omnidirectional} {
+			for _, sh := range shapes {
+				p, g, k := sh[0], sh[1], sh[2]
+				got, err := BuildPattern(name, p, g, k, dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := addPattern(name, p, g, k, dir)
+				if len(want.Pairs) == 0 || !slices.Equal(got.Pairs, want.Pairs) {
+					t.Errorf("%s %s p=%d g=%d k=%d: BuildPattern gives %d pairs, Add gives %d, or their order differs",
+						name, dir, p, g, k, len(got.Pairs), len(want.Pairs))
+				}
+			}
+		}
 	}
 }
 
@@ -158,15 +218,19 @@ func TestPatternSweepDeterminism(t *testing.T) {
 		Estimates: true,
 		Seed:      7,
 	}
+	// The sweep simulates about 0.04 s. A Span of 0.05 s puts the
+	// preset's backplane degradation inside the run, so the faulted
+	// half checks workers against a real fault path.
+	sched, err := cluster.Scenario("congested-backplane", 11, cluster.ScenarioEnv{
+		Nodes: cfg.Nodes, Segments: cfg.NumSegments(), Span: 0.05,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := map[string][]byte{}
 	for _, scenario := range []string{"", "congested-backplane"} {
 		s := base
 		if scenario != "" {
-			sched, err := cluster.Scenario(scenario, 11, cluster.ScenarioEnv{
-				Nodes: cfg.Nodes, Segments: cfg.NumSegments(), Span: 1.0,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			s.Faults = sched
 		}
 		var blobs [][]byte
@@ -181,10 +245,24 @@ func TestPatternSweepDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			blobs = append(blobs, buf.Bytes())
+			if workers == 1 {
+				var pts []Point
+				for _, res := range set.Results {
+					pts = append(pts, res.Points...)
+				}
+				if points[scenario], err = json.Marshal(pts); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		if !bytes.Equal(blobs[0], blobs[1]) {
 			t.Errorf("scenario %q: sweep output differs between 1 and 8 workers", scenario)
 		}
+	}
+	// The manifests name the fault rules either way, so compare only
+	// the measurements: a fault that misses the run leaves them equal.
+	if bytes.Equal(points[""], points["congested-backplane"]) {
+		t.Error("the faulted sweep measured the same points as the healthy one: its fault never acted on the run")
 	}
 }
 

@@ -180,3 +180,77 @@ func BenchmarkHeapChurn(b *testing.B) {
 		}
 	}
 }
+
+// pingPong is a sharded model whose every window has exactly one due LP
+// and one cross-LP post: a message hops between LP 0 and the last LP,
+// one lookahead per hop, while every other LP stays idle. Both
+// callbacks are built once, so a run allocates only what the
+// coordinator does.
+type pingPong struct {
+	s          *Shards
+	left       int
+	ping, pong func()
+}
+
+func newPingPong(tb testing.TB, nLPs int) *pingPong {
+	tb.Helper()
+	s, err := NewShards(1, nLPs, 10*Microsecond, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p := &pingPong{s: s}
+	far := nLPs - 1
+	p.ping = func() { p.hop(0, far, p.pong) }
+	p.pong = func() { p.hop(far, 0, p.ping) }
+	return p
+}
+
+// hop posts next from LP src to LP dst one lookahead ahead, while hops
+// remain.
+func (p *pingPong) hop(src, dst int, next func()) {
+	if p.left--; p.left > 0 {
+		p.s.Post(src, dst, p.s.LP(src).Now().Add(p.s.Lookahead()), next)
+	}
+}
+
+// run makes hops hops (hops windows), starting from LP 0's clock.
+func (p *pingPong) run(tb testing.TB, hops int) {
+	p.left = hops
+	lp := p.s.LP(0)
+	lp.At(lp.Now(), p.ping)
+	if _, err := p.s.Run(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestShardsWindowAllocSteadyState: once its outboxes, merge buffer and
+// event pools are warm, a sharded run allocates a constant number of
+// objects per Run, not one per window: the barrier merge sorts without
+// boxing the slice or capturing a comparator.
+func TestShardsWindowAllocSteadyState(t *testing.T) {
+	const hops = 1000
+	p := newPingPong(t, 65)
+	p.run(t, hops)
+	before := p.s.Windows()
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, func() { p.run(t, hops) })
+	// AllocsPerRun makes one extra, unmeasured warm-up call.
+	if got := p.s.Windows() - before; got != (runs+1)*hops {
+		t.Fatalf("%d windows over %d runs, want %d per run", got, runs+1, hops)
+	}
+	if allocs > 1 {
+		t.Errorf("a warm %d-window sharded run allocates %v objects, want at most 1 (Run's error slice)",
+			hops, allocs)
+	}
+}
+
+// BenchmarkShardsWindow is the sharded coordinator's unit cost: one
+// window of the fabric's shape (65 LPs: 64 leaves and the core) in
+// which one LP has an event due and posts one cross-LP message.
+func BenchmarkShardsWindow(b *testing.B) {
+	p := newPingPong(b, 65)
+	p.run(b, 1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	p.run(b, b.N)
+}

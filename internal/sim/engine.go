@@ -238,7 +238,10 @@ func (e *Engine) Run(until Time) (Time, error) {
 		e.recycle(next)
 		fn()
 	}
-	if blocked := e.blockedProcs(); len(blocked) > 0 && !e.stopped {
+	if e.alive == 0 || e.stopped {
+		return e.now, nil // no process can be blocked, or the caller asked to stop
+	}
+	if blocked := e.blockedProcs(); len(blocked) > 0 {
 		return e.now, fmt.Errorf("%w: %d process(es) blocked forever: %s",
 			ErrDeadlock, len(blocked), strings.Join(blocked, ", "))
 	}

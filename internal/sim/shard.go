@@ -1,9 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -17,9 +18,10 @@ import (
 // every cross-LP interaction takes at least `lookahead` of virtual time
 // to land (for a network model, the inter-switch link latency), then
 // all LPs can execute the window [start, start+lookahead] concurrently
-// without ever receiving a message in their past. Cross-LP messages are
-// buffered in per-source outboxes during the window and exchanged at
-// the barrier.
+// without ever receiving a message in their past. Only the LPs with an
+// event due in a window run it, so a window costs what they do, not
+// what the whole LP set does. Cross-LP messages are buffered in
+// per-source outboxes during the window and exchanged at the barrier.
 //
 // Determinism contract: the partition into LPs is fixed by the model
 // (one LP per leaf switch, say) — the worker count only decides how
@@ -117,11 +119,11 @@ func (s *Shards) Post(src, dst int, at Time, fn func()) {
 }
 
 // Run executes the sharded simulation to completion: windows of
-// lookahead width, all LPs in parallel within a window, cross-LP
-// messages exchanged at each barrier. It returns the largest LP clock
-// (the makespan across shards). An error from any LP (deadlocked
-// processes) aborts the run; the first error in LP order is returned so
-// failures are as deterministic as successes.
+// lookahead width, the LPs with an event due in a window running in
+// parallel, cross-LP messages exchanged at each barrier. It returns
+// the largest LP clock (the makespan across shards). An error from any
+// LP (deadlocked processes) aborts the run; the first error in LP
+// order is returned so failures are as deterministic as successes.
 func (s *Shards) Run() (Time, error) {
 	errs := make([]error, len(s.lps))
 	for {
@@ -150,12 +152,15 @@ func (s *Shards) Run() (Time, error) {
 	return s.maxNow(), nil
 }
 
-// runWindow advances every LP to end, on one goroutine per worker.
+// runWindow advances every LP with an event due by end, on one
+// goroutine per worker. An LP with nothing due does not run, so its
+// clock waits at its last event instead of jumping to end. Nothing
+// reads it there: cross-LP posts land at or after end, and the
+// makespan is the latest LP clock, which is some LP's last event
+// either way.
 func (s *Shards) runWindow(end Time, errs []error) {
 	if s.workers == 1 {
-		for i, lp := range s.lps {
-			_, errs[i] = lp.Run(end)
-		}
+		s.runDue(end, errs, 0, 1)
 		return
 	}
 	var wg sync.WaitGroup
@@ -163,12 +168,23 @@ func (s *Shards) runWindow(end Time, errs []error) {
 	for w := 0; w < s.workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < len(s.lps); i += s.workers {
-				_, errs[i] = s.lps[i].Run(end)
-			}
+			s.runDue(end, errs, w, s.workers)
 		}(w)
 	}
 	wg.Wait()
+}
+
+// runDue advances LPs first, first+stride, ... to end, skipping each
+// LP with no event due by then. Each worker owns one such stripe; one
+// worker owns them all.
+//
+//detlint:hotpath
+func (s *Shards) runDue(end Time, errs []error, first, stride int) {
+	for i := first; i < len(s.lps); i += stride {
+		if lp := s.lps[i]; lp.NextEventTime() <= end {
+			_, errs[i] = lp.Run(end)
+		}
+	}
 }
 
 // exchange drains every outbox into the destination engines in the
@@ -176,27 +192,35 @@ func (s *Shards) runWindow(end Time, errs []error) {
 // order (the stable sort preserves it). Delivery order into an engine
 // decides its tie-breaking seq numbers, so this order is part of the
 // determinism contract.
+//
+//detlint:hotpath
 func (s *Shards) exchange() {
 	s.merged = s.merged[:0]
-	for src := range s.outbox {
-		s.merged = append(s.merged, s.outbox[src]...)
-		s.outbox[src] = s.outbox[src][:0]
+	for src, out := range s.outbox {
+		if len(out) == 0 {
+			continue
+		}
+		s.merged = append(s.merged, out...)
+		clear(out) // merged holds the closures now
+		s.outbox[src] = out[:0]
 	}
 	if len(s.merged) == 0 {
 		return
 	}
-	sort.SliceStable(s.merged, func(i, j int) bool {
-		a, b := s.merged[i], s.merged[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		return a.src < b.src
-	})
+	slices.SortStableFunc(s.merged, crossPostOrder)
 	for i := range s.merged {
 		m := &s.merged[i]
 		s.lps[m.dst].At(m.at, m.fn)
 		m.fn = nil // release the closure once handed over
 	}
+}
+
+// crossPostOrder orders merged posts by timestamp, then source LP.
+func crossPostOrder(a, b crossPost) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.src, b.src)
 }
 
 // maxNow returns the latest LP clock.
