@@ -222,11 +222,14 @@ func BenchmarkMPISendRecv(b *testing.B) {
 	b.ReportMetric(2000*float64(b.N)/b.Elapsed().Seconds(), "sim-msgs/s")
 }
 
-// BenchmarkNetsimTransfer measures raw network-model event throughput.
+// BenchmarkNetsimTransfer measures raw network-model event throughput
+// and reports the events each transfer schedules (events/op, read from
+// the engine's sim/events_scheduled_total).
 func BenchmarkNetsimTransfer(b *testing.B) {
 	cfg := cluster.Perseus()
 	e := sim.NewEngine(1)
 	n := netsim.New(e, cfg)
+	scheduled := e.Metrics().Counter("sim", "events_scheduled_total")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.Transfer(i%64, (i+32)%64, 1024, nil)
@@ -239,6 +242,7 @@ func BenchmarkNetsimTransfer(b *testing.B) {
 	if _, err := e.Run(sim.Forever); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportMetric(float64(scheduled.Value())/float64(b.N), "events/op")
 }
 
 // BenchmarkHistogramBinWidth is the DESIGN.md ablation on PEVPM's main

@@ -374,6 +374,16 @@ func parseInts(s string) ([]int, error) {
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mpibench:", err)
+	fmt.Fprintln(os.Stderr, errorLine(err))
 	os.Exit(1)
+}
+
+// errorLine is the line fatal prints: the error behind one "mpibench: "
+// prefix, which errors from internal/mpibench already start with.
+func errorLine(err error) string {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "mpibench: ") {
+		msg = "mpibench: " + msg
+	}
+	return msg
 }

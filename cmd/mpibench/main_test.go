@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -43,5 +44,20 @@ func TestModeFlagError(t *testing.T) {
 				t.Errorf("error %q does not contain %q", err, c.want)
 			}
 		})
+	}
+}
+
+func TestErrorLine(t *testing.T) {
+	for _, c := range []struct{ err, want string }{
+		{"pattern dense needs p*g = 128 ranks, placement 64x1 has 64",
+			"mpibench: pattern dense needs p*g = 128 ranks, placement 64x1 has 64"},
+		{"mpibench: pattern dense needs p*g = 128 ranks, placement 64x1 has 64",
+			"mpibench: pattern dense needs p*g = 128 ranks, placement 64x1 has 64"},
+		{"cluster: bad topology", "mpibench: cluster: bad topology"},
+		{"mpibench:no space", "mpibench: mpibench:no space"},
+	} {
+		if got := errorLine(errors.New(c.err)); got != c.want {
+			t.Errorf("errorLine(%q) = %q, want %q", c.err, got, c.want)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/mpibench"
@@ -137,6 +138,16 @@ func main() {
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pevpm:", err)
+	fmt.Fprintln(os.Stderr, errorLine(err))
 	os.Exit(1)
+}
+
+// errorLine is the line fatal prints: the error behind one "pevpm: "
+// prefix, which errors from internal/pevpm already start with.
+func errorLine(err error) string {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "pevpm: ") {
+		msg = "pevpm: " + msg
+	}
+	return msg
 }

@@ -193,11 +193,11 @@ type xfer struct {
 
 	latency sim.Duration // intraNode: host-side delivery latency
 
-	stepFn     func()                    // next store-and-forward hop of the walk
-	deliverFn  func(start, end sim.Time) // destination NIC finished receiving
-	retryFn    func()                    // RTO expired: run the next attempt
-	memDoneFn  func(start, end sim.Time) // intraNode: memory bus copy finished
-	memDeliver func()                    // intraNode: delivery after host latency
+	stepFn     func() // next store-and-forward hop of the walk
+	deliverFn  func() // destination NIC finished receiving
+	retryFn    func() // RTO expired: run the next attempt
+	memDoneFn  func() // intraNode: memory bus copy finished
+	memDeliver func() // intraNode: delivery after host latency
 }
 
 // init builds the model with one LP per engine; the last engine's LP is
@@ -221,18 +221,13 @@ func (m *model) init(cfg cluster.Config, engines []*sim.Engine) {
 		m.lps[i] = l
 		for node := l.node0; node < cfg.Nodes && m.nodeLP(node) == i; node++ {
 			for r := 0; r < m.rails; r++ {
-				txName, rxName := fmt.Sprintf("node%d.tx", node), fmt.Sprintf("node%d.rx", node)
-				if m.rails > 1 {
-					txName = fmt.Sprintf("node%d.rail%d.tx", node, r)
-					rxName = fmt.Sprintf("node%d.rail%d.rx", node, r)
-				}
-				l.nicTx = append(l.nicTx, sim.NewSerializer(e, txName))
-				l.nicRx = append(l.nicRx, sim.NewSerializer(e, rxName))
+				l.nicTx = append(l.nicTx, sim.NewSerializer(e))
+				l.nicRx = append(l.nicRx, sim.NewSerializer(e))
 			}
-			l.memBus = append(l.memBus, sim.NewSerializer(e, fmt.Sprintf("node%d.mem", node)))
+			l.memBus = append(l.memBus, sim.NewSerializer(e))
 		}
 		for sw := i; sw < m.topo.Switches && m.switchLP(sw) == i; sw++ {
-			l.fabrics = append(l.fabrics, sim.NewSerializer(e, fmt.Sprintf("switch%d.fabric", sw)))
+			l.fabrics = append(l.fabrics, sim.NewSerializer(e))
 		}
 
 		reg := e.Metrics()
@@ -249,7 +244,7 @@ func (m *model) init(cfg cluster.Config, engines []*sim.Engine) {
 			continue
 		}
 		for s, link := range m.topo.Links {
-			l.segments = append(l.segments, sim.NewSerializer(e, fmt.Sprintf("link%d(sw%d-sw%d)", s, link.A, link.B)))
+			l.segments = append(l.segments, sim.NewSerializer(e))
 			rate := link.Rate
 			if rate <= 0 {
 				rate = cfg.StackRate
@@ -437,7 +432,7 @@ func (t *xfer) intraNode() {
 	l.memBus[t.srcNode-l.node0].Enqueue(service, t.memDoneFn)
 }
 
-func (t *xfer) memDone(_, _ sim.Time) { t.lp.e.Schedule(t.latency, t.memDeliver) }
+func (t *xfer) memDone() { t.lp.e.Schedule(t.latency, t.memDeliver) }
 
 func (t *xfer) memDeliverNow() {
 	t.finish(TransferStats{Sent: t.start, Delivered: t.lp.e.Now()})
@@ -554,8 +549,11 @@ func (t *xfer) arrive() {
 	rx.Enqueue(rxService, t.deliverFn)
 }
 
+// deliver runs at the receive serializer's end time, so the LP's clock
+// is the delivery time.
+//
 //detlint:hotpath
-func (t *xfer) deliver(_, end sim.Time) {
+func (t *xfer) deliver() {
 	l := t.lp
 	if t.cross {
 		l.counters.CrossSwitch++
@@ -563,7 +561,7 @@ func (t *xfer) deliver(_, end sim.Time) {
 	}
 	t.finish(TransferStats{
 		Sent:        t.start,
-		Delivered:   end,
+		Delivered:   l.e.Now(),
 		Retries:     t.try,
 		CrossSwitch: t.cross,
 	})

@@ -44,20 +44,28 @@ func TestTransferConservationProperty(t *testing.T) {
 }
 
 // TestSerializerNeverOverlapsProperty: arbitrary interleavings of
-// enqueues never produce overlapping service intervals.
+// enqueues never produce overlapping service intervals, and each
+// request's callback runs at the end time Enqueue returned.
 func TestSerializerNeverOverlapsProperty(t *testing.T) {
 	f := func(seed uint64, servicesRaw [8]uint16) bool {
 		e := sim.NewEngine(seed)
-		s := sim.NewSerializer(e, "x")
+		s := sim.NewSerializer(e)
 		type iv struct{ start, end sim.Time }
 		var ivs []iv
+		completions := 0
 		for i, raw := range servicesRaw {
 			delay := sim.Duration(i) * 100 * sim.Microsecond
 			service := sim.Duration(raw) * sim.Microsecond
 			e.Schedule(delay, func() {
-				s.Enqueue(service, func(start, end sim.Time) {
-					ivs = append(ivs, iv{start, end})
+				var end sim.Time
+				end = s.Enqueue(service, func() {
+					if e.Now() == end {
+						completions++
+					}
 				})
+				if start := end.Add(-service); start >= e.Now() {
+					ivs = append(ivs, iv{start, end})
+				}
 			})
 		}
 		if _, err := e.Run(sim.Forever); err != nil {
@@ -68,7 +76,7 @@ func TestSerializerNeverOverlapsProperty(t *testing.T) {
 				return false
 			}
 		}
-		return len(ivs) == len(servicesRaw)
+		return len(ivs) == len(servicesRaw) && completions == len(servicesRaw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

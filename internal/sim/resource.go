@@ -3,40 +3,30 @@ package sim
 // Serializer models a work-conserving FIFO server — a network link, a NIC
 // transmit engine, a disk — that serves requests one at a time. Instead of
 // holding per-request events while waiting, it tracks the time the server
-// becomes free, so enqueueing is O(1) and a request's completion is the
-// only event scheduled. This "fluid FIFO" is the workhorse of the network
-// model: it is orders of magnitude cheaper than modelling every frame yet
-// preserves exact FIFO queueing delays.
+// becomes free, so enqueueing is O(1), and a request's completion is
+// scheduled only when a caller asks to be told: a request nobody waits
+// for costs no event at all. This "fluid FIFO" is the workhorse of the
+// network model: it is orders of magnitude cheaper than modelling every
+// frame yet preserves exact FIFO queueing delays.
 type Serializer struct {
 	e         *Engine
-	name      string
 	busyUntil Time
-
-	// completeFn is the completion callback shared by every Enqueue with
-	// no done function, built once so those enqueues allocate nothing.
-	completeFn func()
-
-	// accounting
-	inFlight  int
-	served    uint64
 	busyAccum Duration
 }
 
 // NewSerializer returns an idle FIFO server attached to the engine.
-func NewSerializer(e *Engine, name string) *Serializer {
-	s := &Serializer{e: e, name: name}
-	s.completeFn = func() {
-		s.inFlight--
-		s.served++
-	}
-	return s
+func NewSerializer(e *Engine) *Serializer {
+	return &Serializer{e: e}
 }
 
 // Enqueue appends a request needing the given service time and returns
-// the time the request will complete. If done is non-nil it is invoked at
-// completion with the service start and end times. FIFO order is exact:
+// the time the request will complete. If done is non-nil it runs at that
+// time, as the request's one event (its start is the end less the
+// service); if done is nil, no event is scheduled. FIFO order is exact:
 // the request starts when every previously enqueued request has finished.
-func (s *Serializer) Enqueue(service Duration, done func(start, end Time)) Time {
+//
+//detlint:hotpath
+func (s *Serializer) Enqueue(service Duration, done func()) Time {
 	if service < 0 {
 		panic("sim: negative service time")
 	}
@@ -46,17 +36,10 @@ func (s *Serializer) Enqueue(service Duration, done func(start, end Time)) Time 
 	}
 	end := start.Add(service)
 	s.busyUntil = end
-	s.inFlight++
 	s.busyAccum += service
-	if done == nil {
-		s.e.At(end, s.completeFn)
-		return end
+	if done != nil {
+		s.e.At(end, done)
 	}
-	s.e.At(end, func() {
-		s.inFlight--
-		s.served++
-		done(start, end)
-	})
 	return end
 }
 
@@ -69,15 +52,6 @@ func (s *Serializer) Backlog() Duration {
 	return s.busyUntil.Sub(s.e.now)
 }
 
-// InFlight returns the number of accepted but not yet completed requests.
-func (s *Serializer) InFlight() int { return s.inFlight }
-
-// Served returns the number of completed requests.
-func (s *Serializer) Served() uint64 { return s.served }
-
 // BusyTime returns cumulative service time accepted so far; divided by
 // elapsed virtual time it gives the offered utilisation.
 func (s *Serializer) BusyTime() Duration { return s.busyAccum }
-
-// Name returns the identifier given at construction.
-func (s *Serializer) Name() string { return s.name }
