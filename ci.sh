@@ -36,7 +36,8 @@
 #      pattern smoke runs below keep the hierarchical-topology and
 #      group-to-group CLI paths exercised (docs/PATTERNS.md)
 #   7. the pprof smoke: `make profile` must produce non-empty CPU and
-#      allocation profiles (tooling stays usable; timing not gated)
+#      allocation profiles of the serial figure sweep and of a sharded
+#      2048-node run (tooling stays usable; timing not gated)
 #   8. the benchmark CI-overlap gate against BENCH_baseline.json:
 #      metrics are replicated interval cells, and a metric fails only
 #      when its interval and the baseline's are disjoint (wall metrics:
@@ -73,6 +74,8 @@ go run ./cmd/run -app patternrun -topo fattree:512x16x4 -pattern rail -pgk 16x4x
 make profile
 test -s profiles/cpu.pprof
 test -s profiles/allocs.pprof
+test -s profiles/sharded_cpu.pprof
+test -s profiles/sharded_allocs.pprof
 make bench-check
 make coverage
 make service-gate

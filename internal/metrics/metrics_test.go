@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"bytes"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -120,6 +122,42 @@ func TestSnapshotAllocsIndependentOfMapOrder(t *testing.T) {
 			first = got
 		} else if got != first {
 			t.Fatalf("registry %d: Snapshot made %.0f allocations, registry 0 made %.0f", i, got, first)
+		}
+	}
+}
+
+// TestAggregateSnapshotAllocsPerPoint: an aggregate of many labelled
+// points, the shape of a sharded network's merged LP snapshots,
+// snapshots with the same allocation count on every call, whatever
+// order its maps iterate in, and with at most two allocations per point
+// (a histogram copies its bounds and counts; other points cost only
+// their share of the section's appends). Sorting the points by Key()
+// would build two key strings per comparison.
+func TestAggregateSnapshotAllocsPerPoint(t *testing.T) {
+	r := NewRegistry()
+	const segments = 300
+	for s := 0; s < segments; s++ {
+		seg := L("segment", strconv.Itoa(s))
+		r.Counter("net", "segment_bytes_total", seg).Add(uint64(s))
+		r.Gauge("net", "segment_backlog_ns_max", seg).SetMax(int64(s))
+	}
+	r.Histogram("net", "rto_backoff_depth", []int64{0, 1, 2}).Observe(1)
+	a := NewAggregate()
+	a.Merge(r.Snapshot())
+	const points = 2*segments + 1
+	var first float64
+	for i := 0; i < 50; i++ {
+		// A collection that starts inside the measured call adds the
+		// runtime's own allocations to the count; collect first.
+		runtime.GC()
+		got := testing.AllocsPerRun(1, func() { a.Snapshot() })
+		if i == 0 {
+			first = got
+			if got > 2*points {
+				t.Fatalf("Snapshot of %d points made %.0f allocations, want at most %d", points, got, 2*points)
+			}
+		} else if got != first {
+			t.Fatalf("call %d: Snapshot made %.0f allocations, call 0 made %.0f", i, got, first)
 		}
 	}
 }

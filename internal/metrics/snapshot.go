@@ -66,12 +66,7 @@ func (r *Registry) SnapshotAll() Snapshot { return r.snapshot(true) }
 // map iteration order: Key() builds a string on every comparison.
 func (r *Registry) snapshot(includeVolatile bool) Snapshot {
 	var s Snapshot
-	ids := make([]string, 0, len(r.entries))
-	for id := range r.entries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range sortedKeys(r.entries) {
 		e := r.entries[id]
 		if e.volatile && !includeVolatile {
 			continue
@@ -96,12 +91,6 @@ func (r *Registry) snapshot(includeVolatile bool) Snapshot {
 		}
 	}
 	return s
-}
-
-func (s *Snapshot) sort() {
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Key() < s.Counters[j].Key() })
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Key() < s.Gauges[j].Key() })
-	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Key() < s.Histograms[j].Key() })
 }
 
 // Counter returns the value of the named counter, or false if absent.
@@ -219,22 +208,33 @@ func (a *Aggregate) Merge(s Snapshot) {
 }
 
 // Snapshot returns the folded state, stable-ordered like a registry
-// snapshot.
+// snapshot. Like Registry.snapshot it walks each section in sorted key
+// order (the map keys are the points' Key() values), so it builds no
+// key strings and allocates the same whatever the map order.
 func (a *Aggregate) Snapshot() Snapshot {
 	var s Snapshot
-	for _, p := range a.counters {
-		s.Counters = append(s.Counters, *p)
+	for _, id := range sortedKeys(a.counters) {
+		s.Counters = append(s.Counters, *a.counters[id])
 	}
-	for _, p := range a.gauges {
-		s.Gauges = append(s.Gauges, *p)
+	for _, id := range sortedKeys(a.gauges) {
+		s.Gauges = append(s.Gauges, *a.gauges[id])
 	}
-	//detlint:ordered -- the appended copies are sorted by s.sort() below; per-iteration state is confined to hp
-	for _, p := range a.hists {
+	for _, id := range sortedKeys(a.hists) {
+		p := a.hists[id]
 		hp := *p
 		hp.Bounds = append([]int64(nil), p.Bounds...)
 		hp.Counts = append([]uint64(nil), p.Counts...)
 		s.Histograms = append(s.Histograms, hp)
 	}
-	s.sort()
 	return s
+}
+
+// sortedKeys returns a map's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	ids := make([]string, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
 }

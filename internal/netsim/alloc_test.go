@@ -31,8 +31,8 @@ func sendPathAllocs(t *testing.T, src, dst int) float64 {
 // TestTransferAllocsReduced pins the send-path allocation win: the
 // pre-pool implementation spent 43 allocs per transfer on closures and
 // event boxes. The pooled state machine, whose serializer stages
-// schedule its prebuilt callbacks directly, runs allocation-free once
-// warm.
+// schedule its one prebuilt callback directly, runs allocation-free
+// once warm.
 func TestTransferAllocsReduced(t *testing.T) {
 	if got := sendPathAllocs(t, 0, 1); got != 0 {
 		t.Errorf("same-switch transfer allocates %v objects/op, want 0 (pre-pool: 43)", got)
@@ -108,3 +108,81 @@ func benchTransfers(b *testing.B, src, dst int) {
 func BenchmarkTransferSameSwitch(b *testing.B)  { benchTransfers(b, 0, 1) }
 func BenchmarkTransferCrossSwitch(b *testing.B) { benchTransfers(b, 0, 60) }
 func BenchmarkTransferIntraNode(b *testing.B)   { benchTransfers(b, 3, 3) }
+
+// shardedPingPong bounces one message between node 0 and node 40 of
+// fattree:64x16x2: each transfer crosses two LP boundaries (leaf 0 to
+// the core to leaf 2, or back), and its delivery sends the next one the
+// other way. The delivery handler and the kick-off are built once, so a
+// run allocates only what the network and the coordinator do.
+type shardedPingPong struct {
+	net  *ShardedNet
+	left int
+	kick func()
+	last sim.Time // the previous run's makespan
+}
+
+func newShardedPingPong(tb testing.TB) *shardedPingPong {
+	tb.Helper()
+	net, err := NewSharded(1, shardedTopoConfig(tb, "fattree:64x16x2"), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p := &shardedPingPong{net: net}
+	net.SetDeliver(func(src, dst, payload int, _ TransferStats) {
+		if p.left--; p.left > 0 {
+			net.Send(dst, src, payload)
+		}
+	})
+	p.kick = func() { net.Send(0, 40, 1024) }
+	return p
+}
+
+// run makes n transfers, starting once every LP has finished the
+// previous run.
+func (p *shardedPingPong) run(tb testing.TB, n int) {
+	p.left = n
+	p.net.Engine(p.net.OwnerLP(0)).At(p.last, p.kick)
+	last, err := p.net.Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p.last = last
+}
+
+// TestShardedCrossingAllocs: on a warm sharded network, a transfer
+// allocates nothing per LP crossing. The xfer itself moves to the next
+// LP as the posted message, so the crossing builds no closure.
+func TestShardedCrossingAllocs(t *testing.T) {
+	p := newShardedPingPong(t)
+	p.run(t, 64) // warm the xfer pool, the event pools and the outboxes
+	const transfers = 32
+	allocs := testing.AllocsPerRun(20, func() { p.run(t, transfers) })
+	if c := p.net.Counters(); c.Retries != 0 {
+		t.Fatalf("%d retries on an idle network", c.Retries)
+	}
+	if allocs > 1 {
+		t.Errorf("%d transfers (%d LP crossings) allocate %v objects per run, want at most 1 (Run's error slice)",
+			transfers, 2*transfers, allocs)
+	}
+}
+
+// BenchmarkShardedTransfer is the sharded network's unit cost: one
+// cross-leaf transfer with its two LP crossings and the windows they
+// take, on an otherwise idle fattree:64x16x2. events/op sums every LP's
+// scheduled events.
+func BenchmarkShardedTransfer(b *testing.B) {
+	p := newShardedPingPong(b)
+	p.run(b, 64)
+	scheduled := func() uint64 {
+		var n uint64
+		for i := 0; i < p.net.NumLPs(); i++ {
+			n += p.net.Engine(i).Metrics().Counter("sim", "events_scheduled_total").Value()
+		}
+		return n
+	}
+	before := scheduled()
+	b.ReportAllocs()
+	b.ResetTimer()
+	p.run(b, b.N)
+	b.ReportMetric(float64(scheduled()-before)/float64(b.N), "events/op")
+}

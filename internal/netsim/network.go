@@ -12,9 +12,9 @@
 //
 // There is one stage pipeline, run by logical processes (LPs). An LP is
 // an engine with its RNG streams, the serializers of the nodes, switches
-// and links it owns, its transfer pool, counters and instruments. The
-// serial Network is one LP on the caller's engine that owns everything;
-// ShardedNet (shardnet.go) runs one LP per leaf switch plus a core LP.
+// and links it owns, counters and instruments. The serial Network is one
+// LP on the caller's engine that owns everything; ShardedNet
+// (shardnet.go) runs one LP per leaf switch plus a core LP.
 //
 // netsim moves opaque byte counts between nodes. The MPI protocol
 // (eager/rendezvous, matching, collectives) lives in internal/mpi.
@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
@@ -101,7 +102,19 @@ type model struct {
 	// Receiver of its own — every sharded transfer — in the destination
 	// LP's event context.
 	deliver func(srcNode, dstNode, payload int, st TransferStats)
+
+	// pool is the xfer pool every LP shares. A message's xfer is
+	// acquired on the sender's LP and released on whichever LP delivers
+	// it, so per-LP free lists alone would drift: a one-directional
+	// pattern fills the receivers' lists while the senders keep
+	// allocating. sync.Pool is safe at any worker count.
+	pool sync.Pool
 }
+
+// lpFreeCap bounds an LP's own free list (lp.free). Releases beyond it
+// go to the model's pool, where LPs that send more than they receive
+// find them.
+const lpFreeCap = 256
 
 // lp is one logical process of the model.
 type lp struct {
@@ -140,9 +153,10 @@ type lp struct {
 	segments []*sim.Serializer
 	segRate  []float64 // per-segment bit rate (StackRate unless a link overrides)
 
-	// free pools per-message transfer state machines. Each pooled xfer
-	// carries its callbacks prebuilt, so the steady-state send path
-	// allocates neither closures nor state per message.
+	// free caches xfers released on this LP, up to lpFreeCap, in front
+	// of the model's pool. Only this LP's events touch it, so it needs
+	// no synchronisation; the serial Network never reaches the pool
+	// unless more than lpFreeCap messages are in flight.
 	free []*xfer
 
 	counters Counters
@@ -169,13 +183,14 @@ type lp struct {
 	mTxFrames []*metrics.Counter
 }
 
-// xfer is the state of one message moving through one LP, pooled and
-// recycled at delivery or when the message moves to another LP. The
-// func fields are bound once when the struct is first created; because
-// the struct is reused, the per-message cost of the whole callback
-// pipeline is zero allocations in steady state.
+// xfer is the state of one message, pooled and recycled at delivery.
+// It travels with the message: a move to another LP hands over the xfer
+// itself. Its one callback, run, is bound when the struct is first
+// created and dispatches on stage; because the struct is reused, the
+// per-message cost of the whole callback pipeline, LP crossings
+// included, is zero allocations in steady state.
 type xfer struct {
-	lp               *lp
+	lp               *lp // the LP the message is on
 	srcNode, dstNode int
 	payload          int
 	start            sim.Time
@@ -193,11 +208,52 @@ type xfer struct {
 
 	latency sim.Duration // intraNode: host-side delivery latency
 
-	stepFn     func() // next store-and-forward hop of the walk
-	deliverFn  func() // destination NIC finished receiving
-	retryFn    func() // RTO expired: run the next attempt
-	memDoneFn  func() // intraNode: memory bus copy finished
-	memDeliver func() // intraNode: delivery after host latency
+	stage stage  // what fn runs next
+	fn    func() // t.run, the callback of every event and move
+}
+
+// stage names the step an xfer's callback runs next. A message has at
+// most one event or cross-LP post pending at a time, so one field
+// suffices.
+type stage uint8
+
+const (
+	stageStep       stage = iota // next store-and-forward hop of the walk
+	stageBackoff                 // a drop reached the sender's LP: start the RTO
+	stageReattempt               // RTO expired: run the next attempt
+	stageDeliver                 // destination NIC finished receiving
+	stageMemDone                 // intraNode: memory bus copy finished
+	stageMemDeliver              // intraNode: delivery after host latency
+)
+
+// newXfer is the pool's constructor: the struct and its one bound
+// callback are the only allocations an xfer ever costs.
+func newXfer() any {
+	t := &xfer{}
+	t.fn = t.run
+	return t
+}
+
+// run is the callback of every event and cross-LP post of a transfer:
+// it runs the step stage names.
+//
+//detlint:hotpath
+func (t *xfer) run() {
+	switch t.stage {
+	case stageStep:
+		t.step()
+	case stageBackoff:
+		t.backoff()
+	case stageReattempt:
+		t.reattempt()
+	case stageDeliver:
+		t.deliver()
+	case stageMemDone:
+		t.stage = stageMemDeliver
+		t.lp.e.Schedule(t.latency, t.fn)
+	case stageMemDeliver:
+		t.finish(TransferStats{Sent: t.start, Delivered: t.lp.e.Now()})
+	}
 }
 
 // init builds the model with one LP per engine; the last engine's LP is
@@ -206,6 +262,7 @@ func (m *model) init(cfg cluster.Config, engines []*sim.Engine) {
 	m.cfg = cfg
 	m.topo = cfg.Paths()
 	m.rails = cfg.Rails()
+	m.pool.New = newXfer
 	m.lps = make([]*lp, len(engines))
 	core := len(engines) - 1
 	for i, e := range engines {
@@ -341,35 +398,36 @@ func (m *model) transfer(srcNode, dstNode, payload int, done func(TransferStats)
 	t.attempt()
 }
 
-// acquire returns a pooled transfer state machine, creating (and
-// binding the callbacks of) a new one only when the pool is empty.
+// acquire returns a pooled xfer for a message starting on the LP: the
+// LP's own, else one from the model's pool, which creates one only when
+// it is empty.
 func (l *lp) acquire() *xfer {
+	var t *xfer
 	if k := len(l.free) - 1; k >= 0 {
-		t := l.free[k]
+		t = l.free[k]
 		l.free[k] = nil
 		l.free = l.free[:k]
-		return t
+	} else {
+		t = l.m.pool.Get().(*xfer)
 	}
-	t := &xfer{lp: l}
-	t.stepFn = t.step
-	t.deliverFn = t.deliver
-	t.retryFn = t.reattempt
-	t.memDoneFn = t.memDone
-	t.memDeliver = t.memDeliverNow
+	t.lp = l
 	return t
 }
 
-// release recycles a transfer, dropping caller references so the pool
-// does not pin them.
+// release recycles a transfer on the LP that finished it, dropping
+// caller references so the pool does not pin them.
 func (l *lp) release(t *xfer) {
 	t.done = nil
 	t.recv = nil
 	t.try = 0
-	l.free = append(l.free, t)
+	if len(l.free) < lpFreeCap {
+		l.free = append(l.free, t)
+		return
+	}
+	l.m.pool.Put(t)
 }
 
-// route sets a message's endpoints and recomputes its rail and its
-// leaf-to-leaf path.
+// route sets a message's endpoints, its rail and its leaf-to-leaf path.
 //
 //detlint:hotpath
 func (t *xfer) route(srcNode, dstNode, payload int) {
@@ -385,23 +443,17 @@ func (t *xfer) route(srcNode, dstNode, payload int) {
 }
 
 // move carries the message to LP `to`, one lookahead later, and runs
-// next there. The posted closure carries only the message's scalars:
-// pooled state never crosses engines, and the receiving LP recomputes
-// rail and path. The one-LP Network never moves a message.
-func (t *xfer) move(to int, next func(*xfer)) {
+// stage s there. The xfer itself is the message: its route, start, try
+// and pos travel with it, and the post is its prebuilt callback, so a
+// crossing allocates nothing. Nothing on the sending LP touches the
+// xfer after it moves. The one-LP Network never moves a message.
+//
+//detlint:hotpath
+func (t *xfer) move(to int, s stage) {
 	from := t.lp
 	m := from.m
-	src, dst, payload := t.srcNode, t.dstNode, t.payload
-	start, try, pos := t.start, t.try, t.pos
-	at := from.e.Now().Add(m.lookahead)
-	from.release(t)
-	dest := m.lps[to]
-	m.sh.Post(from.id, to, at, func() {
-		y := dest.acquire()
-		y.route(src, dst, payload)
-		y.start, y.try, y.pos = start, try, pos
-		next(y)
-	})
+	t.lp, t.stage = m.lps[to], s
+	m.sh.Post(from.id, to, from.e.Now().Add(m.lookahead), t.fn)
 }
 
 // finish hands the completed transfer to its consumer and recycles the
@@ -429,13 +481,8 @@ func (t *xfer) intraNode() {
 	cfg := &l.m.cfg
 	service := sim.DurationFromSeconds(float64(t.payload) * 8 / cfg.MemRate)
 	t.latency = l.jittered(cfg.MemLatency)
-	l.memBus[t.srcNode-l.node0].Enqueue(service, t.memDoneFn)
-}
-
-func (t *xfer) memDone() { t.lp.e.Schedule(t.latency, t.memDeliver) }
-
-func (t *xfer) memDeliverNow() {
-	t.finish(TransferStats{Sent: t.start, Delivered: t.lp.e.Now()})
+	t.stage = stageMemDone
+	l.memBus[t.srcNode-l.node0].Enqueue(service, t.fn)
 }
 
 // attempt runs one end-to-end transmission try, on the sender's LP. A
@@ -480,7 +527,8 @@ func (t *xfer) attempt() {
 	// be forwarded (store-and-forward), then crosses one hop.
 	sfDelay := sim.DurationFromSeconds(cfg.FrameTime(t.payload)) + l.jittered(cfg.SwitchLatency)
 	t.pos = 0
-	l.e.At(txStart.Add(sfDelay), t.stepFn)
+	t.stage = stageStep
+	l.e.At(txStart.Add(sfDelay), t.fn)
 }
 
 // step traverses the next hop of the walk — a switch fabric (the 510T's
@@ -488,7 +536,8 @@ func (t *xfer) attempt() {
 // or an inter-switch segment, the chain whose saturation produces the
 // paper's Figure 4 tails — and is re-entered on each un-dropped
 // store-and-forward handoff until the path ends at the destination
-// port. A hop another LP owns moves the message there first.
+// port. A hop another LP owns moves the message there first. The stage
+// is stageStep on entry, so traverseStage's handoff re-enters step.
 //
 //detlint:hotpath
 func (t *xfer) step() {
@@ -499,15 +548,15 @@ func (t *xfer) step() {
 	}
 	h := t.path[t.pos]
 	if owner := l.m.hopLP(h); owner != l.id {
-		t.move(owner, (*xfer).step)
+		t.move(owner, stageStep)
 		return
 	}
 	t.pos++
 	var dropped bool
 	if sw, ok := cluster.IsFabricHop(h); ok {
-		dropped = l.traverseStage(l.fabrics[sw-l.sw0], -1, t.payload, true, t.stepFn)
+		dropped = l.traverseStage(l.fabrics[sw-l.sw0], -1, t.payload, true, t.fn)
 	} else {
-		dropped = l.traverseStage(l.segments[h], int(h), t.payload, false, t.stepFn)
+		dropped = l.traverseStage(l.segments[h], int(h), t.payload, false, t.fn)
 	}
 	if dropped {
 		t.retry()
@@ -546,7 +595,8 @@ func (t *xfer) arrive() {
 	}
 	wire := cfg.WireBytes(t.payload)
 	rxService := sim.DurationFromSeconds(float64(wire) * 8 / (cfg.LinkRate * lf))
-	rx.Enqueue(rxService, t.deliverFn)
+	t.stage = stageDeliver
+	rx.Enqueue(rxService, t.fn)
 }
 
 // deliver runs at the receive serializer's end time, so the LP's clock
@@ -574,7 +624,7 @@ func (t *xfer) deliver() {
 //detlint:hotpath
 func (t *xfer) retry() {
 	if src := t.lp.m.nodeLP(t.srcNode); src != t.lp.id {
-		t.move(src, (*xfer).backoff)
+		t.move(src, stageBackoff)
 		return
 	}
 	t.backoff()
@@ -604,7 +654,8 @@ func (t *xfer) backoff() {
 	if obs := l.m.retryObs; obs != nil {
 		obs(t.srcNode, t.dstNode, t.try, rto)
 	}
-	l.e.Schedule(sim.DurationFromSeconds(rto), t.retryFn)
+	t.stage = stageReattempt
+	l.e.Schedule(sim.DurationFromSeconds(rto), t.fn)
 }
 
 // reattempt runs when the retransmission timeout expires.

@@ -12,7 +12,7 @@ import (
 )
 
 // shardedTopoConfig builds a hierarchical cluster from a topology spec.
-func shardedTopoConfig(t *testing.T, spec string) cluster.Config {
+func shardedTopoConfig(t testing.TB, spec string) cluster.Config {
 	t.Helper()
 	topo, nodes, err := cluster.ParseTopology(spec)
 	if err != nil {

@@ -41,6 +41,13 @@ type Shards struct {
 	outbox [][]crossPost
 	merged []crossPost
 
+	// next[i] is LP i's next event time, so a window's start and its due
+	// test read one array instead of every engine's heap. Run fills it,
+	// runDue refreshes an LP's entry after running it, and exchange
+	// lowers an entry when a post lands ahead of that LP's queue. Only
+	// the worker running LP i writes next[i] during a window.
+	next []Time
+
 	// windows counts synchronisation windows executed (for reporting;
 	// fewer, longer windows mean the lookahead is doing its job).
 	windows uint64
@@ -78,6 +85,7 @@ func NewShards(seed uint64, nLPs int, lookahead Duration, workers int) (*Shards,
 		workers:   workers,
 		lps:       make([]*Engine, nLPs),
 		outbox:    make([][]crossPost, nLPs),
+		next:      make([]Time, nLPs),
 	}
 	for i := range s.lps {
 		s.lps[i] = NewEngine(SubSeed(seed, "shard/lp"+strconv.Itoa(i)))
@@ -86,7 +94,9 @@ func NewShards(seed uint64, nLPs int, lookahead Duration, workers int) (*Shards,
 }
 
 // LP returns the engine of logical process i. Model state owned by LP i
-// must schedule exclusively on this engine.
+// must schedule exclusively on this engine, and only before Run or from
+// LP i's own events: other LPs reach it through Post, which keeps the
+// coordinator's record of LP i's next event time exact.
 func (s *Shards) LP(i int) *Engine { return s.lps[i] }
 
 // NumLPs returns the number of logical processes.
@@ -126,13 +136,16 @@ func (s *Shards) Post(src, dst int, at Time, fn func()) {
 // order is returned so failures are as deterministic as successes.
 func (s *Shards) Run() (Time, error) {
 	errs := make([]error, len(s.lps))
+	for i, lp := range s.lps {
+		s.next[i] = lp.NextEventTime()
+	}
 	for {
 		// The next window starts at the earliest pending event anywhere
 		// (jumping idle gaps, e.g. a cluster-wide RTO sleep) and spans
 		// one lookahead.
 		start := Forever
-		for _, lp := range s.lps {
-			if t := lp.NextEventTime(); t < start {
+		for _, t := range s.next {
+			if t < start {
 				start = t
 			}
 		}
@@ -175,14 +188,16 @@ func (s *Shards) runWindow(end Time, errs []error) {
 }
 
 // runDue advances LPs first, first+stride, ... to end, skipping each
-// LP with no event due by then. Each worker owns one such stripe; one
-// worker owns them all.
+// LP with no event due by then, and records each run LP's next event
+// time. Each worker owns one such stripe; one worker owns them all.
 //
 //detlint:hotpath
 func (s *Shards) runDue(end Time, errs []error, first, stride int) {
 	for i := first; i < len(s.lps); i += stride {
-		if lp := s.lps[i]; lp.NextEventTime() <= end {
+		if s.next[i] <= end {
+			lp := s.lps[i]
 			_, errs[i] = lp.Run(end)
+			s.next[i] = lp.NextEventTime()
 		}
 	}
 }
@@ -191,7 +206,8 @@ func (s *Shards) runDue(end Time, errs []error, first, stride int) {
 // canonical order: timestamp, then source LP, then per-source posting
 // order (the stable sort preserves it). Delivery order into an engine
 // decides its tie-breaking seq numbers, so this order is part of the
-// determinism contract.
+// determinism contract. A post that lands ahead of its destination's
+// queued events lowers that LP's entry in next.
 //
 //detlint:hotpath
 func (s *Shards) exchange() {
@@ -212,6 +228,9 @@ func (s *Shards) exchange() {
 		m := &s.merged[i]
 		s.lps[m.dst].At(m.at, m.fn)
 		m.fn = nil // release the closure once handed over
+		if m.at < s.next[m.dst] {
+			s.next[m.dst] = m.at
+		}
 	}
 }
 

@@ -191,3 +191,49 @@ func TestEventPoolSlabGrowthUnderLoad(t *testing.T) {
 		t.Errorf("pool grew (%d -> %d slabs) despite %d free structs", slabs, after, n)
 	}
 }
+
+// TestShardsPostLandsAheadOfQueuedEvents: a post that lands on an LP
+// ahead of the events already queued there opens its own window. LP 0
+// posts to LP 1 at L, LP 1 replies to LP 0 at 2L, and LP 0 also holds a
+// local event at 5L; the reply forwards to LP 1 at 3L, ahead of LP 1's
+// local event at 4L. A coordinator that kept each LP's next event time
+// at its queued events would skip the reply's window, run LP 0's 5L
+// event first and then schedule the reply into LP 0's past.
+func TestShardsPostLandsAheadOfQueuedEvents(t *testing.T) {
+	const L = Duration(10 * Microsecond)
+	for _, workers := range []int{1, 2} {
+		s, err := NewShards(3, 2, L, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs := make([][]string, 2) // per LP: each runs on one worker at a time
+		note := func(lp int, what string) {
+			logs[lp] = append(logs[lp], fmt.Sprintf("%s@%v", what, s.LP(lp).Now()))
+		}
+		at := func(n int) Time { return Time(0).Add(Duration(n) * L) }
+		s.LP(0).At(at(0), func() {
+			note(0, "kick")
+			s.Post(0, 1, at(1), func() {
+				note(1, "post")
+				s.Post(1, 0, at(2), func() {
+					note(0, "reply")
+					s.Post(0, 1, at(3), func() { note(1, "forward") })
+				})
+			})
+		})
+		s.LP(0).At(at(5), func() { note(0, "local") })
+		s.LP(1).At(at(4), func() { note(1, "local") })
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := [][]string{
+			{"kick@" + at(0).String(), "reply@" + at(2).String(), "local@" + at(5).String()},
+			{"post@" + at(1).String(), "forward@" + at(3).String(), "local@" + at(4).String()},
+		}
+		for lp := range want {
+			if got := strings.Join(logs[lp], " "); got != strings.Join(want[lp], " ") {
+				t.Errorf("workers %d, LP %d ran %q, want %q", workers, lp, got, strings.Join(want[lp], " "))
+			}
+		}
+	}
+}
