@@ -128,10 +128,12 @@ serve-smoke:
 	./scripts/service_gate.sh -smoke-only
 
 # profile captures CPU and allocation pprof profiles of the quick repro
-# sweep (serial networks) and of the root BenchmarkShardedRun (a
-# 2048-node fat tree on the sharded network) into profiles/
-# (gitignored), with the benchmark's test binary beside them. Inspect
-# with `go tool pprof profiles/cpu.pprof` — see docs/PERFORMANCE.md.
+# sweep (serial networks), of the root BenchmarkShardedRun (a 2048-node
+# fat tree on the sharded network) and of internal/pevpm's
+# BenchmarkEvaluate (PEVPM replications of Jacobi, FFT and the task farm
+# at 64 processes) into profiles/ (gitignored), with each benchmark's
+# test binary beside its profiles. Inspect with
+# `go tool pprof profiles/cpu.pprof` — see docs/PERFORMANCE.md.
 # Stale artifacts are removed first: ci.sh gates on `test -s`, which a
 # leftover profile from an earlier run would satisfy even if this run
 # failed to write one.
@@ -141,7 +143,9 @@ profile:
 	$(GO) run ./cmd/repro -seed 1 -timing=false -cpuprofile profiles/cpu.pprof -memprofile profiles/allocs.pprof > /dev/null
 	$(GO) test -run '^$$' -bench '^BenchmarkShardedRun$$' -benchtime 1x -o profiles/repro.test \
 		-cpuprofile profiles/sharded_cpu.pprof -memprofile profiles/sharded_allocs.pprof .
-	@echo "profile: wrote profiles/cpu.pprof, profiles/allocs.pprof, profiles/sharded_cpu.pprof and profiles/sharded_allocs.pprof"
+	$(GO) test -run '^$$' -bench '^BenchmarkEvaluate$$' -benchtime 200x -o profiles/pevpm.test \
+		-cpuprofile profiles/pevpm_cpu.pprof -memprofile profiles/pevpm_allocs.pprof ./internal/pevpm
+	@echo "profile: wrote profiles/cpu.pprof, profiles/allocs.pprof, profiles/sharded_cpu.pprof, profiles/sharded_allocs.pprof, profiles/pevpm_cpu.pprof and profiles/pevpm_allocs.pprof"
 
 # faults-smoke exercises one fault-scenario preset end to end through
 # the CLI (schedule construction, perturbed benches, Jacobi

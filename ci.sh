@@ -13,9 +13,10 @@
 #      guard whose count depends on map order or GC timing fails here
 #      rather than as an occasional flake; then 10 s fuzz smokes of
 #      FuzzQuantile, which holds Histogram.Quantile's guide-table search
-#      to the binary search bit for bit, and of FuzzParseTopology, which
+#      to the binary search bit for bit, of FuzzParseTopology, which
 #      holds the topology grammar to errors, never panics or oversized
-#      path tables
+#      path tables, and of FuzzParse, which holds the .pvm model parser
+#      to repeatable errors and never panics
 #   3. the detlint sweep: the repository's own determinism/zero-alloc
 #      analyzers (internal/detlint, docs/DETLINT.md) over every
 #      package, warnings promoted to errors; stdlib-only, never skipped
@@ -36,8 +37,9 @@
 #      pattern smoke runs below keep the hierarchical-topology and
 #      group-to-group CLI paths exercised (docs/PATTERNS.md)
 #   7. the pprof smoke: `make profile` must produce non-empty CPU and
-#      allocation profiles of the serial figure sweep and of a sharded
-#      2048-node run (tooling stays usable; timing not gated)
+#      allocation profiles of the serial figure sweep, of a sharded
+#      2048-node run and of PEVPM evaluations (tooling stays usable;
+#      timing not gated)
 #   8. the benchmark CI-overlap gate against BENCH_baseline.json:
 #      metrics are replicated interval cells, and a metric fails only
 #      when its interval and the baseline's are disjoint (wall metrics:
@@ -60,6 +62,7 @@ go test -race ./...
 go test -count=20 -run Alloc ./internal/...
 go test -run '^$' -fuzz '^FuzzQuantile$' -fuzztime 10s ./internal/stats
 go test -run '^$' -fuzz '^FuzzParseTopology$' -fuzztime 10s ./internal/cluster
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/pevpm
 make detlint
 make lint
 make determinism
@@ -76,6 +79,8 @@ test -s profiles/cpu.pprof
 test -s profiles/allocs.pprof
 test -s profiles/sharded_cpu.pprof
 test -s profiles/sharded_allocs.pprof
+test -s profiles/pevpm_cpu.pprof
+test -s profiles/pevpm_allocs.pprof
 make bench-check
 make coverage
 make service-gate

@@ -122,9 +122,9 @@ func main() {
 	n := float64(len(rep.Breakdowns))
 	fmt.Printf("per-process averages: compute %.6fs, send %.6fs, receive-wait %.6fs\n",
 		compute/n, send/n, wait/n)
-	if *hotspots > 0 && len(rep.HotSpots) > 0 {
+	if hot := rep.HotSpots(); *hotspots > 0 && len(hot) > 0 {
 		fmt.Println("\ntop waiting directives:")
-		for i, h := range rep.HotSpots {
+		for i, h := range hot {
 			if i >= *hotspots {
 				break
 			}

@@ -81,7 +81,7 @@ func main() {
 	}
 	fmt.Println("\ntop waiting directives at 32 processes (the master deals and")
 	fmt.Println("collects serially, so workers queue on rank 0):")
-	for i, h := range rep.HotSpots {
+	for i, h := range rep.HotSpots() {
 		if i >= 3 {
 			break
 		}

@@ -33,7 +33,6 @@ package metrics
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Label is one key=value dimension of a metric (e.g. node="3").
@@ -158,24 +157,30 @@ func NewRegistry() *Registry {
 // key builds the canonical identity "pkg/name{k=v,...}" with labels in
 // key order.
 func key(pkg, name string, labels []Label) string {
+	// A key of up to 128 bytes is built on the stack, so the string is
+	// its only allocation.
+	var buf [128]byte
+	return string(appendKey(buf[:0], pkg, name, labels))
+}
+
+// appendKey appends key(pkg, name, labels) to dst.
+func appendKey(dst []byte, pkg, name string, labels []Label) []byte {
+	dst = append(dst, pkg...)
+	dst = append(dst, '/')
+	dst = append(dst, name...)
 	if len(labels) == 0 {
-		return pkg + "/" + name
+		return dst
 	}
-	var b strings.Builder
-	b.WriteString(pkg)
-	b.WriteByte('/')
-	b.WriteString(name)
-	b.WriteByte('{')
+	dst = append(dst, '{')
 	for i, l := range labels {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
+		dst = append(dst, l.Key...)
+		dst = append(dst, '=')
+		dst = append(dst, l.Value...)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(dst, '}')
 }
 
 // register returns the entry for (pkg, name, labels), creating it on

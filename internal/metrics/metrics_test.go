@@ -162,6 +162,32 @@ func TestAggregateSnapshotAllocsPerPoint(t *testing.T) {
 	}
 }
 
+// TestAggregateMergeAllocsWarm: merging a snapshot whose points the
+// aggregate already holds allocates nothing, the way a replication loop
+// or a sharded network's LP fold merges the same instruments over and
+// over. Building each point's Key() string would cost one object per
+// labelled point.
+func TestAggregateMergeAllocsWarm(t *testing.T) {
+	r := NewRegistry()
+	const segments = 200
+	for s := 0; s < segments; s++ {
+		seg := L("segment", strconv.Itoa(s))
+		r.Counter("net", "segment_bytes_total", seg, L("dir", "up")).Add(uint64(s))
+		r.Gauge("net", "segment_backlog_ns_max", seg).SetMax(int64(s))
+		r.Histogram("net", "segment_queue_depth", []int64{0, 1, 4}, seg).Observe(int64(s % 6))
+	}
+	s := r.Snapshot()
+	a := NewAggregate()
+	a.Merge(s)
+	if got := testing.AllocsPerRun(10, func() { a.Merge(s) }); got != 0 {
+		t.Errorf("warm Merge of %d points made %.0f allocations, want 0", 3*segments, got)
+	}
+	c, _ := a.Snapshot().Counter("net", "segment_bytes_total", L("segment", "7"), L("dir", "up"))
+	if want := uint64(7 * 12); c != want {
+		t.Errorf("segment 7 bytes after 12 merges = %d, want %d", c, want)
+	}
+}
+
 func TestAggregateMergeSemantics(t *testing.T) {
 	cell := func(n uint64, g int64, obs []int64) Snapshot {
 		r := NewRegistry()

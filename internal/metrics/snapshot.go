@@ -146,6 +146,11 @@ type Aggregate struct {
 	counters map[string]*CounterPoint
 	gauges   map[string]*GaugePoint
 	hists    map[string]*HistogramPoint
+
+	// key is Merge's scratch for one point's Key(). A lookup by
+	// string(key) builds no string, so only a key Merge inserts costs
+	// one.
+	key []byte
 }
 
 // NewAggregate returns an empty aggregate.
@@ -162,41 +167,41 @@ func NewAggregate() *Aggregate {
 // programming error and panics).
 func (a *Aggregate) Merge(s Snapshot) {
 	for _, p := range s.Counters {
-		id := p.Key()
-		if have, ok := a.counters[id]; ok {
+		a.key = appendKey(a.key[:0], p.Pkg, p.Name, p.Labels)
+		if have, ok := a.counters[string(a.key)]; ok {
 			have.Value += p.Value
 		} else {
 			cp := p
-			a.counters[id] = &cp
+			a.counters[string(a.key)] = &cp
 		}
 	}
 	for _, p := range s.Gauges {
-		id := p.Key()
-		if have, ok := a.gauges[id]; ok {
+		a.key = appendKey(a.key[:0], p.Pkg, p.Name, p.Labels)
+		if have, ok := a.gauges[string(a.key)]; ok {
 			if p.Value > have.Value {
 				have.Value = p.Value
 			}
 		} else {
 			gp := p
-			a.gauges[id] = &gp
+			a.gauges[string(a.key)] = &gp
 		}
 	}
 	for _, p := range s.Histograms {
-		id := p.Key()
-		have, ok := a.hists[id]
+		a.key = appendKey(a.key[:0], p.Pkg, p.Name, p.Labels)
+		have, ok := a.hists[string(a.key)]
 		if !ok {
 			hp := p
 			hp.Bounds = append([]int64(nil), p.Bounds...)
 			hp.Counts = append([]uint64(nil), p.Counts...)
-			a.hists[id] = &hp
+			a.hists[string(a.key)] = &hp
 			continue
 		}
 		if len(have.Bounds) != len(p.Bounds) {
-			panic(fmt.Sprintf("metrics: merging %s with different bucket bounds", id))
+			panic(fmt.Sprintf("metrics: merging %s with different bucket bounds", a.key))
 		}
 		for i, b := range p.Bounds {
 			if have.Bounds[i] != b {
-				panic(fmt.Sprintf("metrics: merging %s with different bucket bounds", id))
+				panic(fmt.Sprintf("metrics: merging %s with different bucket bounds", a.key))
 			}
 		}
 		for i, c := range p.Counts {

@@ -73,7 +73,7 @@ func TestCollectiveDirectiveTiming(t *testing.T) {
 	}
 	// The collective shows up in the hot spots.
 	found := false
-	for _, h := range rep.HotSpots {
+	for _, h := range rep.HotSpots() {
 		if strings.Contains(h.Directive, "MPI_Bcast") {
 			found = true
 		}

@@ -208,7 +208,7 @@ func runGoldenCase(c goldenCase) goldenResult {
 	for _, b := range rep.Breakdowns {
 		g.Breakdowns = append(g.Breakdowns, [3]string{exact(b.Compute), exact(b.SendBusy), exact(b.RecvWait)})
 	}
-	for _, h := range rep.HotSpots {
+	for _, h := range rep.HotSpots() {
 		g.HotSpots = append(g.HotSpots, [2]string{h.Directive, exact(h.Wait)})
 	}
 	if opts.Trace != nil {

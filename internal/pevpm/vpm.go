@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -63,7 +64,10 @@ type Report struct {
 	Sweeps       int       // sweep/match rounds executed
 	MessagesSent uint64
 	Breakdowns   []Breakdown
-	HotSpots     []HotSpot // sorted by descending wait
+
+	// hot is the machine's hot-spot slot table, ranked and formatted
+	// only when a caller asks for HotSpots.
+	hot []hotSpot
 
 	// Metrics is the evaluation's instrument snapshot: Monte-Carlo draws
 	// per distribution, sweep rounds, messages. Each evaluation owns its
@@ -767,7 +771,7 @@ func (m *machine) nodeOf(proc int) int {
 //detlint:hotpath
 func (m *machine) match() bool {
 	progress := false
-	slices.SortFunc(m.pending, byDepartSeq)
+	orderPending(m.pending)
 	// Contention is counted separately for the network and for the
 	// intra-node loopback path: a message between two CPUs of one node
 	// does not occupy the NIC or switch fabric.
@@ -848,6 +852,44 @@ func byDepartSeq(a, b *flight) int {
 	return cmp.Compare(a.seq, b.seq)
 }
 
+// after reports whether a sorts after b in byDepartSeq order. Distinct
+// numbers decide without the call; equal departs and NaNs take it.
+func after(a, b *flight) bool {
+	if a.depart < b.depart {
+		return false
+	}
+	return a.depart > b.depart || byDepartSeq(a, b) > 0
+}
+
+// orderPending sorts the pending flights into byDepartSeq order. Each
+// process appends its sends in (depart, seq) order and processes step
+// in id order, so pending is a few ascending runs and one insertion
+// pass moves little. Seqs are unique, so byDepartSeq is a total order
+// and any correct sort, this pass included, gives the same order. Past
+// about 4n(log2 n + 1) moves the pass hands the rest to
+// slices.SortFunc, so no input costs more than a few sorts.
+//
+//detlint:hotpath
+func orderPending(fs []*flight) {
+	budget := 4 * len(fs) * bits.Len(uint(len(fs)))
+	for i := 1; i < len(fs); i++ {
+		f := fs[i]
+		if !after(fs[i-1], f) {
+			continue
+		}
+		j := i - 1
+		for j > 0 && after(fs[j-1], f) {
+			j--
+		}
+		copy(fs[j+1:i+1], fs[j:i])
+		fs[j] = f
+		if budget -= i - j; budget < 0 {
+			slices.SortFunc(fs, byDepartSeq)
+			return
+		}
+	}
+}
+
 func (m *machine) deadlockError() error {
 	var stuck []string
 	for i := range m.procs {
@@ -873,6 +915,7 @@ func (m *machine) report() *Report {
 		Sweeps:       m.sweeps,
 		MessagesSent: m.sent,
 		Breakdowns:   make([]Breakdown, len(m.procs)),
+		hot:          m.hot,
 	}
 	for i := range m.procs {
 		p := &m.procs[i]
@@ -882,19 +925,28 @@ func (m *machine) report() *Report {
 			r.Makespan = p.now
 		}
 	}
-	// Every process ran all its ops, so every slot holds a completed wait.
-	if len(m.hot) > 0 {
-		r.HotSpots = make([]HotSpot, len(m.hot))
-		for i, h := range m.hot {
-			r.HotSpots[i] = HotSpot{Directive: h.node.describe(), Wait: h.wait}
-		}
-		slices.SortFunc(r.HotSpots, byWaitDesc)
-	}
 	m.reg.Counter("pevpm", "replications_total").Inc()
 	m.reg.Counter("pevpm", "sweeps_total").Add(uint64(m.sweeps))
 	m.reg.Counter("pevpm", "messages_sent_total").Add(m.sent)
 	r.Metrics = m.reg.Snapshot()
 	return r
+}
+
+// HotSpots ranks the receive and collective directives the processes
+// reached by their total wait, descending, then by directive text. Every
+// process ran all its ops, so every slot holds a completed wait. Each
+// call builds a new list, so a Report stays safe to read concurrently;
+// the replication loops that never read it never format it.
+func (r *Report) HotSpots() []HotSpot {
+	if len(r.hot) == 0 {
+		return nil
+	}
+	out := make([]HotSpot, len(r.hot))
+	for i, h := range r.hot {
+		out[i] = HotSpot{Directive: h.node.describe(), Wait: h.wait}
+	}
+	slices.SortFunc(out, byWaitDesc)
+	return out
 }
 
 // byWaitDesc orders hot spots by descending wait, then by directive.

@@ -218,11 +218,12 @@ func TestHotSpotsIdentifyWait(t *testing.T) {
 		},
 	}}
 	rep := mustEval(t, prog, Options{Procs: 2, DB: constDB(1e-4, 0, 0, 1<<20)})
-	if len(rep.HotSpots) == 0 {
+	hot := rep.HotSpots()
+	if len(hot) == 0 {
 		t.Fatal("no hot spots reported")
 	}
-	if rep.HotSpots[0].Wait < 2.0 {
-		t.Errorf("top hot spot wait = %v, want >= 2s of blocked time", rep.HotSpots[0].Wait)
+	if hot[0].Wait < 2.0 {
+		t.Errorf("top hot spot wait = %v, want >= 2s of blocked time", hot[0].Wait)
 	}
 }
 

@@ -393,7 +393,7 @@ func (s *Service) predict(req *Request, prog *pevpm.Program, base pevpm.PerfDB,
 	if n := float64(len(detail.Breakdowns)); n > 0 {
 		pred.Breakdown = Breakdown{Compute: compute / n, SendBusy: send / n, RecvWait: wait / n}
 	}
-	for i, h := range detail.HotSpots {
+	for i, h := range detail.HotSpots() {
 		if i >= 5 {
 			break
 		}

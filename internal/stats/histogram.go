@@ -232,7 +232,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if q >= 1 {
 		return h.sum.Max
 	}
-	h.rebuild()
+	// rebuild is not inlined: test its memo here, so a frozen histogram's
+	// draw makes no call for it.
+	if h.dirty || h.cumBins == nil {
+		h.rebuild()
+	}
 	target := q * float64(h.sum.N)
 	// Lower bound: the first cumulative total >= target, scanned forward
 	// from q's guide entry. For q < 1, q*K rounds below K, so the bucket
