@@ -15,8 +15,10 @@
 #      FuzzQuantile, which holds Histogram.Quantile's guide-table search
 #      to the binary search bit for bit, of FuzzParseTopology, which
 #      holds the topology grammar to errors, never panics or oversized
-#      path tables, and of FuzzParse, which holds the .pvm model parser
-#      to repeatable errors and never panics
+#      path tables, of FuzzParse, which holds the .pvm model parser to
+#      repeatable errors and never panics, and of FuzzEval, which holds
+#      the expression evaluator to repeatable results and its printer to
+#      a precedence-preserving round trip
 #   3. the detlint sweep: the repository's own determinism/zero-alloc
 #      analyzers (internal/detlint, docs/DETLINT.md) over every
 #      package, warnings promoted to errors; stdlib-only, never skipped
@@ -63,6 +65,7 @@ go test -count=20 -run Alloc ./internal/...
 go test -run '^$' -fuzz '^FuzzQuantile$' -fuzztime 10s ./internal/stats
 go test -run '^$' -fuzz '^FuzzParseTopology$' -fuzztime 10s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/pevpm
+go test -run '^$' -fuzz '^FuzzEval$' -fuzztime 10s ./internal/pevpm
 make detlint
 make lint
 make determinism

@@ -192,6 +192,7 @@ func main() {
 				s.Rank, s.Sends, s.Recvs, s.Compute, s.RecvWait)
 		}
 	}
+	fmt.Print(tl.TruncationNote())
 	if *chromeOut != "" {
 		f, err := os.Create(*chromeOut)
 		if err != nil {

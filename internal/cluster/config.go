@@ -185,16 +185,6 @@ func (c *Config) NumSwitches() int {
 	return (c.Nodes + c.PortsPerSwitch - 1) / c.PortsPerSwitch
 }
 
-// SwitchOf returns the switch a node's port belongs to (its leaf switch
-// under a hierarchical topology; leaf IDs coincide with flat switch
-// IDs).
-func (c *Config) SwitchOf(node int) int {
-	if node < 0 || node >= c.Nodes {
-		panic(fmt.Sprintf("cluster: node %d out of range [0,%d)", node, c.Nodes))
-	}
-	return node / c.PortsPerSwitch
-}
-
 // NumSegments returns how many inter-switch channels the machine has:
 // the topology's links, or the flat daisy-chain's switch-to-switch
 // stacking segments. Fault rules of kind BackplaneDegrade target these
@@ -234,12 +224,6 @@ func (c *Config) FrameTime(payload int) float64 {
 		payload = c.MTU
 	}
 	return float64(c.WireBytes(payload)) * 8 / c.LinkRate
-}
-
-// TransmitTime returns the seconds a payload of the given size occupies a
-// link of the given rate, including framing overhead.
-func (c *Config) TransmitTime(payload int, rate float64) float64 {
-	return float64(c.WireBytes(payload)) * 8 / rate
 }
 
 // Frames returns how many Ethernet frames carry a payload.

@@ -133,18 +133,3 @@ func (p Placement) SlotOf(rank int) int {
 	}
 	return rank % p.PerNode
 }
-
-// SameNode reports whether two ranks share a node (and hence a NIC).
-func (p Placement) SameNode(a, b int) bool { return p.NodeOf(a) == p.NodeOf(b) }
-
-// StandardSweep returns the paper's benchmark configurations: n×p for
-// n ∈ {2,4,8,16,32,64} (capped at the machine) and p ∈ {1..CPUsPerNode}.
-func StandardSweep(cfg *Config) []Placement {
-	var out []Placement
-	for p := 1; p <= cfg.CPUsPerNode; p++ {
-		for n := 2; n <= 64 && n <= cfg.Nodes; n *= 2 {
-			out = append(out, Placement{NodeCount: n, PerNode: p})
-		}
-	}
-	return out
-}

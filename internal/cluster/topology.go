@@ -93,9 +93,6 @@ func (t *Topology) NumSegments() int { return len(t.Links) }
 // Capacity returns the number of node ports the leaves provide.
 func (t *Topology) Capacity() int { return t.Leaves * t.LeafPorts }
 
-// LeafOf returns the leaf switch a node attaches to.
-func (t *Topology) LeafOf(node int) int { return node / t.LeafPorts }
-
 // PathHops returns the encoded hop sequence between two leaves. The
 // returned slice is shared and must not be modified.
 func (t *Topology) PathHops(srcLeaf, dstLeaf int) []int32 {

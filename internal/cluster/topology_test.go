@@ -73,10 +73,6 @@ func TestFatTreeGenerator(t *testing.T) {
 	if err := topo.Validate(); err != nil {
 		t.Error(err)
 	}
-	// Node attachment.
-	if topo.LeafOf(0) != 0 || topo.LeafOf(31) != 0 || topo.LeafOf(32) != 1 || topo.LeafOf(2047) != 63 {
-		t.Error("LeafOf broken")
-	}
 }
 
 func TestDragonflyGenerator(t *testing.T) {
@@ -382,7 +378,7 @@ func FuzzParseTopology(f *testing.F) {
 		if err := topo.Validate(); err != nil {
 			t.Fatalf("%q: %v", spec, err)
 		}
-		if nodes < 1 || nodes > topo.Capacity() || topo.LeafOf(nodes-1) >= topo.Leaves {
+		if nodes < 1 || nodes > topo.Capacity() || (nodes-1)/topo.LeafPorts >= topo.Leaves {
 			t.Fatalf("%q: %d nodes do not fit %d leaves of %d ports", spec, nodes, topo.Leaves, topo.LeafPorts)
 		}
 	})

@@ -10,7 +10,7 @@
 // real go/analysis framework is a mechanical change of the Run
 // signature.
 //
-// Four analyzer families ship today (see docs/DETLINT.md for the full
+// Five analyzer families ship today (see docs/DETLINT.md for the full
 // rule catalogue and escape-hatch grammar):
 //
 //   - wallclock: no nondeterministic input sources (time.Now, global
@@ -25,6 +25,9 @@
 //   - rng: every RNG must be a named engine stream or a per-cell
 //     substream derived via sim.SubSeed/sim.NewCellRNG, so sweep cells
 //     can never couple.
+//   - unused: every exported identifier of an internal/ package is
+//     referenced by some non-test code in the module, or carries a
+//     //detlint:allow unused hatch saying why it stays.
 package detlint
 
 import (
@@ -124,9 +127,9 @@ type Analyzer struct {
 	Run               func(*Pass)
 }
 
-// All lists the four analyzer families in their canonical order.
+// All lists the five analyzer families in their canonical order.
 func All() []*Analyzer {
-	return []*Analyzer{WallclockAnalyzer, MapRangeAnalyzer, HotPathAnalyzer, RNGAnalyzer}
+	return []*Analyzer{WallclockAnalyzer, MapRangeAnalyzer, HotPathAnalyzer, RNGAnalyzer, UnusedAnalyzer}
 }
 
 // DefaultDeterministic names the packages subject to the determinism
@@ -208,6 +211,7 @@ type Pass struct {
 	// Deterministic reports whether the determinism analyzers apply.
 	Deterministic bool
 
+	tree       *tree
 	analyzer   string
 	directives *directiveSet
 	findings   *[]Finding
@@ -262,6 +266,7 @@ func RunPackages(pkgs []*Package, cfg Config) []Finding {
 			Path:          pkg.Path,
 			Rel:           pkg.Rel,
 			Deterministic: cfg.deterministic(pkg.Rel),
+			tree:          pkg.tree,
 			directives:    ds,
 			findings:      &findings,
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -41,16 +42,11 @@ func runFixture(t *testing.T, name string, analyzers ...*Analyzer) []Finding {
 var wantRe = regexp.MustCompile(`//\s*want\s+(.*)$`)
 var quotedRe = regexp.MustCompile(`"(?:[^"\\]|\\.)*"`)
 
-// collectWants parses the `// want` comments of every fixture file,
-// keyed by "file:line" using the same module-relative labels findings
-// carry.
-func collectWants(t *testing.T, name string) map[string][]string {
+// collectWants parses the `// want` comments of every Go file in the
+// directory rel below root, keyed by "file:line" using the same
+// root-relative labels findings carry.
+func collectWants(t *testing.T, root, rel string) map[string][]string {
 	t.Helper()
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := "internal/detlint/testdata/src/" + name
 	dir := filepath.Join(root, filepath.FromSlash(rel))
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -87,10 +83,20 @@ func collectWants(t *testing.T, name string) map[string][]string {
 	return wants
 }
 
-// checkFixture matches findings against want comments, both ways.
+// checkFixture matches findings against the want comments of fixture
+// package name, both ways.
 func checkFixture(t *testing.T, name string, findings []Finding) {
 	t.Helper()
-	wants := collectWants(t, name)
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWants(t, collectWants(t, root, "internal/detlint/testdata/src/"+name), findings)
+}
+
+// checkWants matches findings against want comments, both ways.
+func checkWants(t *testing.T, wants map[string][]string, findings []Finding) {
+	t.Helper()
 	for _, f := range findings {
 		key := fmt.Sprintf("%s:%d", f.File, f.Line)
 		matched := -1
@@ -127,6 +133,59 @@ func TestHotPathFixture(t *testing.T) {
 
 func TestRNGFixture(t *testing.T) {
 	checkFixture(t, "rng", runFixture(t, "rng", RNGAnalyzer))
+}
+
+// TestUnusedFixture runs the unused analyzer over a module of its own
+// under testdata/unused, since it gathers references from a whole tree:
+// internal/lib declares, cmd/app and a nested module (with its own
+// go.mod, like perfbench/) call, and lib_test.go's calls do not count.
+// The findings must be the same whether the command line names the
+// package alone or the whole tree.
+func TestUnusedFixture(t *testing.T) {
+	repo, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := filepath.Join(repo, "internal", "detlint", "testdata", "unused")
+	run := func(pattern string) []Finding {
+		pkgs, err := LoadPackages(root, []string{pattern})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RunPackages(pkgs, Config{Analyzers: []*Analyzer{UnusedAnalyzer}})
+	}
+	alone, tree := run("./internal/lib"), run("./...")
+	if !reflect.DeepEqual(alone, tree) {
+		t.Errorf("the package alone and the whole tree disagree:\n%s--- vs ---\n%s",
+			findingLines(alone), findingLines(tree))
+	}
+	// The stale hatch's finding lands on the directive line itself, so
+	// it cannot carry a want comment; match it here and the rest below.
+	const lib = "internal/lib/lib.go"
+	src, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(lib)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	staleLine := 0
+	for i, line := range strings.Split(string(src), "\n") {
+		if strings.Contains(line, "fixture: suppresses nothing") {
+			staleLine = i + 1
+		}
+	}
+	var rest []Finding
+	stale := 0
+	for _, f := range alone {
+		if f.File == lib && f.Line == staleLine && f.Rule == "unused-directive" {
+			stale++
+			continue
+		}
+		rest = append(rest, f)
+	}
+	if stale != 1 {
+		t.Errorf("the hatch at %s:%d that suppresses nothing gave %d unused-directive findings, want 1",
+			lib, staleLine, stale)
+	}
+	checkWants(t, collectWants(t, root, "internal/lib"), rest)
 }
 
 // TestDirectiveFixture pins the malformed/stale-directive findings,

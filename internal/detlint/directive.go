@@ -50,6 +50,7 @@ var knownAnalyzers = map[string]bool{
 	"maprange":  true,
 	"hotpath":   true,
 	"rng":       true,
+	"unused":    true,
 }
 
 // collectDirectives parses every //detlint: comment in the package.
@@ -116,7 +117,7 @@ func (ds *directiveSet) add(pos token.Position, text string) {
 			return
 		}
 		if !knownAnalyzers[fields[1]] {
-			bad("//detlint:allow names unknown analyzer %q (known: wallclock, maprange, hotpath, rng)", fields[1])
+			bad("//detlint:allow names unknown analyzer %q (known: wallclock, maprange, hotpath, rng, unused)", fields[1])
 			return
 		}
 		if !hasReason || reason == "" {

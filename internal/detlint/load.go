@@ -24,6 +24,8 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	tree *tree // the packages this one was loaded with
 }
 
 // LoadPackages parses and typechecks the non-test Go files of every
@@ -36,7 +38,7 @@ type Package struct {
 // that). Type errors in the target package fail the load: detlint
 // reasons about types, so an untypeable package cannot be linted.
 func LoadPackages(root string, patterns []string) ([]*Package, error) {
-	modPath, err := modulePath(root)
+	t, err := newTree(root)
 	if err != nil {
 		return nil, err
 	}
@@ -44,11 +46,9 @@ func LoadPackages(root string, patterns []string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
 	var pkgs []*Package
 	for _, rel := range dirs {
-		pkg, err := loadOne(root, modPath, rel, fset, imp)
+		pkg, err := t.load(rel)
 		if err != nil {
 			return nil, err
 		}
@@ -62,8 +62,111 @@ func LoadPackages(root string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-func loadOne(root, modPath, rel string, fset *token.FileSet, imp types.Importer) (*Package, error) {
-	dir := filepath.Join(root, filepath.FromSlash(rel))
+// A tree is every Go package under a module root: the root module's and
+// those of modules nested below it (perfbench/ has its own go.mod and
+// imports the root module's internal/ packages). It typechecks each
+// package once and serves it to the others as an import, so an object
+// has one identity across the tree; only packages from outside the
+// tree (the standard library) come from the source importer.
+type tree struct {
+	root    string
+	fset    *token.FileSet
+	std     types.Importer
+	dirs    map[string]string   // import path -> module-relative dir, for the "./..." walk
+	loaded  map[string]*Package // by module-relative dir
+	loading map[string]bool
+	refs    *references // built on first use by the unused analyzer
+}
+
+func newTree(root string) (*tree, error) {
+	if _, err := modulePath(root); err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	t := &tree{
+		root:    root,
+		fset:    fset,
+		std:     importer.ForCompiler(fset, "source", nil),
+		dirs:    make(map[string]string),
+		loaded:  make(map[string]*Package),
+		loading: make(map[string]bool),
+	}
+	rels, err := expandPatterns(root, []string{"./..."})
+	if err != nil {
+		return nil, err
+	}
+	for _, rel := range rels {
+		importPath, err := t.importPath(rel)
+		if err != nil {
+			return nil, err
+		}
+		t.dirs[importPath] = rel
+	}
+	return t, nil
+}
+
+// importPath is the import path of the package in module-relative
+// directory rel: the module path of the nearest go.mod at or above it,
+// joined with the directory's path below that go.mod.
+func (t *tree) importPath(rel string) (string, error) {
+	dir := rel
+	for {
+		modPath, err := modulePath(filepath.Join(t.root, filepath.FromSlash(dir)))
+		if err == nil {
+			return path.Join(modPath, strings.TrimPrefix(strings.TrimPrefix(rel, dir), "/")), nil
+		}
+		if dir == "" {
+			return "", err
+		}
+		if dir = path.Dir(dir); dir == "." {
+			dir = ""
+		}
+	}
+}
+
+// Import makes the tree a types.Importer for the packages it loads.
+func (t *tree) Import(importPath string) (*types.Package, error) {
+	rel, ok := t.dirs[importPath]
+	if !ok {
+		return t.std.Import(importPath)
+	}
+	pkg, err := t.load(rel)
+	if err != nil {
+		return nil, err
+	}
+	return pkg.Types, nil
+}
+
+// all loads every package of the "./..." walk, in directory order.
+func (t *tree) all() ([]*Package, error) {
+	rels := make([]string, 0, len(t.dirs))
+	for _, rel := range t.dirs {
+		rels = append(rels, rel)
+	}
+	sort.Strings(rels)
+	pkgs := make([]*Package, 0, len(rels))
+	for _, rel := range rels {
+		pkg, err := t.load(rel)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
+}
+
+// load parses and typechecks the package in module-relative directory
+// rel once; it returns nil for a directory without non-test Go files.
+func (t *tree) load(rel string) (*Package, error) {
+	if pkg, ok := t.loaded[rel]; ok {
+		return pkg, nil
+	}
+	if t.loading[rel] {
+		return nil, fmt.Errorf("detlint: import cycle through %s", rel)
+	}
+	t.loading[rel] = true
+	defer delete(t.loading, rel)
+	dir := filepath.Join(t.root, filepath.FromSlash(rel))
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("detlint: %v", err)
@@ -82,18 +185,19 @@ func loadOne(root, modPath, rel string, fset *token.FileSet, imp types.Importer)
 		if err != nil {
 			return nil, fmt.Errorf("detlint: %v", err)
 		}
-		f, err := parser.ParseFile(fset, label, src, parser.ParseComments)
+		f, err := parser.ParseFile(t.fset, label, src, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("detlint: %v", err)
 		}
 		files = append(files, f)
 	}
 	if len(files) == 0 {
+		t.loaded[rel] = nil
 		return nil, nil
 	}
-	importPath := modPath
-	if rel != "" {
-		importPath = modPath + "/" + rel
+	importPath, err := t.importPath(rel)
+	if err != nil {
+		return nil, err
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -101,12 +205,14 @@ func loadOne(root, modPath, rel string, fset *token.FileSet, imp types.Importer)
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(importPath, fset, files, info)
+	conf := types.Config{Importer: t}
+	tpkg, err := conf.Check(importPath, t.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("detlint: typecheck %s: %v", importPath, err)
 	}
-	return &Package{Path: importPath, Rel: rel, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+	pkg := &Package{Path: importPath, Rel: rel, Fset: t.fset, Files: files, Types: tpkg, Info: info, tree: t}
+	t.loaded[rel] = pkg
+	return pkg, nil
 }
 
 // expandPatterns resolves package patterns to sorted module-relative

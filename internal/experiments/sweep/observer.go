@@ -38,9 +38,6 @@ func NewObserver() *Observer {
 // Snapshot returns the deterministic instruments.
 func (o *Observer) Snapshot() metrics.Snapshot { return o.reg.Snapshot() }
 
-// SnapshotAll includes the volatile worker-skew gauge, for humans.
-func (o *Observer) SnapshotAll() metrics.Snapshot { return o.reg.SnapshotAll() }
-
 // begin records the start of one sweep of n cells.
 func (o *Observer) begin(n int) {
 	if o == nil {

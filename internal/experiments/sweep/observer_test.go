@@ -39,7 +39,7 @@ func TestObserverDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestObserverVolatileExcluded checks worker_cells_max stays out of the
-// deterministic snapshot but is visible to humans via SnapshotAll.
+// deterministic snapshot but is kept in the registry's full snapshot.
 func TestObserverVolatileExcluded(t *testing.T) {
 	obs := NewObserver()
 	if err := RunObserved(4, 16, obs, func(i int) error { return nil }); err != nil {
@@ -48,7 +48,7 @@ func TestObserverVolatileExcluded(t *testing.T) {
 	if _, ok := obs.Snapshot().Gauge("sweep", "worker_cells_max"); ok {
 		t.Error("volatile worker_cells_max leaked into the deterministic snapshot")
 	}
-	v, ok := obs.SnapshotAll().Gauge("sweep", "worker_cells_max")
+	v, ok := obs.reg.SnapshotAll().Gauge("sweep", "worker_cells_max")
 	if !ok || v < 1 {
 		t.Errorf("worker_cells_max = %d (ok=%v), want >= 1 in SnapshotAll", v, ok)
 	}

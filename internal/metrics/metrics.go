@@ -103,12 +103,6 @@ func (h *Histogram) Observe(v int64) {
 	h.count++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 { return h.sum }
-
 // kind discriminates registry entries.
 type kind int
 
@@ -222,14 +216,8 @@ func (r *Registry) Histogram(pkg, name string, bounds []int64, labels ...Label) 
 	return initHist(e, bounds)
 }
 
-// VolatileCounter registers a counter excluded from deterministic
-// snapshots (see the package comment).
-func (r *Registry) VolatileCounter(pkg, name string, labels ...Label) *Counter {
-	return &r.register(pkg, name, labels, kindCounter, true).c
-}
-
 // VolatileGauge registers a high-water gauge excluded from
-// deterministic snapshots.
+// deterministic snapshots (see the package comment).
 func (r *Registry) VolatileGauge(pkg, name string, labels ...Label) *Gauge {
 	return &r.register(pkg, name, labels, kindGauge, true).g
 }

@@ -28,12 +28,12 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	for _, v := range []int64{0, 0, 1, 3, 9} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 || h.Sum() != 13 {
-		t.Errorf("histogram count %d sum %d, want 5 and 13", h.Count(), h.Sum())
-	}
 	p, ok := r.Snapshot().Histogram("net", "tries")
 	if !ok {
 		t.Fatal("histogram missing from snapshot")
+	}
+	if p.Count != 5 || p.Sum != 13 {
+		t.Errorf("histogram count %d sum %d, want 5 and 13", p.Count, p.Sum)
 	}
 	want := []uint64{2, 1, 0, 1, 1} // <=0, <=1, <=2, <=5, overflow
 	for i, c := range want {
@@ -68,7 +68,7 @@ func TestSnapshotStableOrderAndVolatile(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b", "two").Inc()
 	r.Counter("a", "one").Inc()
-	r.VolatileCounter("z", "scheduling_dependent").Inc()
+	r.VolatileGauge("z", "scheduling_dependent").SetMax(1)
 
 	s := r.Snapshot()
 	if len(s.Counters) != 2 {
@@ -77,8 +77,8 @@ func TestSnapshotStableOrderAndVolatile(t *testing.T) {
 	if s.Counters[0].Key() != "a/one" || s.Counters[1].Key() != "b/two" {
 		t.Errorf("snapshot not sorted by key: %v", []string{s.Counters[0].Key(), s.Counters[1].Key()})
 	}
-	if _, ok := r.SnapshotAll().Counter("z", "scheduling_dependent"); !ok {
-		t.Error("SnapshotAll lost the volatile counter")
+	if _, ok := r.SnapshotAll().Gauge("z", "scheduling_dependent"); !ok {
+		t.Error("SnapshotAll lost the volatile gauge")
 	}
 }
 

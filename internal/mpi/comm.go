@@ -24,15 +24,11 @@ type Request struct {
 	// Receive matching key.
 	ctx, src, tag int
 
-	env         *envelope
-	done        bool
-	st          Status
-	completedAt sim.Time
-	cpuCharged  bool
+	env        *envelope
+	done       bool
+	st         Status
+	cpuCharged bool
 }
-
-// Done reports whether the operation has completed (test without blocking).
-func (r *Request) Done() bool { return r.done }
 
 // Comm is one rank's handle to the job — the equivalent of
 // MPI_COMM_WORLD seen from that rank. All methods must be called from
@@ -51,9 +47,6 @@ func (c *Comm) Size() int { return c.w.Size() }
 
 // Now returns the current virtual time.
 func (c *Comm) Now() sim.Time { return c.proc.Now() }
-
-// World returns the job this communicator belongs to.
-func (c *Comm) World() *World { return c.w }
 
 // hostCost occupies the rank's CPU for an MPI-call overhead: a base cost
 // plus a per-byte copy cost, with multiplicative jitter and occasional
@@ -216,32 +209,6 @@ func (c *Comm) Waitall(rs ...*Request) {
 	}
 }
 
-// Waitany blocks until at least one request completes, and returns the
-// index of the earliest-completing one along with its status.
-func (c *Comm) Waitany(rs []*Request) (int, Status) {
-	if len(rs) == 0 {
-		panic("mpi: Waitany on empty request list")
-	}
-	for {
-		best := -1
-		for i, r := range rs {
-			if r.c != c {
-				panic("mpi: Waitany on a request from another rank")
-			}
-			if r.done && !r.cpuCharged {
-				if best < 0 || r.completedAt < rs[best].completedAt {
-					best = i
-				}
-			}
-		}
-		if best >= 0 {
-			c.chargeCompletion(rs[best])
-			return best, rs[best].st
-		}
-		c.proc.Block(fmt.Sprintf("Waitany(%d requests)", len(rs)))
-	}
-}
-
 // chargeCompletion pays the receive-side CPU cost exactly once.
 func (c *Comm) chargeCompletion(r *Request) {
 	if r.cpuCharged {
@@ -298,19 +265,4 @@ func (c *Comm) Sendrecv(dst, sendTag, size, src, recvTag int) Status {
 	sr := c.Isend(dst, sendTag, size)
 	c.Waitall(sr, rr)
 	return rr.st
-}
-
-// Probe blocks until a message matching (src, tag) is available without
-// consuming it, returning the envelope's status. For rendezvous messages
-// the payload may not have arrived yet, but its size is known.
-func (c *Comm) Probe(src, tag int) Status {
-	if src != AnySource {
-		c.checkPeer("Probe", src)
-	}
-	for {
-		if env := c.w.ranks[c.rank].findUnexpected(ctxUser, src, tag); env != nil {
-			return Status{Source: env.src, Tag: env.tag, Size: env.size, Data: env.data}
-		}
-		c.proc.Block(fmt.Sprintf("Probe(src %d tag %d)", src, tag))
-	}
 }

@@ -54,8 +54,9 @@ func (rs *rankState) arriveEnvelope(w *World, env *envelope) {
 	}
 	rs.unexpected = append(rs.unexpected, env)
 	w.mUnexpMax.SetMax(int64(len(rs.unexpected)))
-	// Wake the rank in case it is blocked in Probe waiting for exactly
-	// this envelope; a spurious wakeup is harmless (waits re-check).
+	// Wake the rank. No wait blocks on an unexpected envelope, so the
+	// wakeup is spurious and harmless (waits re-check); it stays because
+	// dropping it changes every pinned event count.
 	if rs.comm != nil && rs.comm.proc != nil {
 		rs.comm.proc.Unblock()
 	}
@@ -75,18 +76,6 @@ func (rs *rankState) postRecv(w *World, r *Request) {
 		}
 	}
 	rs.posted = append(rs.posted, r)
-}
-
-// findUnexpected returns the oldest unexpected envelope a (src, tag, ctx)
-// probe would match, without consuming it.
-func (rs *rankState) findUnexpected(ctx, src, tag int) *envelope {
-	probe := &Request{ctx: ctx, src: src, tag: tag}
-	for _, env := range rs.unexpected {
-		if matches(probe, env) {
-			return env
-		}
-	}
-	return nil
 }
 
 // matchEnvelope binds an envelope to a receive request. Eager envelopes
@@ -111,14 +100,13 @@ func (w *World) completeRecv(r *Request, env *envelope) {
 }
 
 // completeRequest marks a request done and wakes its rank if it is
-// blocked in Wait/Waitall/Waitany.
+// blocked in Wait/Waitall.
 func (w *World) completeRequest(r *Request, st Status) {
 	if r.done {
 		panic("mpi: request completed twice")
 	}
 	r.done = true
 	r.st = st
-	r.completedAt = w.e.Now()
 	if c := r.c; c != nil && c.proc != nil {
 		c.proc.Unblock()
 	}

@@ -51,7 +51,7 @@ func TestUnexpectedQueueHighWater(t *testing.T) {
 				c.Send(1, tag, 64)
 			}
 		case 1:
-			c.Probe(0, 5) // all five arrived (in-order delivery per pair)
+			c.Compute(0.1) // long enough for all five to arrive
 			for tag := 5; tag >= 1; tag-- {
 				c.Recv(0, tag)
 			}

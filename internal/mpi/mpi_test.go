@@ -229,31 +229,6 @@ func TestTagSelectivity(t *testing.T) {
 	}
 }
 
-func TestProbe(t *testing.T) {
-	w := quietWorld(t, 2, 1, 1)
-	var probed Status
-	var probedThenRecvd Status
-	w.Launch(func(c *Comm) {
-		switch c.Rank() {
-		case 0:
-			c.Compute(0.2)
-			c.SendData(1, 4, 321, "x")
-		case 1:
-			probed = c.Probe(0, 4)
-			probedThenRecvd = c.Recv(0, 4)
-		}
-	})
-	if _, err := w.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if probed.Size != 321 || probed.Source != 0 {
-		t.Errorf("probe = %+v", probed)
-	}
-	if probedThenRecvd.Data != "x" {
-		t.Errorf("recv after probe = %+v", probedThenRecvd)
-	}
-}
-
 func TestSendrecvExchangeNoDeadlock(t *testing.T) {
 	// Pairwise blocking exchange of rendezvous-size messages would
 	// deadlock with plain Send/Recv; Sendrecv must not.
@@ -280,31 +255,6 @@ func TestDeadlockDetected(t *testing.T) {
 		t.Fatalf("err = %v, want deadlock", err)
 	}
 	w.Shutdown()
-}
-
-func TestWaitany(t *testing.T) {
-	w := quietWorld(t, 3, 1, 1)
-	var firstIdx int
-	var firstStatus Status
-	w.Launch(func(c *Comm) {
-		switch c.Rank() {
-		case 0:
-			rs := []*Request{c.Irecv(1, 0), c.Irecv(2, 0)}
-			firstIdx, firstStatus = c.Waitany(rs)
-			c.Waitall(rs...)
-		case 1:
-			c.Compute(0.5)
-			c.SendData(0, 0, 10, "slow")
-		case 2:
-			c.SendData(0, 0, 10, "fast")
-		}
-	})
-	if _, err := w.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if firstIdx != 1 || firstStatus.Data != "fast" {
-		t.Errorf("Waitany returned idx %d data %v, want the fast sender", firstIdx, firstStatus.Data)
-	}
 }
 
 func TestPingPongTimingSane(t *testing.T) {

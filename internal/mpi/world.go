@@ -142,9 +142,6 @@ func (w *World) SetFaults(s *faults.Schedule) {
 	w.recordFaultWindows()
 }
 
-// Faults returns the active fault schedule (nil when healthy).
-func (w *World) Faults() *faults.Schedule { return w.sched }
-
 // TimeoutStats summarises the TCP retransmission timeouts a job's
 // transfers suffered — the mechanism behind the extreme outliers in the
 // paper's distribution tails.

@@ -73,6 +73,8 @@ type Matrix struct {
 
 // Add registers count messages per window slot from src to dst,
 // merging with an existing pair for the same edge.
+//
+//detlint:allow unused -- TestBuildPatternMatchesAdd checks BuildPattern against it
 func (m *Matrix) Add(src, dst, count int) {
 	for i := range m.Pairs {
 		if m.Pairs[i].Src == src && m.Pairs[i].Dst == dst {
@@ -93,20 +95,6 @@ func (m Matrix) MessagesPerWindow() int {
 		n += p.Count
 	}
 	return n
-}
-
-// MaxRank returns the highest rank the matrix names, -1 when empty.
-func (m Matrix) MaxRank() int {
-	max := -1
-	for _, p := range m.Pairs {
-		if p.Src > max {
-			max = p.Src
-		}
-		if p.Dst > max {
-			max = p.Dst
-		}
-	}
-	return max
 }
 
 // Findings validates the matrix against a placement of procs ranks and

@@ -327,18 +327,6 @@ func TestParseDirection(t *testing.T) {
 	}
 }
 
-func TestMatrixMaxRank(t *testing.T) {
-	var m Matrix
-	if m.MaxRank() != -1 {
-		t.Errorf("empty matrix MaxRank = %d, want -1", m.MaxRank())
-	}
-	m.Add(3, 7, 1)
-	m.Add(9, 2, 1)
-	if m.MaxRank() != 9 {
-		t.Errorf("MaxRank = %d, want 9", m.MaxRank())
-	}
-}
-
 // Pattern results live in a Set: Add replaces a result for the same
 // cell (whatever its placement) and keeps operation results apart, and
 // SaveFile/LoadFile reproduce the set byte for byte.

@@ -1,6 +1,6 @@
 // Package mpilint statically analyzes communication correctness of
-// PEVPM models and, via the runtime hooks in internal/mpi, of simulated
-// MPI programs. The paper's premise is that per-message communication
+// PEVPM models (internal/mpi's runtime linter checks simulated MPI
+// programs). The paper's premise is that per-message communication
 // structure determines cluster performance; mpilint checks that the
 // structure a model describes is actually executable — every send has a
 // receive, no rank addresses a peer outside the job, and the
@@ -13,20 +13,17 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/mpi"
 )
 
 // Severity classifies a finding. Errors make the model unexecutable (the
 // VPM or simulator would fail or hang); warnings are suspicious but
-// runnable; info findings are advisory.
+// runnable.
 type Severity string
 
-// Severity levels, ordered error > warning > info.
+// Severity levels, ordered error > warning.
 const (
 	SeverityError   Severity = "error"
 	SeverityWarning Severity = "warning"
-	SeverityInfo    Severity = "info"
 )
 
 // rank reports severity order for sorting (most severe first).
@@ -56,15 +53,6 @@ const (
 	RuleDeadlockCycle = "deadlock-cycle"      // circular wait among blocking operations
 	RuleUnreachable   = "unreachable-branch"  // Runon branch no rank ever selects
 	RuleCollMismatch  = "collective-mismatch" // ranks execute different collective sequences
-)
-
-// Runtime rules re-exported from internal/mpi for a single catalogue.
-const (
-	RulePeerRange     = mpi.RulePeerRange
-	RuleLeakedRequest = mpi.RuleLeakedRequest
-	RuleUnconsumed    = mpi.RuleUnconsumed
-	RuleWildcardRace  = mpi.RuleWildcardRace
-	RuleDeadlock      = mpi.RuleDeadlock
 )
 
 // Finding is one diagnostic, structured so the CLI can render it as

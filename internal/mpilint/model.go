@@ -119,6 +119,11 @@ type analyzer struct {
 	// mismatched marks pairs already reported by count matching, so the
 	// deadlock search does not re-report the same root cause.
 	mismatched map[pair]bool
+
+	// truncated marks ranks whose unrolled sequence lost operations to
+	// the MaxUnroll cut (or to maxOpsPerRank): they run out of
+	// operations before their real program does.
+	truncated []bool
 }
 
 func (a *analyzer) run() {
@@ -130,10 +135,11 @@ func (a *analyzer) run() {
 	}
 	seqs := make([][]op, a.opts.Procs)
 	colls := make([][]string, a.opts.Procs)
+	a.truncated = make([]bool, a.opts.Procs)
 	for r := 0; r < a.opts.Procs; r++ {
 		env := a.rankEnv(r)
 		a.walkCount(r, env, a.prog.Body, 1)
-		seqs[r], colls[r] = a.walkSeq(r, env)
+		seqs[r], colls[r], a.truncated[r] = a.walkSeq(r, env)
 	}
 	a.checkUnreachable()
 	a.checkPairs()
@@ -424,13 +430,13 @@ func (a *analyzer) checkMsg(rank int, env pevpm.Env, node *pevpm.Msg, weight flo
 // walkSeq is the ordering walk: it unrolls rank's path into the ordered
 // operation sequence the deadlock search runs, with Loops truncated to
 // MaxUnroll iterations, plus the ordered list of collectives entered.
-func (a *analyzer) walkSeq(rank int, env pevpm.Env) ([]op, []string) {
-	var seq []op
-	var colls []string
+// truncated reports whether the cut dropped any of rank's operations.
+func (a *analyzer) walkSeq(rank int, env pevpm.Env) (seq []op, colls []string, truncated bool) {
 	var walk func(b pevpm.Block)
 	walk = func(b pevpm.Block) {
 		for _, n := range b {
 			if len(seq) >= maxOpsPerRank {
+				truncated = true
 				return
 			}
 			switch node := n.(type) {
@@ -440,8 +446,12 @@ func (a *analyzer) walkSeq(rank int, env pevpm.Env) ([]op, []string) {
 					continue
 				}
 				iters := int(math.Min(cf, float64(a.opts.MaxUnroll)))
+				before := len(seq)
 				for i := 0; i < iters; i++ {
 					walk(node.Body)
+				}
+				if float64(iters) < cf && len(seq) > before {
+					truncated = true
 				}
 			case *pevpm.Runon:
 				for i, cond := range node.Conds {
@@ -464,7 +474,7 @@ func (a *analyzer) walkSeq(rank int, env pevpm.Env) ([]op, []string) {
 		}
 	}
 	walk(a.prog.Body)
-	return seq, colls
+	return seq, colls, truncated
 }
 
 // seqOp turns a Message directive into a sequence operation; broken
@@ -669,7 +679,8 @@ func (a *analyzer) simulate(seqs [][]op) {
 
 // reportStuck classifies the ranks the abstract schedule left blocked:
 // cycles in the wait-for graph become deadlock findings; acyclic stalls
-// are only reported when count matching did not already explain them.
+// are only reported when count matching did not already explain them
+// and the wait does not end at a rank whose sequence the unroll cut.
 func (a *analyzer) reportStuck(stuck map[int]op) {
 	const (
 		unvisited = 0
@@ -726,6 +737,9 @@ func (a *analyzer) reportStuck(stuck map[int]op) {
 		if a.mismatched[k] {
 			continue // root cause already reported by count matching
 		}
+		if a.waitsOnTruncated(r, stuck) {
+			continue // what r waits for lies beyond the unrolled iterations
+		}
 		a.findings = append(a.findings, Finding{
 			Severity: SeverityError, Rule: RuleDeadlockCycle,
 			Pos: o.node.Pos().String(), Rank: r,
@@ -733,6 +747,23 @@ func (a *analyzer) reportStuck(stuck map[int]op) {
 				r, pevpm.Describe(o.node), o.peer),
 		})
 	}
+}
+
+// waitsOnTruncated reports whether the wait-for chain from stuck rank r
+// ends at a rank that ran out of unrolled operations because a loop was
+// cut at MaxUnroll: the operation the chain waits for lies in the
+// iterations the search did not unroll, so the stall is an artifact of
+// the cut (a task farm's master receives every task's result, while
+// each worker's task loop is unrolled twice).
+func (a *analyzer) waitsOnTruncated(r int, stuck map[int]op) bool {
+	for hops := 0; hops <= len(stuck); hops++ {
+		o, isStuck := stuck[r]
+		if !isStuck {
+			return a.truncated[r]
+		}
+		r = o.peer
+	}
+	return false // the chain ends in a cycle, reported on its own
 }
 
 func (a *analyzer) reportCycle(cycle []int, stuck map[int]op) {

@@ -8,9 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
-// TestMetricsMirrorCounters checks that the registry instruments agree
-// with the legacy Counters struct and with each other on a mixed
-// workload: intra-node, same-switch and cross-switch traffic.
+// TestMetricsMirrorCounters checks the exact counts Stats reports from
+// the registry instruments on a mixed workload (intra-node, same-switch
+// and cross-switch traffic), and the per-node and per-hop instruments
+// beside them.
 func TestMetricsMirrorCounters(t *testing.T) {
 	cfg := quietPerseus()
 	e := sim.NewEngine(1)
@@ -31,13 +32,9 @@ func TestMetricsMirrorCounters(t *testing.T) {
 		}
 		return v
 	}
-	st := n.Stats()
-	if get("transfers_total") != st.Transfers ||
-		get("intra_node_total") != st.IntraNode ||
-		get("cross_switch_total") != st.CrossSwitch ||
-		get("wire_bytes_total") != st.WireBytes ||
-		get("retries_total") != st.Retries {
-		t.Errorf("registry disagrees with Counters: %+v vs snapshot", st)
+	want := Counters{Transfers: 3, IntraNode: 1, CrossSwitch: 1, WireBytes: uint64(2 * cfg.WireBytes(100))}
+	if st := n.Stats(); st != want {
+		t.Errorf("Stats = %+v, want %+v", st, want)
 	}
 	// Node 0 transmitted the two wire transfers (the intra-node copy
 	// never touches the NIC).

@@ -159,7 +159,9 @@ type lp struct {
 	// unless more than lpFreeCap messages are in flight.
 	free []*xfer
 
-	counters Counters
+	// maxStackWait is the worst backlog this LP saw at a stage; the
+	// other Counters fields are read from the instruments below.
+	maxStackWait sim.Duration
 
 	// Deterministic instruments, registered on the LP engine's registry
 	// so one snapshot covers the cell (ShardedNet merges its LPs').
@@ -349,20 +351,20 @@ func (m *model) SetFaults(s *faults.Schedule) {
 // Config returns the cluster configuration the network models.
 func (m *model) Config() cluster.Config { return m.cfg }
 
-// sum adds up the per-LP activity counters; MaxStackWait is the max.
-// Every field is commutative across LPs, so the sum is deterministic.
+// sum adds up the per-LP activity counters from their instruments;
+// MaxStackWait is the max. Every field is commutative across LPs, so
+// the sum is deterministic.
 func (m *model) sum() Counters {
 	var total Counters
 	for _, l := range m.lps {
-		c := l.counters
-		total.Transfers += c.Transfers
-		total.IntraNode += c.IntraNode
-		total.CrossSwitch += c.CrossSwitch
-		total.Retries += c.Retries
-		total.FaultDrops += c.FaultDrops
-		total.WireBytes += c.WireBytes
-		if c.MaxStackWait > total.MaxStackWait {
-			total.MaxStackWait = c.MaxStackWait
+		total.Transfers += l.mTransfers.Value()
+		total.IntraNode += l.mIntra.Value()
+		total.CrossSwitch += l.mCross.Value()
+		total.Retries += l.mRetries.Value()
+		total.FaultDrops += l.mDropFault.Value()
+		total.WireBytes += l.mWireBytes.Value()
+		if l.maxStackWait > total.MaxStackWait {
+			total.MaxStackWait = l.maxStackWait
 		}
 	}
 	return total
@@ -380,20 +382,17 @@ func (m *model) transfer(srcNode, dstNode, payload int, done func(TransferStats)
 		panic(fmt.Sprintf("netsim: negative payload %d", payload))
 	}
 	l := m.lps[m.nodeLP(srcNode)]
-	l.counters.Transfers++
 	l.mTransfers.Inc()
 	t := l.acquire()
 	t.route(srcNode, dstNode, payload)
 	t.start = l.e.Now()
 	t.done, t.recv = done, recv
 	if srcNode == dstNode {
-		l.counters.IntraNode++
 		l.mIntra.Inc()
 		t.intraNode()
 		return
 	}
 	wire := uint64(m.cfg.WireBytes(payload))
-	l.counters.WireBytes += wire
 	l.mWireBytes.Add(wire)
 	t.attempt()
 }
@@ -501,7 +500,6 @@ func (t *xfer) attempt() {
 	// onto a dead wire — and the sender discovers it via the TCP timeout.
 	// This checks only the schedule (no RNG), so it is deterministic.
 	if m.sched.NICDown(t.srcNode, l.e.Now()) || m.sched.NICDown(t.dstNode, l.e.Now()) {
-		l.counters.FaultDrops++
 		l.mDropFault.Inc()
 		t.retry()
 		return
@@ -581,7 +579,6 @@ func (t *xfer) arrive() {
 		return
 	}
 	if boost := m.sched.DropBoost(t.dstNode, l.e.Now()); boost > 0 && l.loss.Bool(boost) {
-		l.counters.FaultDrops++
 		l.mDropFault.Inc()
 		t.retry()
 		return
@@ -606,7 +603,6 @@ func (t *xfer) arrive() {
 func (t *xfer) deliver() {
 	l := t.lp
 	if t.cross {
-		l.counters.CrossSwitch++
 		l.mCross.Inc()
 	}
 	t.finish(TransferStats{
@@ -638,7 +634,6 @@ func (t *xfer) retry() {
 func (t *xfer) backoff() {
 	l := t.lp
 	cfg := &l.m.cfg
-	l.counters.Retries++
 	l.mRetries.Inc()
 	l.mRTODepth.Observe(int64(t.try))
 	exp := t.try
@@ -707,8 +702,8 @@ func (l *lp) traverseStage(s *sim.Serializer, seg, payload int, perFrame bool, a
 	cfg := &l.m.cfg
 	l.mHops.Inc()
 	wait := s.Backlog()
-	if wait > l.counters.MaxStackWait {
-		l.counters.MaxStackWait = wait
+	if wait > l.maxStackWait {
+		l.maxStackWait = wait
 	}
 	if seg >= 0 {
 		l.mSegPeak[seg].SetMax(int64(wait))
@@ -770,13 +765,12 @@ func New(e *sim.Engine, cfg cluster.Config) *Network {
 	return n
 }
 
-// Faults returns the active fault schedule (nil when healthy).
-func (n *Network) Faults() *faults.Schedule { return n.sched }
-
 // SetRetryObserver installs a hook called on every retransmission with
 // the source and destination node, the attempt number that failed, and
 // the jittered RTO in seconds the retry will wait. Tests use it to
 // check the backoff envelope; pass nil to remove.
+//
+//detlint:allow unused -- the RTO backoff-envelope test and the network pin observe every retry through it
 func (n *Network) SetRetryObserver(f func(srcNode, dstNode, try int, rto float64)) {
 	n.retryObs = f
 }

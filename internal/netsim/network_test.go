@@ -58,7 +58,7 @@ func TestUncontendedLatencyFormula(t *testing.T) {
 		// stream onto the destination link.
 		want := cfg.FrameTime(size) + cfg.SwitchLatency +
 			stageFrame(cfg, size) +
-			cfg.TransmitTime(size, cfg.LinkRate)
+			float64(cfg.WireBytes(size))*8/cfg.LinkRate
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("size %d: latency %v, want %v", size, got, want)
 		}
@@ -147,7 +147,7 @@ func TestNICSharingSerialisesTransfers(t *testing.T) {
 		t.Fatal(err)
 	}
 	gap := ends[1].Sub(ends[0]).Seconds()
-	want := cfg.TransmitTime(16384, cfg.LinkRate)
+	want := float64(cfg.WireBytes(16384)) * 8 / cfg.LinkRate
 	if math.Abs(gap-want) > 1e-9 {
 		t.Errorf("NIC sharing gap = %v, want %v", gap, want)
 	}
@@ -176,7 +176,7 @@ func TestRxContentionSerialisesAtReceiver(t *testing.T) {
 	if done != senders {
 		t.Fatalf("delivered %d of %d", done, senders)
 	}
-	wire := cfg.TransmitTime(16384, cfg.LinkRate)
+	wire := float64(cfg.WireBytes(16384)) * 8 / cfg.LinkRate
 	if last.Seconds() < float64(senders)*wire {
 		t.Errorf("last delivery %v too fast for a serialised receive link (%v)",
 			last.Seconds(), float64(senders)*wire)

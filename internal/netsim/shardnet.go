@@ -63,14 +63,8 @@ func NewSharded(seed uint64, cfg cluster.Config, workers int) (*ShardedNet, erro
 // NumLPs returns leaf count + 1 (the core).
 func (n *ShardedNet) NumLPs() int { return len(n.lps) }
 
-// Workers returns the worker-thread count windows execute with.
-func (n *ShardedNet) Workers() int { return n.sh.Workers() }
-
 // Windows returns how many synchronisation windows the run executed.
 func (n *ShardedNet) Windows() uint64 { return n.sh.Windows() }
-
-// Lookahead returns the conservative lookahead (the switch latency).
-func (n *ShardedNet) Lookahead() sim.Duration { return n.lookahead }
 
 // OwnerLP returns the LP that owns a node's state. Driver state for the
 // node (send queues, completion records) must live on this LP.

@@ -53,10 +53,7 @@ func TestShardedValidation(t *testing.T) {
 	if net.NumLPs() != 5 { // 4 leaves + core
 		t.Errorf("NumLPs = %d, want 5", net.NumLPs())
 	}
-	if net.Workers() != 2 {
-		t.Errorf("Workers = %d, want 2", net.Workers())
-	}
-	if net.Lookahead() != sim.DurationFromSeconds(net.Config().SwitchLatency) {
+	if net.lookahead != sim.DurationFromSeconds(net.Config().SwitchLatency) {
 		t.Error("lookahead should equal the switch latency")
 	}
 	defer func() {
@@ -340,11 +337,11 @@ func TestShardedLatencyIsSerialPlusCrossings(t *testing.T) {
 					}
 				}
 			}
-			want := serial.Delivered.Sub(serial.Sent) + sim.Duration(crossings)*net.Lookahead()
+			want := serial.Delivered.Sub(serial.Sent) + sim.Duration(crossings)*net.lookahead
 			t.Logf("%s %d->%d size %d: serial %v, %d crossings", tc.spec, tc.src, tc.dst, size, serial.Delivered.Sub(serial.Sent), crossings)
 			if got := sharded.Delivered.Sub(sharded.Sent); got != want {
 				t.Errorf("%s %d->%d size %d: sharded latency %v, want serial %v + %d crossings × %v",
-					tc.spec, tc.src, tc.dst, size, got, serial.Delivered.Sub(serial.Sent), crossings, net.Lookahead())
+					tc.spec, tc.src, tc.dst, size, got, serial.Delivered.Sub(serial.Sent), crossings, net.lookahead)
 			}
 			if sharded.CrossSwitch != serial.CrossSwitch {
 				t.Errorf("%s %d->%d: CrossSwitch sharded %v, serial %v", tc.spec, tc.src, tc.dst, sharded.CrossSwitch, serial.CrossSwitch)

@@ -109,8 +109,10 @@ func goldenCases(t *testing.T) []goldenCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !db.HasIntraData() {
-		t.Fatal("golden database has no intra-node data")
+	// The 1x2 result must feed the intra-node lookups: its 12 µs floor,
+	// not the 2x1 result's 60 µs.
+	if m := db.MinIntra(0, 2); m > 20e-6 {
+		t.Fatalf("golden database has no intra-node data: intra minimum %v", m)
 	}
 	coll, err := pevpm.NewCollectiveDB(db, set)
 	if err != nil {

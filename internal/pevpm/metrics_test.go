@@ -51,27 +51,28 @@ func TestIntraDrawClassification(t *testing.T) {
 	}
 }
 
-// TestEvaluateNWorkersMetricsDeterministic folds replication metrics at
-// 1 worker and at 4 workers and requires identical snapshots — the
-// same contract the makespan summary already satisfies.
+// TestEvaluateNWorkersMetricsDeterministic folds replication metrics in
+// EvaluateN and, from the same replications run on 4 workers, in
+// replication order, and requires identical snapshots — the same
+// contract the makespan summary satisfies.
 func TestEvaluateNWorkersMetricsDeterministic(t *testing.T) {
 	db := constDB(100e-6, 1e-9, 5e-6, 512)
 	prog := sendRecvProgram(4096) // rendezvous path: sender parks too
 	const n = 8
 
-	fold := func(workers int) metrics.Snapshot {
-		agg := metrics.NewAggregate()
-		opts := Options{Procs: 2, DB: db, Seed: 42, Metrics: agg}
-		if _, err := EvaluateNWorkers(prog, opts, n, workers); err != nil {
-			t.Fatal(err)
-		}
-		return agg.Snapshot()
+	serial := metrics.NewAggregate()
+	if _, err := EvaluateN(prog, Options{Procs: 2, DB: db, Seed: 42, Metrics: serial}, n); err != nil {
+		t.Fatal(err)
 	}
-	serial, parallel := fold(1), fold(4)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("aggregated metrics differ between 1 and 4 workers:\n%+v\nvs\n%+v", serial, parallel)
+	parallel := metrics.NewAggregate()
+	for _, rep := range replicate(t, prog, Options{Procs: 2, DB: db, Seed: 42}, n, 4) {
+		parallel.Merge(rep.Metrics)
 	}
-	if v, _ := serial.Counter("pevpm", "replications_total"); v != n {
+	if !reflect.DeepEqual(serial.Snapshot(), parallel.Snapshot()) {
+		t.Errorf("aggregated metrics differ between EvaluateN and 4 workers:\n%+v\nvs\n%+v",
+			serial.Snapshot(), parallel.Snapshot())
+	}
+	if v, _ := serial.Snapshot().Counter("pevpm", "replications_total"); v != n {
 		t.Errorf("replications_total = %d, want %d", v, n)
 	}
 }

@@ -69,15 +69,6 @@ func NewPatternDB(set *mpibench.Set) (*PatternDB, error) {
 	return db, nil
 }
 
-// Keys lists the measured pattern cells in deterministic order.
-func (db *PatternDB) Keys() []mpibench.PatternCell {
-	out := make([]mpibench.PatternCell, len(db.entries))
-	for i, e := range db.entries {
-		out[i] = e.cell
-	}
-	return out
-}
-
 func (db *PatternDB) entry(cell mpibench.PatternCell) (*dbEntry, error) {
 	for i := range db.entries {
 		if db.entries[i].cell == cell {
@@ -85,26 +76,6 @@ func (db *PatternDB) entry(cell mpibench.PatternCell) (*dbEntry, error) {
 		}
 	}
 	return nil, fmt.Errorf("pevpm: pattern %s not in database", cell)
-}
-
-// SampleRound draws one round-completion time for a pattern at a
-// message size, blending the bracketing measured sizes' quantile
-// functions with a single shared uniform (the EmpiricalDB scheme).
-func (db *PatternDB) SampleRound(r stats.Rand, cell mpibench.PatternCell, size int) (float64, error) {
-	e, err := db.entry(cell)
-	if err != nil {
-		return 0, err
-	}
-	return e.quantile(size, r.Float64()), nil
-}
-
-// MeanRound blends the measured mean round-completion times.
-func (db *PatternDB) MeanRound(cell mpibench.PatternCell, size int) (float64, error) {
-	e, err := db.entry(cell)
-	if err != nil {
-		return 0, err
-	}
-	return e.blend(size, (*stats.Histogram).Mean), nil
 }
 
 // PredictMakespan predicts the makespan of rounds consecutive windowed

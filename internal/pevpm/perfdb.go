@@ -261,9 +261,6 @@ func (db *EmpiricalDB) MinIntra(size, contention int) float64 {
 	return at(db.intraGrid(), size, contention, (*stats.Histogram).Min)
 }
 
-// HasIntraData reports whether single-node benchmarks were available.
-func (db *EmpiricalDB) HasIntraData() bool { return len(db.intra) > 0 }
-
 // SendBusy charges the host-side send initiation cost. These constants
 // come from the machine description; in the paper's terms they are part
 // of the low-level operation submodels.

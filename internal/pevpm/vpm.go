@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/experiments/sweep"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -34,9 +33,9 @@ type Options struct {
 	Trace *trace.Log
 
 	// Metrics, when non-nil, receives every replication's instrument
-	// snapshot, folded in replication order on the calling goroutine by
-	// EvaluateN/EvaluateNWorkers. (Evaluate itself does not touch it;
-	// single evaluations expose their snapshot via Report.Metrics.)
+	// snapshot, folded in replication order by EvaluateN. (Evaluate
+	// itself does not touch it; single evaluations expose their snapshot
+	// via Report.Metrics.)
 	Metrics *metrics.Aggregate
 }
 
@@ -963,45 +962,20 @@ func byWaitDesc(a, b HotSpot) int {
 // EvaluateN runs independent Monte-Carlo evaluations with derived seeds
 // and returns the summary of their makespans — the paper runs many
 // iterations "so that the statistical error in the mean is negligibly
-// small".
+// small". Makespans and, when opts.Metrics is set, instrument snapshots
+// fold in replication order; the first replication error stops the run.
 func EvaluateN(prog *Program, opts Options, n int) (stats.Summary, error) {
-	return EvaluateNWorkers(prog, opts, n, 1)
-}
-
-// EvaluateNWorkers is EvaluateN across a worker pool: each replication
-// is an independent cell with its own derived seed and virtual machine.
-// The makespans are folded into the summary in replication order on the
-// calling goroutine, so the result is bit-identical to EvaluateN for
-// every worker count. The program is only read; an *EmpiricalDB (whose
-// histograms are frozen at construction) is safe to share, as is any
-// other database whose Sample is read-only.
-func EvaluateNWorkers(prog *Program, opts Options, n, workers int) (stats.Summary, error) {
 	var sum stats.Summary
-	if opts.Trace != nil && workers != 1 {
-		workers = 1 // a shared trace log serialises the replications
-	}
-	type repResult struct {
-		makespan float64
-		metrics  metrics.Snapshot
-	}
-	reps, err := sweep.Map(workers, n, func(i int) (repResult, error) {
+	for i := 0; i < n; i++ {
 		o := opts
 		o.Seed = opts.Seed + uint64(i)*7919
 		rep, err := Evaluate(prog, o)
 		if err != nil {
-			return repResult{}, err
+			return stats.Summary{}, err
 		}
-		return repResult{makespan: rep.Makespan, metrics: rep.Metrics}, nil
-	})
-	if err != nil {
-		return sum, err
-	}
-	// Fold in replication order on this goroutine: same discipline as the
-	// makespan summary, so metrics are worker-count independent too.
-	for _, r := range reps {
-		sum.Add(r.makespan)
+		sum.Add(rep.Makespan)
 		if opts.Metrics != nil {
-			opts.Metrics.Merge(r.metrics)
+			opts.Metrics.Merge(rep.Metrics)
 		}
 	}
 	return sum, nil

@@ -2,15 +2,18 @@ package sim
 
 import "testing"
 
-// TestScheduleZeroAllocSteadyState is the tentpole's allocation guarantee:
-// once the event pool and heap are warm, a schedule→pop cycle performs no
-// heap allocations at all.
+// warm is how many events the allocation tests schedule before measuring,
+// so the queue's backing array has outgrown anything the measured loop
+// needs.
+const warm = 256
+
+// TestScheduleZeroAllocSteadyState is the kernel's allocation guarantee:
+// once the queue's array is warm, a schedule→pop cycle performs no heap
+// allocations at all.
 func TestScheduleZeroAllocSteadyState(t *testing.T) {
 	e := NewEngine(1)
 	fn := func() {}
-	// Warm the pool and the heap's backing array past anything the
-	// measured loop will need.
-	for i := 0; i < 4*eventChunk; i++ {
+	for i := 0; i < warm; i++ {
 		e.Schedule(Millisecond, fn)
 	}
 	if _, err := e.Run(Forever); err != nil {
@@ -27,28 +30,6 @@ func TestScheduleZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestCancelZeroAllocSteadyState: cancelling recycles the struct without
-// allocating either.
-func TestCancelZeroAllocSteadyState(t *testing.T) {
-	e := NewEngine(1)
-	fn := func() {}
-	for i := 0; i < 4*eventChunk; i++ {
-		e.Schedule(Millisecond, fn)
-	}
-	if _, err := e.Run(Forever); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		h := e.Schedule(Millisecond, fn)
-		if !h.Cancel() {
-			t.Fatal("Cancel failed")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state schedule→cancel allocates %v objects/op, want 0", allocs)
-	}
-}
-
 // TestProcSwitchZeroAllocSteadyState: once a process is running, handing
 // control to it and back allocates nothing, whether it wakes from Sleep
 // or from Block via Unblock.
@@ -62,7 +43,7 @@ func TestProcSwitchZeroAllocSteadyState(t *testing.T) {
 	})
 	blocked := e.Spawn("blocked", func(p *Proc) {
 		for {
-			p.Block("await unblock")
+			p.BlockOn(why("await unblock"))
 		}
 	})
 	step := func() {
@@ -71,7 +52,7 @@ func TestProcSwitchZeroAllocSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 4*eventChunk; i++ {
+	for i := 0; i < warm; i++ {
 		step()
 	}
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
@@ -102,7 +83,7 @@ func BenchmarkProcSwitch(b *testing.B) {
 		var ping *Proc
 		pong := e.Spawn("pong", func(p *Proc) {
 			for {
-				p.Block("await ping")
+				p.BlockOn(why("await ping"))
 				if done {
 					return
 				}
@@ -112,7 +93,7 @@ func BenchmarkProcSwitch(b *testing.B) {
 		ping = e.Spawn("ping", func(p *Proc) {
 			for i := 0; i < b.N; i++ {
 				pong.Unblock()
-				p.Block("await pong")
+				p.BlockOn(why("await pong"))
 			}
 			done = true
 			pong.Unblock()
@@ -128,7 +109,7 @@ func BenchmarkProcSwitch(b *testing.B) {
 func BenchmarkScheduleRun(b *testing.B) {
 	e := NewEngine(1)
 	fn := func() {}
-	for i := 0; i < 4*eventChunk; i++ {
+	for i := 0; i < warm; i++ {
 		e.Schedule(Millisecond, fn)
 	}
 	if _, err := e.Run(Forever); err != nil {
@@ -149,16 +130,6 @@ func BenchmarkScheduleRun(b *testing.B) {
 	}
 }
 
-func BenchmarkScheduleCancel(b *testing.B) {
-	e := NewEngine(1)
-	fn := func() {}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h := e.Schedule(Millisecond, fn)
-		h.Cancel()
-	}
-}
-
 // BenchmarkHeapChurn stresses the four-ary heap with a deep queue: many
 // pending timers with interleaved pushes and pops, the shape of a netsim
 // retransmission storm.
@@ -173,11 +144,7 @@ func BenchmarkHeapChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Schedule(Duration(depth+i)*Microsecond, fn)
-		if len(e.events) > 0 {
-			ev := e.heapPop()
-			e.now = ev.at
-			e.recycle(ev)
-		}
+		e.now = e.heapPop().at
 	}
 }
 
@@ -192,9 +159,12 @@ type pingPong struct {
 	ping, pong func()
 }
 
+// pingPongLookahead is the pingPong model's lookahead: one hop's latency.
+const pingPongLookahead = 10 * Microsecond
+
 func newPingPong(tb testing.TB, nLPs int) *pingPong {
 	tb.Helper()
-	s, err := NewShards(1, nLPs, 10*Microsecond, 1)
+	s, err := NewShards(1, nLPs, pingPongLookahead, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -209,7 +179,7 @@ func newPingPong(tb testing.TB, nLPs int) *pingPong {
 // remain.
 func (p *pingPong) hop(src, dst int, next func()) {
 	if p.left--; p.left > 0 {
-		p.s.Post(src, dst, p.s.LP(src).Now().Add(p.s.Lookahead()), next)
+		p.s.Post(src, dst, p.s.LP(src).Now().Add(pingPongLookahead), next)
 	}
 }
 
@@ -224,7 +194,7 @@ func (p *pingPong) run(tb testing.TB, hops int) {
 }
 
 // TestShardsWindowAllocSteadyState: once its outboxes, merge buffer and
-// event pools are warm, a sharded run allocates a constant number of
+// event queues are warm, a sharded run allocates a constant number of
 // objects per Run, not one per window: the barrier merge sorts without
 // boxing the slice or capturing a comparator.
 func TestShardsWindowAllocSteadyState(t *testing.T) {

@@ -24,7 +24,7 @@ func TestConcurrentEngines(t *testing.T) {
 		var finish Time
 		var pong *Proc
 		pong = e.Spawn("pong", func(p *Proc) {
-			p.Block("await ping")
+			p.BlockOn(why("await ping"))
 			p.Sleep(Duration(e.RNG("pong").Intn(1000)+1) * Microsecond)
 			finish = p.Now()
 		})
@@ -33,7 +33,7 @@ func TestConcurrentEngines(t *testing.T) {
 			pong.Unblock()
 		})
 		e.Spawn("late-sleeper", func(p *Proc) { p.Sleep(1000 * Second) })
-		e.Spawn("stuck", func(p *Proc) { p.Block("never woken") })
+		e.Spawn("stuck", func(p *Proc) { p.BlockOn(why("never woken")) })
 		if _, err := e.Run(TimeFromSeconds(1)); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}

@@ -7,41 +7,25 @@ import (
 )
 
 // TestKernelMetrics checks that the engine's built-in instruments track
-// the event lifecycle exactly: every scheduled event is either fired or
-// cancelled, and both paths recycle the struct.
+// the event queue exactly: every scheduled event is counted once, and
+// the depth gauge holds the deepest queue Run drained.
 func TestKernelMetrics(t *testing.T) {
 	e := NewEngine(1)
-	var handles []EventHandle
 	for i := 0; i < 10; i++ {
-		handles = append(handles, e.Schedule(Duration(i+1), func() {}))
+		e.Schedule(Duration(i+1), func() {})
 	}
-	// Cancel three before running; double-cancel must not double-count.
-	for i := 0; i < 3; i++ {
-		if !handles[i].Cancel() {
-			t.Fatalf("cancel %d failed", i)
-		}
-		handles[i].Cancel()
+	if _, err := e.Run(Forever); err != nil {
+		t.Fatal(err)
 	}
+	e.Schedule(1, func() {})
 	if _, err := e.Run(Forever); err != nil {
 		t.Fatal(err)
 	}
 
 	s := e.Metrics().Snapshot()
-	check := func(name string, want uint64) {
-		t.Helper()
-		got, ok := s.Counter("sim", name)
-		if !ok {
-			t.Fatalf("counter sim/%s missing", name)
-		}
-		if got != want {
-			t.Errorf("sim/%s = %d, want %d", name, got, want)
-		}
+	if got, ok := s.Counter("sim", "events_scheduled_total"); !ok || got != 11 {
+		t.Errorf("sim/events_scheduled_total = %d (ok=%v), want 11", got, ok)
 	}
-	check("events_scheduled_total", 10)
-	check("events_cancelled_total", 3)
-	check("events_recycled_total", 10) // 3 cancelled + 7 fired
-	check("event_pool_slabs_total", 1) // 10 events fit one 64-slab
-
 	depth, ok := s.Gauge("sim", "event_heap_depth_max")
 	if !ok || depth != 10 {
 		t.Errorf("event_heap_depth_max = %d (ok=%v), want 10", depth, ok)

@@ -12,7 +12,7 @@ type procState int
 const (
 	procReady    procState = iota // running or scheduled to run
 	procSleeping                  // parked with a pending wakeup event
-	procBlocked                   // parked until someone calls Unblock
+	procBlocked                   // parked in BlockOn until someone calls Unblock
 	procDone                      // body returned
 )
 
@@ -25,14 +25,13 @@ type errKilled struct{}
 // executes between a wake and the next park, and control passes directly
 // between the engine and the body, so model state needs no locking.
 type Proc struct {
-	e      *Engine
-	name   string
-	state  procState
-	reason string // what the process is blocked on, for deadlock reports
-	// reasonOn, when non-nil, describes the blocked operation lazily via
+	e     *Engine
+	name  string
+	state procState
+	// reason, when non-nil, describes the blocked operation lazily via
 	// BlockReason — the hot path stores one interface word instead of
 	// formatting a string nobody reads unless the simulation deadlocks.
-	reasonOn BlockReasoner
+	reason BlockReasoner
 
 	// wakeFn is the wake method bound once at Spawn so that Sleep and
 	// Unblock schedule it without allocating a method value per call.
@@ -100,12 +99,6 @@ func (p *Proc) park() {
 	}
 }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.e }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
@@ -117,31 +110,17 @@ func (p *Proc) Sleep(d Duration) {
 	p.park()
 }
 
-// Yield lets every other event and process scheduled at the current time
-// run before this process continues.
-func (p *Proc) Yield() { p.Sleep(0) }
-
-// Block parks the process until another process or event calls Unblock.
-// The reason string is reported if the simulation deadlocks. Callers that
-// wait for a condition should loop: for !cond { p.Block("...") }.
-func (p *Proc) Block(reason string) {
-	p.checkCurrent("Block")
-	p.state = procBlocked
-	p.reason = reason
-	p.park()
-	p.reason = ""
-}
-
-// BlockOn parks the process like Block, but the reason is produced
-// on demand from r only if a deadlock report or BlockedOn query needs it.
-// Hot paths that would otherwise format a fresh string per wait (MPI's
-// Wait/Waitall) pass their request object instead.
+// BlockOn parks the process until another process or event calls
+// Unblock. The reason is produced on demand from r only if a deadlock
+// report or BlockedOn query needs it, so hot paths (MPI's Wait/Waitall)
+// pass their request object instead of formatting a string per wait.
+// Callers that wait for a condition should loop: for !cond { p.BlockOn(r) }.
 func (p *Proc) BlockOn(r BlockReasoner) {
-	p.checkCurrent("Block")
+	p.checkCurrent("BlockOn")
 	p.state = procBlocked
-	p.reasonOn = r
+	p.reason = r
 	p.park()
-	p.reasonOn = nil
+	p.reason = nil
 }
 
 // Unblock makes a blocked process runnable at the current virtual time.
@@ -159,27 +138,21 @@ func (p *Proc) Unblock() {
 func (p *Proc) Done() bool { return p.state == procDone }
 
 // BlockedOn returns the reason the process is currently blocked on (as
-// passed to Block), or "" when it is not blocked. Diagnostic tooling
-// uses it to name a stuck process's pending operation.
+// described by the BlockReasoner passed to BlockOn), or "" when it is
+// not blocked. Diagnostic tooling uses it to name a stuck process's
+// pending operation.
 func (p *Proc) BlockedOn() string {
-	if p.state != procBlocked {
+	if p.state != procBlocked || p.reason == nil {
 		return ""
 	}
-	if p.reasonOn != nil {
-		return p.reasonOn.BlockReason()
-	}
-	return p.reason
+	return p.reason.BlockReason()
 }
 
 func (p *Proc) describeBlocked() string {
-	reason := p.reason
-	if p.reasonOn != nil {
-		reason = p.reasonOn.BlockReason()
+	if reason := p.BlockedOn(); reason != "" {
+		return p.name + " (" + reason + ")"
 	}
-	if reason == "" {
-		return p.name
-	}
-	return p.name + " (" + reason + ")"
+	return p.name
 }
 
 func (p *Proc) checkCurrent(op string) {

@@ -7,6 +7,11 @@ import (
 	"testing"
 )
 
+// why is a fixed reason for tests to block on.
+type why string
+
+func (w why) BlockReason() string { return string(w) }
+
 func TestProcSleep(t *testing.T) {
 	e := NewEngine(1)
 	var times []Time
@@ -59,7 +64,7 @@ func TestProcBlockUnblockHandshake(t *testing.T) {
 	var consumer *Proc
 	consumer = e.Spawn("consumer", func(p *Proc) {
 		for !ready {
-			p.Block("waiting for producer")
+			p.BlockOn(why("waiting for producer"))
 		}
 	})
 	e.Spawn("producer", func(p *Proc) {
@@ -95,12 +100,14 @@ func TestUnblockIsNoOpWhenNotBlocked(t *testing.T) {
 	}
 }
 
+// TestYieldRunsPeersFirst: Sleep(0) yields, letting every other event
+// and process scheduled at the current time run before the sleeper.
 func TestYieldRunsPeersFirst(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
 	e.Spawn("first", func(p *Proc) {
 		order = append(order, "first-before")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "first-after")
 	})
 	e.Spawn("second", func(p *Proc) {
@@ -124,7 +131,7 @@ func TestShutdownUnwindsParkedProcs(t *testing.T) {
 	unwound := map[string]bool{}
 	e.Spawn("blocked", func(p *Proc) {
 		defer func() { unwound["blocked"] = true }()
-		p.Block("forever")
+		p.BlockOn(why("forever"))
 	})
 	e.Spawn("sleeping", func(p *Proc) {
 		defer func() { unwound["sleeping"] = true }()
@@ -151,7 +158,7 @@ func TestShutdownUnwindsParkedProcs(t *testing.T) {
 func TestShutdownReclaimsBeforeReturning(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine(1)
-	e.Spawn("blocked", func(p *Proc) { p.Block("forever") })
+	e.Spawn("blocked", func(p *Proc) { p.BlockOn(why("forever")) })
 	e.Spawn("sleeping", func(p *Proc) { p.Sleep(100 * Second) })
 	if _, err := e.Run(TimeFromSeconds(1)); err != nil {
 		t.Fatal(err)
@@ -173,7 +180,7 @@ func TestShutdownKillsInSpawnOrder(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 			defer func() { unwound = append(unwound, i) }()
-			p.Block("forever")
+			p.BlockOn(why("forever"))
 		})
 	}
 	if _, err := e.Run(Forever); !errors.Is(err, ErrDeadlock) {
@@ -194,7 +201,7 @@ func TestProcPanicPropagates(t *testing.T) {
 	for _, name := range []string{"a", "b", "c"} {
 		e.Spawn(name, func(p *Proc) {
 			defer func() { unwound++ }()
-			p.Block("forever")
+			p.BlockOn(why("forever"))
 		})
 	}
 	e.Spawn("boom", func(p *Proc) {
@@ -211,7 +218,7 @@ func TestProcPanicPropagates(t *testing.T) {
 		t.Error("Run returned normally, want the model panic")
 	}()
 	if e.current != nil {
-		t.Errorf("engine still in process %s after the panic", e.current.Name())
+		t.Errorf("engine still in process %s after the panic", e.current.name)
 	}
 	e.Shutdown()
 	if unwound != 3 {
@@ -241,7 +248,7 @@ func TestProcGoexitReachesRunCaller(t *testing.T) {
 
 func TestDeadlockReportNamesReason(t *testing.T) {
 	e := NewEngine(1)
-	e.Spawn("rank3", func(p *Proc) { p.Block("Recv(src=5, tag=9)") })
+	e.Spawn("rank3", func(p *Proc) { p.BlockOn(why("Recv(src=5, tag=9)")) })
 	_, err := e.Run(Forever)
 	if err == nil {
 		t.Fatal("expected deadlock")

@@ -107,6 +107,8 @@ func (r *RNG) Intn(n int) int {
 }
 
 // Perm returns a random permutation of [0, n).
+//
+//detlint:allow unused -- the mpi property tests and pevpm's ordering tests shuffle their inputs with it
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {
@@ -134,16 +136,6 @@ func (r *RNG) NormFloat64() float64 {
 		r.gauss = v * f
 		r.haveGauss = true
 		return u * f
-	}
-}
-
-// ExpFloat64 returns an exponential draw with mean 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
 	}
 }
 

@@ -109,22 +109,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := NewRNG(4)
-	n := 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("exponential draw %v < 0", v)
-		}
-		sum += v
-	}
-	if mean := sum / float64(n); math.Abs(mean-1) > 0.02 {
-		t.Errorf("exponential mean = %v", mean)
-	}
-}
-
 func TestLogNormalMedian(t *testing.T) {
 	r := NewRNG(5)
 	n := 100001

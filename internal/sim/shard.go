@@ -102,20 +102,13 @@ func (s *Shards) LP(i int) *Engine { return s.lps[i] }
 // NumLPs returns the number of logical processes.
 func (s *Shards) NumLPs() int { return len(s.lps) }
 
-// Workers returns the worker-thread count the coordinator executes
-// windows with.
-func (s *Shards) Workers() int { return s.workers }
-
-// Lookahead returns the conservative lookahead bound.
-func (s *Shards) Lookahead() Duration { return s.lookahead }
-
 // Windows returns how many synchronisation windows Run executed.
 func (s *Shards) Windows() uint64 { return s.windows }
 
 // Post sends a cross-LP message: fn will run on LP dst's engine at
 // virtual time at. It must be called from within LP src's execution
 // (an event callback on s.LP(src)), and at must respect the lookahead:
-// at >= src's current time + Lookahead. Violating the bound panics —
+// at >= src's current time plus the lookahead. Violating the bound panics —
 // it means the model promised a cross-shard latency it did not keep,
 // which would silently break the determinism contract.
 //

@@ -34,10 +34,7 @@ const (
 const Forever Time = 1<<63 - 1
 
 // Seconds reports the duration as a floating-point number of seconds.
-func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
-
-// Micros reports the duration as a floating-point number of microseconds.
-func (d Duration) Micros() float64 { return float64(d) / 1e3 }
+func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
 // DurationFromSeconds converts float seconds to a Duration, rounding to
 // the nearest nanosecond.
@@ -45,7 +42,7 @@ func DurationFromSeconds(s float64) Duration {
 	if s <= 0 {
 		return 0
 	}
-	return Duration(s*1e9 + 0.5)
+	return Duration(s*float64(Second) + 0.5)
 }
 
 // String formats the duration like time.Duration.
@@ -58,7 +55,7 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
 // Seconds reports the time as floating-point seconds since simulation start.
-func (t Time) Seconds() float64 { return float64(t) / 1e9 }
+func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // String formats the time as seconds with nanosecond precision.
 func (t Time) String() string {

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Sampler produces random draws from a distribution of operation times.
 // PEVPM's match phase calls Sample once per simulated message.
@@ -23,8 +20,9 @@ type Dist interface {
 	CDF(x float64) float64
 }
 
-// Constant always returns the same value; PEVPM's "average" and
-// "minimum" prediction modes are Constant samplers.
+// Constant always returns the same value.
+//
+//detlint:allow unused -- pevpm's timing tests make every draw exact with it
 type Constant float64
 
 // Sample returns the constant.
@@ -42,29 +40,6 @@ func (c Constant) CDF(x float64) float64 {
 		return 0
 	}
 	return 1
-}
-
-// Uniform draws uniformly from [Lo, Hi).
-type Uniform struct{ Lo, Hi float64 }
-
-// Sample draws from the interval.
-func (u Uniform) Sample(r Rand) float64 { return u.Lo + r.Float64()*(u.Hi-u.Lo) }
-
-// Mean returns the midpoint.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
-// MinBound returns the lower edge.
-func (u Uniform) MinBound() float64 { return u.Lo }
-
-// CDF of the uniform distribution.
-func (u Uniform) CDF(x float64) float64 {
-	if x <= u.Lo {
-		return 0
-	}
-	if x >= u.Hi {
-		return 1
-	}
-	return (x - u.Lo) / (u.Hi - u.Lo)
 }
 
 // ShiftedLogNormal is Shift + LogNormal(Mu, Sigma): a bounded minimum
@@ -154,100 +129,3 @@ func (d Weibull) CDF(x float64) float64 {
 	}
 	return 1 - math.Exp(-math.Pow((x-d.Shift)/d.Scale, d.Shape))
 }
-
-// Mixture draws from one of several components with fixed weights. Its
-// main use is modelling retransmission-timeout outliers: a body
-// distribution with weight ~0.999 plus a far-out RTO spike.
-type Mixture struct {
-	Components []Sampler
-	Weights    []float64 // need not be normalised
-}
-
-// NewMixture validates and returns a mixture.
-func NewMixture(components []Sampler, weights []float64) (*Mixture, error) {
-	if len(components) == 0 || len(components) != len(weights) {
-		return nil, fmt.Errorf("stats: mixture needs matching non-empty components/weights, got %d/%d",
-			len(components), len(weights))
-	}
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("stats: invalid mixture weight %v", w)
-		}
-		total += w
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("stats: mixture weights sum to %v", total)
-	}
-	return &Mixture{Components: components, Weights: weights}, nil
-}
-
-func (m *Mixture) totalWeight() float64 {
-	t := 0.0
-	for _, w := range m.Weights {
-		t += w
-	}
-	return t
-}
-
-// Sample picks a component by weight, then draws from it.
-func (m *Mixture) Sample(r Rand) float64 {
-	target := r.Float64() * m.totalWeight()
-	acc := 0.0
-	for i, w := range m.Weights {
-		acc += w
-		if target < acc {
-			return m.Components[i].Sample(r)
-		}
-	}
-	return m.Components[len(m.Components)-1].Sample(r)
-}
-
-// Mean returns the weighted mean of the component means.
-func (m *Mixture) Mean() float64 {
-	total := m.totalWeight()
-	mean := 0.0
-	for i, w := range m.Weights {
-		mean += w / total * m.Components[i].Mean()
-	}
-	return mean
-}
-
-// MinBound returns the smallest component bound.
-func (m *Mixture) MinBound() float64 {
-	min := math.Inf(1)
-	for _, c := range m.Components {
-		if b := c.MinBound(); b < min {
-			min = b
-		}
-	}
-	return min
-}
-
-// CDF is the weighted sum of component CDFs; it panics if any component
-// does not implement Dist.
-func (m *Mixture) CDF(x float64) float64 {
-	total := m.totalWeight()
-	cdf := 0.0
-	for i, w := range m.Weights {
-		cdf += w / total * m.Components[i].(Dist).CDF(x)
-	}
-	return cdf
-}
-
-// Scaled wraps a sampler, multiplying every draw by Factor. PEVPM uses it
-// to extrapolate a measured distribution to a nearby message size or
-// contention level when no exact benchmark point exists.
-type Scaled struct {
-	Base   Sampler
-	Factor float64
-}
-
-// Sample draws from the base and scales it.
-func (s Scaled) Sample(r Rand) float64 { return s.Factor * s.Base.Sample(r) }
-
-// Mean returns the scaled mean.
-func (s Scaled) Mean() float64 { return s.Factor * s.Base.Mean() }
-
-// MinBound returns the scaled bound.
-func (s Scaled) MinBound() float64 { return s.Factor * s.Base.MinBound() }

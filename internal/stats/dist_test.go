@@ -13,6 +13,30 @@ func sampleMean(s Sampler, r Rand, n int) float64 {
 	return total / float64(n)
 }
 
+// Uniform draws uniformly from [Lo, Hi): the known distribution the
+// KS-distance and distribution tests check against.
+type Uniform struct{ Lo, Hi float64 }
+
+// Sample draws from the interval.
+func (u Uniform) Sample(r Rand) float64 { return u.Lo + r.Float64()*(u.Hi-u.Lo) }
+
+// Mean returns the midpoint.
+func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
+
+// MinBound returns the lower edge.
+func (u Uniform) MinBound() float64 { return u.Lo }
+
+// CDF of the uniform distribution.
+func (u Uniform) CDF(x float64) float64 {
+	if x <= u.Lo {
+		return 0
+	}
+	if x >= u.Hi {
+		return 1
+	}
+	return (x - u.Lo) / (u.Hi - u.Lo)
+}
+
 func TestConstant(t *testing.T) {
 	c := Constant(42)
 	r := newXorRand(1)
@@ -95,63 +119,9 @@ func TestWeibull(t *testing.T) {
 	}
 }
 
-func TestMixtureRTOOutliers(t *testing.T) {
-	body := ShiftedLogNormal{Shift: 100e-6, Mu: math.Log(50e-6), Sigma: 0.4}
-	rto := Uniform{Lo: 0.2, Hi: 0.21} // 200ms retransmission timeout spike
-	m, err := NewMixture([]Sampler{body, rto}, []float64{0.999, 0.001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := newXorRand(6)
-	n := 200000
-	outliers := 0
-	for i := 0; i < n; i++ {
-		if m.Sample(r) > 0.1 {
-			outliers++
-		}
-	}
-	frac := float64(outliers) / float64(n)
-	if math.Abs(frac-0.001) > 0.0005 {
-		t.Errorf("outlier fraction = %v, want ~0.001", frac)
-	}
-	// Mixture mean is dominated by the rare but huge RTO component.
-	wantMean := 0.999*body.Mean() + 0.001*rto.Mean()
-	if !almostEqual(m.Mean(), wantMean, 1e-9) {
-		t.Errorf("Mean = %v, want %v", m.Mean(), wantMean)
-	}
-	if m.MinBound() != body.MinBound() {
-		t.Errorf("MinBound = %v", m.MinBound())
-	}
-	if got := m.CDF(0.1); math.Abs(got-0.999) > 1e-6 {
-		t.Errorf("CDF(0.1) = %v", got)
-	}
-}
-
-func TestMixtureValidation(t *testing.T) {
-	if _, err := NewMixture(nil, nil); err == nil {
-		t.Error("empty mixture should fail")
-	}
-	if _, err := NewMixture([]Sampler{Constant(1)}, []float64{1, 2}); err == nil {
-		t.Error("mismatched lengths should fail")
-	}
-	if _, err := NewMixture([]Sampler{Constant(1)}, []float64{-1}); err == nil {
-		t.Error("negative weight should fail")
-	}
-	if _, err := NewMixture([]Sampler{Constant(1)}, []float64{0}); err == nil {
-		t.Error("zero total weight should fail")
-	}
-}
-
-func TestScaled(t *testing.T) {
-	s := Scaled{Base: Constant(10), Factor: 1.5}
-	r := newXorRand(7)
-	if s.Sample(r) != 15 || s.Mean() != 15 || s.MinBound() != 15 {
-		t.Error("scaled sampler broken")
-	}
-}
-
 func TestSamplerInterfaces(t *testing.T) {
-	// Every distribution with an analytic CDF must satisfy Dist.
+	// Every distribution with an analytic CDF must satisfy Dist, and
+	// puts no mass below its MinBound.
 	for _, d := range []Dist{
 		Constant(1),
 		Uniform{0, 1},
@@ -166,6 +136,9 @@ func TestSamplerInterfaces(t *testing.T) {
 				t.Fatalf("%T: CDF not monotone in [0,1] at %v", d, x)
 			}
 			prev = c
+		}
+		if c := d.CDF(d.MinBound() - 1e-9); c != 0 {
+			t.Errorf("%T: CDF just below MinBound %v is %v, want 0", d, d.MinBound(), c)
 		}
 	}
 }

@@ -57,9 +57,6 @@ func NewHistogram(binWidth float64) *Histogram {
 	return &Histogram{binWidth: binWidth, bins: make(map[int]uint64)}
 }
 
-// BinWidth returns the histogram's bin width.
-func (h *Histogram) BinWidth() float64 { return h.binWidth }
-
 // Add records one observation.
 func (h *Histogram) Add(x float64) {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -205,19 +202,6 @@ func (h *Histogram) Bins() []Bin {
 	return out
 }
 
-// Mode returns the midpoint of the fullest bin — the peak of the PDF,
-// which the paper observes sits very close to the average.
-func (h *Histogram) Mode() float64 {
-	h.rebuild()
-	var best binCount
-	for _, bc := range h.cumBins {
-		if bc.count > best.count {
-			best = bc
-		}
-	}
-	return (float64(best.index) + 0.5) * h.binWidth
-}
-
 // Quantile returns the value below which fraction q of the mass lies,
 // interpolating linearly within the containing bin. q is clamped to [0,1].
 //
@@ -315,14 +299,6 @@ func (h *Histogram) Sample(r Rand) float64 {
 	}
 	bc := h.cumBins[lo]
 	return (float64(bc.index) + r.Float64()) * h.binWidth
-}
-
-// Rebin returns a new histogram with a different bin width containing the
-// same observations (approximated at bin midpoints).
-func (h *Histogram) Rebin(binWidth float64) *Histogram {
-	out := NewHistogram(binWidth)
-	out.Merge(h)
-	return out
 }
 
 // histogramJSON is the serialised form used in MPIBench result files.

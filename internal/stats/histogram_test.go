@@ -76,9 +76,6 @@ func TestHistogramBasics(t *testing.T) {
 			t.Errorf("bin %d count = %d, want %d", i, b.Count, wantCounts[i])
 		}
 	}
-	if h.Mode() != 2.5 {
-		t.Errorf("Mode = %v, want 2.5", h.Mode())
-	}
 	if h.Min() != 0.5 || h.Max() != 2.9 {
 		t.Errorf("Min/Max = %v/%v", h.Min(), h.Max())
 	}
@@ -207,12 +204,15 @@ func TestHistogramMergeSameWidth(t *testing.T) {
 	}
 }
 
+// TestHistogramRebin: merging into a histogram of another bin width
+// rebins each observation at its bin midpoint.
 func TestHistogramRebin(t *testing.T) {
 	h := NewHistogram(0.1)
 	for i := 0; i < 100; i++ {
 		h.Add(float64(i) * 0.1)
 	}
-	coarse := h.Rebin(1.0)
+	coarse := NewHistogram(1.0)
+	coarse.Merge(h)
 	if coarse.Count() != 100 {
 		t.Errorf("rebinned count = %d", coarse.Count())
 	}
@@ -235,7 +235,7 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Count() != h.Count() || back.Mean() != h.Mean() || back.BinWidth() != h.BinWidth() {
+	if back.Count() != h.Count() || back.Mean() != h.Mean() || back.binWidth != h.binWidth {
 		t.Error("round trip lost summary data")
 	}
 	hb, bb := h.Bins(), back.Bins()

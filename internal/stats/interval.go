@@ -43,6 +43,8 @@ func (iv Interval) RelHalfWidth() float64 {
 }
 
 // Contains reports whether x lies inside the interval (inclusive).
+//
+//detlint:allow unused -- the CI coverage tests and mpibench's adaptive-estimate tests check intervals with it
 func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
 
 // String formats the interval compactly for logs.
@@ -141,12 +143,6 @@ func tQuantile(p float64, nu int) float64 {
 		return a * math.Sqrt(2/(1-a*a))
 	}
 	return t
-}
-
-// NormalCI returns the normal-theory confidence interval on the mean of
-// the summarised series: mean ± z·s/√n. Use StudentCI when n is small.
-func NormalCI(s Summary, level float64) Interval {
-	return meanCI(s, level, invNorm((1+level)/2))
 }
 
 // StudentCI returns the Student-t confidence interval on the mean —
@@ -248,10 +244,10 @@ func MAD(sorted []float64, scratch []float64) float64 {
 	return Median(scratch)
 }
 
-// Bootstrap computes percentile-bootstrap confidence intervals. The
-// struct owns its scratch buffers, so after the first call on a given
-// sample size further CIs allocate nothing — the property the adaptive
-// stopping loop's per-batch re-checks rely on. It is not safe for
+// Bootstrap computes percentile-bootstrap confidence intervals on
+// quantiles. The struct owns its scratch buffers, so after the first
+// call on a given sample size further CIs allocate nothing — the
+// property the adaptive stopping loop's per-batch re-checks rely on. It is not safe for
 // concurrent use; give each goroutine its own.
 type Bootstrap struct {
 	resamples int
@@ -259,16 +255,6 @@ type Bootstrap struct {
 	resample  []float64 // one bootstrap draw
 	stat      []float64 // per-resample statistic values
 }
-
-// statKind selects the closure-free statistic the hot resampling loop
-// computes; the generic CI entry point takes an arbitrary func instead.
-type statKind int
-
-const (
-	statMean statKind = iota
-	statQuantile
-	statTrimmed
-)
 
 // NewBootstrap returns a Bootstrap drawing the given number of
 // resamples per interval (minimum 50; 200 is a sound default for 95%
@@ -280,51 +266,18 @@ func NewBootstrap(resamples int) *Bootstrap {
 	return &Bootstrap{resamples: resamples}
 }
 
-// Resamples returns the configured resample count.
-func (b *Bootstrap) Resamples() int { return b.resamples }
-
-// MeanCI returns the percentile-bootstrap interval on the sample mean.
-func (b *Bootstrap) MeanCI(xs []float64, level float64, r Rand) Interval {
-	return b.run(xs, level, statMean, 0, r)
-}
-
 // QuantileCI returns the percentile-bootstrap interval on the
 // q-quantile — the median for q = 0.5. Quantile CIs have no useful
 // closed form for arbitrary distributions, which is exactly why the
 // bootstrap earns its keep here.
-func (b *Bootstrap) QuantileCI(xs []float64, q, level float64, r Rand) Interval {
-	return b.run(xs, level, statQuantile, q, r)
-}
-
-// TrimmedMeanCI returns the percentile-bootstrap interval on the
-// trimmed mean with fraction trim cut from each tail.
-func (b *Bootstrap) TrimmedMeanCI(xs []float64, trim, level float64, r Rand) Interval {
-	return b.run(xs, level, statTrimmed, trim, r)
-}
-
-// CI returns the percentile-bootstrap interval for an arbitrary
-// statistic. stat receives an ascending-sorted sample it must not
-// modify or retain. Unlike the fixed-statistic methods, the closure
-// call may allocate; keep hot loops on MeanCI/QuantileCI/TrimmedMeanCI.
-func (b *Bootstrap) CI(xs []float64, level float64, stat func(sorted []float64) float64, r Rand) Interval {
-	b.prepare(xs)
-	point := stat(b.sorted)
-	for k := 0; k < b.resamples; k++ {
-		b.draw(r)
-		b.stat[k] = stat(b.resample)
-	}
-	return b.finish(point, level, uint64(len(xs)))
-}
-
-// run is the closure-free hot path shared by the fixed statistics.
 //
 //detlint:hotpath
-func (b *Bootstrap) run(xs []float64, level float64, kind statKind, p float64, r Rand) Interval {
+func (b *Bootstrap) QuantileCI(xs []float64, q, level float64, r Rand) Interval {
 	b.prepare(xs)
-	point := statOf(b.sorted, kind, p)
+	point := QuantileSorted(b.sorted, q)
 	for k := 0; k < b.resamples; k++ {
 		b.draw(r)
-		b.stat[k] = statOf(b.resample, kind, p)
+		b.stat[k] = QuantileSorted(b.resample, q)
 	}
 	return b.finish(point, level, uint64(len(xs)))
 }
@@ -371,25 +324,6 @@ func (b *Bootstrap) finish(point, level float64, n uint64) Interval {
 		Hi:    QuantileSorted(b.stat, 1-alpha),
 		Level: level,
 		N:     n,
-	}
-}
-
-// statOf computes the selected statistic over an ascending-sorted
-// sample without going through a function value.
-//
-//detlint:hotpath
-func statOf(sorted []float64, kind statKind, p float64) float64 {
-	switch kind {
-	case statQuantile:
-		return QuantileSorted(sorted, p)
-	case statTrimmed:
-		return TrimmedMean(sorted, p)
-	default:
-		sum := 0.0
-		for _, x := range sorted {
-			sum += x
-		}
-		return sum / float64(len(sorted))
 	}
 }
 

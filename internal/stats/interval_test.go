@@ -92,7 +92,7 @@ func TestMeanCIs(t *testing.T) {
 	for _, x := range []float64{9, 10, 11, 10, 9, 11, 10, 10} {
 		s.Add(x)
 	}
-	n := NormalCI(s, 0.95)
+	n := meanCI(s, 0.95, invNorm(0.975)) // the normal-theory interval
 	st := StudentCI(s, 0.95)
 	if n.Point != s.Mean || st.Point != s.Mean {
 		t.Error("CI point should be the mean")
@@ -190,10 +190,8 @@ func TestBootstrapBracketsPoint(t *testing.T) {
 	xs := uniformSample(r, 100)
 	b := NewBootstrap(200)
 	for _, iv := range []Interval{
-		b.MeanCI(xs, 0.95, r),
 		b.QuantileCI(xs, 0.5, 0.95, r),
 		b.QuantileCI(xs, 0.9, 0.95, r),
-		b.TrimmedMeanCI(xs, 0.1, 0.95, r),
 	} {
 		if !(iv.Lo <= iv.Point && iv.Point <= iv.Hi) {
 			t.Errorf("interval %v does not bracket its point estimate", iv)
@@ -213,19 +211,6 @@ func TestBootstrapBracketsPoint(t *testing.T) {
 	}
 }
 
-// TestBootstrapGenericCI exercises the arbitrary-statistic entry point.
-func TestBootstrapGenericCI(t *testing.T) {
-	r := newXorRand(11)
-	xs := uniformSample(r, 80)
-	b := NewBootstrap(200)
-	iv := b.CI(xs, 0.95, func(sorted []float64) float64 {
-		return sorted[len(sorted)-1] - sorted[0] // range
-	}, r)
-	if !(iv.Lo <= iv.Point && iv.Point <= iv.Hi) {
-		t.Errorf("range CI %v does not bracket its point", iv)
-	}
-}
-
 // TestBootstrapCoverage: over many independent trials drawing from a
 // known distribution, ~95% of nominal-95% CIs must contain the true
 // quantile. Exact coverage for the median of Uniform(0,1) at n=80 is a
@@ -239,22 +224,16 @@ func TestBootstrapCoverage(t *testing.T) {
 		level  = 0.95
 	)
 	b := NewBootstrap(200)
-	hitsMedian, hitsMean := 0, 0
+	hitsMedian := 0
 	for trial := 0; trial < trials; trial++ {
 		r := newXorRand(uint64(1000 + trial))
 		xs := uniformSample(r, n)
 		if b.QuantileCI(xs, 0.5, level, r).Contains(0.5) {
 			hitsMedian++
 		}
-		if b.MeanCI(xs, level, r).Contains(0.5) {
-			hitsMean++
-		}
 	}
 	if cov := float64(hitsMedian) / trials; cov < 0.85 || cov > 0.999 {
 		t.Errorf("median CI coverage = %.3f, want ≈0.95", cov)
-	}
-	if cov := float64(hitsMean) / trials; cov < 0.85 || cov > 0.999 {
-		t.Errorf("mean CI coverage = %.3f, want ≈0.95", cov)
 	}
 }
 
@@ -291,16 +270,6 @@ func TestBootstrapZeroAlloc(t *testing.T) {
 		b.QuantileCI(xs, 0.5, 0.95, r)
 	}); allocs != 0 {
 		t.Errorf("warm QuantileCI allocates %v/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		b.MeanCI(xs, 0.95, r)
-	}); allocs != 0 {
-		t.Errorf("warm MeanCI allocates %v/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		b.TrimmedMeanCI(xs, 0.1, 0.95, r)
-	}); allocs != 0 {
-		t.Errorf("warm TrimmedMeanCI allocates %v/op, want 0", allocs)
 	}
 
 	sorted := append([]float64(nil), xs...)

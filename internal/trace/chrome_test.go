@@ -170,16 +170,30 @@ func TestChromeTraceTruncationAnnotated(t *testing.T) {
 	}
 }
 
-func TestWriteTextTruncationAnnotated(t *testing.T) {
-	l := NewLog(1)
-	l.Record(Event{Time: 0, Rank: 0, Kind: SendStart, Peer: 1})
-	l.Record(Event{Time: sim.TimeFromSeconds(0.001), Rank: 0, Kind: SendStart, Peer: 1})
-	var b strings.Builder
-	if err := l.WriteText(&b); err != nil {
-		t.Fatal(err)
+// TestGanttTruncationAnnotated: a log whose limit is a few events ends
+// its chart with the truncation line, and an untruncated log's chart
+// carries none.
+func TestGanttTruncationAnnotated(t *testing.T) {
+	record := func(l *Log) {
+		for i := 0; i < 5; i++ {
+			at := sim.TimeFromSeconds(0.001 * float64(i))
+			l.Record(Event{Time: at, Rank: 0, Kind: ComputeStart})
+			l.Record(Event{Time: at.Add(500 * sim.Microsecond), Rank: 0, Kind: ComputeEnd})
+		}
 	}
-	if !strings.Contains(b.String(), "trace truncated: 1") {
-		t.Errorf("text export missing truncation note:\n%s", b.String())
+	full := NewLog(0)
+	record(full)
+	if g := full.Gantt(20); strings.Contains(g, "truncated") {
+		t.Errorf("complete log's chart claims truncation:\n%s", g)
+	}
+	l := NewLog(4)
+	record(l)
+	g := l.Gantt(20)
+	if !strings.HasSuffix(g, "!! trace truncated: 6 further event(s) dropped at the 4-event limit\n") {
+		t.Errorf("chart of a truncated log does not end with its truncation line:\n%s", g)
+	}
+	if !strings.HasPrefix(g, "0 ") || !strings.Contains(g, "rank0") {
+		t.Errorf("truncation line replaced the chart:\n%s", g)
 	}
 }
 

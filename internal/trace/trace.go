@@ -7,7 +7,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -84,9 +83,6 @@ func (l *Log) Record(ev Event) {
 	l.events = append(l.events, ev)
 }
 
-// Len reports the number of recorded events.
-func (l *Log) Len() int { return len(l.events) }
-
 // Dropped reports how many events were discarded after the log filled.
 // A non-zero count means summaries and exports describe a truncated
 // timeline.
@@ -94,6 +90,16 @@ func (l *Log) Dropped() int { return l.dropped }
 
 // Truncated reports whether any events were dropped.
 func (l *Log) Truncated() bool { return l.dropped > 0 }
+
+// TruncationNote is the line that annotates a truncated timeline under
+// a text export, or "" when the log dropped nothing.
+func (l *Log) TruncationNote() string {
+	if !l.Truncated() {
+		return ""
+	}
+	return fmt.Sprintf("!! trace truncated: %d further event(s) dropped at the %d-event limit\n",
+		l.Dropped(), l.limit)
+}
 
 // Events returns the recorded events in time order (stable for equal
 // timestamps).
@@ -195,39 +201,15 @@ func (l *Log) Summaries() []RankSummary {
 	return out
 }
 
-// WriteText dumps the raw timeline, one line per event.
-func (l *Log) WriteText(w io.Writer) error {
-	for _, ev := range l.Events() {
-		var detail string
-		switch ev.Kind {
-		case SendStart, SendEnd:
-			detail = fmt.Sprintf("to=%d tag=%d size=%d", ev.Peer, ev.Tag, ev.Size)
-		case RecvPost, RecvEnd:
-			detail = fmt.Sprintf("from=%d tag=%d size=%d", ev.Peer, ev.Tag, ev.Size)
-		case CollectiveStart, CollectiveEnd:
-			detail = ev.Note
-		case FaultBegin, FaultEnd:
-			detail = fmt.Sprintf("rule=%d target=%d %s", ev.Tag, ev.Peer, ev.Note)
-		case NetRetry:
-			detail = fmt.Sprintf("to=%d retries=%d size=%d", ev.Peer, ev.Tag, ev.Size)
-		}
-		if _, err := fmt.Fprintf(w, "%14v rank%-4d %-13s %s\n", ev.Time, ev.Rank, ev.Kind, detail); err != nil {
-			return err
-		}
-	}
-	if l.dropped > 0 {
-		if _, err := fmt.Fprintf(w, "!! trace truncated: %d further event(s) dropped at the %d-event limit\n",
-			l.dropped, l.limit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Gantt renders an ASCII utilisation chart: one row per rank, the run
 // divided into cols buckets, each cell showing the rank's dominant
 // activity in that bucket (C compute, s send, r receive-wait, idle '.').
+// A truncated log's chart ends with its TruncationNote.
 func (l *Log) Gantt(cols int) string {
+	return l.gantt(cols) + l.TruncationNote()
+}
+
+func (l *Log) gantt(cols int) string {
 	all := l.Events()
 	// Fault-window annotations are not rank activity and may extend past
 	// the run; charting them would stretch the time axis.

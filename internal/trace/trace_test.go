@@ -17,8 +17,8 @@ func TestLogOrderingAndLimit(t *testing.T) {
 	l.Record(ev(1, 0, SendStart))
 	l.Record(ev(2, 0, SendStart))
 	l.Record(ev(4, 0, SendStart)) // beyond the limit: dropped
-	if l.Len() != 3 {
-		t.Fatalf("len = %d", l.Len())
+	if n := len(l.Events()); n != 3 {
+		t.Fatalf("len = %d", n)
 	}
 	events := l.Events()
 	for i := 1; i < len(events); i++ {
@@ -73,22 +73,6 @@ func TestGantt(t *testing.T) {
 	}
 	if NewLog(0).Gantt(10) != "" {
 		t.Error("empty log should render empty gantt")
-	}
-}
-
-func TestWriteText(t *testing.T) {
-	l := NewLog(0)
-	l.Record(Event{Time: sim.TimeFromSeconds(0.5), Rank: 2, Kind: SendStart, Peer: 3, Tag: 7, Size: 64})
-	l.Record(Event{Time: sim.TimeFromSeconds(0.6), Rank: 3, Kind: CollectiveStart, Peer: -1, Note: "Bcast"})
-	var b strings.Builder
-	if err := l.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"rank2", "send-start", "to=3 tag=7 size=64", "Bcast"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
 	}
 }
 

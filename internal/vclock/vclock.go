@@ -57,6 +57,8 @@ func (c *LocalClock) Read(t sim.Time) float64 {
 }
 
 // TrueParams exposes the clock's hidden parameters for test assertions.
+//
+//detlint:allow unused -- the clock-sync tests measure the estimated correction's error against it
 func (c *LocalClock) TrueParams() (offset, skew float64) { return c.offset, c.skew }
 
 // NewClockSet builds one local clock per node with realistic spreads:
@@ -98,9 +100,6 @@ type Correction struct {
 func (c Correction) Global(local float64) float64 {
 	return local + c.Offset + c.Skew*(local-c.RefLocal)
 }
-
-// Identity is the correction for the reference node itself.
-func Identity() Correction { return Correction{} }
 
 // ErrTooFewProbes is returned when fewer than two usable probes remain
 // after filtering.

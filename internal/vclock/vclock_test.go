@@ -169,11 +169,13 @@ func TestEstimateDegenerateSameInstant(t *testing.T) {
 	}
 }
 
+// TestIdentityCorrection: the zero Correction, the reference node's own,
+// maps every local reading to itself.
 func TestIdentityCorrection(t *testing.T) {
-	id := Identity()
+	var id Correction
 	for _, v := range []float64{0, 1.5, 1e6} {
 		if id.Global(v) != v {
-			t.Errorf("Identity.Global(%v) = %v", v, id.Global(v))
+			t.Errorf("Correction{}.Global(%v) = %v", v, id.Global(v))
 		}
 	}
 }

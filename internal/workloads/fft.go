@@ -46,14 +46,6 @@ func stages(procs int) []int {
 	return out
 }
 
-// SerialTime is the one-processor baseline: all stage recombinations,
-// no communication. A P-process run performs log2(P) stages over
-// PointsPerProc×P total points.
-func (f FFT) SerialTime(procs int) float64 {
-	totalPoints := float64(f.PointsPerProc * procs)
-	return float64(f.Rounds) * float64(len(stages(procs))) * totalPoints * f.StageSeconds
-}
-
 const tagFFT = 2
 
 // Run executes the FFT program on one rank.

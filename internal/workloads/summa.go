@@ -29,11 +29,6 @@ func DefaultSumma() Summa {
 	}
 }
 
-// SerialTime is the one-processor baseline.
-func (s Summa) SerialTime(procs int) float64 {
-	return float64(s.Iterations) * s.FlopsSeconds * float64(procs)
-}
-
 // Run executes the workload on one rank.
 func (s Summa) Run(c *mpi.Comm) {
 	procs := c.Size()

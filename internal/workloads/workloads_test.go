@@ -163,15 +163,6 @@ func TestFFTExecutesAndModelAgrees(t *testing.T) {
 	}
 }
 
-func TestFFTSerialTime(t *testing.T) {
-	f := FFT{PointsPerProc: 1024, BytesPerPoint: 8, StageSeconds: 1e-6, Rounds: 2}
-	// 4 procs → stages 1,2 → 2 stages; total points 4096.
-	want := 2.0 * 2 * 4096 * 1e-6
-	if got := f.SerialTime(4); math.Abs(got-want) > 1e-12 {
-		t.Errorf("SerialTime = %v, want %v", got, want)
-	}
-}
-
 func TestTaskFarmExecutes(t *testing.T) {
 	cfg := cluster.Perseus()
 	tf := TaskFarm{Tasks: 40, TaskSeconds: 5e-3, TaskBytes: 256, ResultBytes: 1024}
