@@ -9,6 +9,7 @@ package repro
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -200,18 +201,23 @@ func BenchmarkPEVPMEvaluationCost(b *testing.B) {
 }
 
 // BenchmarkMPISendRecv measures the simulator's throughput executing the
-// fundamental operation pair, in simulated messages per wall second.
+// fundamental operation pair, in simulated messages per wall second, and
+// the allocations per simulated message, the job's set-up included.
 func BenchmarkMPISendRecv(b *testing.B) {
+	const msgs = 2000 // per job: 1000 exchanges on each of 2 ranks
 	cfg := cluster.Perseus()
 	pl, err := cluster.NewPlacement(&cfg, 2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := workloads.Execute(cfg, pl, uint64(i), func(c *mpi.Comm) {
 			partner := 1 - c.Rank()
-			for k := 0; k < 1000; k++ {
+			for k := 0; k < msgs/2; k++ {
 				c.Sendrecv(partner, 0, 1024, partner, 0)
 			}
 		})
@@ -219,7 +225,10 @@ func BenchmarkMPISendRecv(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(2000*float64(b.N)/b.Elapsed().Seconds(), "sim-msgs/s")
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(msgs*float64(b.N)/b.Elapsed().Seconds(), "sim-msgs/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(msgs*b.N), "allocs/msg")
 }
 
 // BenchmarkNetsimTransfer measures raw network-model event throughput

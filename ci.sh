@@ -16,9 +16,12 @@
 #      to the binary search bit for bit, of FuzzParseTopology, which
 #      holds the topology grammar to errors, never panics or oversized
 #      path tables, of FuzzParse, which holds the .pvm model parser to
-#      repeatable errors and never panics, and of FuzzEval, which holds
+#      repeatable errors and never panics, of FuzzEval, which holds
 #      the expression evaluator to repeatable results and its printer to
-#      a precedence-preserving round trip
+#      a precedence-preserving round trip, and of FuzzResolve, which
+#      holds the pevpmd request decoder and resolver to repeatable
+#      errors, never panics, and canonical bytes that parse back to
+#      themselves
 #   3. the detlint sweep: the repository's own determinism/zero-alloc
 #      analyzers (internal/detlint, docs/DETLINT.md) over every
 #      package, warnings promoted to errors; stdlib-only, never skipped
@@ -66,6 +69,7 @@ go test -run '^$' -fuzz '^FuzzQuantile$' -fuzztime 10s ./internal/stats
 go test -run '^$' -fuzz '^FuzzParseTopology$' -fuzztime 10s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/pevpm
 go test -run '^$' -fuzz '^FuzzEval$' -fuzztime 10s ./internal/pevpm
+go test -run '^$' -fuzz '^FuzzResolve$' -fuzztime 10s ./internal/service
 make detlint
 make lint
 make determinism

@@ -94,6 +94,8 @@ func (r *Registry) snapshot(includeVolatile bool) Snapshot {
 }
 
 // Counter returns the value of the named counter, or false if absent.
+//
+//detlint:allow unused -- the kernel, MPI, PEVPM, sweep and service metrics tests read their counters through it
 func (s Snapshot) Counter(pkg, name string, labels ...Label) (uint64, bool) {
 	id := key(pkg, name, sortedLabels(labels))
 	for _, p := range s.Counters {

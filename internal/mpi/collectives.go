@@ -25,8 +25,19 @@ const (
 )
 
 // collSend/collRecv are blocking helpers in the collective context.
-func (c *Comm) collSend(dst, tag, size int) { c.Wait(c.isend(ctxCollective, dst, tag, size, nil)) }
-func (c *Comm) collRecv(src, tag int)       { c.Wait(c.irecv(ctxCollective, src, tag)) }
+func (c *Comm) collSend(dst, tag, size int) { c.waitFree(c.isend(ctxCollective, dst, tag, size, nil)) }
+func (c *Comm) collRecv(src, tag int)       { c.waitFree(c.irecv(ctxCollective, src, tag)) }
+
+// collExchange sends size bytes to dst and receives from src in the
+// collective context, concurrently, and recycles both requests: one
+// round of Barrier, Allgather or Alltoall.
+func (c *Comm) collExchange(dst, src, tag, size int) {
+	sr := c.isend(ctxCollective, dst, tag, size, nil)
+	rr := c.irecv(ctxCollective, src, tag)
+	c.Waitall(sr, rr)
+	c.w.releaseRequest(sr)
+	c.w.releaseRequest(rr)
+}
 
 // Barrier blocks until every rank has entered it (dissemination
 // algorithm: ceil(log2 P) rounds of pairwise zero-byte exchanges).
@@ -41,9 +52,7 @@ func (c *Comm) Barrier() {
 	for k := 1; k < p; k <<= 1 {
 		dst := (c.rank + k) % p
 		src := (c.rank - k%p + p) % p
-		sr := c.isend(ctxCollective, dst, tagBarrier, 0, nil)
-		rr := c.irecv(ctxCollective, src, tagBarrier)
-		c.Waitall(sr, rr)
+		c.collExchange(dst, src, tagBarrier, 0)
 	}
 }
 
@@ -206,9 +215,7 @@ func (c *Comm) Allgather(size int) {
 	right := (c.rank + 1) % p
 	left := (c.rank - 1 + p) % p
 	for step := 0; step < p-1; step++ {
-		sr := c.isend(ctxCollective, right, tagAllgather, size, nil)
-		rr := c.irecv(ctxCollective, left, tagAllgather)
-		c.Waitall(sr, rr)
+		c.collExchange(right, left, tagAllgather, size)
 	}
 }
 
@@ -226,9 +233,7 @@ func (c *Comm) Alltoall(size int) {
 	for step := 1; step < p; step++ {
 		dst := (c.rank + step) % p
 		src := (c.rank - step + p) % p
-		sr := c.isend(ctxCollective, dst, tagAlltoall, size, nil)
-		rr := c.irecv(ctxCollective, src, tagAlltoall)
-		c.Waitall(sr, rr)
+		c.collExchange(dst, src, tagAlltoall, size)
 	}
 }
 

@@ -16,15 +16,20 @@ type Status struct {
 	Data   any
 }
 
-// Request is a handle to an outstanding nonblocking operation.
+// Request is a handle to an outstanding nonblocking operation. Requests
+// come from the World's free list; the blocking calls, which never hand
+// theirs to the caller, return them there once waited (releaseRequest).
 type Request struct {
 	c      *Comm
 	isSend bool
 
 	// Receive matching key.
 	ctx, src, tag int
+	// Send: the message's destination and size, kept here rather than
+	// read from its envelope, which is recycled once the receive that
+	// consumes it completes.
+	dst, size int
 
-	env        *envelope
 	done       bool
 	st         Status
 	cpuCharged bool
@@ -51,8 +56,10 @@ func (c *Comm) Now() sim.Time { return c.proc.Now() }
 // hostCost occupies the rank's CPU for an MPI-call overhead: a base cost
 // plus a per-byte copy cost, with multiplicative jitter and occasional
 // OS scheduling spikes.
+//
+//detlint:hotpath
 func (c *Comm) hostCost(base float64, bytes int) {
-	cfg := c.w.net.Config()
+	cfg := &c.w.cfg
 	d := base + float64(bytes)*cfg.PerByteCPU
 	if cfg.JitterSigma > 0 {
 		f := 1 + cfg.JitterSigma*c.w.hosts.NormFloat64()
@@ -107,6 +114,9 @@ func (c *Comm) IsendData(dst, tag, size int, data any) *Request {
 	return c.isend(ctxUser, dst, tag, size, data)
 }
 
+// isend starts a send in matching context ctx (user or collective).
+//
+//detlint:hotpath
 func (c *Comm) isend(ctx, dst, tag, size int, data any) *Request {
 	c.checkPeer("Isend to", dst)
 	if ctx == ctxUser {
@@ -118,11 +128,13 @@ func (c *Comm) isend(ctx, dst, tag, size int, data any) *Request {
 	if size < 0 {
 		panic(fmt.Sprintf("mpi: rank %d: negative message size %d", c.rank, size))
 	}
-	cfg := c.w.net.Config()
+	cfg := &c.w.cfg
 	c.hostCost(cfg.SendOverhead, size)
 
-	env := &envelope{src: c.rank, dst: dst, ctx: ctx, tag: tag, size: size, data: data}
-	r := &Request{c: c, isSend: true, ctx: ctx, src: c.rank, tag: tag, env: env}
+	env := c.w.acquireEnvelope()
+	env.src, env.dst, env.ctx, env.tag, env.size, env.data = c.rank, dst, ctx, tag, size, data
+	r := c.w.acquireRequest(c, ctx, c.rank, tag)
+	r.isSend, r.dst, r.size = true, dst, size
 	if c.w.lint != nil {
 		c.w.lint.trackRequest(r)
 	}
@@ -130,17 +142,14 @@ func (c *Comm) isend(ctx, dst, tag, size int, data any) *Request {
 	if size <= cfg.EagerLimit {
 		// Eager: payload travels with the envelope; locally complete.
 		c.w.mEager.Inc()
-		c.w.sendPacket(c.rank, dst, pktEager, size, env, 0)
+		c.w.sendPacket(c.rank, dst, pktEager, size, env)
 		c.w.completeRequest(r, Status{Source: c.rank, Tag: tag, Size: size})
 		return r
 	}
 	// Rendezvous: announce with an RTS and wait for clearance.
 	c.w.mRendezvous.Inc()
-	env.rendezvous = true
-	c.w.nextSendID++
-	env.sendID = c.w.nextSendID
-	c.w.sendReqs[env.sendID] = r
-	c.w.sendPacket(c.rank, dst, pktRTS, cfg.CtrlBytes, env, 0)
+	env.sender = r
+	c.w.sendPacket(c.rank, dst, pktRTS, cfg.CtrlBytes, env)
 	return r
 }
 
@@ -150,6 +159,9 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	return c.irecv(ctxUser, src, tag)
 }
 
+// irecv posts a receive in matching context ctx (user or collective).
+//
+//detlint:hotpath
 func (c *Comm) irecv(ctx, src, tag int) *Request {
 	if src != AnySource {
 		c.checkPeer("Irecv from", src)
@@ -160,7 +172,7 @@ func (c *Comm) irecv(ctx, src, tag int) *Request {
 	if tag < AnyTag {
 		panic(fmt.Sprintf("mpi: rank %d: recv tag %d invalid", c.rank, tag))
 	}
-	r := &Request{c: c, ctx: ctx, src: src, tag: tag}
+	r := c.w.acquireRequest(c, ctx, src, tag)
 	if c.w.lint != nil {
 		c.w.lint.trackRequest(r)
 	}
@@ -210,6 +222,8 @@ func (c *Comm) Waitall(rs ...*Request) {
 }
 
 // chargeCompletion pays the receive-side CPU cost exactly once.
+//
+//detlint:hotpath
 func (c *Comm) chargeCompletion(r *Request) {
 	if r.cpuCharged {
 		return
@@ -219,14 +233,14 @@ func (c *Comm) chargeCompletion(r *Request) {
 		c.w.lint.requestWaited(r)
 	}
 	if !r.isSend {
-		c.hostCost(c.w.net.Config().RecvOverhead, r.st.Size)
+		c.hostCost(c.w.cfg.RecvOverhead, r.st.Size)
 		if r.ctx == ctxUser {
 			c.w.rec(c.rank, trace.RecvEnd, r.st.Source, r.st.Tag, r.st.Size, "")
 		}
 		return
 	}
 	if r.ctx == ctxUser {
-		c.w.rec(c.rank, trace.SendEnd, r.env.dst, r.tag, r.env.size, "")
+		c.w.rec(c.rank, trace.SendEnd, r.dst, r.tag, r.size, "")
 	}
 }
 
@@ -236,7 +250,7 @@ func (c *Comm) chargeCompletion(r *Request) {
 // every block iteration.
 func (r *Request) BlockReason() string {
 	if r.isSend {
-		return fmt.Sprintf("Wait(send to %d tag %d size %d)", r.env.dst, r.tag, r.env.size)
+		return fmt.Sprintf("Wait(send to %d tag %d size %d)", r.dst, r.tag, r.size)
 	}
 	return fmt.Sprintf("Wait(recv src %d tag %d)", r.src, r.tag)
 }
@@ -245,17 +259,17 @@ func (r *Request) BlockReason() string {
 // the payload is buffered locally; for rendezvous messages it blocks
 // until the payload reaches the destination.
 func (c *Comm) Send(dst, tag, size int) {
-	c.Wait(c.Isend(dst, tag, size))
+	c.waitFree(c.Isend(dst, tag, size))
 }
 
 // SendData is Send carrying an opaque payload.
 func (c *Comm) SendData(dst, tag, size int, data any) {
-	c.Wait(c.IsendData(dst, tag, size, data))
+	c.waitFree(c.IsendData(dst, tag, size, data))
 }
 
 // Recv blocks until a matching message arrives and returns its status.
 func (c *Comm) Recv(src, tag int) Status {
-	return c.Wait(c.Irecv(src, tag))
+	return c.waitFree(c.Irecv(src, tag))
 }
 
 // Sendrecv posts both operations concurrently and waits for both, the
@@ -264,5 +278,16 @@ func (c *Comm) Sendrecv(dst, sendTag, size, src, recvTag int) Status {
 	rr := c.Irecv(src, recvTag)
 	sr := c.Isend(dst, sendTag, size)
 	c.Waitall(sr, rr)
-	return rr.st
+	st := rr.st
+	c.w.releaseRequest(sr)
+	c.w.releaseRequest(rr)
+	return st
+}
+
+// waitFree is Wait for a request no caller holds: once it completes, it
+// goes back to the World's free list.
+func (c *Comm) waitFree(r *Request) Status {
+	st := c.Wait(r)
+	c.w.releaseRequest(r)
+	return st
 }

@@ -181,3 +181,46 @@ func TestLintCollectivesProduceNoFindings(t *testing.T) {
 		t.Errorf("collectives produced findings: %v", fs)
 	}
 }
+
+// TestLintLeakOnlyTheUnwaitedIsend mixes calls whose requests the World
+// recycles (Barrier, Send, Recv) with one Isend nobody waits for: lint
+// mode must report that Isend, and nothing the blocking calls left
+// behind.
+func TestLintLeakOnlyTheUnwaitedIsend(t *testing.T) {
+	w := quietWorld(t, 3, 1, 1)
+	l := w.EnableLint()
+	w.Launch(func(c *Comm) {
+		for i := 0; i < 3; i++ {
+			c.Barrier()
+			switch c.Rank() {
+			case 0:
+				c.Send(1, i, 256)
+				c.Recv(2, i)
+			case 1:
+				c.Recv(0, i)
+				c.Send(2, i, 64<<10)
+			case 2:
+				c.Recv(1, i)
+				c.Send(0, i, 256)
+			}
+		}
+		if c.Rank() == 2 {
+			c.Isend(0, 9, 128) // never waited: the one leak
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			c.Recv(2, 9)
+		}
+	})
+	if _, err := w.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	leaks := findRule(l.Findings(), RuleLeakedRequest)
+	if len(leaks) != 1 || leaks[0].Rank != 2 ||
+		!strings.Contains(leaks[0].Message, "Wait(send to 0 tag 9 size 128)") {
+		t.Fatalf("leaked-request findings = %v, want one for rank 2's Isend", leaks)
+	}
+	if fs := l.Findings(); len(fs) != 1 {
+		t.Errorf("findings = %v, want only the leak", fs)
+	}
+}

@@ -44,6 +44,8 @@ func matches(r *Request, env *envelope) bool {
 // arriveEnvelope processes a newly delivered envelope (eager payload or
 // rendezvous RTS): match it against the oldest posted receive, or queue
 // it as unexpected.
+//
+//detlint:hotpath
 func (rs *rankState) arriveEnvelope(w *World, env *envelope) {
 	for i, r := range rs.posted {
 		if matches(r, env) {
@@ -64,6 +66,8 @@ func (rs *rankState) arriveEnvelope(w *World, env *envelope) {
 
 // postRecv registers a receive request: match the oldest compatible
 // unexpected envelope, or queue the request.
+//
+//detlint:hotpath
 func (rs *rankState) postRecv(w *World, r *Request) {
 	if w.lint != nil {
 		w.lint.checkWildcard(rs, r)
@@ -81,9 +85,10 @@ func (rs *rankState) postRecv(w *World, r *Request) {
 // matchEnvelope binds an envelope to a receive request. Eager envelopes
 // complete immediately (the payload travelled with them); rendezvous
 // envelopes trigger the clear-to-send so the payload can flow.
+//
+//detlint:hotpath
 func (w *World) matchEnvelope(r *Request, env *envelope) {
 	env.matched = r
-	r.env = env
 	if env.dataArrived {
 		w.completeRecv(r, env)
 		return
@@ -91,16 +96,23 @@ func (w *World) matchEnvelope(r *Request, env *envelope) {
 	// Rendezvous: grant the sender clearance. MPICH sends the CTS from
 	// within its progress engine; the receiving rank's CPU cost is
 	// charged when the receive completes.
-	w.sendPacket(env.dst, env.src, pktCTS, w.net.Config().CtrlBytes, nil, env.sendID)
+	w.sendPacket(env.dst, env.src, pktCTS, w.cfg.CtrlBytes, env)
 }
 
-// completeRecv finishes a receive request whose payload has arrived.
+// completeRecv finishes a receive request whose payload has arrived. The
+// receive is the envelope's last reader, so the envelope goes back to
+// the pool here.
+//
+//detlint:hotpath
 func (w *World) completeRecv(r *Request, env *envelope) {
 	w.completeRequest(r, Status{Source: env.src, Tag: env.tag, Size: env.size, Data: env.data})
+	w.releaseEnvelope(env)
 }
 
 // completeRequest marks a request done and wakes its rank if it is
 // blocked in Wait/Waitall.
+//
+//detlint:hotpath
 func (w *World) completeRequest(r *Request, st Status) {
 	if r.done {
 		panic("mpi: request completed twice")

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -371,5 +372,28 @@ func TestFinishTimes(t *testing.T) {
 	}
 	if end != ft[3] {
 		t.Errorf("Wait returned %v, last finish %v", end, ft[3])
+	}
+}
+
+// TestDeadlockNamesPendingSend: two ranks each Send a rendezvous message
+// to the other and never receive, so both park in Wait on their send.
+// The deadlock error must name each pending send's peer, tag and size.
+func TestDeadlockNamesPendingSend(t *testing.T) {
+	w := quietWorld(t, 2, 1, 1)
+	w.Launch(func(c *Comm) {
+		c.Send(1-c.Rank(), 0, 64<<10)
+	})
+	_, err := w.Wait()
+	if !errors.Is(err, sim.ErrDeadlock) {
+		t.Fatalf("err = %v, want deadlock", err)
+	}
+	defer w.Shutdown()
+	for _, want := range []string{
+		"Wait(send to 1 tag 0 size 65536)",
+		"Wait(send to 0 tag 0 size 65536)",
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("deadlock error %q does not name %s", err, want)
+		}
 	}
 }

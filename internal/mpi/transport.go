@@ -38,11 +38,11 @@ func (k packetKind) String() string {
 type packet struct {
 	w     *World
 	key   connKey
-	bytes int // wire payload size, for retry trace records
+	conn  *connection // the connection key names, so arrival needs no lookup
+	bytes int         // wire payload size, for retry trace records
 	kind  packetKind
 	seq   uint64
-	env   *envelope // eager/RTS/data: the message this packet belongs to
-	id    uint64    // CTS: the send request being cleared
+	env   *envelope // the message this packet belongs to (CTS: the one being cleared)
 }
 
 // Deliver runs in event context when the network finishes the transfer.
@@ -59,12 +59,14 @@ func (p *packet) Deliver(st netsim.TransferStats) {
 		}
 		w.rec(p.key.src, trace.NetRetry, p.key.dst, st.Retries, p.bytes, "")
 	}
-	w.arrive(p.key, p)
+	w.arrive(p)
 }
 
 // envelope is a message in flight: the matching key plus payload
 // metadata. For rendezvous messages the envelope arrives first as an RTS
-// and the payload follows after the CTS handshake.
+// and the payload follows after the CTS handshake. Envelopes are pooled
+// on the World; the receive that consumes one (completeRecv) is its last
+// reader and returns it.
 type envelope struct {
 	src, dst int
 	ctx      int // matching context: user point-to-point or collective
@@ -72,8 +74,7 @@ type envelope struct {
 	size     int
 	data     any
 
-	rendezvous  bool
-	sendID      uint64   // rendezvous: the sender-side request to clear
+	sender      *Request // rendezvous: the send request the CTS clears
 	matched     *Request // receive request this envelope was matched to
 	dataArrived bool     // payload fully at the destination host
 }
@@ -91,7 +92,9 @@ type connection struct {
 
 // sendPacket injects a packet of the given payload size from src to dst,
 // stamping it with the connection's next sequence number.
-func (w *World) sendPacket(src, dst int, kind packetKind, bytes int, env *envelope, id uint64) {
+//
+//detlint:hotpath
+func (w *World) sendPacket(src, dst int, kind packetKind, bytes int, env *envelope) {
 	key := connKey{src, dst}
 	conn := w.conns[key]
 	if conn == nil {
@@ -99,8 +102,8 @@ func (w *World) sendPacket(src, dst int, kind packetKind, bytes int, env *envelo
 		w.conns[key] = conn
 	}
 	pkt := w.acquirePacket()
-	pkt.key, pkt.bytes = key, bytes
-	pkt.kind, pkt.env, pkt.id = kind, env, id
+	pkt.key, pkt.conn, pkt.bytes = key, conn, bytes
+	pkt.kind, pkt.env = kind, env
 	pkt.seq = conn.nextSend
 	conn.nextSend++
 	w.net.TransferTo(w.place.NodeOf(src), w.place.NodeOf(dst), bytes, pkt)
@@ -124,12 +127,55 @@ func (w *World) releasePacket(pkt *packet) {
 	w.pktFree = append(w.pktFree, pkt)
 }
 
-// arrive delivers a packet to the connection, releasing any consecutive
+// acquireRequest takes a request from the World's pool, or makes one,
+// and sets its owner and matching key.
+func (w *World) acquireRequest(c *Comm, ctx, src, tag int) *Request {
+	var r *Request
+	if n := len(w.reqFree) - 1; n >= 0 {
+		r = w.reqFree[n]
+		w.reqFree[n] = nil
+		w.reqFree = w.reqFree[:n]
+	} else {
+		r = new(Request)
+	}
+	r.c, r.ctx, r.src, r.tag = c, ctx, src, tag
+	return r
+}
+
+// releaseRequest recycles a completed request that no caller holds:
+// one a blocking call made and waited for itself. A request Isend or
+// Irecv returned is never released, since its caller may Wait on it
+// again.
+func (w *World) releaseRequest(r *Request) {
+	*r = Request{}
+	w.reqFree = append(w.reqFree, r)
+}
+
+// acquireEnvelope takes a cleared envelope from the World's pool, or
+// makes one.
+func (w *World) acquireEnvelope() *envelope {
+	if n := len(w.envFree) - 1; n >= 0 {
+		env := w.envFree[n]
+		w.envFree[n] = nil
+		w.envFree = w.envFree[:n]
+		return env
+	}
+	return new(envelope)
+}
+
+// releaseEnvelope recycles a consumed envelope, clearing it so the pool
+// pins neither its payload nor its requests.
+func (w *World) releaseEnvelope(env *envelope) {
+	*env = envelope{}
+	w.envFree = append(w.envFree, env)
+}
+
+// arrive delivers a packet to its connection, releasing any consecutive
 // run of packets that is now in order.
 //
 //detlint:hotpath
-func (w *World) arrive(key connKey, pkt *packet) {
-	conn := w.conns[key]
+func (w *World) arrive(pkt *packet) {
+	conn := pkt.conn
 	if pkt.seq != conn.nextSeq {
 		// Insert in seq order (binary search: held is already sorted).
 		lo, hi := 0, len(conn.held)
@@ -146,7 +192,7 @@ func (w *World) arrive(key connKey, pkt *packet) {
 		conn.held[lo] = pkt
 		return
 	}
-	w.handlePacket(key, pkt)
+	w.handlePacket(pkt)
 	w.releasePacket(pkt)
 	conn.nextSeq++
 	for len(conn.held) > 0 && conn.held[0].seq == conn.nextSeq {
@@ -155,39 +201,31 @@ func (w *World) arrive(key connKey, pkt *packet) {
 		copy(conn.held, conn.held[1:])
 		conn.held[n] = nil
 		conn.held = conn.held[:n]
-		w.handlePacket(key, next)
+		w.handlePacket(next)
 		w.releasePacket(next)
 		conn.nextSeq++
 	}
 }
 
 // handlePacket runs in event context with packets arriving in order.
-func (w *World) handlePacket(key connKey, pkt *packet) {
+//
+//detlint:hotpath
+func (w *World) handlePacket(pkt *packet) {
+	env := pkt.env
 	switch pkt.kind {
 	case pktEager:
-		pkt.env.dataArrived = true
-		w.ranks[key.dst].arriveEnvelope(w, pkt.env)
+		env.dataArrived = true
+		w.ranks[pkt.key.dst].arriveEnvelope(w, env)
 	case pktRTS:
-		w.ranks[key.dst].arriveEnvelope(w, pkt.env)
+		w.ranks[pkt.key.dst].arriveEnvelope(w, env)
 	case pktCTS:
 		// Back at the sender: stream the payload. The NIC does this
 		// asynchronously; the sending rank's CPU is not involved again.
-		req := w.sendReqs[pkt.id]
-		if req == nil {
-			panic(fmt.Sprintf("mpi: CTS for unknown send request %d", pkt.id))
-		}
-		env := req.env
-		w.sendPacket(env.src, env.dst, pktData, env.size, env, 0)
+		w.sendPacket(env.src, env.dst, pktData, env.size, env)
 	case pktData:
-		env := pkt.env
 		env.dataArrived = true
 		// Complete the sender side.
-		req := w.sendReqs[env.sendID]
-		if req == nil {
-			panic(fmt.Sprintf("mpi: data for unknown send request %d", env.sendID))
-		}
-		delete(w.sendReqs, env.sendID)
-		w.completeRequest(req, Status{Source: env.src, Tag: env.tag, Size: env.size})
+		w.completeRequest(env.sender, Status{Source: env.src, Tag: env.tag, Size: env.size})
 		// Complete the receiver side (the envelope was matched before
 		// the CTS went out).
 		if env.matched == nil {

@@ -14,18 +14,19 @@ import (
 func TestConnectionResequencing(t *testing.T) {
 	w := quietWorld(t, 2, 1, 1)
 	key := connKey{0, 1}
-	w.conns[key] = &connection{}
+	conn := &connection{}
+	w.conns[key] = conn
 
 	var order []uint64
 	mkPkt := func(seq uint64) *packet {
 		env := &envelope{src: 0, dst: 1, ctx: ctxUser, tag: int(seq), size: 1}
-		return &packet{kind: pktEager, seq: seq, env: env}
+		return &packet{key: key, conn: conn, kind: pktEager, seq: seq, env: env}
 	}
 	// Intercept handling by observing the unexpected queue after each
 	// arrival; simpler: deliver and inspect rank 1's unexpected queue
 	// (envelopes arrive in handled order).
 	deliver := func(seq uint64) {
-		w.arrive(key, mkPkt(seq))
+		w.arrive(mkPkt(seq))
 		// Record newly handled envelopes.
 		for len(order) < len(w.ranks[1].unexpected) {
 			env := w.ranks[1].unexpected[len(order)]

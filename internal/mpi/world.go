@@ -29,6 +29,11 @@ type World struct {
 	place   cluster.Placement
 	compute cluster.ComputeModel
 
+	// cfg is the network's configuration, copied once at NewWorld (the
+	// network never changes it) because Network.Config returns the
+	// whole struct by value, too large to copy on every message.
+	cfg cluster.Config
+
 	ranks    []*rankState
 	hosts    *sim.RNG // host overhead jitter stream
 	cpu      *sim.RNG // compute jitter stream
@@ -56,17 +61,18 @@ type World struct {
 	// suffered, surfacing the tail events the paper attributes to RTO.
 	timeouts TimeoutStats
 
-	nextSendID uint64
-	sendReqs   map[uint64]*Request
-
 	// connections resequence packets per directed rank pair, mirroring
 	// TCP's in-order delivery (a retransmitted message blocks everything
 	// behind it on the same connection).
 	conns map[connKey]*connection
 
-	// pktFree recycles transport packets so a steady message stream
-	// allocates no per-packet state.
+	// pktFree, reqFree and envFree recycle transport packets, requests
+	// and envelopes, so a steady message stream allocates no
+	// per-message state. A World runs on one engine, so plain slices
+	// suffice.
 	pktFree []*packet
+	reqFree []*Request
+	envFree []*envelope
 
 	finish []sim.Time
 
@@ -91,15 +97,15 @@ func NewWorld(e *sim.Engine, net *netsim.Network, place cluster.Placement) *Worl
 		panic(err)
 	}
 	w := &World{
-		e:        e,
-		net:      net,
-		place:    place,
-		compute:  cluster.DefaultComputeModel(),
-		hosts:    e.RNG("mpi.host"),
-		cpu:      e.RNG("mpi.cpu"),
-		sendReqs: make(map[uint64]*Request),
-		conns:    make(map[connKey]*connection),
-		finish:   make([]sim.Time, place.NumProcs()),
+		e:       e,
+		net:     net,
+		place:   place,
+		compute: cluster.DefaultComputeModel(),
+		cfg:     cfg,
+		hosts:   e.RNG("mpi.host"),
+		cpu:     e.RNG("mpi.cpu"),
+		conns:   make(map[connKey]*connection),
+		finish:  make([]sim.Time, place.NumProcs()),
 	}
 	w.ranks = make([]*rankState, place.NumProcs())
 	for i := range w.ranks {

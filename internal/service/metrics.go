@@ -97,10 +97,3 @@ func (m *serviceMetrics) snapshotAll() metrics.Snapshot {
 	defer m.mu.Unlock()
 	return m.reg.SnapshotAll()
 }
-
-// counterValue reads one service counter out of a fresh snapshot
-// (tests and /v1/stats).
-func (m *serviceMetrics) counterValue(name string, labels ...metrics.Label) uint64 {
-	v, _ := m.snapshotAll().Counter("service", name, labels...)
-	return v
-}

@@ -78,20 +78,6 @@ func (p *pool) submit(task func()) int {
 	return depth
 }
 
-// run executes n tasks on the pool and blocks until all complete.
-func (p *pool) run(n int, task func(i int)) {
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		p.submit(func() {
-			defer wg.Done()
-			task(i)
-		})
-	}
-	wg.Wait()
-}
-
 // close stops the workers after draining queued tasks. Call only after
 // the HTTP server has drained its handlers (graceful-shutdown order).
 func (p *pool) close() {

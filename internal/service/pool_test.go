@@ -1,9 +1,24 @@
 package service
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 )
+
+// run executes n tasks on the pool and blocks until all complete.
+func (p *pool) run(n int, task func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		i := i
+		p.submit(func() {
+			defer wg.Done()
+			task(i)
+		})
+	}
+	wg.Wait()
+}
 
 func TestPoolRunsEverything(t *testing.T) {
 	p := newPool(3)

@@ -88,18 +88,25 @@ func errorBody(hash, msg string, findings []mpilint.Finding) []byte {
 	return append(body, '\n')
 }
 
+// parseRequest decodes a request body, rejecting unknown fields, and
+// resolves it against the service limits.
+func (s *Service) parseRequest(raw []byte) (Request, error) {
+	var req Request
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	return req, s.resolve(&req)
+}
+
 // HandleRequest runs one prediction request end to end: decode,
 // resolve, response-cache lookup, single-flight computation, timeout.
 // It never writes HTTP — the handler layer does — so tests and
 // benchmarks drive it directly.
 func (s *Service) HandleRequest(ctx context.Context, raw []byte) Result {
-	var req Request
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return Result{Status: 400, Body: errorBody("", "request: "+err.Error(), nil)}
-	}
-	if err := s.resolve(&req); err != nil {
+	req, err := s.parseRequest(raw)
+	if err != nil {
 		return Result{Status: 400, Body: errorBody("", "request: "+err.Error(), nil)}
 	}
 	hash := fnvHex(canonical(&req))

@@ -9,7 +9,14 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 )
+
+// counterValue reads one service counter out of a fresh snapshot.
+func (m *serviceMetrics) counterValue(name string, labels ...metrics.Label) uint64 {
+	v, _ := m.snapshotAll().Counter("service", name, labels...)
+	return v
+}
 
 // ringModel passes lint at any world size: a nonblocking ring with a
 // little serial compute per iteration.
