@@ -18,7 +18,10 @@
 #      path tables, of FuzzParse, which holds the .pvm model parser to
 #      repeatable errors and never panics, of FuzzEval, which holds
 #      the expression evaluator to repeatable results and its printer to
-#      a precedence-preserving round trip, and of FuzzResolve, which
+#      a precedence-preserving round trip, of FuzzEvaluate, which holds
+#      the PEVPM machine on random programs to no panics and to reports
+#      that a repeated, fresh-program, traced or interleaved evaluation
+#      reproduces bit for bit, and of FuzzResolve, which
 #      holds the pevpmd request decoder and resolver to repeatable
 #      errors, never panics, and canonical bytes that parse back to
 #      themselves
@@ -69,6 +72,7 @@ go test -run '^$' -fuzz '^FuzzQuantile$' -fuzztime 10s ./internal/stats
 go test -run '^$' -fuzz '^FuzzParseTopology$' -fuzztime 10s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/pevpm
 go test -run '^$' -fuzz '^FuzzEval$' -fuzztime 10s ./internal/pevpm
+go test -run '^$' -fuzz '^FuzzEvaluate$' -fuzztime 10s ./internal/pevpm
 go test -run '^$' -fuzz '^FuzzResolve$' -fuzztime 10s ./internal/service
 make detlint
 make lint

@@ -25,6 +25,12 @@ type rankState struct {
 	unexpected []*envelope
 	// posted holds receive requests not yet matched, in post order.
 	posted []*Request
+	// conns holds the rank's outgoing connections, indexed by
+	// destination rank and made at its first send. Connections
+	// resequence packets per directed rank pair, mirroring TCP's
+	// in-order delivery (a retransmitted message blocks everything
+	// behind it on the same connection).
+	conns []*connection
 }
 
 // matches reports whether a posted receive accepts an envelope.

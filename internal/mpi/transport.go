@@ -95,14 +95,17 @@ type connection struct {
 //
 //detlint:hotpath
 func (w *World) sendPacket(src, dst int, kind packetKind, bytes int, env *envelope) {
-	key := connKey{src, dst}
-	conn := w.conns[key]
+	rs := w.ranks[src]
+	if rs.conns == nil {
+		rs.conns = make([]*connection, len(w.ranks))
+	}
+	conn := rs.conns[dst]
 	if conn == nil {
 		conn = &connection{}
-		w.conns[key] = conn
+		rs.conns[dst] = conn
 	}
 	pkt := w.acquirePacket()
-	pkt.key, pkt.conn, pkt.bytes = key, conn, bytes
+	pkt.key, pkt.conn, pkt.bytes = connKey{src, dst}, conn, bytes
 	pkt.kind, pkt.env = kind, env
 	pkt.seq = conn.nextSend
 	conn.nextSend++

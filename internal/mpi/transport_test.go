@@ -15,7 +15,6 @@ func TestConnectionResequencing(t *testing.T) {
 	w := quietWorld(t, 2, 1, 1)
 	key := connKey{0, 1}
 	conn := &connection{}
-	w.conns[key] = conn
 
 	var order []uint64
 	mkPkt := func(seq uint64) *packet {

@@ -61,11 +61,6 @@ type World struct {
 	// suffered, surfacing the tail events the paper attributes to RTO.
 	timeouts TimeoutStats
 
-	// connections resequence packets per directed rank pair, mirroring
-	// TCP's in-order delivery (a retransmitted message blocks everything
-	// behind it on the same connection).
-	conns map[connKey]*connection
-
 	// pktFree, reqFree and envFree recycle transport packets, requests
 	// and envelopes, so a steady message stream allocates no
 	// per-message state. A World runs on one engine, so plain slices
@@ -104,7 +99,6 @@ func NewWorld(e *sim.Engine, net *netsim.Network, place cluster.Placement) *Worl
 		cfg:     cfg,
 		hosts:   e.RNG("mpi.host"),
 		cpu:     e.RNG("mpi.cpu"),
-		conns:   make(map[connKey]*connection),
 		finish:  make([]sim.Time, place.NumProcs()),
 	}
 	w.ranks = make([]*rankState, place.NumProcs())

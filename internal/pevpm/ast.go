@@ -172,6 +172,14 @@ func (s *Serial) describe() string {
 
 // Program is a complete PEVPM model: global parameters plus the
 // directive tree every process executes (parameterised by procnum).
+//
+// Evaluate keeps what it specialised a Program into and reuses it in
+// later evaluations. It sees Params edited, or Body replaced, between
+// evaluations: it compares the Params values and Body's first directive
+// and length with those it specialised. It does not see a directive
+// edited in place after an evaluation; build a new Program instead.
+// Evaluations may run concurrently on one Program, but editing a
+// Program while one runs is a data race.
 type Program struct {
 	// Params are model constants (grid sizes, iteration counts). The
 	// evaluator adds procnum and numprocs per process.
@@ -180,6 +188,8 @@ type Program struct {
 	// File is the source file the model was parsed from, recorded in
 	// node positions; empty for bare-string or programmatic models.
 	File string
+
+	plans planCache
 }
 
 // NewProgram returns an empty program ready for the builder API.

@@ -17,6 +17,8 @@ type CollectiveSampler interface {
 	// given payload size and job size.
 	SampleCollective(r stats.Rand, op string, size, procs int) float64
 	// HasCollective reports whether the operation was benchmarked.
+	// Evaluate asks it while it holds its Program's plan lock, so it
+	// must not evaluate that Program itself.
 	HasCollective(op string) bool
 }
 

@@ -4,10 +4,12 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -69,8 +71,8 @@ type Report struct {
 	hot []hotSpot
 
 	// Metrics is the evaluation's instrument snapshot: Monte-Carlo draws
-	// per distribution, sweep rounds, messages. Each evaluation owns its
-	// machine and registry, so concurrent replications never share one.
+	// per distribution, sweep rounds, messages. Each evaluation counts on
+	// its own machine, so concurrent replications never share a counter.
 	Metrics metrics.Snapshot
 }
 
@@ -85,9 +87,63 @@ var ErrModelDeadlock = errors.New("pevpm: model deadlock")
 // match phases (sample arrival times from the database under the
 // scoreboard's contention level, then match receives), per §5 of the
 // paper.
+//
+// The first evaluation at a process count specialises the program into
+// a plan: every process's ops and the hot-spot slot table. Later
+// evaluations reuse that plan while the program is unchanged (see
+// Program) and the database answers the questions specialisation asked
+// it (whether it samples collectives, and which) the same way. Each
+// evaluation runs on a machine the plan recycles; the Report owns
+// everything it returns. Evaluate may be called from several goroutines
+// on one Program.
 func Evaluate(prog *Program, opts Options) (*Report, error) {
-	if err := prog.Validate(); err != nil {
+	m, err := prog.plans.acquire(prog, opts)
+	if err != nil {
 		return nil, err
+	}
+	rep, err := m.run()
+	prog.plans.release(m)
+	return rep, err
+}
+
+// planCache holds the plans Evaluate specialised one Program into, and
+// the identity of the Params and Body they were built from. Its lock
+// guards the plan list and every plan's free machines. A plan never
+// changes once built, so machines read it without the lock.
+type planCache struct {
+	mu sync.Mutex
+	// built is set once params, body0 and bodyLen describe a program
+	// that validated.
+	built   bool
+	params  map[string]float64 // a copy of Program.Params
+	body0   Node               // Program.Body[0], or nil
+	bodyLen int
+	plans   []*plan
+}
+
+// maxPlans bounds the plans one Program keeps, so a program evaluated
+// at ever more process counts does not grow without limit; the oldest
+// plan goes first.
+const maxPlans = 16
+
+// acquire returns a machine ready to evaluate prog under opts, from a
+// cached plan when one fits. A program that changed since the cache was
+// built is validated again and its plans are dropped.
+func (c *planCache) acquire(prog *Program, opts Options) (*machine, error) {
+	if prog == nil {
+		return nil, prog.Validate()
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.holds(prog) {
+		if err := prog.Validate(); err != nil {
+			return nil, err
+		}
+		c.built, c.params, c.plans = true, maps.Clone(prog.Params), nil
+		c.body0, c.bodyLen = nil, len(prog.Body)
+		if len(prog.Body) > 0 {
+			c.body0 = prog.Body[0]
+		}
 	}
 	if opts.Procs <= 0 {
 		return nil, fmt.Errorf("pevpm: Procs = %d", opts.Procs)
@@ -95,18 +151,140 @@ func Evaluate(prog *Program, opts Options) (*Report, error) {
 	if opts.DB == nil {
 		return nil, errors.New("pevpm: no performance database")
 	}
-	reg := metrics.NewRegistry()
-	m := &machine{
-		prog: prog,
-		opts: opts,
-		//detlint:allow rng -- stream derivation predates sim.SubSeed; rederiving it would shift every committed golden figure (see mpibench run.go for the same compat note)
-		rng:        sim.NewRNG(opts.Seed ^ 0x5eed5eed),
-		reg:        reg,
-		mDrawInt:   reg.Counter("pevpm", "draws_total", metrics.L("dist", "inter")),
-		mDrawIntra: reg.Counter("pevpm", "draws_total", metrics.L("dist", "intra")),
-		mDrawColl:  reg.Counter("pevpm", "draws_total", metrics.L("dist", "collective")),
+	pl := c.lookup(opts.Procs, opts.DB)
+	if pl == nil {
+		pl = newPlan(prog, opts.Procs, opts.DB)
+		if len(c.plans) == maxPlans {
+			c.plans = slices.Delete(c.plans, 0, 1)
+		}
+		c.plans = append(c.plans, pl)
 	}
-	return m.run()
+	m := pl.take()
+	m.opts = opts
+	//detlint:allow rng -- stream derivation predates sim.SubSeed; rederiving it would shift every committed golden figure (see mpibench run.go for the same compat note)
+	m.rng = *sim.NewRNG(opts.Seed ^ 0x5eed5eed)
+	return m, nil
+}
+
+// holds reports whether the cache was built from prog's present Params
+// values and Body: the same first directive and length. A directive
+// edited in place is not seen.
+//
+//detlint:hotpath
+func (c *planCache) holds(prog *Program) bool {
+	if !c.built || len(prog.Body) != c.bodyLen || len(prog.Params) != len(c.params) {
+		return false
+	}
+	if len(prog.Body) > 0 && prog.Body[0] != c.body0 {
+		return false
+	}
+	//detlint:ordered -- an equality test: whichever key differs first, the answer is false
+	for k, v := range prog.Params {
+		if w, ok := c.params[k]; !ok || math.Float64bits(v) != math.Float64bits(w) {
+			return false
+		}
+	}
+	return true
+}
+
+// lookup returns the cached plan for procs processes that db fits, or
+// nil.
+//
+//detlint:hotpath
+func (c *planCache) lookup(procs int, db PerfDB) *plan {
+	for _, pl := range c.plans {
+		if pl.procs == procs && pl.fits(db) {
+			return pl
+		}
+	}
+	return nil
+}
+
+// release resets a machine whose report is built and returns it to its
+// plan's free list.
+//
+//detlint:hotpath
+func (c *planCache) release(m *machine) {
+	m.reset()
+	c.mu.Lock()
+	m.plan.free = append(m.plan.free, m)
+	c.mu.Unlock()
+}
+
+// plan is a program specialised for one process count: every process's
+// ops and the hot-spot slot table, with the database's answers to the
+// questions specialisation asked it.
+type plan struct {
+	procs int
+	ops   [][]op  // per process
+	fails []error // per process: the error its Fail op raises, or nil
+	depth int     // deepest Loop nesting
+	// slots holds the receive or collective directive of each hot-spot
+	// slot, in the order processes first reached them.
+	slots []Node
+
+	// askedSampler is set when specialisation asked whether the
+	// database is a CollectiveSampler (a program with no Collective
+	// directive asks nothing); sampler is the answer, and answers holds
+	// HasCollective's answer for each operation it asked about.
+	askedSampler, sampler bool
+	answers               []collAnswer
+
+	// free holds the plan's idle machines, guarded by the cache's lock.
+	free []*machine
+}
+
+// collAnswer is what the database said of one collective operation.
+type collAnswer struct {
+	op  string
+	has bool
+}
+
+// fits reports whether db answers every question specialisation asked
+// the same way the database the plan was built on did.
+//
+//detlint:hotpath
+func (pl *plan) fits(db PerfDB) bool {
+	if !pl.askedSampler {
+		return true
+	}
+	cs, ok := db.(CollectiveSampler)
+	if ok != pl.sampler {
+		return false
+	}
+	for _, a := range pl.answers {
+		if cs.HasCollective(a.op) != a.has {
+			return false
+		}
+	}
+	return true
+}
+
+// take returns an idle machine of the plan, or builds one. The cache's
+// lock is held.
+//
+//detlint:hotpath
+func (pl *plan) take() *machine {
+	if n := len(pl.free) - 1; n >= 0 {
+		m := pl.free[n]
+		pl.free[n] = nil
+		pl.free = pl.free[:n]
+		return m
+	}
+	return pl.newMachine()
+}
+
+// newMachine builds a machine for the plan: its processes, their loop
+// stacks and the hot-spot waits.
+func (pl *plan) newMachine() *machine {
+	m := &machine{plan: pl, procs: make([]mproc, pl.procs), hot: make([]float64, len(pl.slots))}
+	loops := make([]loop, pl.procs*pl.depth)
+	for i := range m.procs {
+		p := &m.procs[i]
+		p.id, p.ops, p.fail = i, pl.ops[i], pl.fails[i]
+		p.loops = loops[i*pl.depth : i*pl.depth : (i+1)*pl.depth]
+	}
+	return m
 }
 
 // flight is one message on the contention scoreboard.
@@ -162,21 +340,21 @@ type loop struct {
 	left       int // passes still to run after the current one
 }
 
-// hotSpot accumulates the waits of one receive or collective directive.
+// hotSpot is the waits of one receive or collective directive.
 type hotSpot struct {
 	node Node
 	wait float64
 }
 
-// mproc is one process of the virtual parallel machine. Before the first
-// sweep its directive tree is specialised into ops; step then runs them
-// from pc until the process parks or finishes.
+// mproc is one process of the virtual parallel machine. Its ops are its
+// directive tree as the plan specialised it; step runs them from pc
+// until the process parks or finishes.
 type mproc struct {
 	id    int
 	now   float64
 	state procState
 
-	ops   []op
+	ops   []op   // the plan's: never written
 	pc    int    // index of the next op
 	loops []loop // Loop ops in execution, innermost last
 	fail  error  // raised by the Fail op, which is always the last op
@@ -201,11 +379,13 @@ type mproc struct {
 // machine is one evaluation: the processes, the contention scoreboard
 // and the Monte-Carlo stream. Processes step in id order in each sweep;
 // each match phase draws arrival times in (depart, seq) order over the
-// flights sent since the previous match.
+// flights sent since the previous match. A plan recycles its machines:
+// reset returns one to its state before the first sweep, keeping what
+// it allocated.
 type machine struct {
-	prog *Program
+	plan *plan
 	opts Options
-	rng  *sim.RNG
+	rng  sim.RNG
 
 	procs []mproc
 	// pending holds the flights sent since the last match phase, whose
@@ -215,26 +395,40 @@ type machine struct {
 	// interFlights and intraFlights count every flight in the air,
 	// pending or in an inbox: the contention levels match samples under.
 	interFlights, intraFlights int
-	// flightFree recycles matched flight records: a long model run moves
-	// many messages but only a bounded number are ever in the air at once.
+	// flightFree recycles flight records: a long model run moves many
+	// messages but only a bounded number are ever in the air at once.
 	flightFree []*flight
 	seq        uint64
-	sent       uint64
 	sweeps     int
+	// inColl counts the processes parked in a collective.
+	inColl int
 
-	// hot has a slot for every receive or collective directive a process
-	// reaches, and slots maps the directive to it. Both are filled while
-	// the processes are specialised.
-	hot   []hotSpot
-	slots map[Node]int32
+	// hot holds the wait of each of the plan's hot-spot slots.
+	hot []float64
 
-	// Per-evaluation instruments. The machine owns its registry (there
-	// is no sim engine here), so concurrent Monte-Carlo replications
-	// cannot race on shared counters.
-	reg        *metrics.Registry
-	mDrawInt   *metrics.Counter
-	mDrawIntra *metrics.Counter
-	mDrawColl  *metrics.Counter
+	// The evaluation's counters, which report lays out as a metrics
+	// snapshot (counterLayout).
+	sent                              uint64
+	drawsInter, drawsIntra, drawsColl uint64
+}
+
+// reset returns every flight to the free list and clears the machine
+// for its next evaluation, keeping its slices' capacity.
+func (m *machine) reset() {
+	for i := range m.procs {
+		p := &m.procs[i]
+		for _, f := range p.inbox {
+			m.freeFlight(f)
+		}
+		clear(p.inbox)
+		*p = mproc{id: p.id, ops: p.ops, fail: p.fail, loops: p.loops[:0], inbox: p.inbox[:0]}
+	}
+	for _, f := range m.pending {
+		m.freeFlight(f)
+	}
+	clear(m.pending)
+	clear(m.hot)
+	*m = machine{plan: m.plan, procs: m.procs, pending: m.pending[:0], flightFree: m.flightFree, hot: m.hot}
 }
 
 // newFlight takes a flight record from the machine's pool, or makes one.
@@ -255,7 +449,6 @@ func (m *machine) freeFlight(f *flight) {
 }
 
 func (m *machine) run() (*Report, error) {
-	m.specialise()
 	for {
 		m.sweeps++
 		progress := false
@@ -293,35 +486,47 @@ func (m *machine) run() (*Report, error) {
 	return m.report(), nil
 }
 
-// specialise resolves every process's directive tree into ops. Nothing
-// a directive reads changes during an evaluation (procnum, numprocs and
-// Params are fixed), so each expression is evaluated once here; the
-// database is still queried as the ops run.
-func (m *machine) specialise() {
-	bound, depth, slots := shape(m.prog.Body)
-	m.hot = make([]hotSpot, 0, slots)
-	m.slots = make(map[Node]int32, slots)
+// planner specialises one program into a plan.
+type planner struct {
+	*plan
+	db PerfDB
+	// index maps a receive or collective directive to its slot.
+	index map[Node]int32
+}
+
+// newPlan resolves every process's directive tree into ops for procs
+// processes, asking db only whether it samples the collectives the
+// program names. Nothing a directive reads changes during an evaluation
+// (procnum, numprocs and Params are fixed), so each expression is
+// evaluated once here; the database is still queried as the ops run.
+func newPlan(prog *Program, procs int, db PerfDB) *plan {
+	bound, depth, slots := shape(prog.Body)
+	b := planner{
+		plan: &plan{
+			procs: procs, depth: depth,
+			ops: make([][]op, procs), fails: make([]error, procs),
+			slots: make([]Node, 0, slots),
+		},
+		db:    db,
+		index: make(map[Node]int32, slots),
+	}
 	// Each process's ops are resolved into one scratch buffer and copied
 	// out; a process stops at its Fail op, at most one op past the bound.
 	scratch := make([]op, 0, bound+1)
-	loops := make([]loop, m.opts.Procs*depth)
-	env := make(Env, len(m.prog.Params)+2)
-	env["numprocs"] = float64(m.opts.Procs)
-	for k, v := range m.prog.Params {
+	env := make(Env, len(prog.Params)+2)
+	env["numprocs"] = float64(procs)
+	for k, v := range prog.Params {
 		env[k] = v
 	}
-	_, fixed := m.prog.Params["procnum"]
-	m.procs = make([]mproc, m.opts.Procs)
-	for i := range m.procs {
-		p := &m.procs[i]
-		p.id = i
+	_, fixed := prog.Params["procnum"]
+	for i := range procs {
 		if !fixed {
 			env["procnum"] = float64(i)
 		}
-		ops, _ := m.resolve(scratch, m.prog.Body, p, env)
-		p.ops = append([]op(nil), ops...)
-		p.loops = loops[i*depth : i*depth : (i+1)*depth]
+		ops, err := b.resolve(scratch, prog.Body, i, env)
+		b.ops[i], b.fails[i] = slices.Clone(ops), err
 	}
+	return b.plan
 }
 
 // shape bounds what block b resolves to for any one process: ops counts
@@ -355,37 +560,36 @@ func shape(b Block) (ops, depth, slots int) {
 	return ops, depth, slots
 }
 
-// resolve appends the ops block b specialises into for process p under
-// env, making the checks executing each directive would make, in the
-// same order. The first check that fails becomes a Fail op and resolve
-// reports false: the process stops there, so nothing after it is
-// reachable, and the error surfaces only if the process gets that far.
-func (m *machine) resolve(ops []op, b Block, p *mproc, env Env) ([]op, bool) {
-	for _, d := range b {
+// resolve appends the ops block blk specialises into for process id
+// under env, making the checks executing each directive would make, in
+// the same order. The first check that fails becomes a Fail op and
+// resolve returns its error: the process stops there, so nothing after
+// it is reachable, and the error surfaces only if the process gets that
+// far.
+func (b *planner) resolve(ops []op, blk Block, id int, env Env) ([]op, error) {
+	for _, d := range blk {
 		var o op
 		var err error
 		switch d := d.(type) {
 		case *Serial:
 			o, err = serialOp(d, env)
 		case *Msg:
-			o, err = m.msgOp(d, p, env)
+			o, err = b.msgOp(d, id, env)
 		case *Coll:
-			o, err = m.collOp(d, env)
+			o, err = b.collOp(d, env)
 		case *Loop:
 			var n int
 			if n, err = passes(d, env); err == nil {
-				var ok bool
-				if ops, ok = m.loopOps(ops, d.Body, n, p, env); !ok {
-					return ops, false
+				if ops, err = b.loopOps(ops, d.Body, n, id, env); err != nil {
+					return ops, err
 				}
 				continue
 			}
 		case *Runon:
 			var body Block
 			if body, err = branch(d, env); err == nil {
-				var ok bool
-				if ops, ok = m.resolve(ops, body, p, env); !ok {
-					return ops, false
+				if ops, err = b.resolve(ops, body, id, env); err != nil {
+					return ops, err
 				}
 				continue
 			}
@@ -393,28 +597,27 @@ func (m *machine) resolve(ops []op, b Block, p *mproc, env Env) ([]op, bool) {
 			continue
 		}
 		if err != nil {
-			p.fail = err
-			return append(ops, op{kind: opFail}), false
+			return append(ops, op{kind: opFail}), err
 		}
 		ops = append(ops, o)
 	}
-	return ops, true
+	return ops, nil
 }
 
 // loopOps appends a Loop op that runs body n times, followed by the
 // body. A Loop with no passes, or whose body resolves to nothing, adds
 // no ops: running it would have no effect.
-func (m *machine) loopOps(ops []op, body Block, n int, p *mproc, env Env) ([]op, bool) {
+func (b *planner) loopOps(ops []op, body Block, n int, id int, env Env) ([]op, error) {
 	if n == 0 {
-		return ops, true
+		return ops, nil
 	}
 	at := len(ops)
-	ops, ok := m.resolve(append(ops, op{kind: opLoop, n: n}), body, p, env)
+	ops, err := b.resolve(append(ops, op{kind: opLoop, n: n}), body, id, env)
 	if len(ops) == at+1 {
-		return ops[:at], ok
+		return ops[:at], err
 	}
 	ops[at].body = int32(len(ops) - at - 1)
-	return ops, ok
+	return ops, err
 }
 
 // passes is how many times l runs under env.
@@ -461,7 +664,7 @@ func serialOp(s *Serial, env Env) (op, error) {
 	return op{kind: opSerial, secs: t}, nil
 }
 
-func (m *machine) msgOp(d *Msg, p *mproc, env Env) (op, error) {
+func (b *planner) msgOp(d *Msg, id int, env Env) (op, error) {
 	sizeF, err := d.Size.Eval(env)
 	if err != nil {
 		return op{}, err
@@ -489,14 +692,14 @@ func (m *machine) msgOp(d *Msg, p *mproc, env Env) (op, error) {
 	if size < 0 {
 		return op{}, fmt.Errorf("pevpm: negative message size %d", size)
 	}
-	if from < 0 || from >= m.opts.Procs || to < 0 || to >= m.opts.Procs {
+	if from < 0 || from >= b.procs || to < 0 || to >= b.procs {
 		return op{}, fmt.Errorf("pevpm: message endpoints %d->%d outside 0..%d",
-			from, to, m.opts.Procs-1)
+			from, to, b.procs-1)
 	}
 	switch d.Kind {
 	case MsgSend, MsgIsend:
-		if from != p.id {
-			return op{}, fmt.Errorf("pevpm: process %d executing a send whose from=%d", p.id, from)
+		if from != id {
+			return op{}, fmt.Errorf("pevpm: process %d executing a send whose from=%d", id, from)
 		}
 		kind := opIsend
 		if d.Kind == MsgSend {
@@ -504,20 +707,21 @@ func (m *machine) msgOp(d *Msg, p *mproc, env Env) (op, error) {
 		}
 		return op{kind: kind, peer: int32(to), n: size}, nil
 	case MsgRecv:
-		if to != p.id {
-			return op{}, fmt.Errorf("pevpm: process %d executing a receive whose to=%d", p.id, to)
+		if to != id {
+			return op{}, fmt.Errorf("pevpm: process %d executing a receive whose to=%d", id, to)
 		}
-		return op{kind: opRecv, peer: int32(from), n: size, slot: m.slot(d)}, nil
+		return op{kind: opRecv, peer: int32(from), n: size, slot: b.slot(d)}, nil
 	}
 	return op{}, fmt.Errorf("pevpm: unknown message kind %v", d.Kind)
 }
 
-func (m *machine) collOp(d *Coll, env Env) (op, error) {
-	cs, ok := m.opts.DB.(CollectiveSampler)
+func (b *planner) collOp(d *Coll, env Env) (op, error) {
+	cs, ok := b.db.(CollectiveSampler)
+	b.askedSampler, b.sampler = true, ok
 	if !ok {
 		return op{}, fmt.Errorf("pevpm: model uses Collective %s but the database has no collective measurements", d.Op)
 	}
-	if !cs.HasCollective(d.Op) {
+	if !b.hasCollective(cs, d.Op) {
 		return op{}, fmt.Errorf("pevpm: collective %s not present in the database", d.Op)
 	}
 	sizeF, err := d.Size.Eval(env)
@@ -536,18 +740,31 @@ func (m *machine) collOp(d *Coll, env Env) (op, error) {
 			return op{}, err
 		}
 	}
-	return op{kind: opColl, n: size, slot: m.slot(d)}, nil
+	return op{kind: opColl, n: size, slot: b.slot(d)}, nil
+}
+
+// hasCollective asks cs whether it measured the collective op, once per
+// op; the plan keeps each answer.
+func (b *planner) hasCollective(cs CollectiveSampler, op string) bool {
+	for _, a := range b.answers {
+		if a.op == op {
+			return a.has
+		}
+	}
+	has := cs.HasCollective(op)
+	b.answers = append(b.answers, collAnswer{op: op, has: has})
+	return has
 }
 
 // slot returns the hot-spot slot of a receive or collective directive,
 // adding one when a process first reaches it. Every process that reaches
 // one directive shares its slot, as its waits add up in one hot spot.
-func (m *machine) slot(n Node) int32 {
-	s, ok := m.slots[n]
+func (b *planner) slot(n Node) int32 {
+	s, ok := b.index[n]
 	if !ok {
-		s = int32(len(m.hot))
-		m.slots[n] = s
-		m.hot = append(m.hot, hotSpot{node: n})
+		s = int32(len(b.slots))
+		b.index[n] = s
+		b.slots = append(b.slots, n)
 	}
 	return s
 }
@@ -654,6 +871,7 @@ func (m *machine) step(p *mproc) error {
 			p.collSeq++
 			p.waitPosted = p.now
 			p.state = stateParkedColl
+			m.inColl++
 
 		case opFail:
 			return p.fail
@@ -701,8 +919,12 @@ func (m *machine) send(p *mproc, o *op) {
 // distribution. A process that finished or parked elsewhere while the
 // rest sit in a collective is a collective mismatch — a modelled program
 // bug, reported like a deadlock.
+//
+//detlint:hotpath
 func (m *machine) matchCollective() (bool, error) {
-	arrived := 0
+	if m.inColl == 0 {
+		return false, nil
+	}
 	var coll *op
 	seq := -1
 	var entryMax float64
@@ -711,21 +933,16 @@ func (m *machine) matchCollective() (bool, error) {
 		if p.state != stateParkedColl {
 			continue
 		}
-		arrived++
 		if o := p.parkedOn(); coll == nil {
 			coll, seq = o, p.collSeq
 		} else if o.slot != coll.slot || p.collSeq != seq {
-			return false, fmt.Errorf("%w: processes in different collectives (%s vs %s)",
-				ErrModelDeadlock, m.hot[coll.slot].node.describe(), m.hot[o.slot].node.describe())
+			return false, m.collMismatch(coll, o)
 		}
 		if p.now > entryMax {
 			entryMax = p.now
 		}
 	}
-	if arrived == 0 {
-		return false, nil
-	}
-	if arrived < len(m.procs) {
+	if m.inColl < len(m.procs) {
 		// Someone is not coming: either still making progress elsewhere
 		// (fine — wait) or finished/stuck (mismatch). Only fail when no
 		// other progress is possible; run() handles that via the normal
@@ -738,17 +955,25 @@ func (m *machine) matchCollective() (bool, error) {
 	// — rank completions within one collective are strongly correlated.)
 	cs := m.opts.DB.(CollectiveSampler)
 	hot := &m.hot[coll.slot]
-	m.mDrawColl.Inc()
-	completion := entryMax + cs.SampleCollective(m.rng, hot.node.(*Coll).Op, m.procs[0].parkedOn().n, m.opts.Procs)
+	m.drawsColl++
+	completion := entryMax + cs.SampleCollective(&m.rng, m.plan.slots[coll.slot].(*Coll).Op, m.procs[0].parkedOn().n, m.opts.Procs)
 	for i := range m.procs {
 		p := &m.procs[i]
 		wait := completion - p.waitPosted
 		p.bd.RecvWait += wait
-		hot.wait += wait
+		*hot += wait
 		p.now = completion
 		p.state = stateRunnable
 	}
+	m.inColl = 0
 	return true, nil
+}
+
+// collMismatch is the error of processes parked in different
+// collectives, a and b.
+func (m *machine) collMismatch(a, b *op) error {
+	return fmt.Errorf("%w: processes in different collectives (%s vs %s)",
+		ErrModelDeadlock, m.plan.slots[a.slot].describe(), m.plan.slots[b.slot].describe())
 }
 
 // nodeOf returns proc's cluster node, asking Options.NodeOf once per
@@ -776,11 +1001,11 @@ func (m *machine) match() bool {
 	// does not occupy the NIC or switch fabric.
 	for _, f := range m.pending {
 		if f.intra {
-			m.mDrawIntra.Inc()
-			f.arrival = f.depart + m.opts.DB.SampleIntra(m.rng, f.size, m.intraFlights)
+			m.drawsIntra++
+			f.arrival = f.depart + m.opts.DB.SampleIntra(&m.rng, f.size, m.intraFlights)
 		} else {
-			m.mDrawInt.Inc()
-			f.arrival = f.depart + m.opts.DB.Sample(m.rng, f.size, m.interFlights)
+			m.drawsInter++
+			f.arrival = f.depart + m.opts.DB.Sample(&m.rng, f.size, m.interFlights)
 		}
 		if s := f.sender; s != nil {
 			// Rendezvous completion: the sender was blocked from depart
@@ -829,7 +1054,7 @@ func (m *machine) match() bool {
 		}
 		wait := completion - p.waitPosted
 		p.bd.RecvWait += wait
-		m.hot[recv.slot].wait += wait
+		m.hot[recv.slot] += wait
 		p.now = completion
 		p.state = stateRunnable
 		if f.intra {
@@ -896,17 +1121,19 @@ func (m *machine) deadlockError() error {
 		switch p.state {
 		case stateParkedRecv:
 			stuck = append(stuck, fmt.Sprintf("proc %d in %s (posted at %.6fs)",
-				p.id, m.hot[p.parkedOn().slot].node.describe(), p.waitPosted))
+				p.id, m.plan.slots[p.parkedOn().slot].describe(), p.waitPosted))
 		case stateParkedSend:
 			stuck = append(stuck, fmt.Sprintf("proc %d in rendezvous send", p.id))
 		case stateParkedColl:
 			stuck = append(stuck, fmt.Sprintf("proc %d in %s (others never arrived)",
-				p.id, m.hot[p.parkedOn().slot].node.describe()))
+				p.id, m.plan.slots[p.parkedOn().slot].describe()))
 		}
 	}
 	return fmt.Errorf("%w: %s", ErrModelDeadlock, strings.Join(stuck, "; "))
 }
 
+// report copies the evaluation's outcome out of the machine, which goes
+// back to its plan afterwards.
 func (m *machine) report() *Report {
 	r := &Report{
 		Procs:        m.opts.Procs,
@@ -914,7 +1141,7 @@ func (m *machine) report() *Report {
 		Sweeps:       m.sweeps,
 		MessagesSent: m.sent,
 		Breakdowns:   make([]Breakdown, len(m.procs)),
-		hot:          m.hot,
+		hot:          make([]hotSpot, len(m.hot)),
 	}
 	for i := range m.procs {
 		p := &m.procs[i]
@@ -924,11 +1151,59 @@ func (m *machine) report() *Report {
 			r.Makespan = p.now
 		}
 	}
-	m.reg.Counter("pevpm", "replications_total").Inc()
-	m.reg.Counter("pevpm", "sweeps_total").Add(uint64(m.sweeps))
-	m.reg.Counter("pevpm", "messages_sent_total").Add(m.sent)
-	r.Metrics = m.reg.Snapshot()
+	for i, wait := range m.hot {
+		r.hot[i] = hotSpot{node: m.plan.slots[i], wait: wait}
+	}
+	counts := [numCounters]uint64{
+		ctrDrawsColl:    m.drawsColl,
+		ctrDrawsInter:   m.drawsInter,
+		ctrDrawsIntra:   m.drawsIntra,
+		ctrSent:         m.sent,
+		ctrReplications: 1,
+		ctrSweeps:       uint64(m.sweeps),
+	}
+	r.Metrics.Counters = slices.Clone(counterLayout.Counters)
+	for j := range r.Metrics.Counters {
+		r.Metrics.Counters[j].Value = counts[counterOf[j]]
+	}
 	return r
+}
+
+// An evaluation's counters, indexing report's counts.
+const (
+	ctrDrawsColl = iota
+	ctrDrawsInter
+	ctrDrawsIntra
+	ctrSent
+	ctrReplications
+	ctrSweeps
+	numCounters
+)
+
+// counterLayout is the snapshot of a registry holding an evaluation's
+// counters, so a Report lists them in the order a registry would;
+// counterOf[j] is the counter at Counters[j].
+var counterLayout, counterOf = newCounterLayout()
+
+func newCounterLayout() (metrics.Snapshot, [numCounters]int) {
+	reg := metrics.NewRegistry()
+	dist := func(d string) *metrics.Counter { return reg.Counter("pevpm", "draws_total", metrics.L("dist", d)) }
+	for i, c := range [numCounters]*metrics.Counter{
+		ctrDrawsColl:    dist("collective"),
+		ctrDrawsInter:   dist("inter"),
+		ctrDrawsIntra:   dist("intra"),
+		ctrSent:         reg.Counter("pevpm", "messages_sent_total"),
+		ctrReplications: reg.Counter("pevpm", "replications_total"),
+		ctrSweeps:       reg.Counter("pevpm", "sweeps_total"),
+	} {
+		c.Add(uint64(i))
+	}
+	s := reg.Snapshot()
+	var of [numCounters]int
+	for j, p := range s.Counters {
+		of[j] = int(p.Value)
+	}
+	return s, of
 }
 
 // HotSpots ranks the receive and collective directives the processes
