@@ -21,7 +21,10 @@
 #      a precedence-preserving round trip, of FuzzEvaluate, which holds
 #      the PEVPM machine on random programs to no panics and to reports
 #      that a repeated, fresh-program, traced or interleaved evaluation
-#      reproduces bit for bit, and of FuzzResolve, which
+#      reproduces bit for bit, and mpilint to agreement with it (an
+#      evaluation that fails a directive check has an error finding at
+#      that directive, and a per-directive error finding means the
+#      evaluation fails), and of FuzzResolve, which
 #      holds the pevpmd request decoder and resolver to repeatable
 #      errors, never panics, and canonical bytes that parse back to
 #      themselves

@@ -37,17 +37,13 @@ func (s Severity) rank() int {
 	return 2
 }
 
-// The static rules. Each is documented with a bad/good example pair in
-// docs/MPILINT.md.
+// The static rules of whole-model analyses. The per-directive rules
+// (pevpm.RuleEvalError, RuleBadTime, RuleBadLoop, RuleBadSize,
+// RuleRankBounds, RuleWrongRole and RuleSelfSend) name the checks
+// pevpm's resolution makes. Each is documented with a bad/good example
+// pair in docs/MPILINT.md.
 const (
 	RuleUnboundParam  = "unbound-param"       // expression references a parameter the model never binds
-	RuleRankBounds    = "rank-bounds"         // from/to evaluates outside [0, numprocs), or to NaN or ±Inf
-	RuleWrongRole     = "wrong-role"          // send whose from (recv whose to) is not the executing rank
-	RuleSelfSend      = "self-send"           // from == to
-	RuleBadSize       = "bad-size"            // negative, non-finite or int-overflowing (error) or zero (warning) size
-	RuleBadLoop       = "bad-loop-count"      // negative, non-finite or int-overflowing (error) or fractional Loop count
-	RuleBadTime       = "bad-time"            // negative or non-finite Serial time
-	RuleEvalError     = "eval-error"          // expression fails to evaluate (division by zero, ...)
 	RuleUnmatchedSend = "unmatched-send"      // more sends a->b than receives
 	RuleUnmatchedRecv = "unmatched-recv"      // more receives a->b than sends
 	RuleDeadlockCycle = "deadlock-cycle"      // circular wait among blocking operations

@@ -2,7 +2,6 @@ package mpilint
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/pevpm"
@@ -11,7 +10,7 @@ import (
 // Options configures one static analysis of a PEVPM model.
 type Options struct {
 	// Procs is the world size the model is analyzed at. Rank-dependent
-	// expressions are enumerated for every procnum in 0..Procs-1.
+	// expressions are resolved for every procnum in 0..Procs-1.
 	Procs int
 
 	// EagerLimit is the eager/rendezvous protocol switch in bytes:
@@ -37,20 +36,16 @@ const defaultMaxUnroll = 2
 const maxOpsPerRank = 1 << 16
 
 // Analyze statically checks a parsed PEVPM model for communication
-// bugs: it enumerates every rank's path through the Runon branches,
-// evaluates each Message's from/to/size per rank, balances send and
-// receive counts per rank pair, and searches the blocking-operation
-// graph for deadlock cycles. Findings are sorted by position and
-// severity.
+// bugs. It reads pevpm's resolution of the model at opts.Procs
+// processes, the one pevpm.Evaluate runs: every rank's ops, the checks
+// its directives failed and the Runon branches it took. It reports each
+// failed check, balances send and receive counts per rank pair, and
+// searches the blocking-operation graph for deadlock cycles. Findings
+// are sorted by position and severity.
 func Analyze(prog *pevpm.Program, opts Options) ([]Finding, error) {
-	if prog == nil {
-		return nil, fmt.Errorf("mpilint: nil program")
-	}
-	if err := prog.Validate(); err != nil {
+	plan, err := pevpm.Resolve(prog, opts.Procs)
+	if err != nil {
 		return nil, err
-	}
-	if opts.Procs <= 0 {
-		return nil, fmt.Errorf("mpilint: Procs = %d", opts.Procs)
 	}
 	if opts.EagerLimit == 0 {
 		opts.EagerLimit = DefaultEagerLimit
@@ -59,14 +54,13 @@ func Analyze(prog *pevpm.Program, opts Options) ([]Finding, error) {
 		opts.MaxUnroll = defaultMaxUnroll
 	}
 	a := &analyzer{
-		prog:        prog,
-		opts:        opts,
-		dedup:       make(map[dedupKey]*pending),
-		runonSeen:   make(map[*pevpm.Runon]bool),
-		branchTaken: make(map[*pevpm.Runon]map[int]bool),
-		pairs:       make(map[pair]*pairCount),
+		prog:  prog,
+		opts:  opts,
+		dedup: make(map[dedupKey]*pending),
+		taken: make(map[*pevpm.Runon][]bool),
+		pairs: make(map[pair]*pairCount),
 	}
-	a.run()
+	a.run(plan)
 	sortFindings(a.findings)
 	return a.findings, nil
 }
@@ -94,13 +88,10 @@ type dedupKey struct {
 	node pevpm.Node
 }
 
-// pending aggregates one (rule, directive) diagnosis over all ranks
-// that trigger it, so a bad directive yields one finding, not Procs.
+// pending aggregates one (rule, directive) check over all ranks that
+// trigger it, so a bad directive yields one finding, not Procs.
 type pending struct {
-	sev   Severity
-	rule  string
-	node  pevpm.Node
-	msg   string
+	first *pevpm.Check
 	ranks []int
 }
 
@@ -112,9 +103,10 @@ type analyzer struct {
 	dedup    map[dedupKey]*pending
 	dedupSeq []dedupKey // insertion order, for deterministic finalization
 
-	runonSeen   map[*pevpm.Runon]bool
-	branchTaken map[*pevpm.Runon]map[int]bool
-	pairs       map[pair]*pairCount
+	// taken holds, for each Runon some rank reached, which of its
+	// branches some rank took.
+	taken map[*pevpm.Runon][]bool
+	pairs map[pair]*pairCount
 
 	// mismatched marks pairs already reported by count matching, so the
 	// deadlock search does not re-report the same root cause.
@@ -126,20 +118,32 @@ type analyzer struct {
 	truncated []bool
 }
 
-func (a *analyzer) run() {
+func (a *analyzer) run(plan *pevpm.Plan) {
 	if !a.checkParams() {
-		// Unbound parameters poison every evaluation below; stop at the
+		// Unbound parameters poison every evaluation; stop at the
 		// model's equivalent of a compile error.
-		a.finalizeDedup()
 		return
+	}
+	for _, c := range plan.Checks {
+		a.report(c)
+	}
+	for _, b := range plan.Branches {
+		taken := a.taken[b.Runon]
+		if taken == nil {
+			taken = make([]bool, len(b.Runon.Conds))
+			a.taken[b.Runon] = taken
+		}
+		if b.Taken >= 0 {
+			taken[b.Taken] = true
+		}
 	}
 	seqs := make([][]op, a.opts.Procs)
 	colls := make([][]string, a.opts.Procs)
 	a.truncated = make([]bool, a.opts.Procs)
-	for r := 0; r < a.opts.Procs; r++ {
-		env := a.rankEnv(r)
-		a.walkCount(r, env, a.prog.Body, 1)
-		seqs[r], colls[r], a.truncated[r] = a.walkSeq(r, env)
+	for r := range seqs {
+		ops := plan.Ops(r)
+		a.count(r, ops, 1)
+		seqs[r], colls[r], a.truncated[r] = a.unroll(ops)
 	}
 	a.checkUnreachable()
 	a.checkPairs()
@@ -151,29 +155,16 @@ func (a *analyzer) run() {
 	}
 }
 
-func (a *analyzer) rankEnv(rank int) pevpm.Env {
-	env := pevpm.Env{
-		"procnum":  float64(rank),
-		"numprocs": float64(a.opts.Procs),
-	}
-	for k, v := range a.prog.Params {
-		env[k] = v
-	}
-	return env
-}
-
-// report records a per-directive diagnosis, deduplicated per (rule,
-// node) across ranks; the first triggering rank's message is kept.
-func (a *analyzer) report(sev Severity, rule string, rank int, node pevpm.Node, format string, args ...any) {
-	key := dedupKey{rule, node}
+// report records a check a directive failed or warned about,
+// deduplicated per (rule, node) across ranks; the first triggering
+// rank's check is kept.
+func (a *analyzer) report(c *pevpm.Check) {
+	key := dedupKey{c.Rule, c.Node}
 	if p, ok := a.dedup[key]; ok {
-		p.ranks = append(p.ranks, rank)
+		p.ranks = append(p.ranks, c.Proc)
 		return
 	}
-	a.dedup[key] = &pending{
-		sev: sev, rule: rule, node: node,
-		msg: fmt.Sprintf(format, args...), ranks: []int{rank},
-	}
+	a.dedup[key] = &pending{first: c, ranks: []int{c.Proc}}
 	a.dedupSeq = append(a.dedupSeq, key)
 }
 
@@ -193,12 +184,16 @@ func (a *analyzer) finalizeDedup() {
 	for _, key := range a.dedupSeq {
 		p := a.dedup[key]
 		sort.Ints(p.ranks)
-		msg := p.msg
+		msg := p.first.Message
 		if len(p.ranks) > 1 {
 			msg += " (" + ranksLabel(p.ranks) + ")"
 		}
+		sev := SeverityError
+		if p.first.Warning {
+			sev = SeverityWarning
+		}
 		a.findings = append(a.findings, Finding{
-			Severity: p.sev, Rule: p.rule, Pos: p.node.Pos().String(),
+			Severity: sev, Rule: key.rule, Pos: key.node.Pos().String(),
 			Rank: p.ranks[0], Message: msg,
 		})
 	}
@@ -251,277 +246,84 @@ func nodeExprs(n pevpm.Node) []pevpm.Expr {
 	return nil
 }
 
-// walkCount is the counting walk: it follows rank's path through the
-// model evaluating every directive once per syntactic occurrence, with
-// weight the product of enclosing Loop counts — full loop counts, so the
-// send/receive balance is exact even though the deadlock walk truncates.
-func (a *analyzer) walkCount(rank int, env pevpm.Env, b pevpm.Block, weight float64) {
-	for _, n := range b {
-		switch node := n.(type) {
-		case *pevpm.Serial:
-			t, err := node.Time.Eval(env)
-			if err != nil {
-				a.report(SeverityError, RuleEvalError, rank, node, "%v", err)
-			} else if math.IsNaN(t) || math.IsInf(t, 0) {
-				a.report(SeverityError, RuleBadTime, rank, node,
-					"Serial time %g is not finite", t)
-			} else if t < 0 {
-				a.report(SeverityError, RuleBadTime, rank, node,
-					"Serial time %g is negative", t)
-			}
-
+// count adds rank's ops to the pair balance, each message weighted by
+// the product of the passes of the Loops around it: full loop counts, so
+// the balance is exact even though the deadlock search truncates.
+func (a *analyzer) count(rank int, ops []pevpm.Op, weight float64) {
+	for i := 0; i < len(ops); i++ {
+		o := ops[i]
+		switch node := o.Node.(type) {
 		case *pevpm.Loop:
-			count, ok := a.loopCount(rank, env, node)
-			if !ok || count == 0 {
+			a.count(rank, ops[i+1:i+1+o.Body], weight*float64(o.N))
+			i += o.Body
+		case *pevpm.Msg:
+			if o.Fail {
 				continue
 			}
-			a.walkCount(rank, env, node.Body, weight*count)
-
-		case *pevpm.Runon:
-			a.runonSeen[node] = true
-			for i, cond := range node.Conds {
-				v, err := cond.Eval(env)
-				if err != nil {
-					a.report(SeverityError, RuleEvalError, rank, node, "%v", err)
-					break
-				}
-				if v != 0 {
-					taken := a.branchTaken[node]
-					if taken == nil {
-						taken = make(map[int]bool)
-						a.branchTaken[node] = taken
-					}
-					taken[i] = true
-					a.walkCount(rank, env, node.Bodies[i], weight)
-					break
-				}
+			send := node.Kind != pevpm.MsgRecv
+			k := pair{o.Peer, rank}
+			if send {
+				k = pair{rank, o.Peer}
 			}
-
-		case *pevpm.Msg:
-			a.checkMsg(rank, env, node, weight)
-
-		case *pevpm.Coll:
-			size, err := node.Size.Eval(env)
-			if err != nil {
-				a.report(SeverityError, RuleEvalError, rank, node, "%v", err)
-			} else if why := notInt(size); why != "" {
-				a.report(SeverityError, RuleBadSize, rank, node,
-					"Collective size %g %s", size, why)
-			} else if size < 0 {
-				a.report(SeverityError, RuleBadSize, rank, node,
-					"Collective size %g is negative", size)
+			pc := a.pairs[k]
+			if pc == nil {
+				pc = &pairCount{}
+				a.pairs[k] = pc
+			}
+			if send {
+				pc.sends += weight
+				if pc.sendNode == nil {
+					pc.sendNode = node
+				}
+			} else {
+				pc.recvs += weight
+				if pc.recvNode == nil {
+					pc.recvNode = node
+				}
 			}
 		}
 	}
 }
 
-// loopCount evaluates and validates a Loop's iteration count.
-func (a *analyzer) loopCount(rank int, env pevpm.Env, node *pevpm.Loop) (float64, bool) {
-	cf, err := node.Count.Eval(env)
-	if err != nil {
-		a.report(SeverityError, RuleEvalError, rank, node, "%v", err)
-		return 0, false
-	}
-	if why := notInt(cf); why != "" {
-		a.report(SeverityError, RuleBadLoop, rank, node,
-			"Loop count %g %s", cf, why)
-		return 0, false
-	}
-	if cf < 0 {
-		a.report(SeverityError, RuleBadLoop, rank, node,
-			"Loop count %g is negative", cf)
-		return 0, false
-	}
-	if cf != math.Floor(cf) {
-		a.report(SeverityWarning, RuleBadLoop, rank, node,
-			"Loop count %g is not an integer; it truncates to %g", cf, math.Floor(cf))
-	}
-	return math.Floor(cf), true
-}
-
-// checkMsg validates one Message directive as executed by rank and, when
-// structurally sound, adds it to the pair balance.
-func (a *analyzer) checkMsg(rank int, env pevpm.Env, node *pevpm.Msg, weight float64) {
-	sizeF, err := node.Size.Eval(env)
-	if err != nil {
-		a.report(SeverityError, RuleEvalError, rank, node, "%v", err)
-		return
-	}
-	fromF, err := node.From.Eval(env)
-	if err != nil {
-		a.report(SeverityError, RuleEvalError, rank, node, "%v", err)
-		return
-	}
-	toF, err := node.To.Eval(env)
-	if err != nil {
-		a.report(SeverityError, RuleEvalError, rank, node, "%v", err)
-		return
-	}
-	if why := notInt(sizeF); why != "" {
-		a.report(SeverityError, RuleBadSize, rank, node,
-			"message size %g %s", sizeF, why)
-		return
-	}
-	if why := notInt(fromF); why != "" {
-		a.report(SeverityError, RuleRankBounds, rank, node, "from = %g %s", fromF, why)
-		return
-	}
-	if why := notInt(toF); why != "" {
-		a.report(SeverityError, RuleRankBounds, rank, node, "to = %g %s", toF, why)
-		return
-	}
-	size, from, to := int(sizeF), int(fromF), int(toF)
-
-	switch {
-	case size < 0:
-		a.report(SeverityError, RuleBadSize, rank, node,
-			"message size %d is negative", size)
-		return
-	case size == 0:
-		a.report(SeverityWarning, RuleBadSize, rank, node,
-			"message size is zero")
-	}
-
-	if from < 0 || from >= a.opts.Procs {
-		a.report(SeverityError, RuleRankBounds, rank, node,
-			"from = %d is outside [0,%d)", from, a.opts.Procs)
-		return
-	}
-	if to < 0 || to >= a.opts.Procs {
-		a.report(SeverityError, RuleRankBounds, rank, node,
-			"to = %d is outside [0,%d)", to, a.opts.Procs)
-		return
-	}
-
-	isSend := node.Kind == pevpm.MsgSend || node.Kind == pevpm.MsgIsend
-	if isSend && from != rank {
-		a.report(SeverityError, RuleWrongRole, rank, node,
-			"send executed by rank %d but from = %d", rank, from)
-		return
-	}
-	if !isSend && to != rank {
-		a.report(SeverityError, RuleWrongRole, rank, node,
-			"receive executed by rank %d but to = %d", rank, to)
-		return
-	}
-	if from == to {
-		a.report(SeverityWarning, RuleSelfSend, rank, node,
-			"rank %d sends to itself", from)
-	}
-
-	pc := a.pairs[pair{from, to}]
-	if pc == nil {
-		pc = &pairCount{}
-		a.pairs[pair{from, to}] = pc
-	}
-	if isSend {
-		pc.sends += weight
-		if pc.sendNode == nil {
-			pc.sendNode = node
-		}
-	} else {
-		pc.recvs += weight
-		if pc.recvNode == nil {
-			pc.recvNode = node
-		}
-	}
-}
-
-// walkSeq is the ordering walk: it unrolls rank's path into the ordered
-// operation sequence the deadlock search runs, with Loops truncated to
-// MaxUnroll iterations, plus the ordered list of collectives entered.
-// truncated reports whether the cut dropped any of rank's operations.
-func (a *analyzer) walkSeq(rank int, env pevpm.Env) (seq []op, colls []string, truncated bool) {
-	var walk func(b pevpm.Block)
-	walk = func(b pevpm.Block) {
-		for _, n := range b {
+// unroll turns a rank's ops into the ordered operation sequence the
+// deadlock search runs, with each Loop cut to MaxUnroll passes, plus the
+// ordered list of collectives it enters, a failed one included.
+// truncated reports whether the cut dropped any of the rank's messages.
+func (a *analyzer) unroll(ops []pevpm.Op) (seq []op, colls []string, truncated bool) {
+	var walk func(ops []pevpm.Op)
+	walk = func(ops []pevpm.Op) {
+		for i := 0; i < len(ops); i++ {
 			if len(seq) >= maxOpsPerRank {
 				truncated = true
 				return
 			}
-			switch node := n.(type) {
+			o := ops[i]
+			switch node := o.Node.(type) {
 			case *pevpm.Loop:
-				cf, err := node.Count.Eval(env)
-				if err != nil || notInt(cf) != "" || cf <= 0 {
-					continue
+				body, before := ops[i+1:i+1+o.Body], len(seq)
+				for range min(o.N, a.opts.MaxUnroll) {
+					walk(body)
 				}
-				iters := int(math.Min(cf, float64(a.opts.MaxUnroll)))
-				before := len(seq)
-				for i := 0; i < iters; i++ {
-					walk(node.Body)
-				}
-				if float64(iters) < cf && len(seq) > before {
+				if o.N > a.opts.MaxUnroll && len(seq) > before {
 					truncated = true
 				}
-			case *pevpm.Runon:
-				for i, cond := range node.Conds {
-					v, err := cond.Eval(env)
-					if err != nil {
-						break
-					}
-					if v != 0 {
-						walk(node.Bodies[i])
-						break
-					}
-				}
+				i += o.Body
 			case *pevpm.Msg:
-				if o, ok := a.seqOp(rank, env, node); ok {
-					seq = append(seq, o)
+				if !o.Fail {
+					seq = append(seq, op{
+						send:     node.Kind != pevpm.MsgRecv,
+						blocking: node.Kind == pevpm.MsgSend && o.N > a.opts.EagerLimit,
+						peer:     o.Peer,
+						node:     node,
+					})
 				}
 			case *pevpm.Coll:
 				colls = append(colls, node.Op)
 			}
 		}
 	}
-	walk(a.prog.Body)
+	walk(ops)
 	return seq, colls, truncated
-}
-
-// seqOp turns a Message directive into a sequence operation; broken
-// directives (already reported by the counting walk) are skipped.
-func (a *analyzer) seqOp(rank int, env pevpm.Env, node *pevpm.Msg) (op, bool) {
-	sizeF, err1 := node.Size.Eval(env)
-	fromF, err2 := node.From.Eval(env)
-	toF, err3 := node.To.Eval(env)
-	if err1 != nil || err2 != nil || err3 != nil || notInt(sizeF) != "" || notInt(fromF) != "" || notInt(toF) != "" {
-		return op{}, false
-	}
-	size, from, to := int(sizeF), int(fromF), int(toF)
-	if size < 0 || from < 0 || from >= a.opts.Procs || to < 0 || to >= a.opts.Procs {
-		return op{}, false
-	}
-	switch node.Kind {
-	case pevpm.MsgSend, pevpm.MsgIsend:
-		if from != rank {
-			return op{}, false
-		}
-		return op{
-			send:     true,
-			blocking: node.Kind == pevpm.MsgSend && size > a.opts.EagerLimit,
-			peer:     to,
-			node:     node,
-		}, true
-	case pevpm.MsgRecv:
-		if to != rank {
-			return op{}, false
-		}
-		return op{peer: from, node: node}, true
-	}
-	return op{}, false
-}
-
-// notInt says why v, a value the evaluator converts to an int, has no
-// defined conversion, or returns "" when it has one: Go leaves the
-// conversion of NaN, ±Inf and values outside the int range
-// implementation-defined, and the evaluator rejects them.
-func notInt(v float64) string {
-	switch {
-	case math.IsNaN(v) || math.IsInf(v, 0):
-		return "is not finite"
-	case v < math.MinInt || v >= -math.MinInt: // -MinInt is exact as a float64; MaxInt is not
-		return "is outside the int range"
-	}
-	return ""
 }
 
 // checkUnreachable reports Runon branches no rank ever selects. A branch
@@ -530,12 +332,12 @@ func notInt(v float64) string {
 func (a *analyzer) checkUnreachable() {
 	pevpm.Walk(a.prog.Body, func(n pevpm.Node) bool {
 		node, ok := n.(*pevpm.Runon)
-		if !ok || !a.runonSeen[node] {
+		if !ok {
 			return true
 		}
-		taken := a.branchTaken[node]
+		taken, reached := a.taken[node]
 		for i, cond := range node.Conds {
-			if !taken[i] {
+			if reached && !taken[i] {
 				a.reportGlobal(SeverityWarning, RuleUnreachable, node,
 					"Runon branch %d (condition %s) is never taken by any of %d ranks",
 					i+1, cond.String(), a.opts.Procs)

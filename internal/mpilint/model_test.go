@@ -81,14 +81,15 @@ func TestAnalyzeFixtures(t *testing.T) {
 		{"unmatched_recv.pvm", 2, []string{RuleUnmatchedRecv}},
 
 		// Per-directive structural errors.
-		{"rank_oob.pvm", 4, []string{RuleRankBounds}},
-		{"wrong_role.pvm", 2, []string{RuleWrongRole}},
-		{"self_send.pvm", 2, []string{RuleSelfSend}},
-		{"bad_size.pvm", 2, []string{RuleBadSize}},
-		{"bad_loop.pvm", 2, []string{RuleBadLoop}},
-		{"bad_time.pvm", 2, []string{RuleBadTime}},
-		{"bad_nonfinite.pvm", 2, []string{RuleBadTime, RuleBadLoop, RuleBadSize, RuleRankBounds}},
-		{"eval_error.pvm", 2, []string{RuleEvalError}},
+		{"rank_oob.pvm", 4, []string{pevpm.RuleRankBounds}},
+		{"wrong_role.pvm", 2, []string{pevpm.RuleWrongRole}},
+		{"self_send.pvm", 2, []string{pevpm.RuleSelfSend}},
+		{"bad_size.pvm", 2, []string{pevpm.RuleBadSize}},
+		{"bad_loop.pvm", 2, []string{pevpm.RuleBadLoop}},
+		{"bad_time.pvm", 2, []string{pevpm.RuleBadTime}},
+		{"bad_nonfinite.pvm", 2, []string{pevpm.RuleBadTime, pevpm.RuleBadLoop, pevpm.RuleBadSize, pevpm.RuleRankBounds}},
+		{"eval_error.pvm", 2, []string{pevpm.RuleEvalError}},
+		{"bad_root.pvm", 4, []string{pevpm.RuleEvalError}},
 
 		// Whole-model checks.
 		{"unbound_param.pvm", 4, []string{RuleUnboundParam}},

@@ -135,7 +135,8 @@ func (m *Msg) describe() string {
 // messages): the whole job synchronises on one collective operation
 // whose per-process completion time is sampled from MPIBench's measured
 // collective distributions. Root is optional (defaults to 0) and kept
-// for documentation; the sampled distributions already mix over ranks.
+// for documentation: it must evaluate, but the sampled distributions
+// already mix over ranks.
 type Coll struct {
 	Op   string // benchmark operation name, e.g. "MPI_Bcast"
 	Size Expr
@@ -251,6 +252,9 @@ func validateBlock(b Block) error {
 		case *Msg:
 			if node.Size == nil || node.From == nil || node.To == nil {
 				return fmt.Errorf("pevpm: Message %s missing size/from/to", node.Kind)
+			}
+			if node.Kind < MsgSend || node.Kind > MsgIsend {
+				return fmt.Errorf("pevpm: unknown message kind %v", node.Kind)
 			}
 		case *Coll:
 			if node.Op == "" || node.Size == nil {

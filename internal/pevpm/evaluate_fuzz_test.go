@@ -1,25 +1,31 @@
 package pevpm_test
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/mpilint"
 	"repro/internal/pevpm"
 	"repro/internal/trace"
 )
 
 // The operand tables fuzzProgram indexes with one byte each. Every table
 // holds values that work and values that fail: out-of-range peers,
-// division by zero, negative, NaN, infinite and out-of-int-range values
-// (the params p_nan, p_inf and p_big), and an undefined variable.
+// division by zero, negative (a Loop count of -0.5 among them), NaN,
+// infinite and out-of-int-range values (the params p_nan, p_inf and
+// p_big), and an undefined variable. A Collective's root is absent ("")
+// or one of fuzzRoots.
 var (
 	fuzzTimes  = []string{"1e-4", "1e-4*(procnum+1)", "0", "-1", "p_inf", "undefined_cost"}
 	fuzzSizes  = []string{"1024", "65536", "0", "numprocs*100", "-1", "1/0", "p_big", "p_nan"}
 	fuzzPeers  = []string{"procnum", "(procnum+1)%numprocs", "(procnum+numprocs-1)%numprocs", "0", "1", "numprocs-1", "numprocs", "procnum-1", "1/0", "p_nan"}
-	fuzzCounts = []string{"0", "1", "2", "3", "-1", "p_nan"}
+	fuzzCounts = []string{"0", "1", "2", "3", "-1", "p_nan", "-0.5"}
 	fuzzConds  = []string{"procnum == 0", "procnum != 0", "procnum % 2 == 0", "procnum < numprocs/2", "1", "0", "1/0"}
 	fuzzColls  = []string{"MPI_Bcast", "MPI_Alltoall"}
+	fuzzRoots  = []string{"", "0", "1/0", "numprocs-1"}
 	fuzzKinds  = []pevpm.MsgKind{pevpm.MsgSend, pevpm.MsgIsend, pevpm.MsgRecv}
 )
 
@@ -43,6 +49,9 @@ type progDecoder struct {
 	// again; a directive joins once its body is decoded, so none
 	// contains itself.
 	done []pevpm.Node
+	// line is the position the next decoded directive takes, so each
+	// directive has its own.
+	line int
 }
 
 func (d *progDecoder) next() int {
@@ -72,35 +81,42 @@ func (d *progDecoder) block(depth int) pevpm.Block {
 
 // directive decodes a kind byte and the kind's operands: Serial (time),
 // Msg (kind, size, from, to), Loop (count, body), Runon (1 or 2
-// conditions, each with its body), Coll (operation, size), or the reuse
-// of a directive decoded earlier (index), which then sits in two places
-// of the tree and shares its hot-spot slot. Loop and Runon nest at most
-// 3 deep; deeper, they decode as Serial, and so does a reuse with
-// nothing to reuse.
+// conditions, each with its body), Coll (operation, size, root), or the
+// reuse of a directive decoded earlier (index), which then sits in two
+// places of the tree and shares its hot-spot slot. Loop and Runon nest
+// at most 3 deep; deeper, they decode as Serial, and so does a reuse
+// with nothing to reuse. Each new directive is at its own line, which
+// Evaluate never reads.
 func (d *progDecoder) directive(depth int) pevpm.Node {
 	kind := d.next() % fzKinds
 	if (kind == fzLoop || kind == fzRunon) && depth >= 3 || kind == fzReuse && len(d.done) == 0 {
 		kind = fzSerial
 	}
+	d.line++
+	at := pevpm.Pos{Line: d.line}
 	switch kind {
 	case fzReuse:
 		return d.done[d.next()%len(d.done)]
 	case fzMsg:
 		return &pevpm.Msg{Kind: fuzzKinds[d.next()%len(fuzzKinds)],
-			Size: d.expr(fuzzSizes), From: d.expr(fuzzPeers), To: d.expr(fuzzPeers)}
+			Size: d.expr(fuzzSizes), From: d.expr(fuzzPeers), To: d.expr(fuzzPeers), At: at}
 	case fzLoop:
-		return &pevpm.Loop{Count: d.expr(fuzzCounts), Body: d.block(depth + 1)}
+		return &pevpm.Loop{Count: d.expr(fuzzCounts), At: at, Body: d.block(depth + 1)}
 	case fzRunon:
-		r := &pevpm.Runon{}
+		r := &pevpm.Runon{At: at}
 		for n := 1 + d.next()%2; n > 0; n-- {
 			r.Conds = append(r.Conds, d.expr(fuzzConds))
 			r.Bodies = append(r.Bodies, d.block(depth+1))
 		}
 		return r
 	case fzColl:
-		return &pevpm.Coll{Op: fuzzColls[d.next()%len(fuzzColls)], Size: d.expr(fuzzSizes)}
+		c := &pevpm.Coll{Op: fuzzColls[d.next()%len(fuzzColls)], Size: d.expr(fuzzSizes), At: at}
+		if root := fuzzRoots[d.next()%len(fuzzRoots)]; root != "" {
+			c.Root = pevpm.MustExpr(root)
+		}
+		return c
 	}
-	return &pevpm.Serial{Time: d.expr(fuzzTimes)}
+	return &pevpm.Serial{Time: d.expr(fuzzTimes), At: at}
 }
 
 // fuzzProgram decodes a bounded random program and the options to
@@ -161,14 +177,20 @@ var fuzzSeeds = []struct {
 		fzColl, 1, 0}},
 	{"collective mismatch", "different collectives", []byte{2, 1, 1,
 		fzRunon, 1, // Runon procnum == 0 { Collective MPI_Bcast 1024 } & procnum != 0 { Collective MPI_Bcast 65536 }
-		0, 1, fzColl, 0, 0,
+		0, 1, fzColl, 0, 0, 0,
 		1, 1, fzColl, 0, 1}},
+	{"negative loop count truncating to zero passes", "Loop count -0.5 is negative", []byte{1, 0, 1,
+		fzLoop, 6, 1, // Loop -0.5 {
+		fzSerial, 0}}, // Serial 1e-4 }
+	{"collective root failing", "division by zero in (1 / 0)", []byte{3, 1, 1,
+		fzColl, 0, 0, 2}}, // Collective MPI_Bcast 1024 root 1/0
 }
 
 // TestFuzzEvaluateSeeds checks that FuzzEvaluate's seeds decode into the
 // programs their comments describe, so the corpus covers a clean run, a
-// reused directive, a rendezvous, a deadlock, a lazy failure and
-// collectives.
+// reused directive, a rendezvous, a deadlock, a lazy failure,
+// collectives, a negative Loop count that truncates to zero passes and a
+// Collective root that fails to evaluate.
 func TestFuzzEvaluateSeeds(t *testing.T) {
 	db, coll := goldenDBs(t)
 	for _, s := range fuzzSeeds {
@@ -191,6 +213,7 @@ func TestFuzzEvaluateSeeds(t *testing.T) {
 // report bit for bit (metrics included) or the same error text, and so
 // do a fresh Program with the same Params and Body (no cached plan), a
 // traced evaluation, and an evaluation at n processes after one at n+1.
+// mpilint agrees with the evaluator (lintAgrees).
 func FuzzEvaluate(f *testing.F) {
 	db, coll := goldenDBs(f)
 	for _, s := range fuzzSeeds {
@@ -198,7 +221,9 @@ func FuzzEvaluate(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog, opts := fuzzProgram(data, db, coll)
-		first := reportBits(pevpm.Evaluate(prog, opts))
+		rep, err := pevpm.Evaluate(prog, opts)
+		first := reportBits(rep, err)
+		lintAgrees(t, prog, opts.Procs, err)
 		if again := reportBits(pevpm.Evaluate(prog, opts)); again != first {
 			t.Fatalf("evaluated twice:\n%s\nthen:\n%s", first, again)
 		}
@@ -217,4 +242,45 @@ func FuzzEvaluate(f *testing.F) {
 			t.Fatalf("at %d processes:\n%s\nafter one at %d:\n%s", opts.Procs, first, more.Procs, got)
 		}
 	})
+}
+
+// perDirective holds the rules of the checks resolution makes on a
+// directive's values that fail it: an error under one is an error
+// Evaluate raises when a process reaches the directive.
+var perDirective = map[string]bool{
+	pevpm.RuleEvalError: true, pevpm.RuleBadTime: true, pevpm.RuleBadLoop: true,
+	pevpm.RuleBadSize: true, pevpm.RuleRankBounds: true, pevpm.RuleWrongRole: true,
+}
+
+// lintAgrees holds mpilint.Analyze at prog's process count n to
+// evalErr, what Evaluate returned. Analyze never panics and returns the
+// same findings twice. When Evaluate fails at a directive check, which
+// asks the database nothing, Analyze reports an error at that directive,
+// or the unbound-param error that stops its analysis. When Analyze
+// reports an error under a per-directive rule, Evaluate fails.
+func lintAgrees(t *testing.T, prog *pevpm.Program, n int, evalErr error) {
+	t.Helper()
+	fs, err := mpilint.Analyze(prog, mpilint.Options{Procs: n})
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	if again, _ := mpilint.Analyze(prog, mpilint.Options{Procs: n}); !reflect.DeepEqual(again, fs) {
+		t.Fatalf("analyzed twice:\n%v\nthen:\n%v", fs, again)
+	}
+	var check *pevpm.Check
+	failed := errors.As(evalErr, &check)
+	for _, f := range fs {
+		if f.Severity != mpilint.SeverityError {
+			continue
+		}
+		if failed && (f.Rule == mpilint.RuleUnboundParam || f.Pos == check.Node.Pos().String()) {
+			failed = false
+		}
+		if evalErr == nil && perDirective[f.Rule] {
+			t.Fatalf("Analyze reports %s, but Evaluate succeeds", f)
+		}
+	}
+	if failed {
+		t.Fatalf("Evaluate fails at line %s (%v), but Analyze reports no error there:\n%v", check.Node.Pos(), check, fs)
+	}
 }

@@ -86,7 +86,8 @@ var ErrModelDeadlock = errors.New("pevpm: model deadlock")
 // decision point, accumulating sends on the contention scoreboard) and
 // match phases (sample arrival times from the database under the
 // scoreboard's contention level, then match receives), per §5 of the
-// paper.
+// paper. A process that reaches a directive that failed a check fails
+// the evaluation with that *Check.
 //
 // The first evaluation at a process count specialises the program into
 // a plan: every process's ops and the hot-spot slot table. Later
@@ -118,7 +119,7 @@ type planCache struct {
 	params  map[string]float64 // a copy of Program.Params
 	body0   Node               // Program.Body[0], or nil
 	bodyLen int
-	plans   []*plan
+	plans   []*Plan
 }
 
 // maxPlans bounds the plans one Program keeps, so a program evaluated
@@ -191,7 +192,7 @@ func (c *planCache) holds(prog *Program) bool {
 // nil.
 //
 //detlint:hotpath
-func (c *planCache) lookup(procs int, db PerfDB) *plan {
+func (c *planCache) lookup(procs int, db PerfDB) *Plan {
 	for _, pl := range c.plans {
 		if pl.procs == procs && pl.fits(db) {
 			return pl
@@ -211,14 +212,24 @@ func (c *planCache) release(m *machine) {
 	c.mu.Unlock()
 }
 
-// plan is a program specialised for one process count: every process's
-// ops and the hot-spot slot table, with the database's answers to the
-// questions specialisation asked it.
-type plan struct {
+// Plan is a program resolved for one process count: every process's ops
+// and the directive each came from, every check a directive failed or
+// warned about, the branch each process took at each Runon it reached,
+// and the hot-spot slot table, with the database's answers to the
+// questions resolution asked it. Evaluate runs the plans it caches;
+// Resolve builds one for a reader such as mpilint.
+type Plan struct {
+	// Checks holds every check a directive failed or warned about,
+	// process by process, each process's in directive order.
+	Checks []*Check
+	// Branches holds each Runon a process reached, in the same order.
+	Branches []Branch
+
 	procs int
-	ops   [][]op  // per process
-	fails []error // per process: the error its Fail op raises, or nil
-	depth int     // deepest Loop nesting
+	ops   [][]op   // per process
+	nodes [][]Node // per process: the directive of each op
+	fails []error  // per process: the error its first Fail op raises, or nil
+	depth int      // deepest Loop nesting
 	// slots holds the receive or collective directive of each hot-spot
 	// slot, in the order processes first reached them.
 	slots []Node
@@ -244,7 +255,7 @@ type collAnswer struct {
 // the same way the database the plan was built on did.
 //
 //detlint:hotpath
-func (pl *plan) fits(db PerfDB) bool {
+func (pl *Plan) fits(db PerfDB) bool {
 	if !pl.askedSampler {
 		return true
 	}
@@ -264,7 +275,7 @@ func (pl *plan) fits(db PerfDB) bool {
 // lock is held.
 //
 //detlint:hotpath
-func (pl *plan) take() *machine {
+func (pl *Plan) take() *machine {
 	if n := len(pl.free) - 1; n >= 0 {
 		m := pl.free[n]
 		pl.free[n] = nil
@@ -276,7 +287,7 @@ func (pl *plan) take() *machine {
 
 // newMachine builds a machine for the plan: its processes, their loop
 // stacks and the hot-spot waits.
-func (pl *plan) newMachine() *machine {
+func (pl *Plan) newMachine() *machine {
 	m := &machine{plan: pl, procs: make([]mproc, pl.procs), hot: make([]float64, len(pl.slots))}
 	loops := make([]loop, pl.procs*pl.depth)
 	for i := range m.procs {
@@ -357,7 +368,7 @@ type mproc struct {
 	ops   []op   // the plan's: never written
 	pc    int    // index of the next op
 	loops []loop // Loop ops in execution, innermost last
-	fail  error  // raised by the Fail op, which is always the last op
+	fail  error  // raised by the first Fail op; every op after it is dead
 
 	// A parked process is parked on ops[pc-1], the receive, send or
 	// collective it executed last; waitPosted is when it got there.
@@ -383,7 +394,7 @@ type mproc struct {
 // reset returns one to its state before the first sweep, keeping what
 // it allocated.
 type machine struct {
-	plan *plan
+	plan *Plan
 	opts Options
 	rng  sim.RNG
 
@@ -486,53 +497,132 @@ func (m *machine) run() (*Report, error) {
 	return m.report(), nil
 }
 
-// planner specialises one program into a plan.
+// The rules of the checks resolution makes on a directive's values,
+// named as mpilint reports them.
+const (
+	RuleEvalError  = "eval-error"     // an expression fails to evaluate (division by zero, ...)
+	RuleBadTime    = "bad-time"       // negative or non-finite Serial time
+	RuleBadLoop    = "bad-loop-count" // negative, non-finite or int-overflowing (error) or fractional (warning) Loop count
+	RuleBadSize    = "bad-size"       // negative, non-finite or int-overflowing (error) or zero (warning) size
+	RuleRankBounds = "rank-bounds"    // from/to outside [0, numprocs), or NaN, ±Inf or int-overflowing
+	RuleWrongRole  = "wrong-role"     // a send whose from (a receive whose to) is not the executing process
+	RuleSelfSend   = "self-send"      // from == to (warning)
+)
+
+// Check is one check a directive failed, or warned about, when resolved
+// for one process. A failed check is the error Evaluate returns when
+// that process reaches the directive.
+type Check struct {
+	Rule    string
+	Warning bool // the directive still runs
+	Node    Node
+	Proc    int
+	// Message states what failed; an eval error's is the expression's
+	// own error text.
+	Message string
+}
+
+func (c *Check) Error() string {
+	if c.Rule == RuleEvalError {
+		return c.Message
+	}
+	return "pevpm: " + c.Message
+}
+
+// Branch is a Runon one process reached and the index of the branch it
+// took: -1 when no condition held or a condition failed to evaluate.
+type Branch struct {
+	Runon *Runon
+	Taken int
+}
+
+// Op is one op of a Plan as a reader outside the machine sees it.
+type Op struct {
+	Node Node // the directive it was resolved from
+	Fail bool // the directive failed a check
+	Peer int  // Message: the other process
+	N    int  // Message, Collective: size in bytes; Loop: passes
+	Body int  // Loop: how many of the ops that follow form its body
+}
+
+// Ops returns process proc's ops in order.
+func (pl *Plan) Ops(proc int) []Op {
+	ops := make([]Op, len(pl.ops[proc]))
+	for i, o := range pl.ops[proc] {
+		ops[i] = Op{Node: pl.nodes[proc][i], Fail: o.kind == opFail, Peer: int(o.peer), N: o.n, Body: int(o.body)}
+	}
+	return ops
+}
+
+// Resolve resolves prog for procs processes as Evaluate would, without a
+// database: a Collective is resolved without asking whether a database
+// measured it. The plan is built fresh and never cached, so Evaluate
+// never runs a plan that skipped those questions.
+func Resolve(prog *Program, procs int) (*Plan, error) {
+	if err := prog.Validate(); err != nil {
+		return nil, err
+	}
+	if procs <= 0 {
+		return nil, fmt.Errorf("pevpm: Procs = %d", procs)
+	}
+	return newPlan(prog, procs, nil), nil
+}
+
+// planner resolves one program into a plan, one process at a time.
 type planner struct {
-	*plan
+	*Plan
 	db PerfDB
 	// index maps a receive or collective directive to its slot.
 	index map[Node]int32
+
+	// id is the process being resolved and env its bindings; buf and at
+	// hold its ops so far and the directive of each.
+	id  int
+	env Env
+	buf []op
+	at  []Node
 }
 
 // newPlan resolves every process's directive tree into ops for procs
-// processes, asking db only whether it samples the collectives the
-// program names. Nothing a directive reads changes during an evaluation
-// (procnum, numprocs and Params are fixed), so each expression is
-// evaluated once here; the database is still queried as the ops run.
-func newPlan(prog *Program, procs int, db PerfDB) *plan {
+// processes, asking db, when there is one, only whether it samples the
+// collectives the program names. Nothing a directive reads changes
+// during an evaluation (procnum, numprocs and Params are fixed), so each
+// expression is evaluated once here; the database is still queried as
+// the ops run.
+func newPlan(prog *Program, procs int, db PerfDB) *Plan {
 	bound, depth, slots := shape(prog.Body)
 	b := planner{
-		plan: &plan{
+		Plan: &Plan{
 			procs: procs, depth: depth,
-			ops: make([][]op, procs), fails: make([]error, procs),
+			ops: make([][]op, procs), nodes: make([][]Node, procs), fails: make([]error, procs),
 			slots: make([]Node, 0, slots),
 		},
 		db:    db,
 		index: make(map[Node]int32, slots),
+		env:   make(Env, len(prog.Params)+2),
+		buf:   make([]op, 0, bound),
+		at:    make([]Node, 0, bound),
 	}
-	// Each process's ops are resolved into one scratch buffer and copied
-	// out; a process stops at its Fail op, at most one op past the bound.
-	scratch := make([]op, 0, bound+1)
-	env := make(Env, len(prog.Params)+2)
-	env["numprocs"] = float64(procs)
+	b.env["numprocs"] = float64(procs)
 	for k, v := range prog.Params {
-		env[k] = v
+		b.env[k] = v
 	}
 	_, fixed := prog.Params["procnum"]
-	for i := range procs {
+	for b.id = range procs {
 		if !fixed {
-			env["procnum"] = float64(i)
+			b.env["procnum"] = float64(b.id)
 		}
-		ops, err := b.resolve(scratch, prog.Body, i, env)
-		b.ops[i], b.fails[i] = slices.Clone(ops), err
+		b.buf, b.at = b.buf[:0], b.at[:0]
+		b.resolve(prog.Body)
+		b.ops[b.id], b.nodes[b.id] = slices.Clone(b.buf), slices.Clone(b.at)
 	}
-	return b.plan
+	return b.Plan
 }
 
 // shape bounds what block b resolves to for any one process: ops counts
-// its directives, taking the largest branch of each Runon; depth is its
-// deepest Loop nesting; slots counts its receive and collective
-// directives.
+// its directives, taking the largest branch of each Runon (or its Fail
+// op); depth is its deepest Loop nesting; slots counts its receive and
+// collective directives.
 func shape(b Block) (ops, depth, slots int) {
 	for _, d := range b {
 		switch d := d.(type) {
@@ -540,7 +630,7 @@ func shape(b Block) (ops, depth, slots int) {
 			n, dd, s := shape(d.Body)
 			ops, depth, slots = ops+1+n, max(depth, dd+1), slots+s
 		case *Runon:
-			most := 0
+			most := 1
 			for _, body := range d.Bodies {
 				n, dd, s := shape(body)
 				most, depth, slots = max(most, n), max(depth, dd), slots+s
@@ -560,36 +650,37 @@ func shape(b Block) (ops, depth, slots int) {
 	return ops, depth, slots
 }
 
-// resolve appends the ops block blk specialises into for process id
-// under env, making the checks executing each directive would make, in
-// the same order. The first check that fails becomes a Fail op and
-// resolve returns its error: the process stops there, so nothing after
-// it is reachable, and the error surfaces only if the process gets that
-// far.
-func (b *planner) resolve(ops []op, blk Block, id int, env Env) ([]op, error) {
+// resolve emits the ops block blk resolves into for the process, making
+// the checks executing each directive would make, in the same order. A
+// directive that fails a check emits a Fail op instead of its own, and
+// resolution goes on so that every check is recorded: a Loop whose count
+// fails skips its body, and a Runon whose condition fails takes no
+// branch. The process's first failure is the error Evaluate raises when
+// the process reaches that Fail op; the ops after it are dead.
+func (b *planner) resolve(blk Block) {
 	for _, d := range blk {
 		var o op
 		var err error
 		switch d := d.(type) {
 		case *Serial:
-			o, err = serialOp(d, env)
+			o, err = b.serialOp(d)
 		case *Msg:
-			o, err = b.msgOp(d, id, env)
+			o, err = b.msgOp(d)
 		case *Coll:
-			o, err = b.collOp(d, env)
+			o, err = b.collOp(d)
 		case *Loop:
 			var n int
-			if n, err = passes(d, env); err == nil {
-				if ops, err = b.loopOps(ops, d.Body, n, id, env); err != nil {
-					return ops, err
-				}
+			if n, err = b.passes(d); err == nil {
+				b.loopOps(d, n)
 				continue
 			}
 		case *Runon:
-			var body Block
-			if body, err = branch(d, env); err == nil {
-				if ops, err = b.resolve(ops, body, id, env); err != nil {
-					return ops, err
+			var i int
+			i, err = b.branch(d)
+			b.Branches = append(b.Branches, Branch{Runon: d, Taken: i})
+			if err == nil {
+				if i >= 0 {
+					b.resolve(d.Bodies[i])
 				}
 				continue
 			}
@@ -597,146 +688,195 @@ func (b *planner) resolve(ops []op, blk Block, id int, env Env) ([]op, error) {
 			continue
 		}
 		if err != nil {
-			return append(ops, op{kind: opFail}), err
+			o = op{kind: opFail}
+			if b.fails[b.id] == nil {
+				b.fails[b.id] = err
+			}
 		}
-		ops = append(ops, o)
+		b.emit(o, d)
 	}
-	return ops, nil
 }
 
-// loopOps appends a Loop op that runs body n times, followed by the
-// body. A Loop with no passes, or whose body resolves to nothing, adds
+// emit appends op o, resolved from directive d.
+func (b *planner) emit(o op, d Node) {
+	b.buf, b.at = append(b.buf, o), append(b.at, d)
+}
+
+// loopOps emits a Loop op that runs l's body n times, followed by the
+// body. A Loop with no passes, or whose body resolves to nothing, emits
 // no ops: running it would have no effect.
-func (b *planner) loopOps(ops []op, body Block, n int, id int, env Env) ([]op, error) {
+func (b *planner) loopOps(l *Loop, n int) {
 	if n == 0 {
-		return ops, nil
+		return
 	}
-	at := len(ops)
-	ops, err := b.resolve(append(ops, op{kind: opLoop, n: n}), body, id, env)
-	if len(ops) == at+1 {
-		return ops[:at], err
+	at := len(b.buf)
+	b.emit(op{kind: opLoop, n: n}, l)
+	b.resolve(l.Body)
+	if len(b.buf) == at+1 {
+		b.buf, b.at = b.buf[:at], b.at[:at]
+		return
 	}
-	ops[at].body = int32(len(ops) - at - 1)
-	return ops, err
+	b.buf[at].body = int32(len(b.buf) - at - 1)
 }
 
-// passes is how many times l runs under env.
-func passes(l *Loop, env Env) (int, error) {
-	cf, err := l.Count.Eval(env)
+// check records a check directive d failed for the process, or only
+// warned about, and returns it.
+func (b *planner) check(rule string, warn bool, d Node, format string, args ...any) *Check {
+	c := &Check{Rule: rule, Warning: warn, Node: d, Proc: b.id, Message: fmt.Sprintf(format, args...)}
+	b.Checks = append(b.Checks, c)
+	return c
+}
+
+// eval evaluates e, an expression of directive d, under the process's
+// bindings; an error fails an eval-error check.
+func (b *planner) eval(d Node, e Expr) (float64, error) {
+	v, err := e.Eval(b.env)
+	if err != nil {
+		return 0, b.check(RuleEvalError, false, d, "%v", err)
+	}
+	return v, nil
+}
+
+// intValue converts v, the value of what in directive d, to an int,
+// truncating. NaN, ±Inf and values outside the int range fail a check of
+// rule: Go leaves their conversion implementation-defined.
+func (b *planner) intValue(rule string, d Node, what string, v float64) (int, error) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, b.check(rule, false, d, "%s %v is not finite", what, v)
+	}
+	// -math.MinInt, a power of two, is exact as a float64; MaxInt is not.
+	if v < math.MinInt || v >= -math.MinInt {
+		return 0, b.check(rule, false, d, "%s %v is outside the int range", what, v)
+	}
+	return int(v), nil
+}
+
+// passes is how many times l runs. A negative count fails even when it
+// truncates to zero passes; a fractional one warns.
+func (b *planner) passes(l *Loop) (int, error) {
+	cf, err := b.eval(l, l.Count)
 	if err != nil {
 		return 0, err
 	}
-	n, err := intValue("Loop count", cf)
+	n, err := b.intValue(RuleBadLoop, l, "Loop count", cf)
 	if err != nil {
 		return 0, err
 	}
-	if n < 0 {
-		return 0, errNegative("Loop count", cf)
+	if cf < 0 {
+		return 0, b.check(RuleBadLoop, false, l, "Loop count %v is negative", cf)
+	}
+	if float64(n) != cf {
+		b.check(RuleBadLoop, true, l, "Loop count %v is not an integer; it truncates to %v", cf, float64(n))
 	}
 	return n, nil
 }
 
-// branch is the body of r's first true condition under env, or nil.
-func branch(r *Runon, env Env) (Block, error) {
+// branch is the index of r's first true condition, or -1.
+func (b *planner) branch(r *Runon) (int, error) {
 	for i, cond := range r.Conds {
-		v, err := cond.Eval(env)
+		v, err := b.eval(r, cond)
 		if err != nil {
-			return nil, err
+			return -1, err
 		}
 		if v != 0 {
-			return r.Bodies[i], nil
+			return i, nil
 		}
 	}
-	return nil, nil
+	return -1, nil
 }
 
-func serialOp(s *Serial, env Env) (op, error) {
-	t, err := s.Time.Eval(env)
-	if err != nil {
+func (b *planner) serialOp(s *Serial) (op, error) {
+	t, err := b.eval(s, s.Time)
+	switch {
+	case err != nil:
 		return op{}, err
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		return op{}, errNotFinite("Serial time", t)
-	}
-	if t < 0 {
-		return op{}, errNegative("Serial time", t)
+	case math.IsNaN(t) || math.IsInf(t, 0):
+		return op{}, b.check(RuleBadTime, false, s, "Serial time %v is not finite", t)
+	case t < 0:
+		return op{}, b.check(RuleBadTime, false, s, "Serial time %v is negative", t)
 	}
 	return op{kind: opSerial, secs: t}, nil
 }
 
-func (b *planner) msgOp(d *Msg, id int, env Env) (op, error) {
-	sizeF, err := d.Size.Eval(env)
+func (b *planner) msgOp(d *Msg) (op, error) {
+	sizeF, err := b.eval(d, d.Size)
 	if err != nil {
 		return op{}, err
 	}
-	fromF, err := d.From.Eval(env)
+	fromF, err := b.eval(d, d.From)
 	if err != nil {
 		return op{}, err
 	}
-	toF, err := d.To.Eval(env)
+	toF, err := b.eval(d, d.To)
 	if err != nil {
 		return op{}, err
 	}
-	size, err := intValue("message size", sizeF)
+	size, err := b.intValue(RuleBadSize, d, "message size", sizeF)
 	if err != nil {
 		return op{}, err
 	}
-	from, err := intValue("message from", fromF)
+	from, err := b.intValue(RuleRankBounds, d, "from =", fromF)
 	if err != nil {
 		return op{}, err
 	}
-	to, err := intValue("message to", toF)
+	to, err := b.intValue(RuleRankBounds, d, "to =", toF)
 	if err != nil {
 		return op{}, err
 	}
-	if size < 0 {
-		return op{}, fmt.Errorf("pevpm: negative message size %d", size)
+	switch {
+	case size < 0:
+		return op{}, b.check(RuleBadSize, false, d, "message size %d is negative", size)
+	case size == 0:
+		b.check(RuleBadSize, true, d, "message size is zero")
 	}
-	if from < 0 || from >= b.procs || to < 0 || to >= b.procs {
-		return op{}, fmt.Errorf("pevpm: message endpoints %d->%d outside 0..%d",
-			from, to, b.procs-1)
+	switch {
+	case from < 0 || from >= b.procs:
+		return op{}, b.check(RuleRankBounds, false, d, "from = %d is outside [0,%d)", from, b.procs)
+	case to < 0 || to >= b.procs:
+		return op{}, b.check(RuleRankBounds, false, d, "to = %d is outside [0,%d)", to, b.procs)
+	case d.Kind != MsgRecv && from != b.id:
+		return op{}, b.check(RuleWrongRole, false, d, "send executed by rank %d but from = %d", b.id, from)
+	case d.Kind == MsgRecv && to != b.id:
+		return op{}, b.check(RuleWrongRole, false, d, "receive executed by rank %d but to = %d", b.id, to)
+	}
+	if from == to {
+		b.check(RuleSelfSend, true, d, "rank %d sends to itself", from)
 	}
 	switch d.Kind {
-	case MsgSend, MsgIsend:
-		if from != id {
-			return op{}, fmt.Errorf("pevpm: process %d executing a send whose from=%d", id, from)
-		}
-		kind := opIsend
-		if d.Kind == MsgSend {
-			kind = opSend
-		}
-		return op{kind: kind, peer: int32(to), n: size}, nil
-	case MsgRecv:
-		if to != id {
-			return op{}, fmt.Errorf("pevpm: process %d executing a receive whose to=%d", id, to)
-		}
-		return op{kind: opRecv, peer: int32(from), n: size, slot: b.slot(d)}, nil
+	case MsgSend:
+		return op{kind: opSend, peer: int32(to), n: size}, nil
+	case MsgIsend:
+		return op{kind: opIsend, peer: int32(to), n: size}, nil
 	}
-	return op{}, fmt.Errorf("pevpm: unknown message kind %v", d.Kind)
+	return op{kind: opRecv, peer: int32(from), n: size, slot: b.slot(d)}, nil
 }
 
-func (b *planner) collOp(d *Coll, env Env) (op, error) {
-	cs, ok := b.db.(CollectiveSampler)
-	b.askedSampler, b.sampler = true, ok
-	if !ok {
-		return op{}, fmt.Errorf("pevpm: model uses Collective %s but the database has no collective measurements", d.Op)
+// collOp resolves a Collective. With a database it first asks whether the
+// database samples collectives and measured this one.
+func (b *planner) collOp(d *Coll) (op, error) {
+	if b.db != nil {
+		cs, ok := b.db.(CollectiveSampler)
+		b.askedSampler, b.sampler = true, ok
+		if !ok {
+			return op{}, fmt.Errorf("pevpm: model uses Collective %s but the database has no collective measurements", d.Op)
+		}
+		if !b.hasCollective(cs, d.Op) {
+			return op{}, fmt.Errorf("pevpm: collective %s not present in the database", d.Op)
+		}
 	}
-	if !b.hasCollective(cs, d.Op) {
-		return op{}, fmt.Errorf("pevpm: collective %s not present in the database", d.Op)
-	}
-	sizeF, err := d.Size.Eval(env)
+	sizeF, err := b.eval(d, d.Size)
 	if err != nil {
 		return op{}, err
 	}
-	size, err := intValue("collective size", sizeF)
+	size, err := b.intValue(RuleBadSize, d, "Collective size", sizeF)
 	if err != nil {
 		return op{}, err
 	}
 	if sizeF < 0 {
-		return op{}, errNegative("collective size", sizeF)
+		return op{}, b.check(RuleBadSize, false, d, "Collective size %v is negative", sizeF)
 	}
 	if d.Root != nil {
-		if _, err := d.Root.Eval(env); err != nil {
+		if _, err := b.eval(d, d.Root); err != nil {
 			return op{}, err
 		}
 	}
@@ -767,28 +907,6 @@ func (b *planner) slot(n Node) int32 {
 		b.slots = append(b.slots, n)
 	}
 	return s
-}
-
-func errNegative(what string, v float64) error {
-	return fmt.Errorf("pevpm: negative %s %v", what, v)
-}
-
-func errNotFinite(what string, v float64) error {
-	return fmt.Errorf("pevpm: %s %v is not finite", what, v)
-}
-
-// intValue converts v, the value of what, to an int, truncating. NaN,
-// ±Inf and values outside the int range are errors: Go leaves their
-// conversion implementation-defined.
-func intValue(what string, v float64) (int, error) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, errNotFinite(what, v)
-	}
-	// -math.MinInt, a power of two, is exact as a float64; MaxInt is not.
-	if v < math.MinInt || v >= -math.MinInt {
-		return 0, fmt.Errorf("pevpm: %s %v is outside the int range", what, v)
-	}
-	return int(v), nil
 }
 
 // rec emits a predicted-timeline event when tracing is on. PEVPM's

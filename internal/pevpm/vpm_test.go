@@ -353,8 +353,8 @@ func TestErrorsAreLazy(t *testing.T) {
 			prog: program(nil,
 				&Loop{Count: Num(-0.5), Body: Block{&Serial{Time: e("1/0")}}},
 				&Serial{Time: Num(3)}),
-			procs:     1,
-			wantTimes: []float64{3},
+			procs:   1,
+			wantErr: "pevpm: Loop count -0.5 is negative",
 		},
 		{
 			name:    "deadlock before a failing serial",
@@ -394,13 +394,13 @@ func TestErrorsAreLazy(t *testing.T) {
 			name:    "negative loop count",
 			prog:    program(nil, &Serial{Time: Num(1)}, &Loop{Count: Num(-2), Body: Block{&Serial{Time: Num(1)}}}),
 			procs:   1,
-			wantErr: "pevpm: negative Loop count -2",
+			wantErr: "pevpm: Loop count -2 is negative",
 		},
 		{
 			name:    "send from another process",
 			prog:    program(nil, &Msg{Kind: MsgIsend, Size: Num(4), From: Num(1), To: Num(0)}),
 			procs:   2,
-			wantErr: "pevpm: process 0 executing a send whose from=1",
+			wantErr: "pevpm: send executed by rank 0 but from = 1",
 		},
 		{
 			name: "failing serial after a loop of sends",
@@ -413,7 +413,7 @@ func TestErrorsAreLazy(t *testing.T) {
 				},
 			}),
 			procs:   2,
-			wantErr: "pevpm: negative Serial time -1",
+			wantErr: "pevpm: Serial time -1 is negative",
 		},
 	}
 	runLazyCases(t, constDB(1e-4, 0, 0, 1<<20), cases)
@@ -447,11 +447,11 @@ func TestNonFiniteValuesFailLazily(t *testing.T) {
 		{name: "message size outside the int range", prog: program(nil, isend(Num(1e300), Num(1))), procs: 1,
 			wantErr: "pevpm: message size 1e+300 is outside the int range"},
 		{name: "infinite message destination", prog: program(nil, isend(Num(4), inf)), procs: 1,
-			wantErr: "pevpm: message to +Inf is not finite"},
+			wantErr: "pevpm: to = +Inf is not finite"},
 		{name: "NaN collective size", prog: program(nil, &Coll{Op: "MPI_Bcast", Size: nan}), procs: 4,
-			wantErr: "pevpm: collective size NaN is not finite"},
+			wantErr: "pevpm: Collective size NaN is not finite"},
 		{name: "negative infinite collective size", prog: program(nil, &Coll{Op: "MPI_Bcast", Size: e("0 - 1e308*10")}), procs: 4,
-			wantErr: "pevpm: collective size -Inf is not finite"},
+			wantErr: "pevpm: Collective size -Inf is not finite"},
 		{
 			name: "NaN serial time in a branch no process takes",
 			prog: program(nil, &Runon{

@@ -239,6 +239,29 @@ func TestInfiniteSerialTimeIsLint400(t *testing.T) {
 	}
 }
 
+// TestBadCollectiveRootIsLint400: a Collective root that fails to
+// evaluate on some rank is a lint error, refused before any performance
+// database is built, not a 422 from the evaluation that follows a build.
+func TestBadCollectiveRootIsLint400(t *testing.T) {
+	s := newTestService(t, 1)
+	req := testRequest()
+	req.Model = "PEVPM Collective type = MPI_Barrier\nPEVPM & size = 1\nPEVPM & root = 1/(procnum - 1)\n"
+	res := s.HandleRequest(context.Background(), mustJSON(t, req))
+	if res.Status != 400 {
+		t.Fatalf("status = %d, want 400; body: %s", res.Status, res.Body)
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(res.Body, &er); err != nil {
+		t.Fatal(err)
+	}
+	if len(er.Findings) != 1 || er.Findings[0].Rule != "eval-error" {
+		t.Fatalf("want one eval-error finding, got %s", res.Body)
+	}
+	if got := s.met.counterValue("db_builds_total"); got != 0 {
+		t.Errorf("db_builds_total = %d, want 0", got)
+	}
+}
+
 // TestOversizedTopologyIs400: a topology spec whose path table or node
 // state would exhaust memory is a request error. The first two specs
 // used to crash the server from the request's goroutine.

@@ -224,3 +224,17 @@ func BenchmarkShardsWindow(b *testing.B) {
 	b.ResetTimer()
 	p.run(b, b.N)
 }
+
+// TestNewRNGValueCopyZeroAlloc: re-seeding a stream held by value, as
+// pevpm's recycled machines do with *NewRNG(seed), allocates nothing.
+func TestNewRNGValueCopyZeroAlloc(t *testing.T) {
+	var r RNG
+	seed := uint64(1)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		seed++
+		r = *NewRNG(seed)
+	}); allocs != 0 {
+		t.Errorf("copying *NewRNG(seed) into a value allocates %v objects/op, want 0", allocs)
+	}
+	_ = r
+}

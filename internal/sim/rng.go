@@ -65,8 +65,16 @@ func NewCellRNG(seed uint64, key string) *RNG {
 }
 
 // NewRNG returns a stream seeded from seed. Equal seeds give equal streams.
+// It inlines, so a caller that copies *NewRNG(seed) into a value it holds
+// allocates nothing.
 func NewRNG(seed uint64) *RNG {
-	r := &RNG{}
+	r := seeded(seed)
+	return &r
+}
+
+// seeded is the stream seeded from seed, by value.
+func seeded(seed uint64) RNG {
+	var r RNG
 	x := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&x)

@@ -10,13 +10,21 @@
 # Exit 2 (usage or parse error) always fails, so a parser regression
 # cannot masquerade as "findings reported". The per-file pass/fail
 # table is appended to GITHUB_STEP_SUMMARY when CI provides one.
+#
+# cmd/mpilint is built once into a temporary directory; set MPILINT to
+# run another command instead.
 set -eu
 
 cd "$(dirname "$0")/.."
-MPILINT="${MPILINT:-go run ./cmd/mpilint}"
 fail=0
-table=$(mktemp)
-trap 'rm -f "$table"' EXIT
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+table="$tmp/table"
+: > "$table"
+if [ -z "${MPILINT:-}" ]; then
+    go build -o "$tmp/mpilint" ./cmd/mpilint
+    MPILINT="$tmp/mpilint"
+fi
 
 note() { # file expected got status
     printf '| %s | %s | %s | %s |\n' "$1" "$2" "$3" "$4" >> "$table"
