@@ -231,6 +231,42 @@ func BenchmarkMPISendRecv(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(msgs*b.N), "allocs/msg")
 }
 
+// BenchmarkMPIExchange is MPIBench's measured exchange as a unit cost:
+// each of 2 ranks posts Irecv, then Isend, waits for both with Waitall
+// and hands them back with Free, 1000 times per job. It reports
+// simulated messages per wall second and allocations per simulated
+// message, the job's set-up included.
+func BenchmarkMPIExchange(b *testing.B) {
+	const msgs = 2000 // per job: 1000 exchanges on each of 2 ranks
+	cfg := cluster.Perseus()
+	pl, err := cluster.NewPlacement(&cfg, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := workloads.Execute(cfg, pl, uint64(i), func(c *mpi.Comm) {
+			partner := 1 - c.Rank()
+			for k := 0; k < msgs/2; k++ {
+				rr := c.Irecv(partner, 0)
+				sr := c.Isend(partner, 0, 1024)
+				c.Waitall(sr, rr)
+				c.Free(sr, rr)
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(msgs*float64(b.N)/b.Elapsed().Seconds(), "sim-msgs/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(msgs*b.N), "allocs/msg")
+}
+
 // BenchmarkNetsimTransfer measures raw network-model event throughput
 // and reports the events each transfer schedules (events/op, read from
 // the engine's sim/events_scheduled_total).

@@ -33,8 +33,9 @@ func messageAllocs(t *testing.T, ranks, iterations int, body func(c *Comm)) floa
 // and envelopes come from the World's free lists, so once a World is
 // warm a blocking call or a collective allocates nothing, at eager and
 // at rendezvous sizes. A job of 2k iterations must cost no more than
-// one of k, whose iterations warm the free lists. Only the requests
-// Isend and Irecv hand to their caller stay allocations.
+// one of k, whose iterations warm the free lists. The requests Isend
+// and Irecv hand to their caller stay allocations unless the caller
+// hands them back with Free.
 func TestMessageAllocs(t *testing.T) {
 	const k = 50
 	slack := 0.0
@@ -60,6 +61,20 @@ func TestMessageAllocs(t *testing.T) {
 		{"Sendrecv", 2, func(c *Comm, size int) {
 			peer := 1 - c.Rank()
 			c.Sendrecv(peer, 0, size, peer, 0)
+		}},
+		{"Isend+Irecv+Waitall+Free", 2, func(c *Comm, size int) {
+			peer := 1 - c.Rank()
+			rr := c.Irecv(peer, 0)
+			sr := c.Isend(peer, 0, size)
+			c.Waitall(sr, rr)
+			c.Free(sr, rr)
+		}},
+		{"Irecv+Send+Wait+Free", 2, func(c *Comm, size int) {
+			peer := 1 - c.Rank()
+			rr := c.Irecv(peer, 0)
+			c.Send(peer, 0, size)
+			c.Wait(rr)
+			c.Free(rr)
 		}},
 		// An eager rooted collective does not synchronise its ranks:
 		// repeated alone, a root outruns its receivers and their

@@ -18,7 +18,8 @@ type Status struct {
 
 // Request is a handle to an outstanding nonblocking operation. Requests
 // come from the World's free list; the blocking calls, which never hand
-// theirs to the caller, return them there once waited (releaseRequest).
+// theirs to the caller, return them there once waited (releaseRequest),
+// and a caller hands back the ones Isend and Irecv returned with Free.
 type Request struct {
 	c      *Comm
 	isSend bool
@@ -42,6 +43,25 @@ type Comm struct {
 	w    *World
 	rank int
 	proc *sim.Proc
+	// wait is the rank's Wait or Waitall in progress, the value its
+	// process blocks on.
+	wait waitState
+}
+
+// waitState is a rank's wait in progress. Its Woken answers the rank's
+// wakeups in event context (sim.Waiter), doing there what the woken rank
+// would have done first: re-check its requests, then charge them in
+// order up to the first receive, whose host cost becomes the rank's
+// sleep. The rank is switched in only once that sleep ends, or once
+// every request is charged.
+type waitState struct {
+	c *Comm
+	// rs holds the waited requests, copied so that a wait allocates
+	// nothing.
+	rs []*Request
+	// recv is the index in rs of the receive whose host cost Woken
+	// charged, or -1 while Woken has charged no receive.
+	recv int
 }
 
 // Rank returns this process's rank.
@@ -53,12 +73,13 @@ func (c *Comm) Size() int { return c.w.Size() }
 // Now returns the current virtual time.
 func (c *Comm) Now() sim.Time { return c.proc.Now() }
 
-// hostCost occupies the rank's CPU for an MPI-call overhead: a base cost
-// plus a per-byte copy cost, with multiplicative jitter and occasional
-// OS scheduling spikes.
+// hostCost draws an MPI-call overhead, the time the call occupies the
+// rank's CPU: a base cost plus a per-byte copy cost, with multiplicative
+// jitter and occasional OS scheduling spikes. The caller sleeps it, or
+// has a wait's Woken answer with it.
 //
 //detlint:hotpath
-func (c *Comm) hostCost(base float64, bytes int) {
+func (c *Comm) hostCost(base float64, bytes int) sim.Duration {
 	cfg := &c.w.cfg
 	d := base + float64(bytes)*cfg.PerByteCPU
 	if cfg.JitterSigma > 0 {
@@ -74,7 +95,7 @@ func (c *Comm) hostCost(base float64, bytes int) {
 	// NodeSlow faults stretch host costs by the factor active when the
 	// call starts (a window closing mid-call keeps the stretched cost).
 	d *= c.w.slowFactor(c.rank)
-	c.proc.Sleep(sim.DurationFromSeconds(d))
+	return sim.DurationFromSeconds(d)
 }
 
 // Compute occupies the rank's CPU for a serial code segment of the given
@@ -129,7 +150,7 @@ func (c *Comm) isend(ctx, dst, tag, size int, data any) *Request {
 		panic(fmt.Sprintf("mpi: rank %d: negative message size %d", c.rank, size))
 	}
 	cfg := &c.w.cfg
-	c.hostCost(cfg.SendOverhead, size)
+	c.proc.Sleep(c.hostCost(cfg.SendOverhead, size))
 
 	env := c.w.acquireEnvelope()
 	env.src, env.dst, env.ctx, env.tag, env.size, env.data = c.rank, dst, ctx, tag, size, data
@@ -187,10 +208,7 @@ func (c *Comm) Wait(r *Request) Status {
 	if r.c != c {
 		panic("mpi: Wait on a request from another rank")
 	}
-	for !r.done {
-		c.proc.BlockOn(r)
-	}
-	c.chargeCompletion(r)
+	c.waitFor([]*Request{r})
 	return r.st
 }
 
@@ -201,53 +219,146 @@ func (c *Comm) Waitall(rs ...*Request) {
 			panic("mpi: Waitall on a request from another rank")
 		}
 	}
-	for {
-		allDone := true
-		var pending *Request
-		for _, r := range rs {
-			if !r.done {
-				allDone = false
-				pending = r
-				break
-			}
-		}
-		if allDone {
+	c.waitFor(rs)
+}
+
+// waitFor blocks until every request in rs completes, then charges each
+// in order. If the rank had to block, its wait state's Woken charged a
+// prefix of rs before switching it in.
+func (c *Comm) waitFor(rs []*Request) {
+	charged := 0
+	for _, r := range rs {
+		if !r.done {
+			charged = c.block(rs)
 			break
 		}
-		c.proc.BlockOn(pending)
 	}
-	for _, r := range rs {
+	for _, r := range rs[charged:] {
 		c.chargeCompletion(r)
 	}
 }
 
-// chargeCompletion pays the receive-side CPU cost exactly once.
+// block parks the rank on its wait state until every request in rs has
+// completed, and returns how many of rs Woken charged: all of them, or
+// those up to the receive whose host cost the rank slept through, which
+// block finishes by recording its end.
+func (c *Comm) block(rs []*Request) int {
+	ws := &c.wait
+	ws.rs = append(ws.rs[:0], rs...)
+	ws.recv = -1
+	c.proc.BlockOn(ws)
+	clear(ws.rs)
+	if ws.recv < 0 {
+		return len(rs)
+	}
+	c.recvEnd(rs[ws.recv])
+	return ws.recv + 1
+}
+
+// Woken answers a wakeup of the rank blocked in Wait or Waitall (see
+// waitState): stay blocked while a request is pending, otherwise charge
+// the requests in order and sleep through the first receive's host cost.
+//
+//detlint:hotpath
+func (ws *waitState) Woken() (sim.WakeAction, sim.Duration) {
+	for _, r := range ws.rs {
+		if !r.done {
+			return sim.WakeStay, 0
+		}
+	}
+	c := ws.c
+	for i, r := range ws.rs {
+		switch {
+		case r.cpuCharged: // already charged
+		case r.isSend:
+			c.chargeSend(r)
+		default:
+			ws.recv = i
+			return sim.WakeSleep, c.chargeRecv(r)
+		}
+	}
+	return sim.WakeRun, 0
+}
+
+// BlockReason names the wait's first pending request, the one deadlock
+// reports and lint diagnoses describe.
+func (ws *waitState) BlockReason() string {
+	for _, r := range ws.rs {
+		if !r.done {
+			return r.BlockReason()
+		}
+	}
+	return "Wait" // not reached while blocked: a completion unblocks the rank
+}
+
+// chargeCompletion finishes a waited request exactly once: a receive
+// pays its host-side completion cost.
 //
 //detlint:hotpath
 func (c *Comm) chargeCompletion(r *Request) {
-	if r.cpuCharged {
-		return
+	switch {
+	case r.cpuCharged: // already charged
+	case r.isSend:
+		c.chargeSend(r)
+	default:
+		c.proc.Sleep(c.chargeRecv(r))
+		c.recvEnd(r)
 	}
+}
+
+// chargeSend marks a completed send waited and records its end.
+//
+//detlint:hotpath
+func (c *Comm) chargeSend(r *Request) {
 	r.cpuCharged = true
 	if c.w.lint != nil {
 		c.w.lint.requestWaited(r)
-	}
-	if !r.isSend {
-		c.hostCost(c.w.cfg.RecvOverhead, r.st.Size)
-		if r.ctx == ctxUser {
-			c.w.rec(c.rank, trace.RecvEnd, r.st.Source, r.st.Tag, r.st.Size, "")
-		}
-		return
 	}
 	if r.ctx == ctxUser {
 		c.w.rec(c.rank, trace.SendEnd, r.dst, r.tag, r.size, "")
 	}
 }
 
-// BlockReason describes the pending operation for deadlock reports. Wait
-// and Waitall park on the request itself (sim.BlockReasoner) so the hot
-// path stores one interface word instead of formatting this string on
-// every block iteration.
+// chargeRecv marks a completed receive waited and draws its host cost,
+// which the rank then sleeps before recvEnd.
+//
+//detlint:hotpath
+func (c *Comm) chargeRecv(r *Request) sim.Duration {
+	r.cpuCharged = true
+	if c.w.lint != nil {
+		c.w.lint.requestWaited(r)
+	}
+	return c.hostCost(c.w.cfg.RecvOverhead, r.st.Size)
+}
+
+// recvEnd records a charged receive's end.
+func (c *Comm) recvEnd(r *Request) {
+	if r.ctx == ctxUser {
+		c.w.rec(c.rank, trace.RecvEnd, r.st.Source, r.st.Tag, r.st.Size, "")
+	}
+}
+
+// Free hands requests the caller has waited for back to the World's
+// free list, so a steady stream of Isend and Irecv calls allocates no
+// requests. A freed request must not be used again. Free panics on a
+// request of another rank (a freed one included) and on one that is not
+// complete or not waited for.
+//
+//detlint:hotpath
+func (c *Comm) Free(rs ...*Request) {
+	for _, r := range rs {
+		if r.c != c {
+			panic("mpi: Free of a request from another rank or already freed")
+		}
+		if !r.done || !r.cpuCharged {
+			panic("mpi: Free of a request not waited for")
+		}
+		c.w.releaseRequest(r)
+	}
+}
+
+// BlockReason describes a pending operation for deadlock reports and
+// lint diagnoses.
 func (r *Request) BlockReason() string {
 	if r.isSend {
 		return fmt.Sprintf("Wait(send to %d tag %d size %d)", r.dst, r.tag, r.size)

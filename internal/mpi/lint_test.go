@@ -224,3 +224,35 @@ func TestLintLeakOnlyTheUnwaitedIsend(t *testing.T) {
 		t.Errorf("findings = %v, want only the leak", fs)
 	}
 }
+
+// TestLintFreedRequestsAreNotLeaks: requests a rank waited for and
+// handed back with Free are not leaks, even when the free list gives
+// them to a later call; an unwaited Isend still is.
+func TestLintFreedRequestsAreNotLeaks(t *testing.T) {
+	w := quietWorld(t, 2, 1, 1)
+	l := w.EnableLint()
+	w.Launch(func(c *Comm) {
+		peer := 1 - c.Rank()
+		for i := 0; i < 3; i++ {
+			rr := c.Irecv(peer, i)
+			sr := c.Isend(peer, i, 64<<10)
+			c.Waitall(sr, rr)
+			c.Free(sr, rr)
+		}
+		if c.Rank() == 1 {
+			c.Isend(0, 9, 128) // never waited: the one leak
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			c.Recv(1, 9)
+		}
+	})
+	if _, err := w.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	fs := l.Findings()
+	if len(fs) != 1 || fs[0].Rule != RuleLeakedRequest || fs[0].Rank != 1 ||
+		!strings.Contains(fs[0].Message, "Wait(send to 0 tag 9 size 128)") {
+		t.Fatalf("findings = %v, want one leaked-request for rank 1's unwaited Isend", fs)
+	}
+}

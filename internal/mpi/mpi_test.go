@@ -397,3 +397,36 @@ func TestDeadlockNamesPendingSend(t *testing.T) {
 		}
 	}
 }
+
+// TestFreeValidationPanics: Free refuses a request that is pending, one
+// that completed but was never waited for, one of another rank and one
+// already freed, and accepts the same requests once waited.
+func TestFreeValidationPanics(t *testing.T) {
+	w := quietWorld(t, 2, 1, 1)
+	w.Launch(func(c *Comm) {
+		if c.Rank() != 0 {
+			c.Recv(0, 6)
+			c.Send(0, 5, 10)
+			return
+		}
+		rr := c.Irecv(1, 5)
+		sr := c.Isend(1, 6, 10) // eager: complete at once, not yet waited
+		panics := func(name string, f func()) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			f()
+		}
+		panics("pending", func() { c.Free(rr) })
+		panics("complete, not waited", func() { c.Free(sr) })
+		panics("another rank's", func() { new(Comm).Free(sr) })
+		c.Waitall(sr, rr)
+		c.Free(sr, rr)
+		panics("freed twice", func() { c.Free(sr) })
+	})
+	if _, err := w.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -146,9 +146,9 @@ func (w *World) acquireRequest(c *Comm, ctx, src, tag int) *Request {
 }
 
 // releaseRequest recycles a completed request that no caller holds:
-// one a blocking call made and waited for itself. A request Isend or
-// Irecv returned is never released, since its caller may Wait on it
-// again.
+// one a blocking call made and waited for itself, or one its caller
+// handed back with Free. A request Isend or Irecv returned is released
+// only through Free, since its caller may Wait on it again.
 func (w *World) releaseRequest(r *Request) {
 	*r = Request{}
 	w.reqFree = append(w.reqFree, r)

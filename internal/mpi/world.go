@@ -219,6 +219,7 @@ func (w *World) Launch(program func(c *Comm)) {
 	for rank := 0; rank < w.Size(); rank++ {
 		rank := rank
 		c := &Comm{w: w, rank: rank}
+		c.wait.c = c
 		w.ranks[rank].comm = c
 		w.e.Spawn(fmt.Sprintf("rank%d", rank), func(p *sim.Proc) {
 			c.proc = p

@@ -66,6 +66,7 @@ func RunPattern(cfg cluster.Config, spec PatternSpec) (*Result, error) {
 		read := func() float64 {
 			return clocks[pl.LogicalNode(rank)].Read(c.Now())
 		}
+		var reqs []*mpi.Request
 		for si, size := range spec.Sizes {
 			for rep := 0; rep < total; rep++ {
 				c.Barrier()
@@ -73,7 +74,7 @@ func RunPattern(cfg cluster.Config, spec PatternSpec) (*Result, error) {
 					continue
 				}
 				start := read()
-				var reqs []*mpi.Request
+				reqs = reqs[:0]
 				for _, pr := range ins[rank] {
 					for m := 0; m < pr.Count*spec.Window; m++ {
 						reqs = append(reqs, c.Irecv(pr.Src, tagMeasure))
@@ -85,6 +86,7 @@ func RunPattern(cfg cluster.Config, spec PatternSpec) (*Result, error) {
 					}
 				}
 				c.Waitall(reqs...)
+				c.Free(reqs...)
 				durs[rank][si][rep] = read() - start
 			}
 		}

@@ -315,12 +315,15 @@ func (run *runner) pointToPoint(c *mpi.Comm, si, size, rep int) {
 	case OpIsend:
 		sr := c.Isend(partner, tagMeasure, size)
 		c.Waitall(sr, rr)
+		c.Free(sr, rr)
 	case OpSend:
 		c.Send(partner, tagMeasure, size)
 		c.Wait(rr)
+		c.Free(rr)
 	case OpSendrecv:
 		sr := c.Isend(partner, tagMeasure, size)
 		c.Waitall(rr, sr)
+		c.Free(rr, sr)
 	}
 	run.recvEnds[c.Rank()][si][rep] = run.read(c)
 }

@@ -84,12 +84,14 @@ type op struct {
 }
 
 type dedupKey struct {
-	rule string
-	node pevpm.Node
+	rule    string
+	node    pevpm.Node
+	warning bool
 }
 
-// pending aggregates one (rule, directive) check over all ranks that
-// trigger it, so a bad directive yields one finding, not Procs.
+// pending aggregates one (rule, directive, severity) check over all
+// ranks that trigger it, so a bad directive yields one finding per
+// severity, not Procs.
 type pending struct {
 	first *pevpm.Check
 	ranks []int
@@ -156,10 +158,12 @@ func (a *analyzer) run(plan *pevpm.Plan) {
 }
 
 // report records a check a directive failed or warned about,
-// deduplicated per (rule, node) across ranks; the first triggering
-// rank's check is kept.
+// deduplicated per (rule, node, severity) across ranks; the first
+// triggering rank's check is kept. A directive that only warns on some
+// ranks but fails on others reports both, so the error is not hidden
+// behind the first rank's warning.
 func (a *analyzer) report(c *pevpm.Check) {
-	key := dedupKey{c.Rule, c.Node}
+	key := dedupKey{c.Rule, c.Node, c.Warning}
 	if p, ok := a.dedup[key]; ok {
 		p.ranks = append(p.ranks, c.Proc)
 		return
@@ -189,7 +193,7 @@ func (a *analyzer) finalizeDedup() {
 			msg += " (" + ranksLabel(p.ranks) + ")"
 		}
 		sev := SeverityError
-		if p.first.Warning {
+		if key.warning {
 			sev = SeverityWarning
 		}
 		a.findings = append(a.findings, Finding{

@@ -90,6 +90,7 @@ func TestAnalyzeFixtures(t *testing.T) {
 		{"bad_nonfinite.pvm", 2, []string{pevpm.RuleBadTime, pevpm.RuleBadLoop, pevpm.RuleBadSize, pevpm.RuleRankBounds}},
 		{"eval_error.pvm", 2, []string{pevpm.RuleEvalError}},
 		{"bad_root.pvm", 4, []string{pevpm.RuleEvalError}},
+		{"mixed_severity.pvm", 3, []string{pevpm.RuleBadLoop}},
 
 		// Whole-model checks.
 		{"unbound_param.pvm", 4, []string{RuleUnboundParam}},
@@ -107,6 +108,25 @@ func TestAnalyzeFixtures(t *testing.T) {
 					tc.procs, got, want, dump(fs))
 			}
 		})
+	}
+}
+
+// TestAnalyzeMixedSeverity: a directive that warns on some ranks and
+// fails on others reports the error too. At three processes the loop
+// count 1.5 - procnum truncates on ranks 0 and 1 (a warning) and is
+// negative on rank 2 (an error, which Evaluate raises).
+func TestAnalyzeMixedSeverity(t *testing.T) {
+	fs := analyzeFixture(t, "mixed_severity.pvm", 3)
+	got := make(map[Severity][]int)
+	for _, f := range fs {
+		if f.Rule != pevpm.RuleBadLoop {
+			t.Fatalf("unexpected finding %s", f)
+		}
+		got[f.Severity] = append(got[f.Severity], f.Rank)
+	}
+	if len(fs) != 2 || len(got[SeverityError]) != 1 || got[SeverityError][0] != 2 ||
+		len(got[SeverityWarning]) != 1 || got[SeverityWarning][0] != 0 {
+		t.Errorf("want one error from rank 2 and one warning from rank 0, got:\n%s", dump(fs))
 	}
 }
 

@@ -82,6 +82,12 @@ type model struct {
 	rails int
 	lps   []*lp
 
+	// Per-hop constants of cfg, computed once in init: the lognormal
+	// fabric jitter's μ and σ (mean 1, CV ≈ FabricJitter) and the NIC
+	// and backplane buffer overflow thresholds, in seconds.
+	jitterMu, jitterSigma      float64
+	nicBufDelay, stackBufDelay float64
+
 	// sh carries a message between LPs; it lands lookahead later. The
 	// one-LP Network never moves a message and has no sh.
 	sh        *sim.Shards
@@ -262,6 +268,9 @@ func (t *xfer) run() {
 // the core.
 func (m *model) init(cfg cluster.Config, engines []*sim.Engine) {
 	m.cfg = cfg
+	sigma2 := math.Log1p(cfg.FabricJitter * cfg.FabricJitter)
+	m.jitterMu, m.jitterSigma = -sigma2/2, math.Sqrt(sigma2)
+	m.nicBufDelay, m.stackBufDelay = cfg.NICBufferDelay(), cfg.StackBufferDelay()
 	m.topo = cfg.Paths()
 	m.rails = cfg.Rails()
 	m.pool.New = newXfer
@@ -573,7 +582,7 @@ func (t *xfer) arrive() {
 	// Drop if the port's buffers have overflowed. The congestion check
 	// runs first so healthy runs consume the loss stream identically
 	// whether or not a schedule is installed.
-	if l.dropped(rx.Backlog(), cfg.NICBufferDelay()) {
+	if l.dropped(rx.Backlog(), m.nicBufDelay) {
 		l.mDropCong.Inc()
 		t.retry()
 		return
@@ -708,7 +717,7 @@ func (l *lp) traverseStage(s *sim.Serializer, seg, payload int, perFrame bool, a
 	if seg >= 0 {
 		l.mSegPeak[seg].SetMax(int64(wait))
 	}
-	if l.dropped(wait, cfg.StackBufferDelay()) {
+	if l.dropped(wait, l.m.stackBufDelay) {
 		l.mDropCong.Inc()
 		return true
 	}
@@ -728,8 +737,7 @@ func (l *lp) traverseStage(s *sim.Serializer, seg, payload int, perFrame bool, a
 	}
 	if cfg.FabricJitter > 0 {
 		// Lognormal service variance: mean preserved, CV ≈ FabricJitter.
-		sigma2 := math.Log1p(cfg.FabricJitter * cfg.FabricJitter)
-		serviceSec *= l.jitter.LogNormal(-sigma2/2, math.Sqrt(sigma2))
+		serviceSec *= l.jitter.LogNormal(l.m.jitterMu, l.m.jitterSigma)
 	}
 	service := sim.DurationFromSeconds(serviceSec)
 	end := s.Enqueue(service, nil)

@@ -16,13 +16,14 @@ import (
 // holds values that work and values that fail: out-of-range peers,
 // division by zero, negative (a Loop count of -0.5 among them), NaN,
 // infinite and out-of-int-range values (the params p_nan, p_inf and
-// p_big), and an undefined variable. A Collective's root is absent ("")
+// p_big), and an undefined variable. The Loop count 1.5-procnum only
+// truncates on processes 0 and 1 but is negative from process 2 on. A Collective's root is absent ("")
 // or one of fuzzRoots.
 var (
 	fuzzTimes  = []string{"1e-4", "1e-4*(procnum+1)", "0", "-1", "p_inf", "undefined_cost"}
 	fuzzSizes  = []string{"1024", "65536", "0", "numprocs*100", "-1", "1/0", "p_big", "p_nan"}
 	fuzzPeers  = []string{"procnum", "(procnum+1)%numprocs", "(procnum+numprocs-1)%numprocs", "0", "1", "numprocs-1", "numprocs", "procnum-1", "1/0", "p_nan"}
-	fuzzCounts = []string{"0", "1", "2", "3", "-1", "p_nan", "-0.5"}
+	fuzzCounts = []string{"0", "1", "2", "3", "-1", "p_nan", "-0.5", "1.5-procnum"}
 	fuzzConds  = []string{"procnum == 0", "procnum != 0", "procnum % 2 == 0", "procnum < numprocs/2", "1", "0", "1/0"}
 	fuzzColls  = []string{"MPI_Bcast", "MPI_Alltoall"}
 	fuzzRoots  = []string{"", "0", "1/0", "numprocs-1"}
@@ -184,13 +185,17 @@ var fuzzSeeds = []struct {
 		fzSerial, 0}}, // Serial 1e-4 }
 	{"collective root failing", "division by zero in (1 / 0)", []byte{3, 1, 1,
 		fzColl, 0, 0, 2}}, // Collective MPI_Bcast 1024 root 1/0
+	{"loop count warning on some processes, failing on others", "Loop count -0.5 is negative", []byte{2, 0, 1,
+		fzLoop, 7, 1, // Loop 1.5-procnum {
+		fzSerial, 0}}, // Serial 1e-4 }
 }
 
 // TestFuzzEvaluateSeeds checks that FuzzEvaluate's seeds decode into the
 // programs their comments describe, so the corpus covers a clean run, a
 // reused directive, a rendezvous, a deadlock, a lazy failure,
-// collectives, a negative Loop count that truncates to zero passes and a
-// Collective root that fails to evaluate.
+// collectives, a negative Loop count that truncates to zero passes, a
+// Collective root that fails to evaluate and a Loop count that warns on
+// some processes and fails on the others.
 func TestFuzzEvaluateSeeds(t *testing.T) {
 	db, coll := goldenDBs(t)
 	for _, s := range fuzzSeeds {

@@ -262,6 +262,37 @@ func TestBadCollectiveRootIsLint400(t *testing.T) {
 	}
 }
 
+// TestMixedSeverityLoopIsLint400: a Loop count that only warns on the
+// first ranks (1.5 - procnum truncates on ranks 0 and 1) but is negative
+// on the rest is a lint error, refused before any performance database
+// is built, not a 422 from the evaluation that follows a build.
+func TestMixedSeverityLoopIsLint400(t *testing.T) {
+	s := newTestService(t, 1)
+	req := testRequest()
+	req.Procs = 4
+	req.Model = "PEVPM Loop iterations = 1.5 - procnum\nPEVPM {\nPEVPM   Serial time = 1\nPEVPM }\n"
+	res := s.HandleRequest(context.Background(), mustJSON(t, req))
+	if res.Status != 400 {
+		t.Fatalf("status = %d, want 400; body: %s", res.Status, res.Body)
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(res.Body, &er); err != nil {
+		t.Fatal(err)
+	}
+	lintErrors := 0
+	for _, f := range er.Findings {
+		if f.Rule == "bad-loop-count" && f.Severity == "error" {
+			lintErrors++
+		}
+	}
+	if lintErrors != 1 {
+		t.Fatalf("want one bad-loop-count error, got %s", res.Body)
+	}
+	if got := s.met.counterValue("db_builds_total"); got != 0 {
+		t.Errorf("db_builds_total = %d, want 0", got)
+	}
+}
+
 // TestOversizedTopologyIs400: a topology spec whose path table or node
 // state would exhaust memory is a request error. The first two specs
 // used to crash the server from the request's goroutine.

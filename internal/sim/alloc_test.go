@@ -31,8 +31,9 @@ func TestScheduleZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestProcSwitchZeroAllocSteadyState: once a process is running, handing
-// control to it and back allocates nothing, whether it wakes from Sleep
-// or from Block via Unblock.
+// control to it and back allocates nothing, whether it wakes from Sleep,
+// from Block via Unblock, or after a Waiter answered its wakeup with a
+// sleep.
 func TestProcSwitchZeroAllocSteadyState(t *testing.T) {
 	e := NewEngine(1)
 	defer e.Shutdown()
@@ -46,8 +47,15 @@ func TestProcSwitchZeroAllocSteadyState(t *testing.T) {
 			p.BlockOn(why("await unblock"))
 		}
 	})
+	w := &answer{act: WakeSleep, d: Microsecond / 2}
+	answered := e.Spawn("answered", func(p *Proc) {
+		for {
+			p.BlockOn(w)
+		}
+	})
 	step := func() {
 		blocked.Unblock()
+		answered.Unblock()
 		if _, err := e.Run(e.Now().Add(Microsecond)); err != nil {
 			t.Fatal(err)
 		}
@@ -60,9 +68,22 @@ func TestProcSwitchZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// answer is a Waiter that gives every wakeup the same answer.
+type answer struct {
+	act WakeAction
+	d   Duration
+}
+
+func (a *answer) BlockReason() string { return "answer" }
+
+func (a *answer) Woken() (WakeAction, Duration) { return a.act, a.d }
+
 // BenchmarkProcSwitch is the process layer's unit cost: one Sleep→wake
-// round trip, and one Block/Unblock ping-pong between two processes
-// (two wakes per op).
+// round trip, one Block/Unblock ping-pong between two processes (two
+// wakes per op), and an Unblock whose wakeup a Waiter answers in event
+// context: with WakeStay (no switch at all) or with WakeSleep (one
+// switch in, after the sleep, where a process that re-checks and sleeps
+// itself is switched in twice).
 func BenchmarkProcSwitch(b *testing.B) {
 	b.Run("sleep", func(b *testing.B) {
 		e := NewEngine(1)
@@ -104,6 +125,33 @@ func BenchmarkProcSwitch(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
+	b.Run("answered-stay", func(b *testing.B) { benchmarkAnswered(b, &answer{act: WakeStay}) })
+	b.Run("answered-sleep", func(b *testing.B) { benchmarkAnswered(b, &answer{act: WakeSleep, d: Microsecond}) })
+}
+
+func benchmarkAnswered(b *testing.B, a *answer) {
+	e := NewEngine(1)
+	defer e.Shutdown()
+	// idle keeps an event queued past every Run's horizon, so Run stops
+	// at its horizon instead of reporting the blocked process.
+	e.Spawn("idle", func(p *Proc) { p.Sleep(1e6 * Second) })
+	blocked := e.Spawn("blocked", func(p *Proc) {
+		for {
+			p.BlockOn(a)
+		}
+	})
+	step := func() {
+		blocked.Unblock()
+		if _, err := e.Run(e.Now().Add(a.d)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
 }
 
 func BenchmarkScheduleRun(b *testing.B) {

@@ -28,6 +28,13 @@ var ErrDeadlock = errors.New("sim: deadlock")
 // event callbacks or as processes interleaved one at a time.
 type Engine struct {
 	now Time
+	// next holds one queued event outside the heap (when hasNext): an
+	// event scheduled while the slot is free and earlier than the
+	// heap's top goes there, so the common schedule-then-run-next step
+	// skips both sifts. Run and NextEventTime take the earlier of the
+	// slot and the heap's top by (at, seq), so the order stays exact.
+	next    event
+	hasNext bool
 	// events is a four-ary min-heap ordered by (at, seq). Four-ary
 	// halves the tree depth of the binary heap and keeps the children of
 	// a node close together, which speeds the pop-heavy hot loop.
@@ -54,7 +61,7 @@ type Engine struct {
 	// path.
 	reg         *metrics.Registry
 	mScheduled  *metrics.Counter // events handed to At/Schedule
-	mHeapDepth  *metrics.Gauge   // deepest simultaneous event queue
+	mHeapDepth  *metrics.Gauge   // deepest simultaneous event queue, slot included
 	mProcsTotal *metrics.Counter // processes spawned
 	mProcsPeak  *metrics.Gauge   // most processes alive at once
 }
@@ -112,8 +119,25 @@ func (e *Engine) At(t Time, fn func()) {
 	}
 	e.seq++
 	e.mScheduled.Inc()
-	e.heapPush(event{at: t, seq: e.seq, fn: fn})
-	e.mHeapDepth.SetMax(int64(len(e.events)))
+	ev := event{at: t, seq: e.seq, fn: fn}
+	// Its seq is the newest, so it precedes the heap's top only if it
+	// is earlier.
+	if !e.hasNext && (len(e.events) == 0 || t < e.events[0].at) {
+		e.next, e.hasNext = ev, true
+	} else {
+		e.heapPush(ev)
+	}
+	e.mHeapDepth.SetMax(int64(e.queued()))
+}
+
+// queued returns how many events are pending, the slot included.
+//
+//detlint:hotpath
+func (e *Engine) queued() int {
+	if e.hasNext {
+		return len(e.events) + 1
+	}
+	return len(e.events)
 }
 
 // Tracef emits a formatted line to the engine's Tracer, if any.
@@ -129,14 +153,26 @@ func (e *Engine) Tracef(format string, args ...any) {
 // processes remain blocked, Run returns an error wrapping ErrDeadlock
 // that names the stuck processes.
 func (e *Engine) Run(until Time) (Time, error) {
-	for len(e.events) > 0 {
-		if e.events[0].at > until {
-			e.now = until
-			return e.now, nil
+	for {
+		var ev event
+		if e.slotFirst() {
+			if e.next.at > until {
+				e.now = until
+				return e.now, nil
+			}
+			ev = e.next
+			e.next, e.hasNext = event{}, false
+		} else if len(e.events) > 0 {
+			if e.events[0].at > until {
+				e.now = until
+				return e.now, nil
+			}
+			ev = e.heapPop()
+		} else {
+			break
 		}
-		next := e.heapPop()
-		e.now = next.at
-		next.fn()
+		e.now = ev.at
+		ev.fn()
 	}
 	if e.alive == 0 {
 		return e.now, nil // no process can be blocked
@@ -167,10 +203,20 @@ func (e *Engine) blockedProcs() []string {
 //
 //detlint:hotpath
 func (e *Engine) NextEventTime() Time {
-	if len(e.events) == 0 {
-		return Forever
+	switch {
+	case e.slotFirst():
+		return e.next.at
+	case len(e.events) > 0:
+		return e.events[0].at
 	}
-	return e.events[0].at
+	return Forever
+}
+
+// slotFirst reports whether the slot holds the earliest queued event.
+//
+//detlint:hotpath
+func (e *Engine) slotFirst() bool {
+	return e.hasNext && (len(e.events) == 0 || eventLess(&e.next, &e.events[0]))
 }
 
 // eventLess orders the heap by timestamp, breaking ties by scheduling

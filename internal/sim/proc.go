@@ -32,6 +32,9 @@ type Proc struct {
 	// BlockReason — the hot path stores one interface word instead of
 	// formatting a string nobody reads unless the simulation deadlocks.
 	reason BlockReasoner
+	// waiter is reason when it is a Waiter: it answers the wakeups
+	// Unblock schedules while the process is in BlockOn.
+	waiter Waiter
 
 	// wakeFn is the wake method bound once at Spawn so that Sleep and
 	// Unblock schedule it without allocating a method value per call.
@@ -51,6 +54,32 @@ type Proc struct {
 type BlockReasoner interface {
 	BlockReason() string
 }
+
+// Waiter is a BlockReasoner that answers, in event context, the wakeup
+// Unblock scheduled for a process blocked on it. Woken runs at the
+// wakeup event's own position, before any switch into the process, so
+// work the woken process would have done first (re-checking its
+// condition, charging a cost it then sleeps) happens in the same order
+// without two coroutine switches per wakeup. Woken must not call the
+// process's own methods (Sleep, BlockOn).
+type Waiter interface {
+	BlockReasoner
+	Woken() (WakeAction, Duration)
+}
+
+// WakeAction is a Waiter's answer to a wakeup.
+type WakeAction uint8
+
+const (
+	// WakeRun switches into the process now: BlockOn returns.
+	WakeRun WakeAction = iota
+	// WakeStay leaves the process blocked without switching into it;
+	// the next Unblock wakes it again.
+	WakeStay
+	// WakeSleep puts the process to sleep for Woken's duration, as its
+	// own Sleep would have: BlockOn returns when the sleep ends.
+	WakeSleep
+)
 
 // Spawn creates a process and schedules its body to start at the current
 // virtual time. The name appears in traces and deadlock reports.
@@ -79,10 +108,11 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	return p
 }
 
-// wake transfers control into the process until it parks or finishes.
-// It runs in event context.
+// wake transfers control into the process until it parks or finishes,
+// unless the Waiter it blocked on answers the wakeup first. It runs in
+// event context.
 func (p *Proc) wake() {
-	if p.state == procDone {
+	if p.state == procDone || p.answered() {
 		return
 	}
 	p.state = procReady
@@ -90,6 +120,28 @@ func (p *Proc) wake() {
 	p.e.current = p
 	defer func() { p.e.current = prev }()
 	p.next()
+}
+
+// answered asks the Waiter of a process Unblock woke what the wakeup
+// does, and reports whether it answered without a switch into the
+// process: by leaving it blocked (WakeStay) or putting it to sleep
+// (WakeSleep), which schedules its wakeup as Sleep does.
+//
+//detlint:hotpath
+func (p *Proc) answered() bool {
+	if p.state != procReady || p.waiter == nil {
+		return false
+	}
+	switch act, d := p.waiter.Woken(); act {
+	case WakeStay:
+		p.state = procBlocked
+		return true
+	case WakeSleep:
+		p.state = procSleeping
+		p.e.Schedule(d, p.wakeFn)
+		return true
+	}
+	return false
 }
 
 // park gives control back to the engine and waits to be resumed.
@@ -113,19 +165,24 @@ func (p *Proc) Sleep(d Duration) {
 // BlockOn parks the process until another process or event calls
 // Unblock. The reason is produced on demand from r only if a deadlock
 // report or BlockedOn query needs it, so hot paths (MPI's Wait/Waitall)
-// pass their request object instead of formatting a string per wait.
-// Callers that wait for a condition should loop: for !cond { p.BlockOn(r) }.
+// pass their wait state instead of formatting a string per wait.
+// When r is a Waiter, its Woken answers each wakeup in event context
+// and BlockOn returns only once it answers WakeRun or WakeSleep's sleep
+// ends. Other callers that wait for a condition should loop:
+// for !cond { p.BlockOn(r) }.
 func (p *Proc) BlockOn(r BlockReasoner) {
 	p.checkCurrent("BlockOn")
 	p.state = procBlocked
 	p.reason = r
+	p.waiter, _ = r.(Waiter)
 	p.park()
-	p.reason = nil
+	p.reason, p.waiter = nil, nil
 }
 
-// Unblock makes a blocked process runnable at the current virtual time.
-// It is a no-op unless the process is currently blocked, so it is always
-// safe to call; waiters must re-check their condition after waking.
+// Unblock schedules a blocked process's wakeup at the current virtual
+// time; a Waiter it blocked on answers that wakeup first. It is a no-op
+// unless the process is currently blocked, so it is always safe to
+// call; waiters must re-check their condition after waking.
 func (p *Proc) Unblock() {
 	if p.state != procBlocked {
 		return

@@ -61,16 +61,16 @@ func TestSerializerSchedulesOnlyCallbacks(t *testing.T) {
 	e := NewEngine(1)
 	s := NewSerializer(e)
 	s.Enqueue(5*Millisecond, nil)
-	if len(e.events) != 0 || e.mScheduled.Value() != 0 {
+	if e.queued() != 0 || e.mScheduled.Value() != 0 {
 		t.Fatalf("Enqueue without a callback left %d pending, %d scheduled; want 0, 0",
-			len(e.events), e.mScheduled.Value())
+			e.queued(), e.mScheduled.Value())
 	}
 	calls := 0
 	var at Time
 	end := s.Enqueue(3*Millisecond, func() { calls++; at = e.Now() })
-	if len(e.events) != 1 || e.mScheduled.Value() != 1 {
+	if e.queued() != 1 || e.mScheduled.Value() != 1 {
 		t.Fatalf("Enqueue with a callback left %d pending, %d scheduled; want 1, 1",
-			len(e.events), e.mScheduled.Value())
+			e.queued(), e.mScheduled.Value())
 	}
 	if _, err := e.Run(Forever); err != nil {
 		t.Fatal(err)
