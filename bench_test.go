@@ -267,6 +267,37 @@ func BenchmarkMPIExchange(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(msgs*b.N), "allocs/msg")
 }
 
+// BenchmarkMPIBarrier is the synchronisation MPIBench pays between
+// repetitions as a unit cost: 64 ranks (64×1) run 100 barriers per
+// job. It reports simulated barriers per wall second and the switches
+// into each rank per barrier (resumes/rank/barrier, from
+// sim/proc_resumes_total less each rank's start), the job's set-up
+// included.
+func BenchmarkMPIBarrier(b *testing.B) {
+	const ranks, barriers = 64, 100
+	cfg := cluster.Perseus()
+	pl, err := cluster.NewPlacement(&cfg, ranks, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var resumes uint64
+	for i := 0; i < b.N; i++ {
+		res, err := workloads.Execute(cfg, pl, uint64(i), func(c *mpi.Comm) {
+			for k := 0; k < barriers; k++ {
+				c.Barrier()
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, _ := res.Metrics.Counter("sim", "proc_resumes_total")
+		resumes += n - ranks
+	}
+	b.ReportMetric(barriers*float64(b.N)/b.Elapsed().Seconds(), "sim-barriers/s")
+	b.ReportMetric(float64(resumes)/float64(ranks*barriers*b.N), "resumes/rank/barrier")
+}
+
 // BenchmarkNetsimTransfer measures raw network-model event throughput
 // and reports the events each transfer schedules (events/op, read from
 // the engine's sim/events_scheduled_total).

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/trace"
 )
@@ -28,32 +29,34 @@ const (
 func (c *Comm) collSend(dst, tag, size int) { c.waitFree(c.isend(ctxCollective, dst, tag, size, nil)) }
 func (c *Comm) collRecv(src, tag int)       { c.waitFree(c.irecv(ctxCollective, src, tag)) }
 
-// collExchange sends size bytes to dst and receives from src in the
-// collective context, concurrently, and recycles both requests: one
-// round of Barrier, Allgather or Alltoall.
-func (c *Comm) collExchange(dst, src, tag, size int) {
-	sr := c.isend(ctxCollective, dst, tag, size, nil)
-	rr := c.irecv(ctxCollective, src, tag)
-	c.Waitall(sr, rr)
-	c.w.releaseRequest(sr)
-	c.w.releaseRequest(rr)
-}
-
 // Barrier blocks until every rank has entered it (dissemination
 // algorithm: ceil(log2 P) rounds of pairwise zero-byte exchanges).
 func (c *Comm) Barrier() {
 	c.w.rec(c.rank, trace.CollectiveStart, -1, 0, 0, "Barrier")
 	c.w.collMetric(tagBarrier, 0)
 	defer c.w.rec(c.rank, trace.CollectiveEnd, -1, 0, 0, "Barrier")
+	if p := c.Size(); p > 1 {
+		c.exchange(tagBarrier, 0, bits.Len(uint(p-1)))
+	}
+}
+
+// exchangePeers returns the rank this rank sends to and the rank it
+// receives from in round (counted from 0) of the exchange-round
+// collective tag.
+//
+//detlint:hotpath
+func (c *Comm) exchangePeers(tag, round int) (dst, src int) {
+	var step int
+	switch tag {
+	case tagBarrier: // dissemination: partners 2^round away
+		step = 1 << round
+	case tagAllgather: // ring: pass one block to the right
+		step = 1
+	default: // Alltoall: pairwise exchange with rotating partners
+		step = round + 1
+	}
 	p := c.Size()
-	if p == 1 {
-		return
-	}
-	for k := 1; k < p; k <<= 1 {
-		dst := (c.rank + k) % p
-		src := (c.rank - k%p + p) % p
-		c.collExchange(dst, src, tagBarrier, 0)
-	}
+	return (c.rank + step) % p, (c.rank - step%p + p) % p
 }
 
 // Bcast distributes size bytes from root to every rank down a binomial
@@ -208,14 +211,8 @@ func (c *Comm) Allgather(size int) {
 	c.w.rec(c.rank, trace.CollectiveStart, -1, 0, size, "Allgather")
 	c.w.collMetric(tagAllgather, size)
 	defer c.w.rec(c.rank, trace.CollectiveEnd, -1, 0, size, "Allgather")
-	p := c.Size()
-	if p == 1 {
-		return
-	}
-	right := (c.rank + 1) % p
-	left := (c.rank - 1 + p) % p
-	for step := 0; step < p-1; step++ {
-		c.collExchange(right, left, tagAllgather, size)
+	if p := c.Size(); p > 1 {
+		c.exchange(tagAllgather, size, p-1)
 	}
 }
 
@@ -226,14 +223,8 @@ func (c *Comm) Alltoall(size int) {
 	c.w.rec(c.rank, trace.CollectiveStart, -1, 0, size, "Alltoall")
 	c.w.collMetric(tagAlltoall, size)
 	defer c.w.rec(c.rank, trace.CollectiveEnd, -1, 0, size, "Alltoall")
-	p := c.Size()
-	if p == 1 {
-		return
-	}
-	for step := 1; step < p; step++ {
-		dst := (c.rank + step) % p
-		src := (c.rank - step + p) % p
-		c.collExchange(dst, src, tagAlltoall, size)
+	if p := c.Size(); p > 1 {
+		c.exchange(tagAlltoall, size, p-1)
 	}
 }
 

@@ -43,25 +43,33 @@ type Comm struct {
 	w    *World
 	rank int
 	proc *sim.Proc
-	// wait is the rank's Wait or Waitall in progress, the value its
-	// process blocks on.
+	// wait is the rank's Wait, Waitall or exchange-round collective in
+	// progress, the value its process blocks on.
 	wait waitState
 }
 
-// waitState is a rank's wait in progress. Its Woken answers the rank's
-// wakeups in event context (sim.Waiter), doing there what the woken rank
-// would have done first: re-check its requests, then charge them in
-// order up to the first receive, whose host cost becomes the rank's
-// sleep. The rank is switched in only once that sleep ends, or once
-// every request is charged.
+// waitState is the operation a rank is blocked in: a Wait or Waitall,
+// or an exchange-round collective (Barrier, Allgather, Alltoall). It is
+// the rank's sim.Waiter: BlockOn and every wakeup ask its Woken, which
+// does in event context what the rank would have done itself between
+// wakeups. It re-checks the requests, charges them in order and sleeps
+// through each receive's host cost; in a collective it then releases
+// the round's requests and starts the next round behind its send's host
+// cost. The rank is switched in once, when the whole operation is done.
 type waitState struct {
 	c *Comm
 	// rs holds the waited requests, copied so that a wait allocates
-	// nothing.
+	// nothing; in a collective, the round's send and receive.
 	rs []*Request
-	// recv is the index in rs of the receive whose host cost Woken
-	// charged, or -1 while Woken has charged no receive.
-	recv int
+	// recv is the receive whose host cost the rank is sleeping
+	// through, or nil.
+	recv *Request
+	// tag is the collective in progress, 0 in a Wait or Waitall; size
+	// is its message size, round counts the rounds started and rounds
+	// is how many it has. sending is set while the rank sleeps through
+	// a round's send host cost.
+	tag, size, round, rounds int
+	sending                  bool
 }
 
 // Rank returns this process's rank.
@@ -146,12 +154,24 @@ func (c *Comm) isend(ctx, dst, tag, size int, data any) *Request {
 	if tag < 0 {
 		panic(fmt.Sprintf("mpi: rank %d: send tag %d must be non-negative", c.rank, tag))
 	}
+	c.checkSize(size)
+	c.proc.Sleep(c.hostCost(c.w.cfg.SendOverhead, size))
+	return c.startSend(ctx, dst, tag, size, data)
+}
+
+// checkSize rejects a negative message size.
+func (c *Comm) checkSize(size int) {
 	if size < 0 {
 		panic(fmt.Sprintf("mpi: rank %d: negative message size %d", c.rank, size))
 	}
-	cfg := &c.w.cfg
-	c.proc.Sleep(c.hostCost(cfg.SendOverhead, size))
+}
 
+// startSend hands a send whose host cost the rank has slept through to
+// the transport: the half of isend after its sleep.
+//
+//detlint:hotpath
+func (c *Comm) startSend(ctx, dst, tag, size int, data any) *Request {
+	cfg := &c.w.cfg
 	env := c.w.acquireEnvelope()
 	env.src, env.dst, env.ctx, env.tag, env.size, env.data = c.rank, dst, ctx, tag, size, data
 	r := c.w.acquireRequest(c, ctx, c.rank, tag)
@@ -222,62 +242,90 @@ func (c *Comm) Waitall(rs ...*Request) {
 	c.waitFor(rs)
 }
 
-// waitFor blocks until every request in rs completes, then charges each
-// in order. If the rank had to block, its wait state's Woken charged a
-// prefix of rs before switching it in.
+// waitFor blocks until every request in rs completes and is charged:
+// the rank's wait state charges them in event context.
+//
+//detlint:hotpath
 func (c *Comm) waitFor(rs []*Request) {
-	charged := 0
-	for _, r := range rs {
-		if !r.done {
-			charged = c.block(rs)
-			break
-		}
-	}
-	for _, r := range rs[charged:] {
-		c.chargeCompletion(r)
-	}
-}
-
-// block parks the rank on its wait state until every request in rs has
-// completed, and returns how many of rs Woken charged: all of them, or
-// those up to the receive whose host cost the rank slept through, which
-// block finishes by recording its end.
-func (c *Comm) block(rs []*Request) int {
 	ws := &c.wait
 	ws.rs = append(ws.rs[:0], rs...)
-	ws.recv = -1
 	c.proc.BlockOn(ws)
 	clear(ws.rs)
-	if ws.recv < 0 {
-		return len(rs)
-	}
-	c.recvEnd(rs[ws.recv])
-	return ws.recv + 1
+	ws.rs = ws.rs[:0]
 }
 
-// Woken answers a wakeup of the rank blocked in Wait or Waitall (see
-// waitState): stay blocked while a request is pending, otherwise charge
-// the requests in order and sleep through the first receive's host cost.
+// exchange runs the rounds of the exchange-round collective tag: in each,
+// the rank sends size bytes to one peer and receives from another
+// (exchangePeers). The rank blocks on its wait state, which runs every
+// round in event context.
+//
+//detlint:hotpath
+func (c *Comm) exchange(tag, size, rounds int) {
+	c.checkSize(size)
+	ws := &c.wait
+	ws.tag, ws.size, ws.round, ws.rounds = tag, size, 0, rounds
+	c.proc.BlockOn(ws)
+}
+
+// Woken answers BlockOn and every wakeup of the rank blocked on its
+// wait state (see waitState). It stays blocked while a request is
+// pending, and otherwise charges the requests in order, sleeping through
+// each receive's host cost. A Wait or Waitall then runs the rank; a
+// collective goes on to its next round.
 //
 //detlint:hotpath
 func (ws *waitState) Woken() (sim.WakeAction, sim.Duration) {
+	c := ws.c
+	switch {
+	case ws.sending: // the round's send host cost is slept: exchange
+		ws.sending = false
+		dst, src := c.exchangePeers(ws.tag, ws.round)
+		ws.round++
+		ws.rs = append(ws.rs[:0], c.startSend(ctxCollective, dst, ws.tag, ws.size, nil),
+			c.irecv(ctxCollective, src, ws.tag))
+	case ws.recv != nil: // the receive's host cost is slept
+		c.recvEnd(ws.recv)
+		ws.recv = nil
+	}
 	for _, r := range ws.rs {
 		if !r.done {
 			return sim.WakeStay, 0
 		}
 	}
-	c := ws.c
-	for i, r := range ws.rs {
+	for _, r := range ws.rs {
 		switch {
 		case r.cpuCharged: // already charged
 		case r.isSend:
 			c.chargeSend(r)
 		default:
-			ws.recv = i
+			ws.recv = r
 			return sim.WakeSleep, c.chargeRecv(r)
 		}
 	}
-	return sim.WakeRun, 0
+	if ws.tag == 0 {
+		return sim.WakeRun, 0
+	}
+	return ws.nextRound()
+}
+
+// nextRound releases a collective's finished round, if any, and starts
+// the next one behind its send's host cost; after the last round the
+// rank runs.
+//
+//detlint:hotpath
+func (ws *waitState) nextRound() (sim.WakeAction, sim.Duration) {
+	w := ws.c.w
+	for _, r := range ws.rs {
+		w.releaseRequest(r)
+	}
+	clear(ws.rs)
+	ws.rs = ws.rs[:0]
+	if ws.round == ws.rounds {
+		ws.tag = 0
+		return sim.WakeRun, 0
+	}
+	ws.sending = true
+	return sim.WakeSleep, ws.c.hostCost(w.cfg.SendOverhead, ws.size)
 }
 
 // BlockReason names the wait's first pending request, the one deadlock
@@ -289,21 +337,6 @@ func (ws *waitState) BlockReason() string {
 		}
 	}
 	return "Wait" // not reached while blocked: a completion unblocks the rank
-}
-
-// chargeCompletion finishes a waited request exactly once: a receive
-// pays its host-side completion cost.
-//
-//detlint:hotpath
-func (c *Comm) chargeCompletion(r *Request) {
-	switch {
-	case r.cpuCharged: // already charged
-	case r.isSend:
-		c.chargeSend(r)
-	default:
-		c.proc.Sleep(c.chargeRecv(r))
-		c.recvEnd(r)
-	}
 }
 
 // chargeSend marks a completed send waited and records its end.
@@ -320,7 +353,7 @@ func (c *Comm) chargeSend(r *Request) {
 }
 
 // chargeRecv marks a completed receive waited and draws its host cost,
-// which the rank then sleeps before recvEnd.
+// which the rank then sleeps through before recvEnd.
 //
 //detlint:hotpath
 func (c *Comm) chargeRecv(r *Request) sim.Duration {

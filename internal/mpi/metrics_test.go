@@ -106,3 +106,65 @@ func TestCollectiveMetrics(t *testing.T) {
 		t.Errorf("Allreduce bytes = %d, want %d", bytes("Allreduce"), ranks*500)
 	}
 }
+
+// TestResumesPerOperation: a rank is switched in once per Barrier,
+// Allgather or Alltoall, whatever its rounds, and once per Waitall of
+// two receives, whether it blocked for the messages or they had
+// arrived (sim/proc_resumes_total counts the switches).
+func TestResumesPerOperation(t *testing.T) {
+	resumes := func(ranks int, program func(c *Comm)) uint64 {
+		t.Helper()
+		w := quietWorld(t, ranks, 1, 1)
+		w.Launch(program)
+		if _, err := w.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		v, ok := w.e.Metrics().Snapshot().Counter("sim", "proc_resumes_total")
+		if !ok {
+			t.Fatal("sim/proc_resumes_total is not registered")
+		}
+		return v
+	}
+	const ranks, calls = 8, 5
+	for _, op := range []struct {
+		name string
+		call func(c *Comm)
+	}{
+		{"Barrier", (*Comm).Barrier},
+		{"Allgather", func(c *Comm) { c.Allgather(64 << 10) }},
+		{"Alltoall", func(c *Comm) { c.Alltoall(1024) }},
+	} {
+		got := resumes(ranks, func(c *Comm) {
+			for i := 0; i < calls; i++ {
+				op.call(c)
+			}
+		})
+		// Every rank is resumed once to start it.
+		if want := uint64(ranks * (1 + calls)); got != want {
+			t.Errorf("%d calls of %s on %d ranks: %d resumes, want %d", calls, op.name, ranks, got, want)
+		}
+	}
+	for _, arrived := range []bool{false, true} {
+		got := resumes(2, func(c *Comm) {
+			if c.Rank() == 1 {
+				c.Send(0, 0, 1024)
+				c.Send(0, 1, 1024)
+				return
+			}
+			if arrived {
+				c.Compute(0.01)
+			}
+			c.Waitall(c.Irecv(1, 0), c.Irecv(1, 1))
+		})
+		// Rank 1: its start and each send's host cost (an eager send's
+		// Wait returns without a switch). Rank 0: its start, its
+		// compute segment if any, and the Waitall.
+		want := uint64(1 + 2 + 1 + 1)
+		if arrived {
+			want++
+		}
+		if got != want {
+			t.Errorf("Waitall of two receives (arrived before the wait: %v): %d resumes, want %d", arrived, got, want)
+		}
+	}
+}

@@ -211,3 +211,43 @@ func TestEvaluateReplicationAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstEvaluateAllocs guards what a first Evaluate pays to
+// specialise a Program: at 64 processes each application's plan and
+// machine cost about four allocations per process. Only Resolve records
+// a plan's warnings, Runon branches and op directives; when every
+// evaluation's plan recorded them too, the task farm's first Evaluate
+// made 568 allocations and Jacobi's 355.
+func TestFirstEvaluateAllocs(t *testing.T) {
+	db, _ := goldenDBs(t)
+	cfg := cluster.Perseus()
+	pl, err := cluster.NewPlacement(&cfg, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jacobi, err := workloads.Jacobi{XSize: 256, Iterations: 200, SweepSeconds: cluster.JacobiSweepSeconds}.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fft := workloads.FFT{PointsPerProc: 1024, BytesPerPoint: 8, StageSeconds: 120e-9, Rounds: 10}
+	for _, c := range []struct {
+		name      string
+		prog      *pevpm.Program
+		maxAllocs float64
+	}{
+		{"jacobi_64", jacobi, 300},
+		{"fft_64", fft.Model(64), 240},
+		{"taskfarm_64", workloads.DefaultTaskFarm().Model(64), 245},
+	} {
+		opts := pevpm.Options{Procs: 64, DB: db, Seed: 1, NodeOf: pl.NodeOf}
+		n := testing.AllocsPerRun(5, func() {
+			if _, err := pevpm.Evaluate(fresh(c.prog), opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations per first Evaluate", c.name, n)
+		if n > c.maxAllocs {
+			t.Errorf("%s: %.0f allocations per first Evaluate, want at most %.0f", c.name, n, c.maxAllocs)
+		}
+	}
+}

@@ -154,7 +154,7 @@ func (c *planCache) acquire(prog *Program, opts Options) (*machine, error) {
 	}
 	pl := c.lookup(opts.Procs, opts.DB)
 	if pl == nil {
-		pl = newPlan(prog, opts.Procs, opts.DB)
+		pl = newPlan(prog, opts.Procs, opts.DB, false)
 		if len(c.plans) == maxPlans {
 			c.plans = slices.Delete(c.plans, 0, 1)
 		}
@@ -212,22 +212,25 @@ func (c *planCache) release(m *machine) {
 	c.mu.Unlock()
 }
 
-// Plan is a program resolved for one process count: every process's ops
-// and the directive each came from, every check a directive failed or
-// warned about, the branch each process took at each Runon it reached,
-// and the hot-spot slot table, with the database's answers to the
-// questions resolution asked it. Evaluate runs the plans it caches;
-// Resolve builds one for a reader such as mpilint.
+// Plan is a program resolved for one process count: every process's ops,
+// each process's first failed check, and the hot-spot slot table, with
+// the database's answers to the questions resolution asked it. Evaluate
+// runs the plans it caches; Resolve builds one for a reader such as
+// mpilint. Only Resolve's plans also record the directive each op came
+// from, every check a directive failed or warned about, and the branch
+// each process took at each Runon it reached.
 type Plan struct {
 	// Checks holds every check a directive failed or warned about,
-	// process by process, each process's in directive order.
+	// process by process, each process's in directive order. Only
+	// Resolve records them.
 	Checks []*Check
 	// Branches holds each Runon a process reached, in the same order.
+	// Only Resolve records them.
 	Branches []Branch
 
 	procs int
 	ops   [][]op   // per process
-	nodes [][]Node // per process: the directive of each op
+	nodes [][]Node // per process: the directive of each op (Resolve only)
 	fails []error  // per process: the error its first Fail op raises, or nil
 	depth int      // deepest Loop nesting
 	// slots holds the receive or collective directive of each hot-spot
@@ -565,13 +568,19 @@ func Resolve(prog *Program, procs int) (*Plan, error) {
 	if procs <= 0 {
 		return nil, fmt.Errorf("pevpm: Procs = %d", procs)
 	}
-	return newPlan(prog, procs, nil), nil
+	return newPlan(prog, procs, nil, true), nil
 }
 
 // planner resolves one program into a plan, one process at a time.
 type planner struct {
 	*Plan
 	db PerfDB
+	// record is set when resolving for Resolve: only then does the
+	// planner record every check (warnings included) in Checks, every
+	// Runon reached in Branches and each op's directive for Ops.
+	// Evaluate reads none of them, so its plans do not format a warning
+	// or keep a branch or a directive.
+	record bool
 	// index maps a receive or collective directive to its slot.
 	index map[Node]int32
 
@@ -585,23 +594,28 @@ type planner struct {
 
 // newPlan resolves every process's directive tree into ops for procs
 // processes, asking db, when there is one, only whether it samples the
-// collectives the program names. Nothing a directive reads changes
-// during an evaluation (procnum, numprocs and Params are fixed), so each
-// expression is evaluated once here; the database is still queried as
-// the ops run.
-func newPlan(prog *Program, procs int, db PerfDB) *Plan {
+// collectives the program names. record says whether the plan records
+// its op directives, checks and branches (see planner). Nothing a
+// directive reads changes during an evaluation (procnum, numprocs and
+// Params are fixed), so each expression is evaluated once here; the
+// database is still queried as the ops run.
+func newPlan(prog *Program, procs int, db PerfDB, record bool) *Plan {
 	bound, depth, slots := shape(prog.Body)
 	b := planner{
 		Plan: &Plan{
 			procs: procs, depth: depth,
-			ops: make([][]op, procs), nodes: make([][]Node, procs), fails: make([]error, procs),
+			ops: make([][]op, procs), fails: make([]error, procs),
 			slots: make([]Node, 0, slots),
 		},
-		db:    db,
-		index: make(map[Node]int32, slots),
-		env:   make(Env, len(prog.Params)+2),
-		buf:   make([]op, 0, bound),
-		at:    make([]Node, 0, bound),
+		db:     db,
+		record: record,
+		index:  make(map[Node]int32, slots),
+		env:    make(Env, len(prog.Params)+2),
+		buf:    make([]op, 0, bound),
+		at:     make([]Node, 0, bound),
+	}
+	if record {
+		b.nodes = make([][]Node, procs)
 	}
 	b.env["numprocs"] = float64(procs)
 	for k, v := range prog.Params {
@@ -614,7 +628,10 @@ func newPlan(prog *Program, procs int, db PerfDB) *Plan {
 		}
 		b.buf, b.at = b.buf[:0], b.at[:0]
 		b.resolve(prog.Body)
-		b.ops[b.id], b.nodes[b.id] = slices.Clone(b.buf), slices.Clone(b.at)
+		b.ops[b.id] = slices.Clone(b.buf)
+		if record {
+			b.nodes[b.id] = slices.Clone(b.at)
+		}
 	}
 	return b.Plan
 }
@@ -677,7 +694,9 @@ func (b *planner) resolve(blk Block) {
 		case *Runon:
 			var i int
 			i, err = b.branch(d)
-			b.Branches = append(b.Branches, Branch{Runon: d, Taken: i})
+			if b.record {
+				b.Branches = append(b.Branches, Branch{Runon: d, Taken: i})
+			}
 			if err == nil {
 				if i >= 0 {
 					b.resolve(d.Bodies[i])
@@ -719,11 +738,15 @@ func (b *planner) loopOps(l *Loop, n int) {
 	b.buf[at].body = int32(len(b.buf) - at - 1)
 }
 
-// check records a check directive d failed for the process, or only
-// warned about, and returns it.
+// check returns the check directive d failed for the process, or only
+// warned about, recording it when the planner records checks. Callers
+// make a warning only when it is recorded, so an evaluation's plan
+// formats none.
 func (b *planner) check(rule string, warn bool, d Node, format string, args ...any) *Check {
 	c := &Check{Rule: rule, Warning: warn, Node: d, Proc: b.id, Message: fmt.Sprintf(format, args...)}
-	b.Checks = append(b.Checks, c)
+	if b.record {
+		b.Checks = append(b.Checks, c)
+	}
 	return c
 }
 
@@ -765,7 +788,7 @@ func (b *planner) passes(l *Loop) (int, error) {
 	if cf < 0 {
 		return 0, b.check(RuleBadLoop, false, l, "Loop count %v is negative", cf)
 	}
-	if float64(n) != cf {
+	if float64(n) != cf && b.record {
 		b.check(RuleBadLoop, true, l, "Loop count %v is not an integer; it truncates to %v", cf, float64(n))
 	}
 	return n, nil
@@ -826,7 +849,7 @@ func (b *planner) msgOp(d *Msg) (op, error) {
 	switch {
 	case size < 0:
 		return op{}, b.check(RuleBadSize, false, d, "message size %d is negative", size)
-	case size == 0:
+	case size == 0 && b.record:
 		b.check(RuleBadSize, true, d, "message size is zero")
 	}
 	switch {
@@ -839,7 +862,7 @@ func (b *planner) msgOp(d *Msg) (op, error) {
 	case d.Kind == MsgRecv && to != b.id:
 		return op{}, b.check(RuleWrongRole, false, d, "receive executed by rank %d but to = %d", b.id, to)
 	}
-	if from == to {
+	if from == to && b.record {
 		b.check(RuleSelfSend, true, d, "rank %d sends to itself", from)
 	}
 	switch d.Kind {

@@ -129,6 +129,11 @@ func (s *Service) HandleRequest(ctx context.Context, raw []byte) Result {
 	out := make(chan flightOut, 1)
 	go func() {
 		res, _, shared, ok := s.respFlight.do(hash, ctx.Done(), func() (cachedResult, error) {
+			// An identical leader may have cached its result and left
+			// the flight group after this request's cache miss.
+			if res, ok := s.respCache.peek(hash); ok {
+				return res, nil
+			}
 			return s.compute(&req, hash), nil
 		})
 		out <- flightOut{res, shared, ok}

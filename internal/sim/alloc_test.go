@@ -33,7 +33,7 @@ func TestScheduleZeroAllocSteadyState(t *testing.T) {
 // TestProcSwitchZeroAllocSteadyState: once a process is running, handing
 // control to it and back allocates nothing, whether it wakes from Sleep,
 // from Block via Unblock, or after a Waiter answered its wakeup with a
-// sleep.
+// sleep and the sleep's end with a run.
 func TestProcSwitchZeroAllocSteadyState(t *testing.T) {
 	e := NewEngine(1)
 	defer e.Shutdown()
@@ -68,22 +68,38 @@ func TestProcSwitchZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// answer is a Waiter that gives every wakeup the same answer.
+// answer is a Waiter that answers BlockOn with a stay and every
+// Unblock's wakeup with act, WakeStay or WakeSleep; it answers the end
+// of a sleep with a run.
 type answer struct {
 	act WakeAction
 	d   Duration
+	// parked is set once BlockOn is answered, slept while the process
+	// sleeps through d.
+	parked, slept bool
 }
 
 func (a *answer) BlockReason() string { return "answer" }
 
-func (a *answer) Woken() (WakeAction, Duration) { return a.act, a.d }
+func (a *answer) Woken() (WakeAction, Duration) {
+	switch {
+	case a.slept:
+		a.parked, a.slept = false, false
+		return WakeRun, 0
+	case !a.parked:
+		a.parked = true
+		return WakeStay, 0
+	}
+	a.slept = a.act == WakeSleep
+	return a.act, a.d
+}
 
 // BenchmarkProcSwitch is the process layer's unit cost: one Sleep→wake
 // round trip, one Block/Unblock ping-pong between two processes (two
 // wakes per op), and an Unblock whose wakeup a Waiter answers in event
 // context: with WakeStay (no switch at all) or with WakeSleep (one
-// switch in, after the sleep, where a process that re-checks and sleeps
-// itself is switched in twice).
+// switch in, when the sleep ends, where a process that re-checks and
+// sleeps itself is switched in twice).
 func BenchmarkProcSwitch(b *testing.B) {
 	b.Run("sleep", func(b *testing.B) {
 		e := NewEngine(1)

@@ -64,6 +64,10 @@ type Engine struct {
 	mHeapDepth  *metrics.Gauge   // deepest simultaneous event queue, slot included
 	mProcsTotal *metrics.Counter // processes spawned
 	mProcsPeak  *metrics.Gauge   // most processes alive at once
+	// mResumes counts switches into process bodies. It is registered
+	// at the first Spawn, so an engine that runs no process (a network
+	// model on its own) keeps the instruments it always had.
+	mResumes *metrics.Counter
 }
 
 // NewEngine returns an engine whose random streams derive from seed.

@@ -32,8 +32,8 @@ type Proc struct {
 	// BlockReason — the hot path stores one interface word instead of
 	// formatting a string nobody reads unless the simulation deadlocks.
 	reason BlockReasoner
-	// waiter is reason when it is a Waiter: it answers the wakeups
-	// Unblock schedules while the process is in BlockOn.
+	// waiter is reason when it is a Waiter: it answers every wakeup
+	// while the process is in BlockOn.
 	waiter Waiter
 
 	// wakeFn is the wake method bound once at Spawn so that Sleep and
@@ -55,13 +55,16 @@ type BlockReasoner interface {
 	BlockReason() string
 }
 
-// Waiter is a BlockReasoner that answers, in event context, the wakeup
-// Unblock scheduled for a process blocked on it. Woken runs at the
-// wakeup event's own position, before any switch into the process, so
-// work the woken process would have done first (re-checking its
-// condition, charging a cost it then sleeps) happens in the same order
-// without two coroutine switches per wakeup. Woken must not call the
-// process's own methods (Sleep, BlockOn).
+// Waiter is a BlockReasoner that decides, in event context, when a
+// process blocked on it resumes. BlockOn asks it first, and every later
+// wakeup asks it again: the one an Unblock schedules and the end of a
+// sleep it answered with. The process resumes only when it answers
+// WakeRun. Woken runs at the wakeup event's own position, before any
+// switch into the process, so the work the process would have done
+// between its wakeups (re-checking its condition, charging a cost it
+// then sleeps, starting its next step) happens in the same order without
+// a coroutine switch per wakeup. Woken must not call the process's own
+// methods (Sleep, BlockOn).
 type Waiter interface {
 	BlockReasoner
 	Woken() (WakeAction, Duration)
@@ -71,13 +74,13 @@ type Waiter interface {
 type WakeAction uint8
 
 const (
-	// WakeRun switches into the process now: BlockOn returns.
+	// WakeRun resumes the process: BlockOn returns.
 	WakeRun WakeAction = iota
 	// WakeStay leaves the process blocked without switching into it;
-	// the next Unblock wakes it again.
+	// the next Unblock asks again.
 	WakeStay
 	// WakeSleep puts the process to sleep for Woken's duration, as its
-	// own Sleep would have: BlockOn returns when the sleep ends.
+	// own Sleep would have; the end of the sleep asks again.
 	WakeSleep
 )
 
@@ -99,6 +102,9 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 		}()
 		body(p)
 	})
+	if e.mResumes == nil {
+		e.mResumes = e.reg.Counter("sim", "proc_resumes_total")
+	}
 	e.procs = append(e.procs, p)
 	e.alive++
 	e.mProcsTotal.Inc()
@@ -109,29 +115,29 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 }
 
 // wake transfers control into the process until it parks or finishes,
-// unless the Waiter it blocked on answers the wakeup first. It runs in
-// event context.
+// unless the Waiter it blocked on keeps it parked. It runs in event
+// context.
 func (p *Proc) wake() {
-	if p.state == procDone || p.answered() {
+	if p.state == procDone || p.waiter != nil && p.stays() {
 		return
 	}
 	p.state = procReady
+	p.e.mResumes.Inc()
 	prev := p.e.current
 	p.e.current = p
 	defer func() { p.e.current = prev }()
 	p.next()
 }
 
-// answered asks the Waiter of a process Unblock woke what the wakeup
-// does, and reports whether it answered without a switch into the
-// process: by leaving it blocked (WakeStay) or putting it to sleep
-// (WakeSleep), which schedules its wakeup as Sleep does.
+// stays asks the Waiter of a process in BlockOn what a wakeup, or
+// BlockOn itself, does, and reports whether the process stays parked:
+// blocked (WakeStay) or asleep (WakeSleep, which schedules its wakeup as
+// Sleep does). While Woken runs the process is never in the blocked
+// state (it is running, woken, or at the end of a sleep), so an Unblock
+// it causes schedules no wakeup.
 //
 //detlint:hotpath
-func (p *Proc) answered() bool {
-	if p.state != procReady || p.waiter == nil {
-		return false
-	}
+func (p *Proc) stays() bool {
 	switch act, d := p.waiter.Woken(); act {
 	case WakeStay:
 		p.state = procBlocked
@@ -164,18 +170,21 @@ func (p *Proc) Sleep(d Duration) {
 
 // BlockOn parks the process until another process or event calls
 // Unblock. The reason is produced on demand from r only if a deadlock
-// report or BlockedOn query needs it, so hot paths (MPI's Wait/Waitall)
-// pass their wait state instead of formatting a string per wait.
-// When r is a Waiter, its Woken answers each wakeup in event context
-// and BlockOn returns only once it answers WakeRun or WakeSleep's sleep
-// ends. Other callers that wait for a condition should loop:
+// report or BlockedOn query needs it, so hot paths (MPI's waits and
+// collectives) pass their wait state instead of formatting a string per
+// wait. When r is a Waiter, BlockOn asks it first and returns only once
+// it answers WakeRun, which it may do at once, with no park. Other
+// callers that wait for a condition should loop:
 // for !cond { p.BlockOn(r) }.
 func (p *Proc) BlockOn(r BlockReasoner) {
 	p.checkCurrent("BlockOn")
-	p.state = procBlocked
 	p.reason = r
-	p.waiter, _ = r.(Waiter)
-	p.park()
+	if p.waiter, _ = r.(Waiter); p.waiter == nil {
+		p.state = procBlocked
+		p.park()
+	} else if p.stays() {
+		p.park()
+	}
 	p.reason, p.waiter = nil, nil
 }
 
