@@ -24,10 +24,13 @@
 #      reproduces bit for bit, and mpilint to agreement with it (an
 #      evaluation that fails a directive check has an error finding at
 #      that directive, and a per-directive error finding means the
-#      evaluation fails), and of FuzzResolve, which
+#      evaluation fails), of FuzzResolve, which
 #      holds the pevpmd request decoder and resolver to repeatable
 #      errors, never panics, and canonical bytes that parse back to
-#      themselves
+#      themselves, and of FuzzPatternSpec, which holds mpibench's
+#      pattern front end to repeatable errors, never panics, a matrix
+#      that passes Matrix.Check, and refusing an oversized pattern
+#      before building its matrix
 #   3. the detlint sweep: the repository's own determinism/zero-alloc
 #      analyzers (internal/detlint, docs/DETLINT.md) over every
 #      package, warnings promoted to errors; stdlib-only, never skipped
@@ -77,6 +80,7 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/pevpm
 go test -run '^$' -fuzz '^FuzzEval$' -fuzztime 10s ./internal/pevpm
 go test -run '^$' -fuzz '^FuzzEvaluate$' -fuzztime 10s ./internal/pevpm
 go test -run '^$' -fuzz '^FuzzResolve$' -fuzztime 10s ./internal/service
+go test -run '^$' -fuzz '^FuzzPatternSpec$' -fuzztime 10s ./internal/mpibench
 make detlint
 make lint
 make determinism

@@ -10,9 +10,9 @@ import (
 // UnusedAnalyzer reports exported identifiers of internal/ packages that
 // no non-test code references. Nothing outside the module can import
 // internal/, so such an identifier is either dead or kept alive by
-// tests alone. Two reasons justify keeping one, each stated in a
+// tests alone. One reason justifies keeping one, stated in a
 // //detlint:allow unused hatch: a test uses it as the oracle or hook for
-// behaviour that stays, or an open ROADMAP item names its next consumer.
+// behaviour that stays.
 //
 // It checks exported package-level funcs, types, vars and consts, and
 // the exported methods of types declared in the package. References are

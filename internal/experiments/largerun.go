@@ -103,6 +103,9 @@ func LargeRun(spec LargeRunSpec) (*LargeRunReport, error) {
 	if nodes < 2 {
 		return nil, fmt.Errorf("largerun: ring needs at least 2 nodes, topology %q has %d", spec.Topo, nodes)
 	}
+	if err := spec.check("largerun", cfg); err != nil {
+		return nil, err
+	}
 	ring := mpibench.Matrix{Pairs: make([]mpibench.Pair, nodes)}
 	for r := range ring.Pairs {
 		ring.Pairs[r] = mpibench.Pair{Src: r, Dst: (r + 1) % nodes, Count: 1}

@@ -76,6 +76,18 @@ func PatternRun(spec PatternRunSpec) (*LargeRunReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	run := LargeRunSpec{
+		Topo: spec.Topo, Rounds: spec.Rounds, Window: spec.Window, Size: spec.Size,
+		Seed: spec.Seed, Workers: spec.Workers, Faults: spec.Faults,
+	}
+	// Refuse the run, and a shape the topology cannot hold, before
+	// building a matrix of up to k²·g·(g−1) pairs for it.
+	if err := run.check("patternrun", cfg); err != nil {
+		return nil, err
+	}
+	if err := mpibench.CheckPattern(spec.Pattern, spec.P, spec.G, spec.K, spec.Direction, nodes); err != nil {
+		return nil, fmt.Errorf("patternrun: topology %q: %w", spec.Topo, err)
+	}
 	matrix, err := mpibench.BuildPattern(spec.Pattern, spec.P, spec.G, spec.K, spec.Direction)
 	if err != nil {
 		return nil, err
@@ -84,16 +96,23 @@ func PatternRun(spec PatternRunSpec) (*LargeRunReport, error) {
 		Pattern: spec.Pattern, P: spec.P, G: spec.G, K: spec.K,
 		Window: spec.Window, Direction: spec.Direction,
 	}.String()
-	if spec.P*spec.G > nodes {
-		return nil, fmt.Errorf("patternrun: pattern %s needs %d nodes, topology %q has %d",
-			key, spec.P*spec.G, spec.Topo, nodes)
-	}
 	header := fmt.Sprintf("patternrun topo=%s pattern=%s nodes=%d rounds=%d window=%d size=%d seed=%d",
 		topo.Name, key, nodes, spec.Rounds, spec.Window, spec.Size, spec.Seed)
-	return windowedRun("patternrun", key, header, cfg, matrix, LargeRunSpec{
-		Topo: spec.Topo, Rounds: spec.Rounds, Window: spec.Window, Size: spec.Size,
-		Seed: spec.Seed, Workers: spec.Workers, Faults: spec.Faults,
-	})
+	return windowedRun("patternrun", key, header, cfg, matrix, run)
+}
+
+// check refuses a windowed run's rounds, window and size on cfg; kind
+// prefixes the errors.
+func (s LargeRunSpec) check(kind string, cfg cluster.Config) error {
+	switch {
+	case s.Rounds <= 0 || s.Window <= 0:
+		return fmt.Errorf("%s: rounds and window must be positive, got %d and %d", kind, s.Rounds, s.Window)
+	case s.Size <= 0:
+		return fmt.Errorf("%s: size must be positive, got %d", kind, s.Size)
+	case s.Size == cfg.CtrlBytes:
+		return fmt.Errorf("%s: size %d collides with the %d-byte acknowledgements", kind, s.Size, cfg.CtrlBytes)
+	}
+	return nil
 }
 
 // windowedRun is the driver behind LargeRun and PatternRun: every pair
@@ -101,19 +120,12 @@ func PatternRun(spec PatternRunSpec) (*LargeRunReport, error) {
 // sharded network of cfg, and the receiver acknowledges each window
 // before the sender starts its next round. kind prefixes errors,
 // pattern is the manifest's pattern key and header the transcript's
-// first line; spec.Topo is not re-read.
+// first line; spec.Topo is not re-read, and the caller has checked
+// spec (LargeRunSpec.check).
 func windowedRun(kind, pattern, header string, cfg cluster.Config, matrix mpibench.Matrix, spec LargeRunSpec) (*LargeRunReport, error) {
 	topo, nodes := cfg.Topo, cfg.Nodes
-	switch {
-	case spec.Rounds <= 0 || spec.Window <= 0:
-		return nil, fmt.Errorf("%s: rounds and window must be positive, got %d and %d", kind, spec.Rounds, spec.Window)
-	case spec.Size <= 0:
-		return nil, fmt.Errorf("%s: size must be positive, got %d", kind, spec.Size)
-	case spec.Size == cfg.CtrlBytes:
-		return nil, fmt.Errorf("%s: size %d collides with the %d-byte acknowledgements", kind, spec.Size, cfg.CtrlBytes)
-	}
-	if fs := matrix.Findings(nodes); len(fs) > 0 {
-		return nil, fmt.Errorf("%s: matrix rejected: %s", kind, fs[0])
+	if err := matrix.Check(nodes); err != nil {
+		return nil, fmt.Errorf("%s: matrix rejected: %w", kind, err)
 	}
 	if spec.Faults != nil {
 		if err := spec.Faults.ValidateFor(nodes, topo.NumSegments()); err != nil {

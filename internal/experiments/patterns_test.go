@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -74,6 +76,42 @@ func TestPatternRunValidation(t *testing.T) {
 	spec.Size = 0
 	if _, err := PatternRun(spec); err == nil {
 		t.Error("zero size should fail")
+	}
+}
+
+// TestPatternRunRefusesBeforeBuild: a spec PatternRun refuses, for a
+// pattern with more p·g ranks than the topology has nodes (here
+// 4²·300·299 = 1,435,200 pairs) or for a bad run size with a pattern
+// that fits (32·31·32² = 1,015,808 pairs), allocates no matrix.
+func TestPatternRunRefusesBeforeBuild(t *testing.T) {
+	oversized := PatternRunSpec{
+		Topo: "fattree:64x8x4", Pattern: mpibench.PatternDense,
+		P: 4, G: 300, K: 4, Direction: mpibench.Omnidirectional,
+		Rounds: 1, Window: 1, Size: 4096, Seed: 1,
+	}
+	sizeless := PatternRunSpec{
+		Topo: "fattree:2048x32x8", Pattern: mpibench.PatternDense,
+		P: 64, G: 32, K: 32, Direction: mpibench.Omnidirectional,
+		Rounds: 1, Window: 1, Size: 0, Seed: 1,
+	}
+	for _, tc := range []struct {
+		spec PatternRunSpec
+		want string
+	}{
+		{oversized, "needs p*g"},
+		{sizeless, "size must be positive"},
+	} {
+		var stats runtime.MemStats
+		runtime.ReadMemStats(&stats)
+		before := stats.TotalAlloc
+		_, err := PatternRun(tc.spec)
+		runtime.ReadMemStats(&stats)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s p=%d g=%d: error %v, want %q", tc.spec.Topo, tc.spec.P, tc.spec.G, err, tc.want)
+		}
+		if got := stats.TotalAlloc - before; got > 1<<20 {
+			t.Errorf("%s p=%d g=%d: refusing allocated %d bytes", tc.spec.Topo, tc.spec.P, tc.spec.G, got)
+		}
 	}
 }
 

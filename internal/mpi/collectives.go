@@ -2,17 +2,19 @@ package mpi
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/trace"
 )
 
 // Collective algorithms as MPICH 1.2.0 implemented them: dissemination
 // barrier, binomial-tree broadcast/reduce/gather/scatter, reduce+bcast
-// allreduce, ring allgather and pairwise-exchange alltoall. Collective
-// traffic uses its own matching context so user wildcards cannot steal
-// internal messages; correctness across back-to-back collectives follows
-// from per-pair in-order delivery.
+// allreduce, ring allgather and pairwise-exchange alltoall. Each
+// collective's algorithm loop only appends this rank's steps to its wait
+// state, which runs them in event context (waitState), so the rank
+// blocks once per collective. Collective traffic uses its own matching
+// context so user wildcards cannot steal internal messages; correctness
+// across back-to-back collectives follows from per-pair in-order
+// delivery.
 
 // Internal tags, one per collective operation.
 const (
@@ -25,38 +27,18 @@ const (
 	tagAlltoall
 )
 
-// collSend/collRecv are blocking helpers in the collective context.
-func (c *Comm) collSend(dst, tag, size int) { c.waitFree(c.isend(ctxCollective, dst, tag, size, nil)) }
-func (c *Comm) collRecv(src, tag int)       { c.waitFree(c.irecv(ctxCollective, src, tag)) }
-
 // Barrier blocks until every rank has entered it (dissemination
-// algorithm: ceil(log2 P) rounds of pairwise zero-byte exchanges).
+// algorithm: ceil(log2 P) rounds of pairwise zero-byte exchanges with
+// partners 2^round away).
 func (c *Comm) Barrier() {
 	c.w.rec(c.rank, trace.CollectiveStart, -1, 0, 0, "Barrier")
 	c.w.collMetric(tagBarrier, 0)
 	defer c.w.rec(c.rank, trace.CollectiveEnd, -1, 0, 0, "Barrier")
-	if p := c.Size(); p > 1 {
-		c.exchange(tagBarrier, 0, bits.Len(uint(p-1)))
-	}
-}
-
-// exchangePeers returns the rank this rank sends to and the rank it
-// receives from in round (counted from 0) of the exchange-round
-// collective tag.
-//
-//detlint:hotpath
-func (c *Comm) exchangePeers(tag, round int) (dst, src int) {
-	var step int
-	switch tag {
-	case tagBarrier: // dissemination: partners 2^round away
-		step = 1 << round
-	case tagAllgather: // ring: pass one block to the right
-		step = 1
-	default: // Alltoall: pairwise exchange with rotating partners
-		step = round + 1
-	}
 	p := c.Size()
-	return (c.rank + step) % p, (c.rank - step%p + p) % p
+	for k := 1; k < p; k <<= 1 {
+		c.wait.add((c.rank+k)%p, (c.rank-k+p)%p, 0)
+	}
+	c.collective(tagBarrier)
 }
 
 // Bcast distributes size bytes from root to every rank down a binomial
@@ -66,28 +48,23 @@ func (c *Comm) Bcast(root, size int) {
 	c.w.collMetric(tagBcast, size)
 	defer c.w.rec(c.rank, trace.CollectiveEnd, -1, 0, size, "Bcast")
 	c.checkPeer("Bcast root", root)
+	c.checkSize(size)
 	p := c.Size()
-	if p == 1 {
-		return
-	}
 	rel := (c.rank - root + p) % p
 	mask := 1
 	for mask < p {
 		if rel&mask != 0 {
-			src := (rel - mask + root) % p
-			c.collRecv(src, tagBcast)
+			c.wait.add(-1, (rel-mask+root)%p, 0)
 			break
 		}
 		mask <<= 1
 	}
-	mask >>= 1
-	for mask > 0 {
+	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < p {
-			dst := (rel + mask + root) % p
-			c.collSend(dst, tagBcast, size)
+			c.wait.add((rel+mask+root)%p, -1, size)
 		}
-		mask >>= 1
 	}
+	c.collective(tagBcast)
 }
 
 // Reduce combines size bytes from every rank onto root up a binomial
@@ -98,25 +75,19 @@ func (c *Comm) Reduce(root, size int) {
 	c.w.collMetric(tagReduce, size)
 	defer c.w.rec(c.rank, trace.CollectiveEnd, -1, 0, size, "Reduce")
 	c.checkPeer("Reduce root", root)
+	c.checkSize(size)
 	p := c.Size()
-	if p == 1 {
-		return
-	}
 	rel := (c.rank - root + p) % p
-	mask := 1
-	for mask < p {
-		if rel&mask == 0 {
-			srcRel := rel | mask
-			if srcRel < p {
-				c.collRecv((srcRel+root)%p, tagReduce)
-			}
-		} else {
-			dst := ((rel &^ mask) + root) % p
-			c.collSend(dst, tagReduce, size)
+	for mask := 1; mask < p; mask <<= 1 {
+		if rel&mask != 0 {
+			c.wait.add((rel&^mask+root)%p, -1, size)
 			break
 		}
-		mask <<= 1
+		if srcRel := rel | mask; srcRel < p {
+			c.wait.add(-1, (srcRel+root)%p, 0)
+		}
 	}
+	c.collective(tagReduce)
 }
 
 // Allreduce combines size bytes across all ranks, leaving the result
@@ -136,31 +107,21 @@ func (c *Comm) Gather(root, size int) {
 	c.w.collMetric(tagGather, size)
 	defer c.w.rec(c.rank, trace.CollectiveEnd, -1, 0, size, "Gather")
 	c.checkPeer("Gather root", root)
+	c.checkSize(size)
 	p := c.Size()
-	if p == 1 {
-		return
-	}
 	rel := (c.rank - root + p) % p
 	held := size // bytes accumulated at this rank so far
-	mask := 1
-	for mask < p {
-		if rel&mask == 0 {
-			srcRel := rel | mask
-			if srcRel < p {
-				blocks := mask
-				if p-srcRel < blocks {
-					blocks = p - srcRel
-				}
-				c.collRecv((srcRel+root)%p, tagGather)
-				held += blocks * size
-			}
-		} else {
-			dst := ((rel &^ mask) + root) % p
-			c.collSend(dst, tagGather, held)
+	for mask := 1; mask < p; mask <<= 1 {
+		if rel&mask != 0 {
+			c.wait.add((rel&^mask+root)%p, -1, held)
 			break
 		}
-		mask <<= 1
+		if srcRel := rel | mask; srcRel < p {
+			c.wait.add(-1, (srcRel+root)%p, 0)
+			held += min(mask, p-srcRel) * size
+		}
 	}
+	c.collective(tagGather)
 }
 
 // Scatter distributes size bytes to every rank from root, the mirror of
@@ -171,49 +132,38 @@ func (c *Comm) Scatter(root, size int) {
 	c.w.collMetric(tagScatter, size)
 	defer c.w.rec(c.rank, trace.CollectiveEnd, -1, 0, size, "Scatter")
 	c.checkPeer("Scatter root", root)
+	c.checkSize(size)
 	p := c.Size()
-	if p == 1 {
-		return
-	}
 	rel := (c.rank - root + p) % p
 	mask := 1
-	if rel != 0 {
-		for mask < p {
-			if rel&mask != 0 {
-				src := (rel - mask + root) % p
-				c.collRecv(src, tagScatter)
-				break
-			}
-			mask <<= 1
+	for mask < p {
+		if rel&mask != 0 {
+			c.wait.add(-1, (rel-mask+root)%p, 0)
+			break
 		}
-	} else {
-		for mask < p {
-			mask <<= 1
+		mask <<= 1
+	}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if child := rel + mask; child < p {
+			c.wait.add((child+root)%p, -1, min(mask, p-child)*size)
 		}
 	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < p {
-			child := rel + mask
-			blocks := mask
-			if p-child < blocks {
-				blocks = p - child
-			}
-			c.collSend((child+root)%p, tagScatter, blocks*size)
-		}
-		mask >>= 1
-	}
+	c.collective(tagScatter)
 }
 
 // Allgather makes size bytes from every rank available at every rank
-// using the ring algorithm: P−1 steps, each passing one block along.
+// using the ring algorithm: P−1 steps, each passing one block to the
+// right.
 func (c *Comm) Allgather(size int) {
 	c.w.rec(c.rank, trace.CollectiveStart, -1, 0, size, "Allgather")
 	c.w.collMetric(tagAllgather, size)
 	defer c.w.rec(c.rank, trace.CollectiveEnd, -1, 0, size, "Allgather")
-	if p := c.Size(); p > 1 {
-		c.exchange(tagAllgather, size, p-1)
+	c.checkSize(size)
+	p := c.Size()
+	for k := 1; k < p; k++ {
+		c.wait.add((c.rank+1)%p, (c.rank-1+p)%p, size)
 	}
+	c.collective(tagAllgather)
 }
 
 // Alltoall exchanges a distinct size-byte block between every pair of
@@ -223,9 +173,12 @@ func (c *Comm) Alltoall(size int) {
 	c.w.rec(c.rank, trace.CollectiveStart, -1, 0, size, "Alltoall")
 	c.w.collMetric(tagAlltoall, size)
 	defer c.w.rec(c.rank, trace.CollectiveEnd, -1, 0, size, "Alltoall")
-	if p := c.Size(); p > 1 {
-		c.exchange(tagAlltoall, size, p-1)
+	c.checkSize(size)
+	p := c.Size()
+	for k := 1; k < p; k++ {
+		c.wait.add((c.rank+k)%p, (c.rank-k+p)%p, size)
 	}
+	c.collective(tagAlltoall)
 }
 
 // CollectiveName maps an internal collective tag to a printable name

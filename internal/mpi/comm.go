@@ -43,34 +43,40 @@ type Comm struct {
 	w    *World
 	rank int
 	proc *sim.Proc
-	// wait is the rank's Wait, Waitall or exchange-round collective in
-	// progress, the value its process blocks on.
+	// wait is the rank's Wait, Waitall or collective in progress, the
+	// value its process blocks on.
 	wait waitState
 }
 
 // waitState is the operation a rank is blocked in: a Wait or Waitall,
-// or an exchange-round collective (Barrier, Allgather, Alltoall). It is
-// the rank's sim.Waiter: BlockOn and every wakeup ask its Woken, which
-// does in event context what the rank would have done itself between
-// wakeups. It re-checks the requests, charges them in order and sleeps
-// through each receive's host cost; in a collective it then releases
-// the round's requests and starts the next round behind its send's host
-// cost. The rank is switched in once, when the whole operation is done.
+// or a collective. It is the rank's sim.Waiter: BlockOn and every wakeup
+// ask its Woken, which does in event context what the rank would have
+// done itself between wakeups. It re-checks the requests, charges them
+// in order and sleeps through each receive's host cost; in a collective
+// it then releases the step's requests and starts the next step, behind
+// its send's host cost if it sends. The rank is switched in once, when
+// the whole operation is done.
 type waitState struct {
 	c *Comm
 	// rs holds the waited requests, copied so that a wait allocates
-	// nothing; in a collective, the round's send and receive.
+	// nothing; in a collective, the step's send and receive.
 	rs []*Request
 	// recv is the receive whose host cost the rank is sleeping
 	// through, or nil.
 	recv *Request
-	// tag is the collective in progress, 0 in a Wait or Waitall; size
-	// is its message size, round counts the rounds started and rounds
-	// is how many it has. sending is set while the rank sleeps through
-	// a round's send host cost.
-	tag, size, round, rounds int
-	sending                  bool
+	// tag is the collective in progress, 0 in a Wait or Waitall; steps
+	// are its steps and next indexes the next one to start. sending is
+	// set while the rank sleeps through that step's send host cost.
+	tag     int
+	steps   []step
+	next    int
+	sending bool
 }
+
+// step is one step of a collective: send size bytes to dst, then
+// receive from src, both under the collective's tag. A dst or src of
+// -1 means the step has no send or no receive.
+type step struct{ dst, src, size int }
 
 // Rank returns this process's rank.
 func (c *Comm) Rank() int { return c.rank }
@@ -116,16 +122,10 @@ func (c *Comm) Compute(seconds float64) {
 	c.w.rec(c.rank, trace.ComputeEnd, -1, 0, 0, "")
 }
 
-// checkPeer validates a peer rank. In lint mode the violation is first
-// recorded as a structured finding so it survives the panic that aborts
-// the simulation and can be reported as a diagnostic.
+// checkPeer validates a peer rank.
 func (c *Comm) checkPeer(op string, peer int) {
 	if peer < 0 || peer >= c.Size() {
-		msg := fmt.Sprintf("%s peer %d out of range [0,%d)", op, peer, c.Size())
-		if c.w.lint != nil {
-			c.w.lint.record(SeverityError, RulePeerRange, c.rank, "%s", msg)
-		}
-		panic(fmt.Sprintf("mpi: rank %d: %s", c.rank, msg))
+		panic(fmt.Sprintf("mpi: rank %d: %s peer %d out of range [0,%d)", c.rank, op, peer, c.Size()))
 	}
 }
 
@@ -176,9 +176,6 @@ func (c *Comm) startSend(ctx, dst, tag, size int, data any) *Request {
 	env.src, env.dst, env.ctx, env.tag, env.size, env.data = c.rank, dst, ctx, tag, size, data
 	r := c.w.acquireRequest(c, ctx, c.rank, tag)
 	r.isSend, r.dst, r.size = true, dst, size
-	if c.w.lint != nil {
-		c.w.lint.trackRequest(r)
-	}
 	c.w.mSendBytes.Add(uint64(size))
 	if size <= cfg.EagerLimit {
 		// Eager: payload travels with the envelope; locally complete.
@@ -214,9 +211,6 @@ func (c *Comm) irecv(ctx, src, tag int) *Request {
 		panic(fmt.Sprintf("mpi: rank %d: recv tag %d invalid", c.rank, tag))
 	}
 	r := c.w.acquireRequest(c, ctx, src, tag)
-	if c.w.lint != nil {
-		c.w.lint.trackRequest(r)
-	}
 	c.w.ranks[c.rank].postRecv(c.w, r)
 	return r
 }
@@ -254,82 +248,95 @@ func (c *Comm) waitFor(rs []*Request) {
 	ws.rs = ws.rs[:0]
 }
 
-// exchange runs the rounds of the exchange-round collective tag: in each,
-// the rank sends size bytes to one peer and receives from another
-// (exchangePeers). The rank blocks on its wait state, which runs every
-// round in event context.
+// collective blocks the rank until the steps its collective tag has
+// appended to the wait state (waitState.add) are done: the wait state
+// runs them in event context.
 //
 //detlint:hotpath
-func (c *Comm) exchange(tag, size, rounds int) {
-	c.checkSize(size)
+func (c *Comm) collective(tag int) {
 	ws := &c.wait
-	ws.tag, ws.size, ws.round, ws.rounds = tag, size, 0, rounds
+	ws.tag = tag
 	c.proc.BlockOn(ws)
+}
+
+// add appends a step to the collective the rank is about to run.
+//
+//detlint:hotpath
+func (ws *waitState) add(dst, src, size int) {
+	ws.steps = append(ws.steps, step{dst, src, size})
 }
 
 // Woken answers BlockOn and every wakeup of the rank blocked on its
 // wait state (see waitState). It stays blocked while a request is
 // pending, and otherwise charges the requests in order, sleeping through
 // each receive's host cost. A Wait or Waitall then runs the rank; a
-// collective goes on to its next round.
+// collective releases the step's requests and goes on to its next step,
+// and runs the rank after the last.
 //
 //detlint:hotpath
 func (ws *waitState) Woken() (sim.WakeAction, sim.Duration) {
 	c := ws.c
 	switch {
-	case ws.sending: // the round's send host cost is slept: exchange
+	case ws.sending: // the step's send host cost is slept: start it
 		ws.sending = false
-		dst, src := c.exchangePeers(ws.tag, ws.round)
-		ws.round++
-		ws.rs = append(ws.rs[:0], c.startSend(ctxCollective, dst, ws.tag, ws.size, nil),
-			c.irecv(ctxCollective, src, ws.tag))
+		ws.start()
 	case ws.recv != nil: // the receive's host cost is slept
 		c.recvEnd(ws.recv)
 		ws.recv = nil
 	}
-	for _, r := range ws.rs {
-		if !r.done {
-			return sim.WakeStay, 0
+	for {
+		for _, r := range ws.rs {
+			if !r.done {
+				return sim.WakeStay, 0
+			}
 		}
-	}
-	for _, r := range ws.rs {
-		switch {
-		case r.cpuCharged: // already charged
-		case r.isSend:
-			c.chargeSend(r)
-		default:
-			ws.recv = r
-			return sim.WakeSleep, c.chargeRecv(r)
+		for _, r := range ws.rs {
+			switch {
+			case r.cpuCharged: // already charged
+			case r.isSend:
+				c.chargeSend(r)
+			default:
+				ws.recv = r
+				return sim.WakeSleep, c.chargeRecv(r)
+			}
 		}
+		if ws.tag == 0 {
+			return sim.WakeRun, 0
+		}
+		for _, r := range ws.rs {
+			c.w.releaseRequest(r)
+		}
+		clear(ws.rs)
+		ws.rs = ws.rs[:0]
+		if ws.next == len(ws.steps) {
+			ws.tag, ws.steps, ws.next = 0, ws.steps[:0], 0
+			return sim.WakeRun, 0
+		}
+		if s := ws.steps[ws.next]; s.dst >= 0 {
+			ws.sending = true
+			return sim.WakeSleep, c.hostCost(c.w.cfg.SendOverhead, s.size)
+		}
+		ws.start()
 	}
-	if ws.tag == 0 {
-		return sim.WakeRun, 0
-	}
-	return ws.nextRound()
 }
 
-// nextRound releases a collective's finished round, if any, and starts
-// the next one behind its send's host cost; after the last round the
-// rank runs.
+// start begins the collective's next step, whose send host cost, if it
+// sends, is slept: it starts the send, then posts the receive.
 //
 //detlint:hotpath
-func (ws *waitState) nextRound() (sim.WakeAction, sim.Duration) {
-	w := ws.c.w
-	for _, r := range ws.rs {
-		w.releaseRequest(r)
+func (ws *waitState) start() {
+	c, s := ws.c, ws.steps[ws.next]
+	ws.next++
+	if s.dst >= 0 {
+		ws.rs = append(ws.rs, c.startSend(ctxCollective, s.dst, ws.tag, s.size, nil))
 	}
-	clear(ws.rs)
-	ws.rs = ws.rs[:0]
-	if ws.round == ws.rounds {
-		ws.tag = 0
-		return sim.WakeRun, 0
+	if s.src >= 0 {
+		ws.rs = append(ws.rs, c.irecv(ctxCollective, s.src, ws.tag))
 	}
-	ws.sending = true
-	return sim.WakeSleep, ws.c.hostCost(w.cfg.SendOverhead, ws.size)
 }
 
 // BlockReason names the wait's first pending request, the one deadlock
-// reports and lint diagnoses describe.
+// reports describe.
 func (ws *waitState) BlockReason() string {
 	for _, r := range ws.rs {
 		if !r.done {
@@ -344,9 +351,6 @@ func (ws *waitState) BlockReason() string {
 //detlint:hotpath
 func (c *Comm) chargeSend(r *Request) {
 	r.cpuCharged = true
-	if c.w.lint != nil {
-		c.w.lint.requestWaited(r)
-	}
 	if r.ctx == ctxUser {
 		c.w.rec(c.rank, trace.SendEnd, r.dst, r.tag, r.size, "")
 	}
@@ -358,9 +362,6 @@ func (c *Comm) chargeSend(r *Request) {
 //detlint:hotpath
 func (c *Comm) chargeRecv(r *Request) sim.Duration {
 	r.cpuCharged = true
-	if c.w.lint != nil {
-		c.w.lint.requestWaited(r)
-	}
 	return c.hostCost(c.w.cfg.RecvOverhead, r.st.Size)
 }
 
@@ -390,8 +391,7 @@ func (c *Comm) Free(rs ...*Request) {
 	}
 }
 
-// BlockReason describes a pending operation for deadlock reports and
-// lint diagnoses.
+// BlockReason describes a pending operation for deadlock reports.
 func (r *Request) BlockReason() string {
 	if r.isSend {
 		return fmt.Sprintf("Wait(send to %d tag %d size %d)", r.dst, r.tag, r.size)

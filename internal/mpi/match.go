@@ -75,9 +75,6 @@ func (rs *rankState) arriveEnvelope(w *World, env *envelope) {
 //
 //detlint:hotpath
 func (rs *rankState) postRecv(w *World, r *Request) {
-	if w.lint != nil {
-		w.lint.checkWildcard(rs, r)
-	}
 	for i, env := range rs.unexpected {
 		if matches(r, env) {
 			rs.unexpected = append(rs.unexpected[:i], rs.unexpected[i+1:]...)

@@ -107,10 +107,10 @@ func TestCollectiveMetrics(t *testing.T) {
 	}
 }
 
-// TestResumesPerOperation: a rank is switched in once per Barrier,
-// Allgather or Alltoall, whatever its rounds, and once per Waitall of
-// two receives, whether it blocked for the messages or they had
-// arrived (sim/proc_resumes_total counts the switches).
+// TestResumesPerOperation: a rank is switched in once per collective,
+// whatever its steps, twice per Allreduce (a Reduce, then a Bcast), and
+// once per Waitall of two receives, whether it blocked for the messages
+// or they had arrived (sim/proc_resumes_total counts the switches).
 func TestResumesPerOperation(t *testing.T) {
 	resumes := func(ranks int, program func(c *Comm)) uint64 {
 		t.Helper()
@@ -129,10 +129,16 @@ func TestResumesPerOperation(t *testing.T) {
 	for _, op := range []struct {
 		name string
 		call func(c *Comm)
+		per  int // resumes per call
 	}{
-		{"Barrier", (*Comm).Barrier},
-		{"Allgather", func(c *Comm) { c.Allgather(64 << 10) }},
-		{"Alltoall", func(c *Comm) { c.Alltoall(1024) }},
+		{"Barrier", (*Comm).Barrier, 1},
+		{"Allgather", func(c *Comm) { c.Allgather(64 << 10) }, 1},
+		{"Alltoall", func(c *Comm) { c.Alltoall(1024) }, 1},
+		{"Bcast", func(c *Comm) { c.Bcast(3, 64<<10) }, 1},
+		{"Reduce", func(c *Comm) { c.Reduce(0, 1024) }, 1},
+		{"Gather", func(c *Comm) { c.Gather(7, 1024) }, 1},
+		{"Scatter", func(c *Comm) { c.Scatter(0, 64<<10) }, 1},
+		{"Allreduce", func(c *Comm) { c.Allreduce(1024) }, 2},
 	} {
 		got := resumes(ranks, func(c *Comm) {
 			for i := 0; i < calls; i++ {
@@ -140,7 +146,7 @@ func TestResumesPerOperation(t *testing.T) {
 			}
 		})
 		// Every rank is resumed once to start it.
-		if want := uint64(ranks * (1 + calls)); got != want {
+		if want := uint64(ranks * (1 + op.per*calls)); got != want {
 			t.Errorf("%d calls of %s on %d ranks: %d resumes, want %d", calls, op.name, ranks, got, want)
 		}
 	}

@@ -295,20 +295,28 @@ func TestValidationPanics(t *testing.T) {
 			c.Recv(0, 0)
 			return
 		}
-		for name, f := range map[string]func(){
-			"bad dst":      func() { c.Send(5, 0, 10) },
-			"negative tag": func() { c.Send(1, -1, 10) },
-			"bad size":     func() { c.Send(1, 0, -10) },
-			"bad src":      func() { c.Recv(7, 0) },
-			"foreign wait": func() { new(Comm).Wait(c.Irecv(1, 9)) },
+		for _, tc := range []struct {
+			name string
+			f    func()
+			want string
+		}{
+			{"bad dst", func() { c.Send(5, 0, 10) }, "mpi: rank 0: Isend to peer 5 out of range [0,2)"},
+			{"negative tag", func() { c.Send(1, -1, 10) }, "mpi: rank 0: send tag -1 must be non-negative"},
+			{"bad size", func() { c.Send(1, 0, -10) }, "mpi: rank 0: negative message size -10"},
+			{"bad src", func() { c.Recv(7, 0) }, "mpi: rank 0: Irecv from peer 7 out of range [0,2)"},
+			{"foreign wait", func() { new(Comm).Wait(c.Irecv(1, 9)) }, "mpi: Wait on a request from another rank"},
+			{"bad root", func() { c.Gather(2, 10) }, "mpi: rank 0: Gather root peer 2 out of range [0,2)"},
+			// Rank 0 only receives in a Bcast rooted at rank 1: the size
+			// is checked on entry, not by the send it never makes.
+			{"bad tree size", func() { c.Bcast(1, -10) }, "mpi: rank 0: negative message size -10"},
 		} {
 			func() {
 				defer func() {
-					if recover() == nil {
-						t.Errorf("%s: expected panic", name)
+					if got := recover(); got != tc.want {
+						t.Errorf("%s: panic %v, want %q", tc.name, got, tc.want)
 					}
 				}()
-				f()
+				tc.f()
 			}()
 		}
 		c.Send(1, 0, 10)

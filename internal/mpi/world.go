@@ -43,10 +43,6 @@ type World struct {
 	// (sends, receives, compute intervals, collective brackets).
 	tracer *trace.Log
 
-	// lint, when non-nil, shadows user-level requests and messages and
-	// reports communication left dangling (see EnableLint).
-	lint *Linter
-
 	// sched is the active fault schedule; NodeSlow rules stretch host CPU
 	// costs here while the network kinds act inside netsim.
 	sched *faults.Schedule
@@ -244,9 +240,6 @@ func (w *World) Wait() (sim.Time, error) {
 	}
 	end, err := w.e.Run(sim.Forever)
 	if err != nil {
-		if w.lint != nil && errors.Is(err, sim.ErrDeadlock) {
-			w.lint.diagnoseDeadlock(w)
-		}
 		return end, err
 	}
 	var last sim.Time
@@ -257,9 +250,6 @@ func (w *World) Wait() (sim.Time, error) {
 		if t > last {
 			last = t
 		}
-	}
-	if w.lint != nil {
-		w.lint.finalize(w)
 	}
 	return last, nil
 }

@@ -2,10 +2,10 @@ package mpibench
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
-	"repro/internal/mpi"
 )
 
 // This file is the group-to-group pattern vocabulary (CommBench's
@@ -97,38 +97,62 @@ func (m Matrix) MessagesPerWindow() int {
 	return n
 }
 
-// Findings validates the matrix against a placement of procs ranks and
-// reports every impossible edge as an mpilint-style finding
-// (mpi.RulePatternMatrix): ranks outside the placement, self-pairs,
-// non-positive counts. An empty slice means the matrix can execute.
-func (m Matrix) Findings(procs int) []mpi.Finding {
-	var out []mpi.Finding
-	add := func(rank int, format string, args ...any) {
-		out = append(out, mpi.Finding{
-			Severity: mpi.SeverityError,
-			Rule:     mpi.RulePatternMatrix,
-			Rank:     rank,
-			Message:  fmt.Sprintf(format, args...),
-		})
-	}
+// Check validates the matrix against a placement of procs ranks. It
+// names the first pair that could never execute (a rank outside the
+// placement, a self-pair or a non-positive count) and how many such
+// pairs there are; nil means the matrix can execute.
+func (m Matrix) Check(procs int) error {
+	var first string
+	bad := 0
 	for i, p := range m.Pairs {
-		if p.Src < 0 || p.Src >= procs {
-			add(p.Src, "pair %d (%d->%d) names sender outside the %d-rank placement", i, p.Src, p.Dst, procs)
+		var why string
+		switch {
+		case p.Src < 0 || p.Src >= procs:
+			why = fmt.Sprintf("pair %d (%d->%d) names sender outside the %d-rank placement", i, p.Src, p.Dst, procs)
+		case p.Dst < 0 || p.Dst >= procs:
+			why = fmt.Sprintf("pair %d (%d->%d) names receiver outside the %d-rank placement", i, p.Src, p.Dst, procs)
+		case p.Src == p.Dst:
+			why = fmt.Sprintf("pair %d is a self-pair (rank %d)", i, p.Src)
+		case p.Count < 1:
+			why = fmt.Sprintf("pair %d (%d->%d) has message count %d", i, p.Src, p.Dst, p.Count)
+		default:
 			continue
 		}
-		if p.Dst < 0 || p.Dst >= procs {
-			add(p.Src, "pair %d (%d->%d) names receiver outside the %d-rank placement", i, p.Src, p.Dst, procs)
-			continue
+		if bad == 0 {
+			first = why
 		}
-		if p.Src == p.Dst {
-			add(p.Src, "pair %d is a self-pair (rank %d)", i, p.Src)
-			continue
-		}
-		if p.Count < 1 {
-			add(p.Src, "pair %d (%d->%d) has message count %d", i, p.Src, p.Dst, p.Count)
-		}
+		bad++
 	}
-	return out
+	if bad == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s (%d of %d pairs impossible)", first, bad, len(m.Pairs))
+}
+
+// CheckPattern reports the first problem with a named pattern that can
+// be found without building its matrix: an unknown pattern or
+// direction, p, g or k out of range, or more than ranks ranks in its
+// p·g. Call it before BuildPattern, whose Dense omnidirectional matrix
+// has k²·g·(g−1) pairs, so that an oversized shape is refused before
+// it is built.
+func CheckPattern(name string, p, g, k int, dir Direction, ranks int) error {
+	switch name {
+	case PatternRail, PatternFan, PatternDense:
+	default:
+		return fmt.Errorf("mpibench: unknown pattern %q (want rail, fan or dense)", name)
+	}
+	if p < 1 || g < 2 || k < 1 || k > p {
+		return fmt.Errorf("mpibench: pattern %s wants p >= 1, g >= 2, 1 <= k <= p, got p=%d g=%d k=%d",
+			name, p, g, k)
+	}
+	if !dir.Valid() {
+		return fmt.Errorf("mpibench: pattern %s: unknown direction %q", name, dir)
+	}
+	if p > ranks/g { // p·g > ranks, without overflowing p·g
+		return fmt.Errorf("mpibench: pattern %s needs p*g = %d*%d ranks, only %d available",
+			name, p, g, ranks)
+	}
+	return nil
 }
 
 // BuildPattern assembles the matrix for a named pattern over g groups
@@ -138,17 +162,8 @@ func (m Matrix) Findings(procs int) []mpi.Finding {
 // the reverse edges, omnidirectional connects every ordered pair.
 func BuildPattern(name string, p, g, k int, dir Direction) (Matrix, error) {
 	var m Matrix
-	if p < 1 || g < 2 || k < 1 || k > p {
-		return m, fmt.Errorf("mpibench: pattern %s wants p >= 1, g >= 2, 1 <= k <= p, got p=%d g=%d k=%d",
-			name, p, g, k)
-	}
-	if !dir.Valid() {
-		return m, fmt.Errorf("mpibench: pattern %s: unknown direction %q", name, dir)
-	}
-	switch name {
-	case PatternRail, PatternFan, PatternDense:
-	default:
-		return m, fmt.Errorf("mpibench: unknown pattern %q (want rail, fan or dense)", name)
+	if err := CheckPattern(name, p, g, k, dir, math.MaxInt); err != nil {
+		return m, err
 	}
 	// Groups are disjoint rank ranges and every group pair is visited
 	// once, so no two edges coincide: append them directly rather than
@@ -327,38 +342,55 @@ func (s PatternSpec) benchSpec() Spec {
 	}
 }
 
-// Validate reports the first problem with the spec. The matrix must
-// already be materialised (RunPattern does this); every matrix problem
-// is also reported through MatrixFindings so tooling can surface the
-// full mpilint-style list.
-func (s PatternSpec) Validate(cfg *cluster.Config) error {
-	switch s.Pattern {
-	case PatternRail, PatternFan, PatternDense:
-		if s.P < 1 || s.G < 2 || s.K < 1 || s.K > s.P {
-			return fmt.Errorf("mpibench: pattern %s wants p >= 1, g >= 2, 1 <= k <= p, got p=%d g=%d k=%d",
-				s.Pattern, s.P, s.G, s.K)
+// resolve is RunPattern's front end, everything it does before the
+// simulation: it fills the spec's defaults, checks everything but the
+// matrix before building a named pattern's matrix, builds it and
+// validates the whole spec. The spec it returns is ready to run.
+func (s PatternSpec) resolve(cfg *cluster.Config) (PatternSpec, error) {
+	s = s.Defaults()
+	if s.Pattern != PatternCustom && s.Matrix.Empty() {
+		if err := s.checkBeforeBuild(cfg); err != nil {
+			return s, err
 		}
-	case PatternCustom:
-	default:
-		return fmt.Errorf("mpibench: unknown pattern %q (want rail, fan, dense or custom)", s.Pattern)
+		m, err := BuildPattern(s.Pattern, s.P, s.G, s.K, s.Direction)
+		if err != nil {
+			return s, err
+		}
+		s.Matrix = m
 	}
-	if !s.Direction.Valid() {
-		return fmt.Errorf("mpibench: unknown direction %q", s.Direction)
-	}
-	if _, err := cluster.NewPlacement(cfg, s.Placement.NodeCount, s.Placement.PerNode); err != nil {
+	return s, s.Validate(cfg)
+}
+
+// Validate reports the first problem with the spec. The matrix must
+// already be materialised (RunPattern does this); Matrix.Check finds
+// its impossible pairs.
+func (s PatternSpec) Validate(cfg *cluster.Config) error {
+	if err := s.checkBeforeBuild(cfg); err != nil {
 		return err
-	}
-	procs := s.Placement.NumProcs()
-	if s.Pattern != PatternCustom && s.P*s.G > procs {
-		return fmt.Errorf("mpibench: pattern %s needs p*g = %d ranks, placement %s has %d",
-			s.Pattern, s.P*s.G, s.Placement, procs)
 	}
 	if s.Matrix.Empty() {
 		return fmt.Errorf("mpibench: pattern %s has an empty matrix", s.Pattern)
 	}
-	if fs := s.Matrix.Findings(procs); len(fs) > 0 {
-		return fmt.Errorf("mpibench: pattern %s matrix rejected: %s (%d findings)",
-			s.Pattern, fs[0], len(fs))
+	if err := s.Matrix.Check(s.Placement.NumProcs()); err != nil {
+		return fmt.Errorf("mpibench: pattern %s matrix rejected: %w", s.Pattern, err)
+	}
+	return nil
+}
+
+// checkBeforeBuild reports the first problem with the spec that can be
+// found before its matrix is built: the placement, a named pattern's
+// shape on it (CheckPattern) or a custom one's direction, the window,
+// rounds, bin width, sizes and faults.
+func (s PatternSpec) checkBeforeBuild(cfg *cluster.Config) error {
+	if _, err := cluster.NewPlacement(cfg, s.Placement.NodeCount, s.Placement.PerNode); err != nil {
+		return err
+	}
+	if s.Pattern != PatternCustom {
+		if err := CheckPattern(s.Pattern, s.P, s.G, s.K, s.Direction, s.Placement.NumProcs()); err != nil {
+			return err
+		}
+	} else if !s.Direction.Valid() {
+		return fmt.Errorf("mpibench: unknown direction %q", s.Direction)
 	}
 	if s.Window < 1 {
 		return fmt.Errorf("mpibench: window %d invalid", s.Window)

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/mpi"
 )
 
 func TestBuildPatternShapes(t *testing.T) {
@@ -163,9 +162,9 @@ func TestPatternValidateRejectsBadMatrix(t *testing.T) {
 		{"zero count", Matrix{Pairs: []Pair{{Src: 0, Dst: 1, Count: 0}}}, "count"},
 	}
 	for _, tc := range bad {
-		fs := tc.m.Findings(pl.NumProcs())
-		if len(fs) != 1 || fs[0].Rule != mpi.RulePatternMatrix || fs[0].Severity != mpi.SeverityError {
-			t.Errorf("%s: findings = %+v", tc.name, fs)
+		if err := tc.m.Check(pl.NumProcs()); err == nil || !strings.Contains(err.Error(), tc.want) ||
+			!strings.HasSuffix(err.Error(), "(1 of 1 pairs impossible)") {
+			t.Errorf("%s: Check = %v, want one impossible pair mentioning %q", tc.name, err, tc.want)
 		}
 		spec := PatternSpec{Pattern: PatternCustom, Matrix: tc.m, Placement: pl, Seed: 1}
 		if _, err := RunPattern(cfg, spec); err == nil || !strings.Contains(err.Error(), tc.want) {

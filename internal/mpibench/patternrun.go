@@ -21,15 +21,8 @@ import (
 // participant (MaxHist, the pattern's completion and the quantity PEVPM
 // predicts), the bytes injected per round and the bandwidth achieved.
 func RunPattern(cfg cluster.Config, spec PatternSpec) (*Result, error) {
-	spec = spec.Defaults()
-	if spec.Matrix.Empty() && spec.Pattern != PatternCustom {
-		m, err := BuildPattern(spec.Pattern, spec.P, spec.G, spec.K, spec.Direction)
-		if err != nil {
-			return nil, err
-		}
-		spec.Matrix = m
-	}
-	if err := spec.Validate(&cfg); err != nil {
+	spec, err := spec.resolve(&cfg)
+	if err != nil {
 		return nil, err
 	}
 	bs := spec.benchSpec()

@@ -1,6 +1,5 @@
 // Package mpilint statically analyzes communication correctness of
-// PEVPM models (internal/mpi's runtime linter checks simulated MPI
-// programs). The paper's premise is that per-message communication
+// PEVPM models. The paper's premise is that per-message communication
 // structure determines cluster performance; mpilint checks that the
 // structure a model describes is actually executable — every send has a
 // receive, no rank addresses a peer outside the job, and the
