@@ -27,10 +27,12 @@
 #      evaluation fails), of FuzzResolve, which
 #      holds the pevpmd request decoder and resolver to repeatable
 #      errors, never panics, and canonical bytes that parse back to
-#      themselves, and of FuzzPatternSpec, which holds mpibench's
-#      pattern front end to repeatable errors, never panics, a matrix
-#      that passes Matrix.Check, and refusing an oversized pattern
-#      before building its matrix
+#      themselves, of FuzzPatternSpec, which holds mpibench's pattern
+#      front end to repeatable errors, never panics, a matrix that
+#      passes Matrix.Check, and refusing an oversized pattern before
+#      building its matrix, and of FuzzLedger, which holds benchjson's
+#      ledger reader to repeatable errors, never panics, and accepting
+#      only ledgers that pass -check against themselves
 #   3. the detlint sweep: the repository's own determinism/zero-alloc
 #      analyzers (internal/detlint, docs/DETLINT.md) over every
 #      package, warnings promoted to errors; stdlib-only, never skipped
@@ -81,6 +83,7 @@ go test -run '^$' -fuzz '^FuzzEval$' -fuzztime 10s ./internal/pevpm
 go test -run '^$' -fuzz '^FuzzEvaluate$' -fuzztime 10s ./internal/pevpm
 go test -run '^$' -fuzz '^FuzzResolve$' -fuzztime 10s ./internal/service
 go test -run '^$' -fuzz '^FuzzPatternSpec$' -fuzztime 10s ./internal/mpibench
+go test -run '^$' -fuzz '^FuzzLedger$' -fuzztime 10s ./cmd/benchjson
 make detlint
 make lint
 make determinism

@@ -543,15 +543,24 @@ func writeFile(path string, f *File) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// readFile loads a ledger and refuses any schema other than the one
-// this binary writes. A v1 file (bare float metrics) or a future v3
-// must be regenerated, not reinterpreted: the gate's semantics live in
-// the schema.
+// readFile loads the ledger at path; parseFile says what it refuses.
 func readFile(path string) (*File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return parseFile(path, data)
+}
+
+// parseFile decodes the ledger read from path and refuses any schema
+// other than the one this binary writes. A v1 file (bare float metrics)
+// or a future v3 must be regenerated, not reinterpreted: the gate's
+// semantics live in the schema. It also refuses a file that could not
+// pass -check against itself: an unusable calibration, or a cell whose
+// mean lies outside its interval [lo, hi] or its range [min, max],
+// which measure never writes. The first such cell in name order is
+// named.
+func parseFile(path string, data []byte) (*File, error) {
 	var probe struct {
 		Schema int `json:"schema"`
 	}
@@ -568,6 +577,21 @@ func readFile(path string) (*File, error) {
 	}
 	if len(f.Metrics) == 0 {
 		return nil, fmt.Errorf("%s: no metrics", path)
+	}
+	if !usableCalibration(f.Calibration) {
+		return nil, fmt.Errorf("%s: unusable calibration_wall_s %v", path, f.Calibration)
+	}
+	names := make([]string, 0, len(f.Metrics))
+	for name := range f.Metrics {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		c := f.Metrics[name]
+		if !(c.Lo <= c.Mean && c.Mean <= c.Hi && c.Min <= c.Mean && c.Mean <= c.Max) {
+			return nil, fmt.Errorf("%s: metric %s: mean %v outside its interval [%v, %v] or range [%v, %v]",
+				path, name, c.Mean, c.Lo, c.Hi, c.Min, c.Max)
+		}
 	}
 	return &f, nil
 }

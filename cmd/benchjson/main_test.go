@@ -171,6 +171,34 @@ func TestReadFileRejectsSchemaMismatch(t *testing.T) {
 	}
 }
 
+// disorderedLedger's only cell has lo > hi, so before readFile checked
+// cell bounds, -check accepted it and then failed it against itself.
+const disorderedLedger = `{"schema":2,"reps":3,"calibration_wall_s":1,` +
+	`"metrics":{"fig1_ratio":{"n":3,"mean":100,"lo":120,"hi":80,"min":90,"max":110}}}`
+
+// TestReadFileRejectsDisorderedCell checks that a cell whose mean lies
+// outside its interval or its range is refused as malformed (exit 2),
+// not failed as drift (exit 1), and that so is an unusable calibration.
+func TestReadFileRejectsDisorderedCell(t *testing.T) {
+	for name, ledger := range map[string]string{
+		"lo above hi": disorderedLedger,
+		"mean below min": `{"schema":2,"calibration_wall_s":1,` +
+			`"metrics":{"fig1_ratio":{"n":3,"mean":1,"lo":0.5,"hi":1.5,"min":1.2,"max":1.4}}}`,
+		"mean above hi": `{"schema":2,"calibration_wall_s":1,` +
+			`"metrics":{"fig1_ratio":{"n":3,"mean":2,"lo":0.5,"hi":1.5,"min":1,"max":2}}}`,
+		"zero calibration": `{"schema":2,` +
+			`"metrics":{"fig1_ratio":{"n":3,"mean":1,"lo":1,"hi":1,"min":1,"max":1}}}`,
+	} {
+		path := writeTemp(t, "ledger.json", ledger)
+		if _, err := readFile(path); err == nil {
+			t.Errorf("%s: readFile accepted it", name)
+		}
+		if got := runCheck(path, path); got != 2 {
+			t.Errorf("%s: runCheck against itself = %d, want 2", name, got)
+		}
+	}
+}
+
 func TestRunCheckSchemaMismatchExitsTwo(t *testing.T) {
 	v1 := writeTemp(t, "old.json", `{"schema":1,"metrics":{"fig1_ratio":1.7}}`)
 	v2 := writeTemp(t, "new.json",

@@ -229,7 +229,7 @@ func runPatterns(cfg cluster.Config, a patternArgs, agg *metrics.Aggregate) {
 	for _, name := range strings.Split(a.patterns, ",") {
 		name = strings.TrimSpace(name)
 		for _, shape := range strings.Split(a.pgk, ",") {
-			p, g, k, err := parsePGK(strings.TrimSpace(shape))
+			p, g, k, err := mpibench.ParseShape(strings.TrimSpace(shape))
 			if err != nil {
 				fatal(err)
 			}
@@ -344,21 +344,6 @@ func writeMetrics(agg *metrics.Aggregate, metricsOut, metricsProm string) {
 		}
 		fmt.Printf("wrote %s\n", metricsProm)
 	}
-}
-
-// parsePGK parses a pattern shape "pxgxk", e.g. "32x4x2".
-func parsePGK(s string) (p, g, k int, err error) {
-	parts := strings.Split(s, "x")
-	if len(parts) != 3 {
-		return 0, 0, 0, fmt.Errorf("bad pattern shape %q (want pxgxk, e.g. 32x4x2)", s)
-	}
-	dims := make([]int, 3)
-	for i, part := range parts {
-		if dims[i], err = strconv.Atoi(strings.TrimSpace(part)); err != nil {
-			return 0, 0, 0, fmt.Errorf("bad pattern shape %q: %v", s, err)
-		}
-	}
-	return dims[0], dims[1], dims[2], nil
 }
 
 func parseInts(s string) ([]int, error) {

@@ -52,7 +52,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 with -addr-file for an ephemeral port)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
-	workers := flag.Int("workers", 0, "engine-pool size (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "replications evaluating at once across all requests, and cells per database build (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 120*time.Second, "per-request deadline")
 	maxBody := flag.Int64("max-body", 1<<20, "request size limit in bytes")
 	dbCache := flag.Int("db-cache", 16, "performance-database LRU capacity")
@@ -101,7 +101,8 @@ func fatal(err error) {
 }
 
 // serve runs the HTTP server until SIGINT/SIGTERM, then shuts down
-// gracefully: stop accepting, drain handlers, stop the engine pool.
+// gracefully: stop accepting, drain handlers, then wait for the
+// computations of requests that timed out.
 func serve(addr, addrFile string, cfg service.Config) {
 	svc := service.New(cfg)
 	ln, err := net.Listen("tcp", addr)

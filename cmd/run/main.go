@@ -39,8 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
@@ -250,7 +248,7 @@ func runLarge(topoSpec string, shards, rounds, window, msgSize int, seed uint64,
 // determinism contract across -shards values.
 func runPattern(topoSpec, pattern, pgk, direction string, shards, rounds, window, msgSize int,
 	seed uint64, faultsName string, faultsSpan float64, manifestOut, metricsOut, metricsProm string) {
-	p, g, k, err := parsePGK(pgk)
+	p, g, k, err := mpibench.ParseShape(pgk)
 	if err != nil {
 		fatal(err)
 	}
@@ -366,21 +364,6 @@ func runPatternStudy(calRounds, valRounds, predictReps int, seed uint64, workers
 		fatal(fmt.Errorf("pattern study: predicted and simulated makespans disagree"))
 	}
 	fmt.Printf("all %d cells: predicted and simulated makespan intervals overlap\n", len(rows))
-}
-
-// parsePGK parses a pattern shape "pxgxk", e.g. "32x4x2".
-func parsePGK(s string) (p, g, k int, err error) {
-	parts := strings.Split(s, "x")
-	if len(parts) != 3 {
-		return 0, 0, 0, fmt.Errorf("bad pattern shape %q (want pxgxk, e.g. 32x4x2)", s)
-	}
-	dims := make([]int, 3)
-	for i, part := range parts {
-		if dims[i], err = strconv.Atoi(strings.TrimSpace(part)); err != nil {
-			return 0, 0, 0, fmt.Errorf("bad pattern shape %q: %v", s, err)
-		}
-	}
-	return dims[0], dims[1], dims[2], nil
 }
 
 func fatal(err error) {

@@ -55,18 +55,11 @@ func CollectiveTable(cfg cluster.Config, p Params, size int) ([]CollectiveRow, e
 			cells = append(cells, cell{op, n})
 		}
 	}
-	var obs *sweep.Observer
-	if p.Metrics != nil {
-		obs = sweep.NewObserver()
-	}
-	// Each cell writes only its own snapshot slot; the fold below walks
-	// them in cell order on this goroutine.
-	snaps := make([]metrics.Snapshot, len(cells))
-	rows, err := sweep.MapObserved(p.workers(), len(cells), obs, func(i int) (CollectiveRow, error) {
+	return sweep.Map(p.workers(), len(cells), p.Metrics, func(i int) (CollectiveRow, metrics.Snapshot, error) {
 		op, n := cells[i].op, cells[i].n
 		pl, err := cluster.NewBlockPlacement(&cfg, n, 1)
 		if err != nil {
-			return CollectiveRow{}, err
+			return CollectiveRow{}, metrics.Snapshot{}, err
 		}
 		res, err := mpibench.Run(cfg, mpibench.Spec{
 			Op:          op,
@@ -78,9 +71,8 @@ func CollectiveTable(cfg cluster.Config, p Params, size int) ([]CollectiveRow, e
 			Seed:        sim.SubSeed(p.Seed, fmt.Sprintf("collective:%s:%d", op, n)),
 		})
 		if err != nil {
-			return CollectiveRow{}, fmt.Errorf("experiments: %s on %v: %w", op, pl, err)
+			return CollectiveRow{}, metrics.Snapshot{}, fmt.Errorf("experiments: %s on %v: %w", op, pl, err)
 		}
-		snaps[i] = res.Metrics
 		pt := res.Points[0]
 		return CollectiveRow{
 			Op:        op,
@@ -90,16 +82,6 @@ func CollectiveTable(cfg cluster.Config, p Params, size int) ([]CollectiveRow, e
 			MinUs:     pt.Min() * 1e6,
 			MeanUs:    pt.Avg() * 1e6,
 			P99Us:     pt.Hist.Quantile(0.99) * 1e6,
-		}, nil
+		}, res.Metrics, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if p.Metrics != nil {
-		for _, s := range snaps {
-			p.Metrics.Merge(s)
-		}
-		p.Metrics.Merge(obs.Snapshot())
-	}
-	return rows, nil
 }

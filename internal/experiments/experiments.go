@@ -422,13 +422,7 @@ func Figure6(cfg cluster.Config, p Params, elapsed func() float64) (*Figure6Resu
 		}
 	}
 
-	var obs *sweep.Observer
-	if p.Metrics != nil {
-		obs = sweep.NewObserver()
-	}
-	makespans := make([]float64, len(cells))
-	cellMetrics := make([]metrics.Snapshot, len(cells))
-	err = sweep.RunObserved(p.workers(), len(cells), obs, func(i int) error {
+	makespans, err := sweep.Map(p.workers(), len(cells), p.Metrics, func(i int) (float64, metrics.Snapshot, error) {
 		c := cells[i]
 		pl := pls[c.pi]
 		if c.label == "" {
@@ -440,11 +434,9 @@ func Figure6(cfg cluster.Config, p Params, elapsed func() float64) (*Figure6Resu
 			}
 			res, err := workloads.Execute(cfg, pl, sim.SubSeed(p.Seed, key), j.Run)
 			if err != nil {
-				return fmt.Errorf("experiments: executing jacobi on %v: %w", pl, err)
+				return 0, metrics.Snapshot{}, fmt.Errorf("experiments: executing jacobi on %v: %w", pl, err)
 			}
-			makespans[i] = res.Makespan.Seconds()
-			cellMetrics[i] = res.Metrics
-			return nil
+			return res.Makespan.Seconds(), res.Metrics, nil
 		}
 		rep, err := pevpm.Evaluate(prog, pevpm.Options{
 			Procs: pl.NumProcs(), DB: modes[c.label],
@@ -452,20 +444,12 @@ func Figure6(cfg cluster.Config, p Params, elapsed func() float64) (*Figure6Resu
 			NodeOf: pl.NodeOf,
 		})
 		if err != nil {
-			return fmt.Errorf("experiments: predicting %v with %s: %w", pl, c.label, err)
+			return 0, metrics.Snapshot{}, fmt.Errorf("experiments: predicting %v with %s: %w", pl, c.label, err)
 		}
-		makespans[i] = rep.Makespan
-		cellMetrics[i] = rep.Metrics
-		return nil
+		return rep.Makespan, rep.Metrics, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if p.Metrics != nil {
-		for i := range cells {
-			p.Metrics.Merge(cellMetrics[i])
-		}
-		p.Metrics.Merge(obs.Snapshot())
 	}
 
 	var processorSeconds float64

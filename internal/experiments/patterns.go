@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/experiments/sweep"
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/mpibench"
 	"repro/internal/netsim"
 	"repro/internal/pevpm"
@@ -363,13 +364,10 @@ type PatternStudyRow struct {
 // on the sweep pool and are bit-identical at any worker count.
 func PatternStudy(params PatternStudyParams) ([]PatternStudyRow, error) {
 	params = params.defaults()
-	rows, err := sweep.Map(params.Workers, len(params.Cells), func(i int) (PatternStudyRow, error) {
-		return patternStudyCell(params, params.Cells[i])
+	return sweep.Map(params.Workers, len(params.Cells), nil, func(i int) (PatternStudyRow, metrics.Snapshot, error) {
+		row, err := patternStudyCell(params, params.Cells[i])
+		return row, metrics.Snapshot{}, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 func patternStudyCell(params PatternStudyParams, cell PatternStudyCell) (PatternStudyRow, error) {

@@ -147,11 +147,7 @@ func PerturbedSweep(cfg cluster.Config, p Params) (*PerturbedResult, error) {
 		}
 		return names[si-1]
 	}
-	var obs *sweep.Observer
-	if p.Metrics != nil {
-		obs = sweep.NewObserver()
-	}
-	err = sweep.RunObserved(p.workers(), nScen*perScen, obs, func(i int) error {
+	_, err = sweep.Map(p.workers(), nScen*perScen, p.Metrics, func(i int) (struct{}, metrics.Snapshot, error) {
 		si, kind := i/perScen, i%perScen
 		sched := scheds[si]
 		switch {
@@ -162,16 +158,18 @@ func PerturbedSweep(cfg cluster.Config, p Params) (*PerturbedResult, error) {
 			s.Seed = sim.SubSeed(p.Seed, fmt.Sprintf("perturbed:%s:bench%d", scenName(si), kind))
 			r, err := mpibench.Run(cfg, s)
 			if err != nil {
-				return fmt.Errorf("experiments: perturbed %s %s: %w", scenName(si), s.Op, err)
+				return struct{}{}, metrics.Snapshot{}, fmt.Errorf("experiments: perturbed %s %s: %w", scenName(si), s.Op, err)
 			}
 			benchRes[si][kind] = r
+			return struct{}{}, r.Metrics, nil
 		case kind == len(specs):
 			r, err := workloads.ExecuteFaults(cfg, jacobiPl,
 				sim.SubSeed(p.Seed, "perturbed:"+scenName(si)+":measured"), sched, j.Run)
 			if err != nil {
-				return fmt.Errorf("experiments: perturbed %s jacobi: %w", scenName(si), err)
+				return struct{}{}, metrics.Snapshot{}, fmt.Errorf("experiments: perturbed %s jacobi: %w", scenName(si), err)
 			}
 			execRes[si] = r
+			return struct{}{}, r.Metrics, nil
 		default:
 			s := mpibench.Spec{
 				Op:          mpibench.OpSend,
@@ -185,30 +183,14 @@ func PerturbedSweep(cfg cluster.Config, p Params) (*PerturbedResult, error) {
 			}
 			r, err := mpibench.Run(cfg, s)
 			if err != nil {
-				return fmt.Errorf("experiments: perturbed %s db: %w", scenName(si), err)
+				return struct{}{}, metrics.Snapshot{}, fmt.Errorf("experiments: perturbed %s db: %w", scenName(si), err)
 			}
 			dbRes[si] = r
+			return struct{}{}, r.Metrics, nil
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if p.Metrics != nil {
-		// Fold phase 1 in cell-index order: the same walk the sweep
-		// enumerated, independent of which worker ran what.
-		for i := 0; i < nScen*perScen; i++ {
-			si, kind := i/perScen, i%perScen
-			switch {
-			case kind < len(specs):
-				p.Metrics.Merge(benchRes[si][kind].Metrics)
-			case kind == len(specs):
-				p.Metrics.Merge(execRes[si].Metrics)
-			default:
-				p.Metrics.Merge(dbRes[si].Metrics)
-			}
-		}
-		p.Metrics.Merge(obs.Snapshot())
 	}
 
 	// Phase 2: PEVPM predictions need phase 1's database. Each scenario's
@@ -232,13 +214,7 @@ func PerturbedSweep(cfg cluster.Config, p Params) (*PerturbedResult, error) {
 	if runs < 1 {
 		runs = 1
 	}
-	makespans := make([]float64, nScen*runs)
-	evalSnaps := make([]metrics.Snapshot, nScen*runs)
-	var obs2 *sweep.Observer
-	if p.Metrics != nil {
-		obs2 = sweep.NewObserver()
-	}
-	err = sweep.RunObserved(p.workers(), nScen*runs, obs2, func(i int) error {
+	makespans, err := sweep.Map(p.workers(), nScen*runs, p.Metrics, func(i int) (float64, metrics.Snapshot, error) {
 		si, rep := i/runs, i%runs
 		r, err := pevpm.Evaluate(prog, pevpm.Options{
 			Procs: jacobiPl.NumProcs(), DB: dbs[si],
@@ -246,20 +222,12 @@ func PerturbedSweep(cfg cluster.Config, p Params) (*PerturbedResult, error) {
 			NodeOf: jacobiPl.NodeOf,
 		})
 		if err != nil {
-			return fmt.Errorf("experiments: perturbed %s prediction: %w", scenName(si), err)
+			return 0, metrics.Snapshot{}, fmt.Errorf("experiments: perturbed %s prediction: %w", scenName(si), err)
 		}
-		makespans[i] = r.Makespan
-		evalSnaps[i] = r.Metrics
-		return nil
+		return r.Makespan, r.Metrics, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if p.Metrics != nil {
-		for _, s := range evalSnaps {
-			p.Metrics.Merge(s)
-		}
-		p.Metrics.Merge(obs2.Snapshot())
 	}
 	predicted := func(si int) float64 {
 		var sum stats.Summary

@@ -3,6 +3,8 @@ package mpibench
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
@@ -53,6 +55,22 @@ func ParseDirection(s string) (Direction, error) {
 		return "", fmt.Errorf("mpibench: unknown direction %q (want uni, bi or omni)", s)
 	}
 	return d, nil
+}
+
+// ParseShape parses a pattern shape "pxgxk", e.g. "32x4x2". Spaces
+// around a field are ignored.
+func ParseShape(s string) (p, g, k int, err error) {
+	parts := strings.Split(s, "x")
+	if len(parts) != 3 {
+		return 0, 0, 0, fmt.Errorf("bad pattern shape %q (want pxgxk, e.g. 32x4x2)", s)
+	}
+	dims := make([]int, 3)
+	for i, part := range parts {
+		if dims[i], err = strconv.Atoi(strings.TrimSpace(part)); err != nil {
+			return 0, 0, 0, fmt.Errorf("bad pattern shape %q: %v", s, err)
+		}
+	}
+	return dims[0], dims[1], dims[2], nil
 }
 
 // Pair is one directed sender/receiver edge of a pattern matrix: Count

@@ -326,6 +326,31 @@ func TestParseDirection(t *testing.T) {
 	}
 }
 
+func TestParseShape(t *testing.T) {
+	for _, tc := range []struct {
+		in      string
+		p, g, k int
+		err     string
+	}{
+		{in: "32x4x2", p: 32, g: 4, k: 2},
+		{in: " 8 x4x 1 ", p: 8, g: 4, k: 1},
+		{in: "32x4", err: `bad pattern shape "32x4" (want pxgxk, e.g. 32x4x2)`},
+		{in: "32x4x2x1", err: `bad pattern shape "32x4x2x1" (want pxgxk, e.g. 32x4x2)`},
+		{in: "32xfourx2", err: `bad pattern shape "32xfourx2": strconv.Atoi: parsing "four": invalid syntax`},
+	} {
+		p, g, k, err := ParseShape(tc.in)
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("ParseShape(%q) error = %v, want %s", tc.in, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || p != tc.p || g != tc.g || k != tc.k {
+			t.Errorf("ParseShape(%q) = %d, %d, %d, %v; want %d, %d, %d", tc.in, p, g, k, err, tc.p, tc.g, tc.k)
+		}
+	}
+}
+
 // Pattern results live in a Set: Add replaces a result for the same
 // cell (whatever its placement) and keeps operation results apart, and
 // SaveFile/LoadFile reproduce the set byte for byte.

@@ -379,29 +379,25 @@ func RunSweepObserved(cfg cluster.Config, spec Spec, placements []cluster.Placem
 	})
 }
 
-// collect runs n independent benchmark cells on the sweep worker pool
-// and adds their results to a Set in cell order, so the Set is
-// bit-identical at any worker count. With agg non-nil, every cell's
-// instrument snapshot and then the pool's own counters fold into agg
-// on the calling goroutine.
+// collect runs n independent benchmark cells through sweep.Map and adds
+// their results to a Set in cell order, so the Set is bit-identical at
+// any worker count. With agg non-nil, sweep.Map folds every cell's
+// instrument snapshot and then its own counters into agg on the
+// calling goroutine.
 func collect(clusterName string, workers, n int, agg *metrics.Aggregate, cell func(i int) (*Result, error)) (*Set, error) {
-	var obs *sweep.Observer
-	if agg != nil {
-		obs = sweep.NewObserver()
-	}
-	results, err := sweep.MapObserved(workers, n, obs, cell)
+	results, err := sweep.Map(workers, n, agg, func(i int) (*Result, metrics.Snapshot, error) {
+		r, err := cell(i)
+		if err != nil {
+			return nil, metrics.Snapshot{}, err
+		}
+		return r, r.Metrics, nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	set := &Set{Cluster: clusterName}
 	for _, r := range results {
 		set.Add(r)
-		if agg != nil {
-			agg.Merge(r.Metrics)
-		}
-	}
-	if agg != nil {
-		agg.Merge(obs.Snapshot())
 	}
 	return set, nil
 }

@@ -812,7 +812,6 @@ type Utilization struct {
 	BusiestNICRx   float64
 	BusiestFabric  float64
 	BusiestSegment float64
-	MeanSegment    float64
 	// DeliveredStackBits is the total traffic the backplane segments
 	// carried, in bits (wire bits × segments crossed).
 	DeliveredStackBits float64
@@ -843,14 +842,8 @@ func (n *Network) UtilizationSince(start sim.Time) Utilization {
 		BusiestFabric:  maxBusy(l.fabrics),
 		BusiestSegment: maxBusy(l.segments),
 	}
-	var total float64
 	for _, s := range l.segments {
-		busy := s.BusyTime().Seconds()
-		total += busy / elapsed
-		u.DeliveredStackBits += busy * n.cfg.StackRate
-	}
-	if len(l.segments) > 0 {
-		u.MeanSegment = total / float64(len(l.segments))
+		u.DeliveredStackBits += s.BusyTime().Seconds() * n.cfg.StackRate
 	}
 	return u
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/experiments/sweep"
+	"repro/internal/metrics"
 	"repro/internal/mpibench"
 	"repro/internal/stats"
 )
@@ -31,10 +32,11 @@ func pingPongProg(iters int) *Program {
 // and returns their reports in replication order.
 func replicate(t *testing.T, prog *Program, opts Options, n, workers int) []*Report {
 	t.Helper()
-	reps, err := sweep.Map(workers, n, func(i int) (*Report, error) {
+	reps, err := sweep.Map(workers, n, nil, func(i int) (*Report, metrics.Snapshot, error) {
 		o := opts
 		o.Seed = opts.Seed + uint64(i)*7919
-		return Evaluate(prog, o)
+		rep, err := Evaluate(prog, o)
+		return rep, metrics.Snapshot{}, err
 	})
 	if err != nil {
 		t.Fatal(err)

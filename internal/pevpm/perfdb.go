@@ -345,23 +345,14 @@ func (f *fixedContentionDB) MinIntra(size, _ int) float64  { return f.PerfDB.Min
 // AnalyticDB is a distribution-free database built from closed-form
 // samplers — useful for tests and for modelling hypothetical machines
 // (the paper: distributions "can either be theoretical, or empirically
-// determined").
+// determined"). Intra-node messages draw from OneWayFor at contention 2,
+// an uncontended pair.
 type AnalyticDB struct {
 	// OneWayFor returns the distribution for a size and contention.
 	OneWayFor func(size, contention int) stats.Dist
-	// IntraFor returns the intra-node distribution; when nil, intra
-	// messages use OneWayFor at contention 2 (an uncontended pair).
-	IntraFor func(size, contention int) stats.Dist
-	SendCost func(size int) float64
-	RecvCost func(size int) float64
-	Eager    int
-}
-
-func (a *AnalyticDB) intraFor(size, contention int) stats.Dist {
-	if a.IntraFor != nil {
-		return a.IntraFor(size, contention)
-	}
-	return a.OneWayFor(size, 2)
+	SendCost  func(size int) float64
+	RecvCost  func(size int) float64
+	Eager     int
 }
 
 // Sample draws from the analytic distribution.
@@ -380,18 +371,18 @@ func (a *AnalyticDB) Min(size, contention int) float64 {
 }
 
 // SampleIntra draws from the intra-node distribution.
-func (a *AnalyticDB) SampleIntra(r stats.Rand, size, contention int) float64 {
-	return a.intraFor(size, contention).Sample(r)
+func (a *AnalyticDB) SampleIntra(r stats.Rand, size, _ int) float64 {
+	return a.OneWayFor(size, 2).Sample(r)
 }
 
 // MeanIntra of the intra-node distribution.
-func (a *AnalyticDB) MeanIntra(size, contention int) float64 {
-	return a.intraFor(size, contention).Mean()
+func (a *AnalyticDB) MeanIntra(size, _ int) float64 {
+	return a.OneWayFor(size, 2).Mean()
 }
 
 // MinIntra of the intra-node distribution.
-func (a *AnalyticDB) MinIntra(size, contention int) float64 {
-	return a.intraFor(size, contention).MinBound()
+func (a *AnalyticDB) MinIntra(size, _ int) float64 {
+	return a.OneWayFor(size, 2).MinBound()
 }
 
 // SendBusy returns the host send cost.

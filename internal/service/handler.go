@@ -124,7 +124,7 @@ func (s *Service) Stats() Stats {
 		Schema:  Schema,
 		Caches:  make(map[string]CacheStats, 2),
 		Stages:  make(map[string]StageStats, 4),
-		Workers: s.pool.workers,
+		Workers: s.cfg.Workers,
 	}
 	for _, c := range snap.Counters {
 		switch c.Name {

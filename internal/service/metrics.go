@@ -10,9 +10,6 @@ import (
 // stage latency buckets in microseconds: 100µs … 100s.
 var latencyBounds = []int64{100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000}
 
-// queue-depth buckets (tasks waiting at submit time).
-var depthBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128}
-
 // serviceMetrics wraps an internal/metrics Registry for concurrent HTTP
 // use. The registry itself is deliberately single-threaded (it belongs
 // to the deterministic zero-alloc simulation layer); the service is the
@@ -21,7 +18,7 @@ var depthBounds = []int64{1, 2, 4, 8, 16, 32, 64, 128}
 // counting, so contention here is noise.
 //
 // Everything observable about the service at runtime — latencies, cache
-// state, queue depth — is registered volatile: excluded from the
+// state, requests in flight — is registered volatile: excluded from the
 // deterministic Snapshot() contract, included in SnapshotAll() for the
 // /metrics endpoint. Deterministic counters (requests, predictions,
 // replications) use regular instruments.
@@ -71,14 +68,6 @@ func (m *serviceMetrics) observeStage(stage string, micros int64) {
 	m.mu.Lock()
 	m.reg.VolatileHistogram("service", "stage_latency_us", latencyBounds,
 		metrics.L("stage", stage)).Observe(micros)
-	m.mu.Unlock()
-}
-
-// observeQueueDepth records the engine-pool queue depth seen by one
-// submitted replication.
-func (m *serviceMetrics) observeQueueDepth(depth int) {
-	m.mu.Lock()
-	m.reg.VolatileHistogram("service", "queue_depth", depthBounds).Observe(int64(depth))
 	m.mu.Unlock()
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/experiments/sweep"
 	"repro/internal/metrics"
 	"repro/internal/mpibench"
 	"repro/internal/mpilint"
@@ -18,12 +19,20 @@ import (
 	"repro/internal/trace"
 )
 
-// Service is the prediction server: one engine pool, one database
-// cache, one response cache, shared by every request.
+// Service is the prediction server: one set of replication slots, one
+// database cache, one response cache, shared by every request.
 type Service struct {
-	cfg  Config
-	pool *pool
-	met  *serviceMetrics
+	cfg Config
+	met *serviceMetrics
+
+	// slots holds a token for each replication evaluating, so at most
+	// cfg.Workers evaluate at once across all requests.
+	slots chan struct{}
+	// running counts the goroutines computing responses; they outlive
+	// requests that time out, and Close waits for them.
+	running sync.WaitGroup
+	// evaluate runs one replication: pevpm.Evaluate outside tests.
+	evaluate func(*pevpm.Program, pevpm.Options) (*pevpm.Report, error)
 
 	dbCache  *lru[pevpm.PerfDB]
 	dbFlight *flightGroup[pevpm.PerfDB]
@@ -52,13 +61,14 @@ type Result struct {
 	Cache string
 }
 
-// New builds a Service. Close it to stop the engine pool.
+// New builds a Service. Close it once its HTTP server has shut down.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	return &Service{
 		cfg:        cfg,
-		pool:       newPool(cfg.Workers),
 		met:        newServiceMetrics(),
+		slots:      make(chan struct{}, cfg.Workers),
+		evaluate:   pevpm.Evaluate,
 		dbCache:    newLRU[pevpm.PerfDB](cfg.DBCacheSize),
 		dbFlight:   newFlightGroup[pevpm.PerfDB](),
 		respCache:  newLRU[cachedResult](cfg.RespCacheSize),
@@ -66,9 +76,10 @@ func New(cfg Config) *Service {
 	}
 }
 
-// Close drains and stops the engine pool. Call after the HTTP server
-// has shut down.
-func (s *Service) Close() { s.pool.close() }
+// Close waits for the computations still running for requests that
+// timed out, so each has cached its response when Close returns. Call
+// it after the HTTP server has shut down.
+func (s *Service) Close() { s.running.Wait() }
 
 // Config returns the resolved service configuration.
 func (s *Service) Config() Config { return s.cfg }
@@ -127,7 +138,9 @@ func (s *Service) HandleRequest(ctx context.Context, raw []byte) Result {
 		ok     bool
 	}
 	out := make(chan flightOut, 1)
+	s.running.Add(1)
 	go func() {
+		defer s.running.Done()
 		res, _, shared, ok := s.respFlight.do(hash, ctx.Done(), func() (cachedResult, error) {
 			// An identical leader may have cached its result and left
 			// the flight group after this request's cache miss.
@@ -222,9 +235,9 @@ func (s *Service) compute(req *Request, hash string) cachedResult {
 	}
 
 	// Stage 3: predict. One detailed evaluation for attribution (and
-	// the optional trace), then the Monte-Carlo replications batched
-	// onto the shared engine pool. Substream seeds make the fold
-	// independent of pool scheduling.
+	// the optional trace), then the Monte-Carlo replications, each in
+	// one of the service's slots. Substream seeds make the fold
+	// independent of scheduling.
 	predStart := time.Now()
 	pred, tl, evalErr := s.predict(req, prog, db, &cfg)
 	s.met.observeStage("predict", time.Since(predStart).Microseconds())
@@ -283,7 +296,7 @@ func (s *Service) buildDB(cfg cluster.Config, bench BenchSpec,
 		WarmUp:      bench.WarmUp,
 		SyncProbes:  bench.SyncProbes,
 		Seed:        bench.Seed,
-		Workers:     s.pool.workers,
+		Workers:     s.cfg.Workers,
 	}.Defaults()
 	set, err := mpibench.RunSweep(cfg, spec, placements)
 	if err != nil {
@@ -302,7 +315,7 @@ func (s *Service) buildDB(cfg cluster.Config, bench BenchSpec,
 // predict runs the detail evaluation plus the Monte-Carlo replication
 // set and folds them into a Prediction. All randomness descends from
 // the request seed through named substreams; replication results are
-// folded in replication order, so neither the pool's worker count nor
+// folded in replication order, so neither the worker count nor
 // concurrent traffic can change a single output bit.
 func (s *Service) predict(req *Request, prog *pevpm.Program, base pevpm.PerfDB,
 	cfg *cluster.Config) (*Prediction, *trace.Log, error) {
@@ -340,43 +353,35 @@ func (s *Service) predict(req *Request, prog *pevpm.Program, base pevpm.PerfDB,
 		return nil, nil, err
 	}
 
-	// Monte-Carlo replications on the shared pool.
-	makespans := make([]float64, req.Runs)
+	// Monte-Carlo replications. The response folds their snapshots
+	// alone, not the sweep's own counters, so each cell keeps its
+	// snapshot in snaps and Map gets no aggregate.
 	snaps := make([]metrics.Snapshot, req.Runs)
-	errs := make([]error, req.Runs)
-	var wg sync.WaitGroup
-	for i := 0; i < req.Runs; i++ {
-		i := i
-		wg.Add(1)
-		depth := s.pool.submit(func() {
-			defer wg.Done()
-			opts := pevpm.Options{
-				Procs:  req.Procs,
-				DB:     db,
-				Seed:   sim.SubSeed(req.Seed, fmt.Sprintf("service:rep%d", i)),
-				NodeOf: pl.NodeOf,
-			}
-			rep, err := pevpm.Evaluate(prog, opts)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			makespans[i] = rep.Makespan
-			snaps[i] = rep.Metrics
+	makespans, err := sweep.Map(s.cfg.Workers, req.Runs, nil, func(i int) (float64, metrics.Snapshot, error) {
+		s.slots <- struct{}{}
+		defer func() { <-s.slots }()
+		rep, err := s.evaluate(prog, pevpm.Options{
+			Procs:  req.Procs,
+			DB:     db,
+			Seed:   sim.SubSeed(req.Seed, fmt.Sprintf("service:rep%d", i)),
+			NodeOf: pl.NodeOf,
 		})
-		s.met.observeQueueDepth(depth)
-	}
-	wg.Wait()
+		if err != nil {
+			return 0, metrics.Snapshot{}, err
+		}
+		snaps[i] = rep.Metrics
+		return rep.Makespan, metrics.Snapshot{}, nil
+	})
 	s.met.add("replications_total", uint64(req.Runs))
+	if err != nil {
+		return nil, nil, err
+	}
 
 	// Fold in replication order — the determinism contract's merge rule.
 	var sum stats.Summary
 	agg := metrics.NewAggregate()
-	for i := 0; i < req.Runs; i++ {
-		if errs[i] != nil {
-			return nil, nil, errs[i]
-		}
-		sum.Add(makespans[i])
+	for i, m := range makespans {
+		sum.Add(m)
 		agg.Merge(snaps[i])
 	}
 

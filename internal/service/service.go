@@ -8,12 +8,11 @@
 // Production concerns are the feature, and every one of them is built
 // on the repository's determinism contract: the response body for a
 // given request is a pure function of the request. Same request + seed
-// → same bytes, at any engine-pool worker count, whether the fitted
-// performance database came from the cache or was built fresh, and
-// whether the response itself was computed or replayed from the
-// response cache. That is what makes the service cacheable at every
-// layer (Hunold & Carpen-Amarie's reproducibility argument, applied to
-// serving):
+// → same bytes, at any worker count, whether the fitted performance
+// database came from the cache or was built fresh, and whether the
+// response itself was computed or replayed from the response cache.
+// That is what makes the service cacheable at every layer (Hunold &
+// Carpen-Amarie's reproducibility argument, applied to serving):
 //
 //   - fitted performance databases are expensive (each is a full
 //     MPIBench sweep over the simulated cluster) and are therefore kept
@@ -26,16 +25,17 @@
 //   - identical requests in flight at the same time coalesce onto one
 //     computation (single-flight), so a thundering herd builds each
 //     database and each response exactly once
-//   - Monte-Carlo replications from all concurrent requests are batched
-//     onto one shared engine pool; each replication derives its RNG
-//     stream from the request seed via sim.SubSeed, so scheduling can
-//     never change a prediction
+//   - a request runs its Monte-Carlo replications through sweep.Map, and
+//     every replication holds one of Workers slots shared by all
+//     requests while it evaluates; each derives its RNG stream from the
+//     request seed via sim.SubSeed, so scheduling can never change a
+//     prediction
 //
 // The service instruments itself with the internal/metrics registry
-// (requests, cache hits/misses, queue depth, per-stage latency) and
-// exposes the snapshot in Prometheus format; those instruments are
-// deliberately volatile (wall-clock latencies, cache state) and are
-// never part of a response body. See docs/SERVICE.md.
+// (requests, cache hits/misses, per-stage latency) and exposes the
+// snapshot in Prometheus format; those instruments are deliberately
+// volatile (wall-clock latencies, cache state) and are never part of a
+// response body. See docs/SERVICE.md.
 package service
 
 import (
@@ -64,8 +64,9 @@ const BenchVersion = 1
 // Config sizes the service. The zero value of every field selects the
 // default noted on it.
 type Config struct {
-	// Workers is the engine-pool size: how many Monte-Carlo virtual
-	// machines run concurrently across all requests (0 = GOMAXPROCS).
+	// Workers bounds how many Monte-Carlo replications evaluate at once
+	// across all requests, and how many cells one request's database
+	// build runs at once (0 = GOMAXPROCS).
 	Workers int
 
 	// DBCacheSize caps the fitted-performance-database LRU (default 16
@@ -86,8 +87,8 @@ type Config struct {
 	Timeout time.Duration
 
 	// MaxRuns caps Monte-Carlo replications per request (default 512);
-	// MaxProcs caps the modelled world size (default 4096). Both keep a
-	// single request from monopolising the pool.
+	// MaxProcs caps the modelled world size (default 4096). Both bound
+	// how long a single request holds the replication slots.
 	MaxRuns  int
 	MaxProcs int
 }

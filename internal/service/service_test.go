@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
+	"repro/internal/pevpm"
 )
 
 // counterValue reads one service counter out of a fresh snapshot.
@@ -442,6 +445,71 @@ func TestTimeoutReturns504(t *testing.T) {
 	res := s.HandleRequest(ctx, mustJSON(t, testRequest()))
 	if res.Status != 504 {
 		t.Fatalf("status = %d, want 504", res.Status)
+	}
+}
+
+// TestCloseWaitsForTimedOutLeader checks that a leader whose request
+// already got its 504 has cached the response by the time Close
+// returns, that Close may be called again, and that the service still
+// answers afterwards, from that cache.
+func TestCloseWaitsForTimedOutLeader(t *testing.T) {
+	s := New(Config{Workers: 1})
+	raw := mustJSON(t, testRequest())
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	res := s.HandleRequest(ctx, raw)
+	if res.Status != 504 {
+		t.Fatalf("status = %d, want 504", res.Status)
+	}
+	s.Close()
+	if _, ok := s.respCache.peek(res.Hash); !ok {
+		t.Fatal("Close returned before the timed-out leader cached its response")
+	}
+	s.Close()
+	if again := s.HandleRequest(context.Background(), raw); again.Status != 200 || again.Cache != "hit" {
+		t.Fatalf("after Close: status %d, cache %q; want 200 from the cache", again.Status, again.Cache)
+	}
+}
+
+// countEvaluations makes every replication of s hold its evaluation
+// for hold, to widen overlaps, and returns a function reporting the
+// most replications that were evaluating at once.
+func countEvaluations(s *Service, hold time.Duration) (peak func() int64) {
+	var active, most atomic.Int64
+	s.evaluate = func(prog *pevpm.Program, opts pevpm.Options) (*pevpm.Report, error) {
+		n := active.Add(1)
+		defer active.Add(-1)
+		for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
+		}
+		time.Sleep(hold)
+		return pevpm.Evaluate(prog, opts)
+	}
+	return most.Load
+}
+
+// TestReplicationSlotsBoundConcurrentRequests sends distinct requests
+// at once to a two-worker service. Each request's sweep runs two cells
+// at a time, so only the shared slots keep the service at two
+// replications evaluating, not eight.
+func TestReplicationSlotsBoundConcurrentRequests(t *testing.T) {
+	s := newTestService(t, 2)
+	peak := countEvaluations(s, 2*time.Millisecond)
+	var wg sync.WaitGroup
+	for seed := uint64(1); seed <= 4; seed++ {
+		req := testRequest()
+		req.Seed, req.Runs = seed, 8
+		raw := mustJSON(t, req)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if res := s.HandleRequest(context.Background(), raw); res.Status != 200 {
+				t.Errorf("seed %d: status %d: %s", seed, res.Status, res.Body)
+			}
+		}()
+	}
+	wg.Wait()
+	if p := peak(); p < 1 || p > 2 {
+		t.Fatalf("%d replications evaluated at once, want 1..2 with Workers: 2", p)
 	}
 }
 

@@ -48,11 +48,6 @@ type Engine struct {
 	alive   int     // processes whose body has not returned
 	current *Proc   // process currently holding control, nil in event context
 
-	// Tracer, when non-nil, receives a line for significant kernel
-	// happenings (process start/stop, deadlock diagnosis). Model code can
-	// also log through Engine.Tracef.
-	Tracer func(t Time, line string)
-
 	// reg is the engine's metrics registry. Model layers built on the
 	// engine (netsim, mpi) register their instruments here, so one
 	// snapshot at the end of a run captures the whole stack of one
@@ -142,13 +137,6 @@ func (e *Engine) queued() int {
 		return len(e.events) + 1
 	}
 	return len(e.events)
-}
-
-// Tracef emits a formatted line to the engine's Tracer, if any.
-func (e *Engine) Tracef(format string, args ...any) {
-	if e.Tracer != nil {
-		e.Tracer(e.now, fmt.Sprintf(format, args...))
-	}
 }
 
 // Run executes events until the queue drains or the virtual clock would

@@ -110,7 +110,6 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	e.mProcsTotal.Inc()
 	e.mProcsPeak.SetMax(int64(e.alive))
 	e.Schedule(0, p.wakeFn)
-	e.Tracef("spawn %s", name)
 	return p
 }
 
