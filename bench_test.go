@@ -350,13 +350,13 @@ func BenchmarkHistogramBinWidth(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sum, err := pevpm.EvaluateN(prog, pevpm.Options{
-				Procs: 8, DB: db, Seed: 9, NodeOf: pl.NodeOf,
-			}, 5)
+			pred, err := pevpm.Predict(prog, db, pevpm.PredictSpec{
+				Procs: 8, NodeOf: pl.NodeOf, Runs: 5, Seed: 9,
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			preds = append(preds, sum.Mean)
+			preds = append(preds, pred.Mean)
 		}
 		var s stats.Summary
 		for _, v := range preds {
@@ -403,14 +403,12 @@ func BenchmarkFittedVsEmpirical(b *testing.B) {
 	pl := pls[2]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opts := pevpm.Options{Procs: 16, Seed: uint64(i + 1), NodeOf: pl.NodeOf}
-		opts.DB = empirical
-		se, err := pevpm.EvaluateN(prog, opts, 5)
+		spec := pevpm.PredictSpec{Procs: 16, NodeOf: pl.NodeOf, Runs: 5, Seed: uint64(i + 1)}
+		se, err := pevpm.Predict(prog, empirical, spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		opts.DB = fitted
-		sf, err := pevpm.EvaluateN(prog, opts, 5)
+		sf, err := pevpm.Predict(prog, fitted, spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -521,14 +519,14 @@ func BenchmarkPlacementLocality(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sum, err := pevpm.EvaluateN(prog, pevpm.Options{
-				Procs: 32, DB: db, Seed: uint64(i + 7), NodeOf: pl.NodeOf,
-			}, 4)
+			pred, err := pevpm.Predict(prog, db, pevpm.PredictSpec{
+				Procs: 32, NodeOf: pl.NodeOf, Runs: 4, Seed: uint64(i + 7),
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			got := measured.Makespan.Seconds()
-			b.ReportMetric(math.Abs(sum.Mean-got)/got*100, label)
+			b.ReportMetric(math.Abs(pred.Mean-got)/got*100, label)
 		}
 		predErr(scatter, "scatter-error-%")
 		predErr(block, "block-error-%")

@@ -59,22 +59,16 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := pevpm.Evaluate(f.Model(n), pevpm.Options{
-			Procs: n, DB: db, Seed: uint64(n) + 5, NodeOf: pl.NodeOf,
+		pred, err := pevpm.Predict(f.Model(n), db, pevpm.PredictSpec{
+			Procs: n, NodeOf: pl.NodeOf, Runs: 4, Seed: uint64(n) + 5,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		var compute, wait float64
-		for _, b := range rep.Breakdowns {
-			compute += b.Compute
-			wait += b.RecvWait
-		}
-		procs := float64(n)
 		got := actual.Makespan.Seconds()
 		fmt.Printf("%-8s%11.4fs%11.4fs%9.1f%%%13.4fs%13.4fs\n",
-			pl, got, rep.Makespan, 100*(rep.Makespan-got)/got,
-			compute/procs, wait/procs)
+			pl, got, pred.Mean, 100*(pred.Mean-got)/got,
+			pred.Breakdown.Compute, pred.Breakdown.RecvWait)
 	}
 	fmt.Println("\nAs machines grow, per-stage blocks cross more of the backplane and")
 	fmt.Println("the receive-wait column, not the compute column, sets the run time.")

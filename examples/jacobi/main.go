@@ -56,22 +56,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	modes := []struct {
-		name string
-		db   pevpm.PerfDB
-	}{
-		{"distributions", distDB},
-		{"avg nxp", pevpm.Collapse(distDB, pevpm.ModeMean)},
-		{"avg 2x1", pevpm.Collapse(pevpm.FixContention(distDB, 2), pevpm.ModeMean)},
-		{"min 2x1", pevpm.Collapse(pevpm.FixContention(distDB, 2), pevpm.ModeMin)},
-	}
 
 	serial := j.SerialTime()
 	fmt.Printf("\n%-8s%12s", "config", "measured")
-	for _, m := range modes {
-		fmt.Printf("%16s", m.name)
+	for _, mode := range pevpm.Modes {
+		fmt.Printf("%16s", mode)
 	}
-	fmt.Println("\n        (speedups; the distribution mode should track the measured column)")
+	fmt.Println("\n        (speedups; the dist mode should track the measured column)")
 
 	for _, n := range []int{2, 4, 8, 16, 32} {
 		pl, err := cluster.NewPlacement(&cfg, n, 1)
@@ -83,18 +74,18 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-8s%12.2f", pl, serial/actual.Makespan.Seconds())
-		for _, m := range modes {
-			runs := 1
-			if m.name == "distributions" {
+		for _, mode := range pevpm.Modes {
+			runs := 1 // the point-value modes are deterministic
+			if mode == "dist" {
 				runs = 8
 			}
-			sum, err := pevpm.EvaluateN(prog, pevpm.Options{
-				Procs: pl.NumProcs(), DB: m.db, Seed: uint64(200 + n), NodeOf: pl.NodeOf,
-			}, runs)
+			pred, err := pevpm.Predict(prog, distDB, pevpm.PredictSpec{
+				Procs: pl.NumProcs(), NodeOf: pl.NodeOf, Mode: mode, Runs: runs, Seed: uint64(200 + n),
+			})
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("%16.2f", serial/sum.Mean)
+			fmt.Printf("%16.2f", serial/pred.Mean)
 		}
 		fmt.Println()
 	}

@@ -80,7 +80,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sum, err := pevpm.EvaluateN(prog, pevpm.Options{Procs: 4, DB: db, Seed: 3, NodeOf: pl.NodeOf}, 10)
+	pred, err := pevpm.Predict(prog, db, pevpm.PredictSpec{Procs: 4, NodeOf: pl.NodeOf, Runs: 10, Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,8 +89,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("4. Jacobi on %s: PEVPM predicts %.4fs, actual execution %.4fs (%.1f%% apart)\n",
-		pl, sum.Mean, actual.Makespan.Seconds(),
-		100*abs(sum.Mean-actual.Makespan.Seconds())/actual.Makespan.Seconds())
+		pl, pred.Mean, actual.Makespan.Seconds(),
+		100*abs(pred.Mean-actual.Makespan.Seconds())/actual.Makespan.Seconds())
 
 	// --- 5. Trace an execution to see its time-structure. ---------------
 	e := sim.NewEngine(5)

@@ -65,14 +65,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sum, err := pevpm.EvaluateN(s.Model(), pevpm.Options{
-			Procs: pl.NumProcs(), DB: db, Seed: uint64(700 + pl.NodeCount), NodeOf: pl.NodeOf,
-		}, 8)
+		pred, err := pevpm.Predict(s.Model(), db, pevpm.PredictSpec{
+			Procs: pl.NumProcs(), NodeOf: pl.NodeOf, Runs: 8, Seed: uint64(700 + pl.NodeCount),
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		got := actual.Makespan.Seconds()
-		fmt.Printf("%-8s%11.4fs%11.4fs%9.1f%%\n", pl, got, sum.Mean, 100*(sum.Mean-got)/got)
+		fmt.Printf("%-8s%11.4fs%11.4fs%9.1f%%\n", pl, got, pred.Mean, 100*(pred.Mean-got)/got)
 	}
 	fmt.Println("\nThe predictions run a few percent high: PEVPM releases the whole job")
 	fmt.Println("at each collective's slowest-rank completion, a safe upper bound when")

@@ -51,6 +51,7 @@ func main() {
 	}
 
 	serial := tf.SerialTime()
+	var hot []pevpm.HotSpot // the largest world's, printed after the table
 	fmt.Printf("\n%-8s%12s%12s%10s%12s\n", "config", "measured", "predicted", "error", "efficiency")
 	for _, n := range []int{2, 4, 8, 16, 32} {
 		pl, err := cluster.NewPlacement(&cfg, n, 1)
@@ -61,30 +62,24 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sum, err := pevpm.EvaluateN(tf.Model(n), pevpm.Options{
-			Procs: n, DB: db, Seed: uint64(50 + n), NodeOf: pl.NodeOf,
-		}, 5)
+		pred, err := pevpm.Predict(tf.Model(n), db, pevpm.PredictSpec{
+			Procs: n, NodeOf: pl.NodeOf, Runs: 5, Seed: uint64(50 + n),
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
+		hot = pred.HotSpots
 		got := actual.Makespan.Seconds()
 		workers := float64(n - 1)
 		fmt.Printf("%-8s%11.4fs%11.4fs%9.1f%%%11.1f%%\n",
-			pl, got, sum.Mean, 100*(sum.Mean-got)/got,
+			pl, got, pred.Mean, 100*(pred.Mean-got)/got,
 			100*serial/(got*workers))
 	}
 
 	// Where does the farm lose time at scale? Ask the model.
-	rep, err := pevpm.Evaluate(tf.Model(32), pevpm.Options{Procs: 32, DB: db, Seed: 99})
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("\ntop waiting directives at 32 processes (the master deals and")
 	fmt.Println("collects serially, so workers queue on rank 0):")
-	for i, h := range rep.HotSpots() {
-		if i >= 3 {
-			break
-		}
+	for _, h := range hot[:min(3, len(hot))] {
 		fmt.Printf("  %8.4fs  %s\n", h.Wait, h.Directive)
 	}
 }

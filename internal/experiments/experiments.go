@@ -376,11 +376,12 @@ func Figure6(cfg cluster.Config, p Params, elapsed func() float64) (*Figure6Resu
 	if err != nil {
 		return nil, err
 	}
-	modes := map[string]pevpm.PerfDB{
-		"pevpm distributions": distDB,
-		"pevpm avg nxp":       pevpm.Collapse(distDB, pevpm.ModeMean),
-		"pevpm avg 2x1":       pevpm.Collapse(pevpm.FixContention(distDB, 2), pevpm.ModeMean),
-		"pevpm min 2x1":       pevpm.Collapse(pevpm.FixContention(distDB, 2), pevpm.ModeMin),
+	// Figure6Modes' prediction labels follow pevpm.Modes' order.
+	modes := map[string]pevpm.PerfDB{}
+	for i, label := range Figure6Modes[1:] {
+		if modes[label], err = pevpm.ModeDB(distDB, pevpm.Modes[i]); err != nil {
+			return nil, err
+		}
 	}
 
 	serial := j.SerialTime()

@@ -1,10 +1,12 @@
 package pevpm
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
 // TestReportMetricsCountDraws checks that an evaluation's snapshot
@@ -51,28 +53,31 @@ func TestIntraDrawClassification(t *testing.T) {
 	}
 }
 
-// TestEvaluateNWorkersMetricsDeterministic folds replication metrics in
-// EvaluateN and, from the same replications run on 4 workers, in
-// replication order, and requires identical snapshots — the same
-// contract the makespan summary satisfies.
-func TestEvaluateNWorkersMetricsDeterministic(t *testing.T) {
+// TestPredictMetricsFoldReplications checks a prediction's metrics are
+// its replications' snapshots folded in replication order, at any
+// worker count, and leave out the detail evaluation: the same contract
+// the makespan summary satisfies.
+func TestPredictMetricsFoldReplications(t *testing.T) {
 	db := constDB(100e-6, 1e-9, 5e-6, 512)
 	prog := sendRecvProgram(4096) // rendezvous path: sender parks too
 	const n = 8
 
-	serial := metrics.NewAggregate()
-	if _, err := EvaluateN(prog, Options{Procs: 2, DB: db, Seed: 42, Metrics: serial}, n); err != nil {
-		t.Fatal(err)
+	want := metrics.NewAggregate()
+	for i := 0; i < n; i++ {
+		rep := mustEval(t, prog, Options{Procs: 2, DB: db, Seed: sim.SubSeed(42, fmt.Sprintf("service:rep%d", i))})
+		want.Merge(rep.Metrics)
 	}
-	parallel := metrics.NewAggregate()
-	for _, rep := range replicate(t, prog, Options{Procs: 2, DB: db, Seed: 42}, n, 4) {
-		parallel.Merge(rep.Metrics)
-	}
-	if !reflect.DeepEqual(serial.Snapshot(), parallel.Snapshot()) {
-		t.Errorf("aggregated metrics differ between EvaluateN and 4 workers:\n%+v\nvs\n%+v",
-			serial.Snapshot(), parallel.Snapshot())
-	}
-	if v, _ := serial.Snapshot().Counter("pevpm", "replications_total"); v != n {
-		t.Errorf("replications_total = %d, want %d", v, n)
+	for _, workers := range []int{1, 4} {
+		pred, err := Predict(prog, db, PredictSpec{Procs: 2, Runs: n, Seed: 42, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(pred.Metrics, want.Snapshot()) {
+			t.Errorf("workers=%d: metrics differ from the replications' fold:\n%+v\nvs\n%+v",
+				workers, pred.Metrics, want.Snapshot())
+		}
+		if v, _ := pred.Metrics.Counter("pevpm", "replications_total"); v != n {
+			t.Errorf("workers=%d: replications_total = %d, want %d", workers, v, n)
+		}
 	}
 }

@@ -26,11 +26,11 @@ func TestMonteCarloErrorShrinksWithIterations(t *testing.T) {
 			},
 			&Serial{Time: Num(100e-6)},
 		}}}
-		sum, err := EvaluateN(prog, Options{Procs: 2, DB: db, Seed: 77}, 30)
+		pred, err := Predict(prog, db, PredictSpec{Procs: 2, Runs: 30, Seed: 77})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sum.Std() / sum.Mean
+		return pred.Std / pred.Mean
 	}
 	small := relStd(20)
 	large := relStd(320) // 16× the iterations → expect ~4× less spread

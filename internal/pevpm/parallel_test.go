@@ -1,14 +1,12 @@
 package pevpm
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/experiments/sweep"
-	"repro/internal/metrics"
 	"repro/internal/mpibench"
-	"repro/internal/stats"
 )
 
 func pingPongProg(iters int) *Program {
@@ -27,31 +25,13 @@ func pingPongProg(iters int) *Program {
 	return prog
 }
 
-// replicate runs EvaluateN's replications of prog (the same derived
-// seeds) as concurrent Evaluate calls on a worker pool sharing opts.DB,
-// and returns their reports in replication order.
-func replicate(t *testing.T, prog *Program, opts Options, n, workers int) []*Report {
-	t.Helper()
-	reps, err := sweep.Map(workers, n, nil, func(i int) (*Report, metrics.Snapshot, error) {
-		o := opts
-		o.Seed = opts.Seed + uint64(i)*7919
-		rep, err := Evaluate(prog, o)
-		return rep, metrics.Snapshot{}, err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return reps
-}
-
-// TestEvaluateNWorkersEquality checks the Monte-Carlo replications give
-// the exact same summary — bit-identical mean, spread and extremes —
-// whether EvaluateN runs them in order or a worker pool runs them
-// concurrently on one frozen empirical database (the service's shared
-// pool does), since each replication derives its own seed and the
-// makespans fold into the summary in replication order. Run with -race
-// to prove Evaluate only reads the database.
-func TestEvaluateNWorkersEquality(t *testing.T) {
+// TestPredictWorkersEquality checks a prediction is the same value —
+// every field, the folded metrics included — whether its replications
+// run in order or on a worker pool sharing one frozen empirical
+// database (the service's slots do), since each replication derives its
+// own substream and the fold walks replication order. Run with -race to
+// prove Evaluate only reads the database.
+func TestPredictWorkersEquality(t *testing.T) {
 	db, err := NewEmpiricalDB(fakeSet(t), mpibench.OpIsend, cluster.Perseus())
 	if err != nil {
 		t.Fatal(err)
@@ -66,19 +46,17 @@ func TestEvaluateNWorkersEquality(t *testing.T) {
 			},
 		},
 	}}}
-	opts := Options{Procs: 2, DB: db, Seed: 123}
-
-	want, err := EvaluateN(prog, opts, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		var got stats.Summary
-		for _, rep := range replicate(t, prog, opts, 12, workers) {
-			got.Add(rep.Makespan)
+	predict := func(workers int) *Prediction {
+		pred, err := Predict(prog, db, PredictSpec{Procs: 2, Runs: 12, Seed: 123, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got != want {
-			t.Errorf("workers=%d: summary %+v, serial %+v", workers, got, want)
+		return pred
+	}
+	want := predict(1)
+	for _, workers := range []int{2, 8} {
+		if got := predict(workers); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: %+v, serial %+v", workers, got, want)
 		}
 	}
 }

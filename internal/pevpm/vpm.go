@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -33,28 +32,22 @@ type Options struct {
 	// two Gantts localises mispredictions, and the trace alone is the
 	// paper's "location and extent of performance loss" view.
 	Trace *trace.Log
-
-	// Metrics, when non-nil, receives every replication's instrument
-	// snapshot, folded in replication order by EvaluateN. (Evaluate
-	// itself does not touch it; single evaluations expose their snapshot
-	// via Report.Metrics.)
-	Metrics *metrics.Aggregate
 }
 
 // Breakdown attributes one model process's virtual time to its sources —
 // the paper's "location and extent of performance loss due to any
 // source".
 type Breakdown struct {
-	Compute  float64 // Serial directives
-	SendBusy float64 // host time initiating sends (plus rendezvous blocking)
-	RecvWait float64 // blocked in receives (idle + pickup)
+	Compute  float64 `json:"compute_s"`   // Serial directives
+	SendBusy float64 `json:"send_busy_s"` // host time initiating sends (plus rendezvous blocking)
+	RecvWait float64 `json:"recv_wait_s"` // blocked in receives (idle + pickup)
 }
 
 // HotSpot aggregates waiting time against one directive across all
 // processes, identifying where the model loses performance.
 type HotSpot struct {
-	Directive string
-	Wait      float64
+	Directive string  `json:"directive"`
+	Wait      float64 `json:"wait_s"`
 }
 
 // Report is the outcome of one evaluation.
@@ -1373,26 +1366,4 @@ func byWaitDesc(a, b HotSpot) int {
 		return 1
 	}
 	return strings.Compare(a.Directive, b.Directive)
-}
-
-// EvaluateN runs independent Monte-Carlo evaluations with derived seeds
-// and returns the summary of their makespans — the paper runs many
-// iterations "so that the statistical error in the mean is negligibly
-// small". Makespans and, when opts.Metrics is set, instrument snapshots
-// fold in replication order; the first replication error stops the run.
-func EvaluateN(prog *Program, opts Options, n int) (stats.Summary, error) {
-	var sum stats.Summary
-	for i := 0; i < n; i++ {
-		o := opts
-		o.Seed = opts.Seed + uint64(i)*7919
-		rep, err := Evaluate(prog, o)
-		if err != nil {
-			return stats.Summary{}, err
-		}
-		sum.Add(rep.Makespan)
-		if opts.Metrics != nil {
-			opts.Metrics.Merge(rep.Metrics)
-		}
-	}
-	return sum, nil
 }

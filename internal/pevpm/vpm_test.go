@@ -247,22 +247,75 @@ func TestEvaluateDeterministic(t *testing.T) {
 	}
 }
 
-func TestEvaluateN(t *testing.T) {
+func TestPredict(t *testing.T) {
 	prog, err := Parse(figure5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog.Params["iterations"] = 3
 	db := LogGPStyleDB(100e-6, 10e6, 16384)
-	sum, err := EvaluateN(prog, Options{Procs: 4, DB: db, Seed: 3}, 20)
+	pred, err := Predict(prog, db, PredictSpec{Procs: 4, Runs: 20, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.N != 20 || sum.Mean <= 0 {
-		t.Errorf("summary = %+v", sum)
+	if pred.Runs != 20 || pred.Mean <= 0 || pred.MeanCI.N != 20 || pred.QuantileCI.N != 20 {
+		t.Errorf("prediction = %+v", pred)
 	}
-	if sum.Std() == 0 {
+	if pred.Std == 0 {
 		t.Error("Monte-Carlo runs show zero variance")
+	}
+	if pred.Quantile != 0.5 || pred.QuantileCI.Point < pred.Min || pred.QuantileCI.Point > pred.Max {
+		t.Errorf("median interval %+v outside [%v, %v]", pred.QuantileCI, pred.Min, pred.Max)
+	}
+	if pred.Breakdown.Compute <= 0 || pred.Messages == 0 || len(pred.HotSpots) == 0 || len(pred.HotSpots) > 5 {
+		t.Errorf("detail attribution = %+v, %d messages, %d hot spots",
+			pred.Breakdown, pred.Messages, len(pred.HotSpots))
+	}
+}
+
+// TestPredictRefusesBadSpecs checks Predict refuses what no prediction
+// can use before it evaluates anything.
+func TestPredictRefusesBadSpecs(t *testing.T) {
+	prog := pingPongProg(2)
+	db := LogGPStyleDB(100e-6, 10e6, 16384)
+	for _, c := range []struct {
+		spec PredictSpec
+		want string
+	}{
+		{PredictSpec{Procs: 2, Runs: 0}, "pevpm: runs: 0 (need at least 1)"},
+		{PredictSpec{Procs: 2, Runs: -1}, "pevpm: runs: -1 (need at least 1)"},
+		{PredictSpec{Procs: 2, Runs: 1, Mode: "median"},
+			`pevpm: mode: "median" (want dist, avg-nxp, avg-2x1 or min-2x1)`},
+	} {
+		c.spec.Evaluate = func(*Program, Options) (*Report, error) {
+			t.Fatalf("%+v: evaluated", c.spec)
+			return nil, nil
+		}
+		if _, err := Predict(prog, db, c.spec); err == nil || err.Error() != c.want {
+			t.Errorf("%+v: error %v, want %q", c.spec, err, c.want)
+		}
+	}
+}
+
+// TestPredictModes checks each mode's database: the point-value modes
+// draw nothing at random, so their replications agree, and min-2x1
+// undercuts the distributions.
+func TestPredictModes(t *testing.T) {
+	prog := pingPongProg(20)
+	db := LogGPStyleDB(100e-6, 10e6, 16384)
+	means := map[string]float64{}
+	for _, mode := range Modes {
+		pred, err := Predict(prog, db, PredictSpec{Procs: 2, Mode: mode, Runs: 4, Seed: 9})
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if mode != "dist" && pred.Min != pred.Max {
+			t.Errorf("%s: replications range over [%v, %v]", mode, pred.Min, pred.Max)
+		}
+		means[mode] = pred.Mean
+	}
+	if !(means["min-2x1"] < means["dist"]) {
+		t.Errorf("min-2x1 mean %v not below dist %v", means["min-2x1"], means["dist"])
 	}
 }
 

@@ -9,13 +9,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/experiments/sweep"
-	"repro/internal/metrics"
 	"repro/internal/mpibench"
 	"repro/internal/mpilint"
 	"repro/internal/pevpm"
-	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -25,13 +21,13 @@ type Service struct {
 	cfg Config
 	met *serviceMetrics
 
-	// slots holds a token for each replication evaluating, so at most
-	// cfg.Workers evaluate at once across all requests.
+	// slots holds a token for each PEVPM evaluation running, so at
+	// most cfg.Workers evaluate at once across all requests.
 	slots chan struct{}
 	// running counts the goroutines computing responses; they outlive
 	// requests that time out, and Close waits for them.
 	running sync.WaitGroup
-	// evaluate runs one replication: pevpm.Evaluate outside tests.
+	// evaluate runs one evaluation: pevpm.Evaluate outside tests.
 	evaluate func(*pevpm.Program, pevpm.Options) (*pevpm.Report, error)
 
 	dbCache  *lru[pevpm.PerfDB]
@@ -235,9 +231,9 @@ func (s *Service) compute(req *Request, hash string) cachedResult {
 	}
 
 	// Stage 3: predict. One detailed evaluation for attribution (and
-	// the optional trace), then the Monte-Carlo replications, each in
-	// one of the service's slots. Substream seeds make the fold
-	// independent of scheduling.
+	// the optional trace), then the Monte-Carlo replications, each
+	// evaluation in one of the service's slots. Substream seeds make
+	// the fold independent of scheduling.
 	predStart := time.Now()
 	pred, tl, evalErr := s.predict(req, prog, db, &cfg)
 	s.met.observeStage("predict", time.Since(predStart).Microseconds())
@@ -312,124 +308,47 @@ func (s *Service) buildDB(cfg cluster.Config, bench BenchSpec,
 	return pevpm.NewFittedDBFrom(empirical)
 }
 
-// predict runs the detail evaluation plus the Monte-Carlo replication
-// set and folds them into a Prediction. All randomness descends from
-// the request seed through named substreams; replication results are
-// folded in replication order, so neither the worker count nor
-// concurrent traffic can change a single output bit.
-func (s *Service) predict(req *Request, prog *pevpm.Program, base pevpm.PerfDB,
-	cfg *cluster.Config) (*Prediction, *trace.Log, error) {
-	var db pevpm.PerfDB
-	switch req.Mode {
-	case "dist":
-		db = base
-	case "avg-nxp":
-		db = pevpm.Collapse(base, pevpm.ModeMean)
-	case "avg-2x1":
-		db = pevpm.Collapse(pevpm.FixContention(base, 2), pevpm.ModeMean)
-	case "min-2x1":
-		db = pevpm.Collapse(pevpm.FixContention(base, 2), pevpm.ModeMin)
-	}
+// predict runs the request's prediction through pevpm.Predict, every
+// evaluation of it, the detail one included, in one of the service's
+// slots.
+func (s *Service) predict(req *Request, prog *pevpm.Program, db pevpm.PerfDB,
+	cfg *cluster.Config) (*pevpm.Prediction, *trace.Log, error) {
 	nodes := (req.Procs + req.PerNode - 1) / req.PerNode
 	pl, err := cluster.NewPlacement(cfg, nodes, req.PerNode)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Detail evaluation: breakdowns, hot spots, optional trace.
-	detailOpts := pevpm.Options{
-		Procs:  req.Procs,
-		DB:     db,
-		Seed:   sim.SubSeed(req.Seed, "service:detail"),
-		NodeOf: pl.NodeOf,
-	}
 	var tl *trace.Log
 	if req.Trace {
 		tl = trace.NewLog(2_000_000)
-		detailOpts.Trace = tl
 	}
-	detail, err := pevpm.Evaluate(prog, detailOpts)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Monte-Carlo replications. The response folds their snapshots
-	// alone, not the sweep's own counters, so each cell keeps its
-	// snapshot in snaps and Map gets no aggregate.
-	snaps := make([]metrics.Snapshot, req.Runs)
-	makespans, err := sweep.Map(s.cfg.Workers, req.Runs, nil, func(i int) (float64, metrics.Snapshot, error) {
-		s.slots <- struct{}{}
-		defer func() { <-s.slots }()
-		rep, err := s.evaluate(prog, pevpm.Options{
-			Procs:  req.Procs,
-			DB:     db,
-			Seed:   sim.SubSeed(req.Seed, fmt.Sprintf("service:rep%d", i)),
-			NodeOf: pl.NodeOf,
-		})
-		if err != nil {
-			return 0, metrics.Snapshot{}, err
-		}
-		snaps[i] = rep.Metrics
-		return rep.Makespan, metrics.Snapshot{}, nil
+	pred, err := pevpm.Predict(prog, db, pevpm.PredictSpec{
+		Procs:    req.Procs,
+		NodeOf:   pl.NodeOf,
+		Mode:     req.Mode,
+		Runs:     req.Runs,
+		Seed:     req.Seed,
+		Quantile: req.Quantile,
+		Workers:  s.cfg.Workers,
+		Trace:    tl,
+		Evaluate: func(prog *pevpm.Program, opts pevpm.Options) (*pevpm.Report, error) {
+			s.slots <- struct{}{}
+			defer func() { <-s.slots }()
+			return s.evaluate(prog, opts)
+		},
 	})
-	s.met.add("replications_total", uint64(req.Runs))
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Fold in replication order — the determinism contract's merge rule.
-	var sum stats.Summary
-	agg := metrics.NewAggregate()
-	for i, m := range makespans {
-		sum.Add(m)
-		agg.Merge(snaps[i])
-	}
-
-	meanCI := stats.StudentCI(sum, 0.95)
-	qCI := stats.NewBootstrap(200).QuantileCI(
-		makespans, req.Quantile, 0.95, sim.NewCellRNG(req.Seed, "service:bootstrap"))
-
-	pred := &Prediction{
-		Runs:       req.Runs,
-		Mean:       sum.Mean,
-		Std:        sum.Std(),
-		Min:        sum.Min,
-		Max:        sum.Max,
-		MeanCI:     fromStats(meanCI),
-		Quantile:   req.Quantile,
-		QuantileCI: fromStats(qCI),
-		Sweeps:     detail.Sweeps,
-		Messages:   detail.MessagesSent,
-	}
-	var compute, send, wait float64
-	for _, b := range detail.Breakdowns {
-		compute += b.Compute
-		send += b.SendBusy
-		wait += b.RecvWait
-	}
-	if n := float64(len(detail.Breakdowns)); n > 0 {
-		pred.Breakdown = Breakdown{Compute: compute / n, SendBusy: send / n, RecvWait: wait / n}
-	}
-	for i, h := range detail.HotSpots() {
-		if i >= 5 {
-			break
-		}
-		pred.HotSpots = append(pred.HotSpots, HotSpot{Directive: h.Directive, Wait: h.Wait})
-	}
-	pred.metricsSnapshot = agg.Snapshot()
+	s.met.add("replications_total", uint64(req.Runs))
 	return pred, tl, nil
-}
-
-// fromStats converts a stats.Interval into the wire type.
-func fromStats(iv stats.Interval) Interval {
-	return Interval{Point: iv.Point, Lo: iv.Lo, Hi: iv.Hi, Level: iv.Level, N: iv.N}
 }
 
 // encode renders the canonical response body: indented JSON plus a
 // trailing newline, fields in struct order, no wall-clock or cache
 // state anywhere — the bytes the golden replies pin.
 func (s *Service) encode(req *Request, hash, clusterHash string, placements []string,
-	lint LintInfo, pred *Prediction, tl *trace.Log) (cachedResult, error) {
+	lint LintInfo, pred *pevpm.Prediction, tl *trace.Log) (cachedResult, error) {
 	resp := Response{
 		Schema:      Schema,
 		RequestHash: hash,
@@ -452,7 +371,7 @@ func (s *Service) encode(req *Request, hash, clusterHash string, placements []st
 		Prediction: pred,
 	}
 	var mbuf bytes.Buffer
-	if err := pred.metricsSnapshot.WriteJSON(&mbuf); err != nil {
+	if err := pred.Metrics.WriteJSON(&mbuf); err != nil {
 		return cachedResult{}, err
 	}
 	resp.Metrics = json.RawMessage(bytes.TrimSpace(mbuf.Bytes()))

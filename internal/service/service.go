@@ -25,11 +25,11 @@
 //   - identical requests in flight at the same time coalesce onto one
 //     computation (single-flight), so a thundering herd builds each
 //     database and each response exactly once
-//   - a request runs its Monte-Carlo replications through sweep.Map, and
-//     every replication holds one of Workers slots shared by all
-//     requests while it evaluates; each derives its RNG stream from the
-//     request seed via sim.SubSeed, so scheduling can never change a
-//     prediction
+//   - a request predicts through pevpm.Predict, the procedure cmd/pevpm
+//     prints, and every evaluation it runs, the detail one and each
+//     Monte-Carlo replication, holds one of Workers slots shared by all
+//     requests; each derives its RNG stream from the request seed via
+//     sim.SubSeed, so scheduling can never change a prediction
 //
 // The service instruments itself with the internal/metrics registry
 // (requests, cache hits/misses, per-stage latency) and exposes the
@@ -46,9 +46,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/mpibench"
 	"repro/internal/mpilint"
+	"repro/internal/pevpm"
 )
 
 // Schema versions the request and response layout; bump it when fields
@@ -64,9 +64,9 @@ const BenchVersion = 1
 // Config sizes the service. The zero value of every field selects the
 // default noted on it.
 type Config struct {
-	// Workers bounds how many Monte-Carlo replications evaluate at once
-	// across all requests, and how many cells one request's database
-	// build runs at once (0 = GOMAXPROCS).
+	// Workers bounds how many PEVPM evaluations run at once across all
+	// requests, and how many cells one request's database build runs at
+	// once (0 = GOMAXPROCS).
 	Workers int
 
 	// DBCacheSize caps the fitted-performance-database LRU (default 16
@@ -195,51 +195,6 @@ type Request struct {
 	Bench   BenchSpec   `json:"bench,omitempty"`
 }
 
-// Interval mirrors stats.Interval with stable JSON field names.
-type Interval struct {
-	Point float64 `json:"point"`
-	Lo    float64 `json:"lo"`
-	Hi    float64 `json:"hi"`
-	Level float64 `json:"level"`
-	N     uint64  `json:"n"`
-}
-
-// Breakdown is the per-process average attribution of predicted time.
-type Breakdown struct {
-	Compute  float64 `json:"compute_s"`
-	SendBusy float64 `json:"send_busy_s"`
-	RecvWait float64 `json:"recv_wait_s"`
-}
-
-// HotSpot is one directive's aggregated predicted waiting time.
-type HotSpot struct {
-	Directive string  `json:"directive"`
-	Wait      float64 `json:"wait_s"`
-}
-
-// Prediction is the Monte-Carlo makespan distribution summary.
-type Prediction struct {
-	Runs       int      `json:"runs"`
-	Mean       float64  `json:"mean_s"`
-	Std        float64  `json:"std_s"`
-	Min        float64  `json:"min_s"`
-	Max        float64  `json:"max_s"`
-	MeanCI     Interval `json:"mean_ci"`
-	Quantile   float64  `json:"quantile"`
-	QuantileCI Interval `json:"quantile_ci"`
-
-	// Sweeps and Messages come from the detail evaluation (substream
-	// "service:detail"), as do Breakdown and HotSpots.
-	Sweeps    int       `json:"sweeps"`
-	Messages  uint64    `json:"messages"`
-	Breakdown Breakdown `json:"breakdown"`
-	HotSpots  []HotSpot `json:"hot_spots,omitempty"`
-
-	// metricsSnapshot is the replication-order fold of the per-rep
-	// instrument snapshots, rendered into Response.Metrics by encode.
-	metricsSnapshot metrics.Snapshot
-}
-
 // DBInfo identifies the fitted performance database a prediction drew
 // from. Identical whether the database was cached or built for this
 // request — cache state never leaks into response bytes.
@@ -272,9 +227,9 @@ type Response struct {
 	Mode        string `json:"mode"`
 	Seed        uint64 `json:"seed"`
 
-	DB         DBInfo      `json:"db"`
-	Lint       LintInfo    `json:"lint"`
-	Prediction *Prediction `json:"prediction"`
+	DB         DBInfo            `json:"db"`
+	Lint       LintInfo          `json:"lint"`
+	Prediction *pevpm.Prediction `json:"prediction"`
 
 	// Metrics is the deterministic instrument snapshot of the
 	// prediction itself (pevpm draws/sweeps/messages folded in
@@ -326,10 +281,8 @@ func (s *Service) resolve(req *Request) error {
 	if req.Mode == "" {
 		req.Mode = "dist"
 	}
-	switch req.Mode {
-	case "dist", "avg-nxp", "avg-2x1", "min-2x1":
-	default:
-		return fmt.Errorf("mode: %q (want dist, avg-nxp, avg-2x1 or min-2x1)", req.Mode)
+	if _, err := pevpm.ModeDB(nil, req.Mode); err != nil {
+		return err
 	}
 	if req.Quantile == 0 {
 		req.Quantile = 0.5

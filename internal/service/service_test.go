@@ -362,6 +362,18 @@ func TestResolveRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestUnknownModeNamesTheModes checks resolve's refusal of a mode lists
+// the modes there are.
+func TestUnknownModeNamesTheModes(t *testing.T) {
+	s := newTestService(t, 1)
+	req := testRequest()
+	req.Mode = "median"
+	want := `mode: "median" (want dist, avg-nxp, avg-2x1 or min-2x1)`
+	if err := s.resolve(&req); err == nil || err.Error() != want {
+		t.Errorf("resolve: %v, want %s", err, want)
+	}
+}
+
 func TestUnknownFieldRejected(t *testing.T) {
 	s := newTestService(t, 1)
 	res := s.HandleRequest(context.Background(),
@@ -471,12 +483,13 @@ func TestCloseWaitsForTimedOutLeader(t *testing.T) {
 	}
 }
 
-// countEvaluations makes every replication of s hold its evaluation
-// for hold, to widen overlaps, and returns a function reporting the
-// most replications that were evaluating at once.
-func countEvaluations(s *Service, hold time.Duration) (peak func() int64) {
-	var active, most atomic.Int64
+// countEvaluations makes every evaluation of s hold for hold, to widen
+// overlaps, and returns functions reporting how many evaluations ran
+// and the most that were evaluating at once.
+func countEvaluations(s *Service, hold time.Duration) (calls, peak func() int64) {
+	var total, active, most atomic.Int64
 	s.evaluate = func(prog *pevpm.Program, opts pevpm.Options) (*pevpm.Report, error) {
+		total.Add(1)
 		n := active.Add(1)
 		defer active.Add(-1)
 		for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
@@ -484,32 +497,103 @@ func countEvaluations(s *Service, hold time.Duration) (peak func() int64) {
 		time.Sleep(hold)
 		return pevpm.Evaluate(prog, opts)
 	}
-	return most.Load
+	return total.Load, most.Load
 }
 
-// TestReplicationSlotsBoundConcurrentRequests sends distinct requests
-// at once to a two-worker service. Each request's sweep runs two cells
-// at a time, so only the shared slots keep the service at two
-// replications evaluating, not eight.
+// TestReplicationSlotsBoundConcurrentRequests sends four distinct
+// requests at once. Each request's sweep runs up to Workers cells at a
+// time, so only the shared slots, which every evaluation takes (the
+// detail one included), keep the service at Workers evaluations at
+// once, not four times that.
 func TestReplicationSlotsBoundConcurrentRequests(t *testing.T) {
-	s := newTestService(t, 2)
-	peak := countEvaluations(s, 2*time.Millisecond)
-	var wg sync.WaitGroup
-	for seed := uint64(1); seed <= 4; seed++ {
-		req := testRequest()
-		req.Seed, req.Runs = seed, 8
-		raw := mustJSON(t, req)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if res := s.HandleRequest(context.Background(), raw); res.Status != 200 {
-				t.Errorf("seed %d: status %d: %s", seed, res.Status, res.Body)
-			}
-		}()
+	const runs = 8
+	for _, workers := range []int64{1, 2} {
+		s := newTestService(t, int(workers))
+		calls, peak := countEvaluations(s, 2*time.Millisecond)
+		var wg sync.WaitGroup
+		for seed := uint64(1); seed <= 4; seed++ {
+			req := testRequest()
+			req.Seed, req.Runs = seed, runs
+			raw := mustJSON(t, req)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if res := s.HandleRequest(context.Background(), raw); res.Status != 200 {
+					t.Errorf("workers %d, seed %d: status %d: %s", workers, seed, res.Status, res.Body)
+				}
+			}()
+		}
+		wg.Wait()
+		if got, want := calls(), int64(4*(runs+1)); got != want {
+			t.Errorf("workers %d: %d evaluations, want %d (a detail evaluation and %d replications per request)",
+				workers, got, want, runs)
+		}
+		if p := peak(); p < 1 || p > workers {
+			t.Errorf("%d evaluations ran at once, want 1..%d with Workers: %d", p, workers, workers)
+		}
 	}
-	wg.Wait()
-	if p := peak(); p < 1 || p > 2 {
-		t.Fatalf("%d replications evaluated at once, want 1..2 with Workers: 2", p)
+}
+
+// TestFittedDatabase asks for parametric fits: the reply names a
+// fitted database under its own key, built beside the measured one the
+// same bench spec keys without fits.
+func TestFittedDatabase(t *testing.T) {
+	s := newTestService(t, 2)
+	keys := map[bool]string{}
+	for _, fitted := range []bool{false, true} {
+		req := testRequest()
+		req.Fitted = fitted
+		res := s.HandleRequest(context.Background(), mustJSON(t, req))
+		if res.Status != 200 {
+			t.Fatalf("fitted=%v: status %d: %s", fitted, res.Status, res.Body)
+		}
+		var resp Response
+		if err := json.Unmarshal(res.Body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.DB.Fitted != fitted || !(resp.Prediction.Mean > 0) {
+			t.Fatalf("fitted=%v: db %+v, mean %v", fitted, resp.DB, resp.Prediction.Mean)
+		}
+		keys[fitted] = resp.DB.Key
+	}
+	if keys[false] == keys[true] {
+		t.Errorf("fitted and measured databases share the key %s", keys[true])
+	}
+	if got := s.met.counterValue("db_builds_total"); got != 2 {
+		t.Errorf("db_builds_total = %d, want 2", got)
+	}
+}
+
+// TestDatabaseStageRefusals sends bench specs the database stage cannot
+// use: a placement that does not parse, and placements that measure no
+// inter-node pair. Each is a deterministic 400 naming the cause, and
+// nothing is cached as a database.
+func TestDatabaseStageRefusals(t *testing.T) {
+	s := newTestService(t, 1)
+	for _, c := range []struct {
+		placements []string
+		want       string
+	}{
+		{[]string{"2x1", "two-by-one"}, `bench.placements: cluster: placement "two-by-one" is not of the form NxP`},
+		{[]string{"1x2"}, "performance database: pevpm: result set has no inter-node data for MPI_Send"},
+	} {
+		req := testRequest()
+		req.Bench.Placements = c.placements
+		raw := mustJSON(t, req)
+		res := s.HandleRequest(context.Background(), raw)
+		var er ErrorResponse
+		if err := json.Unmarshal(res.Body, &er); err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != 400 || er.Error != c.want {
+			t.Errorf("%q: status %d, error %q; want 400, %q", c.placements, res.Status, er.Error, c.want)
+		}
+		if again := s.HandleRequest(context.Background(), raw); again.Cache != "hit" || !bytes.Equal(again.Body, res.Body) {
+			t.Errorf("%q: refusal did not replay from the response cache: %q", c.placements, again.Cache)
+		}
+	}
+	if st := s.Stats(); st.DBBuilds != 0 || st.Caches["db"].Entries != 0 {
+		t.Errorf("refused specs built or cached a database: %d builds, %+v", st.DBBuilds, st.Caches["db"])
 	}
 }
 

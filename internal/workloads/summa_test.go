@@ -81,15 +81,15 @@ func TestSummaClosedLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := pevpm.EvaluateN(s.Model(), pevpm.Options{
-			Procs: pl.NumProcs(), DB: db, Seed: uint64(400 + pl.NodeCount), NodeOf: pl.NodeOf,
-		}, 5)
+		pred, err := pevpm.Predict(s.Model(), db, pevpm.PredictSpec{
+			Procs: pl.NumProcs(), NodeOf: pl.NodeOf, Runs: 5, Seed: uint64(400 + pl.NodeCount),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := measured.Makespan.Seconds()
-		rel := math.Abs(sum.Mean-got) / got
-		t.Logf("summa %v: measured %.4fs predicted %.4fs (%.1f%% error)", pl, got, sum.Mean, rel*100)
+		rel := math.Abs(pred.Mean-got) / got
+		t.Logf("summa %v: measured %.4fs predicted %.4fs (%.1f%% error)", pl, got, pred.Mean, rel*100)
 		if rel > 0.15 {
 			t.Errorf("summa %v: prediction error %.1f%% exceeds 15%%", pl, rel*100)
 		}

@@ -107,16 +107,14 @@ func TestJacobiClosedLoop(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", pl, err)
 		}
-		sum, err := pevpm.EvaluateN(prog, pevpm.Options{
-			Procs: pl.NumProcs(), DB: db, Seed: 42,
-		}, 5)
+		pred, err := pevpm.Predict(prog, db, pevpm.PredictSpec{Procs: pl.NumProcs(), Runs: 5, Seed: 42})
 		if err != nil {
 			t.Fatalf("%v: %v", pl, err)
 		}
 		got := measured.Makespan.Seconds()
-		rel := math.Abs(sum.Mean-got) / got
+		rel := math.Abs(pred.Mean-got) / got
 		t.Logf("%v: measured %.4fs predicted %.4fs (%.2f%% error)",
-			pl, got, sum.Mean, rel*100)
+			pl, got, pred.Mean, rel*100)
 		if rel > 0.08 {
 			t.Errorf("%v: prediction error %.1f%% exceeds 8%%", pl, rel*100)
 		}
@@ -151,13 +149,13 @@ func TestFFTExecutesAndModelAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := pevpm.EvaluateN(f.Model(8), pevpm.Options{Procs: 8, DB: db, Seed: 9}, 5)
+	pred, err := pevpm.Predict(f.Model(8), db, pevpm.PredictSpec{Procs: 8, Runs: 5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := res.Makespan.Seconds()
-	rel := math.Abs(sum.Mean-got) / got
-	t.Logf("fft 8x1: measured %.4fs predicted %.4fs (%.1f%% error)", got, sum.Mean, rel*100)
+	rel := math.Abs(pred.Mean-got) / got
+	t.Logf("fft 8x1: measured %.4fs predicted %.4fs (%.1f%% error)", got, pred.Mean, rel*100)
 	if rel > 0.30 {
 		t.Errorf("FFT prediction error %.1f%% exceeds 30%%", rel*100)
 	}
@@ -215,13 +213,13 @@ func TestTaskFarmClosedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := pevpm.EvaluateN(tf.Model(7), pevpm.Options{Procs: 7, DB: db, Seed: 13}, 5)
+	pred, err := pevpm.Predict(tf.Model(7), db, pevpm.PredictSpec{Procs: 7, Runs: 5, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := measured.Makespan.Seconds()
-	rel := math.Abs(sum.Mean-got) / got
-	t.Logf("taskfarm 7x1: measured %.4fs predicted %.4fs (%.1f%% error)", got, sum.Mean, rel*100)
+	rel := math.Abs(pred.Mean-got) / got
+	t.Logf("taskfarm 7x1: measured %.4fs predicted %.4fs (%.1f%% error)", got, pred.Mean, rel*100)
 	if rel > 0.15 {
 		t.Errorf("task farm prediction error %.1f%% exceeds 15%%", rel*100)
 	}
