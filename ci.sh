@@ -30,9 +30,12 @@
 #      themselves, of FuzzPatternSpec, which holds mpibench's pattern
 #      front end to repeatable errors, never panics, a matrix that
 #      passes Matrix.Check, and refusing an oversized pattern before
-#      building its matrix, and of FuzzLedger, which holds benchjson's
+#      building its matrix, of FuzzLedger, which holds benchjson's
 #      ledger reader to repeatable errors, never panics, and accepting
-#      only ledgers that pass -check against themselves
+#      only ledgers that pass -check against themselves, and of
+#      FuzzSchedule, which holds fault-schedule validation to
+#      repeatable errors and an accepted schedule's queries to their
+#      ranges (no NaN, no factor outside its bounds)
 #   3. the detlint sweep: the repository's own determinism/zero-alloc
 #      analyzers (internal/detlint, docs/DETLINT.md) over every
 #      package, warnings promoted to errors; stdlib-only, never skipped
@@ -86,6 +89,7 @@ go test -run '^$' -fuzz '^FuzzEvaluate$' -fuzztime 10s ./internal/pevpm
 go test -run '^$' -fuzz '^FuzzResolve$' -fuzztime 10s ./internal/service
 go test -run '^$' -fuzz '^FuzzPatternSpec$' -fuzztime 10s ./internal/mpibench
 go test -run '^$' -fuzz '^FuzzLedger$' -fuzztime 10s ./cmd/benchjson
+go test -run '^$' -fuzz '^FuzzSchedule$' -fuzztime 10s ./internal/faults
 make detlint
 make lint
 make determinism

@@ -121,8 +121,11 @@ func Scenario(name string, seed uint64, env ScenarioEnv) (*faults.Schedule, erro
 	if env.Segments < 0 {
 		return nil, fmt.Errorf("cluster: scenario %q needs segments >= 0, got %d", name, env.Segments)
 	}
-	if env.Span <= 0 {
-		return nil, fmt.Errorf("cluster: scenario %q needs span > 0, got %v", name, env.Span)
+	// Windows are sim.Times: a NaN or infinite span, or one whose
+	// nanoseconds reach sim.Forever, would put every window where no run
+	// reaches it, and the perturbed run would be silently healthy.
+	if !(env.Span > 0) || env.Span*float64(sim.Second) >= float64(sim.Forever) {
+		return nil, fmt.Errorf("cluster: scenario %q needs a span in (0, %v) s, got %v", name, sim.Forever.Seconds(), env.Span)
 	}
 	rng := sim.NewCellRNG(seed, "faults/"+name)
 	s := &faults.Schedule{Name: name, Rules: build(rng, env)}

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/sim"
 )
 
 func TestScenarioPresetsValidAndDeterministic(t *testing.T) {
@@ -116,5 +118,30 @@ func TestScenarioSegmentRetargeting(t *testing.T) {
 	// inter-switch segments) has nothing to degrade.
 	if _, err := Scenario("congested-backplane", 1, ScenarioEnv{Nodes: 8, Segments: 0, Span: 1.0}); err == nil {
 		t.Fatal("want error for a backplane scenario on a machine with no segments")
+	}
+}
+
+// TestScenarioRefusesUnusableSpan: a NaN or infinite span, or one whose
+// nanoseconds reach sim.Forever, converted every window to the same
+// far-negative time, which no run reaches, so the "perturbed" run was
+// silently healthy. Every preset refuses such a span, and the largest
+// span it accepts still puts its windows inside the run.
+func TestScenarioRefusesUnusableSpan(t *testing.T) {
+	largest := math.Nextafter(sim.Forever.Seconds(), 0)
+	for _, name := range ScenarioNames() {
+		for _, span := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), sim.Forever.Seconds(), 1e10} {
+			if s, err := Scenario(name, 1, ScenarioEnv{Nodes: 8, Segments: 2, Span: span}); err == nil {
+				t.Errorf("%s: span %v accepted: %v", name, span, s.Rules)
+			}
+		}
+		s, err := Scenario(name, 1, ScenarioEnv{Nodes: 8, Segments: 2, Span: largest})
+		if err != nil {
+			t.Fatalf("%s: span %v: %v", name, largest, err)
+		}
+		for _, r := range s.Rules {
+			if r.Start < 0 || r.End <= r.Start || r.End > sim.TimeFromSeconds(largest) {
+				t.Errorf("%s: span %v: window [%v, %v) outside the run", name, largest, r.Start, r.End)
+			}
+		}
 	}
 }

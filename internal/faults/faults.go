@@ -17,6 +17,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/sim"
@@ -104,6 +105,11 @@ func (r Rule) Validate() error {
 	}
 	if r.Target < AllTargets {
 		return fmt.Errorf("faults: %s target %d invalid", r.Kind, r.Target)
+	}
+	// Every range check below is false for NaN, and a factor of NaN or
+	// ±Inf would reach the network's arithmetic through the queries.
+	if math.IsNaN(r.Severity) || math.IsInf(r.Severity, 0) {
+		return fmt.Errorf("faults: %s severity %v is not finite", r.Kind, r.Severity)
 	}
 	switch r.Kind {
 	case LinkDegrade, BackplaneDegrade:

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -34,6 +35,24 @@ func TestRuleValidate(t *testing.T) {
 		}
 		if !c.ok && err == nil {
 			t.Errorf("%s: want error, got nil", c.name)
+		}
+	}
+}
+
+// TestRuleValidateRefusesNonFiniteSeverity: every range check is false
+// for NaN, so a NaN severity of any kind, an infinite node-slow one and
+// any non-finite outage severity used to pass and make the queries
+// answer NaN or +Inf.
+func TestRuleValidateRefusesNonFiniteSeverity(t *testing.T) {
+	for _, k := range []Kind{LinkDegrade, DropBoost, NodeSlow, NICOutage, BackplaneDegrade} {
+		for _, sev := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			r := Rule{Kind: k, Start: 0, End: sim.TimeFromSeconds(1), Target: 0, Severity: sev}
+			err := (&Schedule{Rules: []Rule{r}}).ValidateFor(4, 4)
+			if err == nil {
+				t.Errorf("%v severity %v accepted", k, sev)
+			} else if !strings.Contains(err.Error(), "not finite") {
+				t.Errorf("%v severity %v: %v, want a non-finite severity error", k, sev, err)
+			}
 		}
 	}
 }

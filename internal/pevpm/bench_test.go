@@ -1,6 +1,7 @@
 package pevpm_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -58,5 +59,49 @@ func BenchmarkEvaluate(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkEvaluateWorldSize prices an evaluation as the world grows:
+// the task farm (256 tasks), whose rounds move a message or two among
+// all its processes, and a 20-iteration Jacobi, whose sweeps step
+// nearly every process, at 64, 256 and 1024 processes against the
+// golden database, every message inter-node, after one evaluation that
+// builds the plan. It reports the sweep/match rounds per evaluation as
+// sweeps/op.
+func BenchmarkEvaluateWorldSize(b *testing.B) {
+	db, err := pevpm.NewEmpiricalDB(goldenSet(), mpibench.OpSend, cluster.Perseus())
+	if err != nil {
+		b.Fatal(err)
+	}
+	jacobi, err := workloads.Jacobi{XSize: 256, Iterations: 20, SweepSeconds: cluster.JacobiSweepSeconds}.Model()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, procs := range []int{64, 256, 1024} {
+		for _, c := range []struct {
+			name string
+			prog *pevpm.Program
+		}{
+			{"taskfarm", workloads.DefaultTaskFarm().Model(procs)},
+			{"jacobi", jacobi},
+		} {
+			opts := pevpm.Options{Procs: procs, DB: db, Seed: 1}
+			b.Run(fmt.Sprintf("%s_%d", c.name, procs), func(b *testing.B) {
+				// The first evaluation builds the plan and its machine.
+				rep, err := pevpm.Evaluate(c.prog, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if rep, err = pevpm.Evaluate(c.prog, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(rep.Sweeps), "sweeps/op")
+			})
+		}
 	}
 }

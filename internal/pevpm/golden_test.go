@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -39,6 +40,11 @@ type goldenResult struct {
 	Metrics      *metrics.Snapshot `json:"metrics,omitempty"`
 	TraceEvents  int               `json:"trace_events,omitempty"`
 	TraceFNV     string            `json:"trace_fnv,omitempty"`
+	// A case wider than one 64-process word records its per-process
+	// times and breakdowns, and its hot spots, as FNV digests of the
+	// lines the other cases list.
+	ProcFNV     string `json:"proc_fnv,omitempty"`
+	HotSpotsFNV string `json:"hot_spots_fnv,omitempty"`
 }
 
 func exact(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -172,7 +178,7 @@ func goldenCases(t *testing.T) []goldenCase {
 		},
 	})
 
-	return []goldenCase{
+	cases := []goldenCase{
 		{name: "jacobi_8x1", prog: jacobi, opts: pevpm.Options{Procs: 8, DB: db, Seed: 1, NodeOf: pl8x1.NodeOf}},
 		{name: "jacobi_4x2", prog: jacobi, opts: pevpm.Options{Procs: 8, DB: db, Seed: 2, NodeOf: pl4x2.NodeOf}},
 		{name: "jacobi_4x2_collapse_mean", prog: jacobi, opts: pevpm.Options{Procs: 8, DB: pevpm.Collapse(db, pevpm.ModeMean), Seed: 3, NodeOf: pl4x2.NodeOf}},
@@ -187,6 +193,41 @@ func goldenCases(t *testing.T) []goldenCase {
 		{name: "error_expr_after_park", prog: exprAfterPark, opts: pevpm.Options{Procs: 2, DB: db, Seed: 12}},
 		{name: "error_collective_mismatch", prog: collMismatch, opts: pevpm.Options{Procs: 3, DB: coll, Seed: 13}},
 	}
+
+	// Worlds past one 64-process word: 65 fills one bit of the second
+	// word and 129 one bit of the third. Only the last process waits for
+	// a message nobody sends, or in another collective than the rest.
+	lastWaits := program(
+		&pevpm.Loop{Count: pevpm.Num(3), Body: pevpm.Block{
+			msg(pevpm.MsgIsend, 1024, e("procnum"), e("(procnum+1)%numprocs")),
+			msg(pevpm.MsgRecv, 1024, e("(procnum+numprocs-1)%numprocs"), e("procnum")),
+		}},
+		&pevpm.Runon{
+			Conds:  []pevpm.Expr{e("procnum == numprocs-1")},
+			Bodies: []pevpm.Block{{msg(pevpm.MsgRecv, 4, e("0"), e("procnum"))}},
+		},
+	)
+	lastMismatch := program(&pevpm.Runon{
+		Conds: []pevpm.Expr{e("procnum != numprocs-1"), e("procnum == numprocs-1")},
+		Bodies: []pevpm.Block{
+			{&pevpm.Coll{Op: "MPI_Bcast", Size: pevpm.Num(1024)}},
+			{&pevpm.Coll{Op: "MPI_Bcast", Size: pevpm.Num(8192)}},
+		},
+	})
+	for i, procs := range []int{65, 129} {
+		pl := placement((procs+1)/2, 2)
+		seed := uint64(100 * (i + 1))
+		n := fmt.Sprint(procs)
+		cases = append(cases,
+			goldenCase{name: "jacobi_x2_" + n, prog: jacobi, opts: pevpm.Options{Procs: procs, DB: db, Seed: seed + 1, NodeOf: pl.NodeOf}},
+			goldenCase{name: "fft_rendezvous_" + n, prog: fft.Model(procs), opts: pevpm.Options{Procs: procs, DB: db, Seed: seed + 2}},
+			goldenCase{name: "taskfarm_" + n, prog: workloads.DefaultTaskFarm().Model(procs), opts: pevpm.Options{Procs: procs, DB: db, Seed: seed + 3, NodeOf: pl.NodeOf}, trace: true},
+			goldenCase{name: "collective_" + n, prog: collective, opts: pevpm.Options{Procs: procs, DB: coll, Seed: seed + 4}},
+			goldenCase{name: "error_deadlock_last_" + n, prog: lastWaits, opts: pevpm.Options{Procs: procs, DB: db, Seed: seed + 5}},
+			goldenCase{name: "error_collective_mismatch_last_" + n, prog: lastMismatch, opts: pevpm.Options{Procs: procs, DB: coll, Seed: seed + 6}},
+		)
+	}
+	return cases
 }
 
 func runGoldenCase(c goldenCase) goldenResult {
@@ -213,16 +254,37 @@ func runGoldenCase(c goldenCase) goldenResult {
 	for _, h := range rep.HotSpots() {
 		g.HotSpots = append(g.HotSpots, [2]string{h.Directive, exact(h.Wait)})
 	}
+	if c.opts.Procs > 64 {
+		g.ProcFNV = linesFNV(func(h io.Writer) {
+			for i, t := range g.ProcTimes {
+				b := g.Breakdowns[i]
+				fmt.Fprintf(h, "%s %s %s %s\n", t, b[0], b[1], b[2])
+			}
+		})
+		g.HotSpotsFNV = linesFNV(func(h io.Writer) {
+			for _, hs := range g.HotSpots {
+				fmt.Fprintf(h, "%q %s\n", hs[0], hs[1])
+			}
+		})
+		g.ProcTimes, g.Breakdowns, g.HotSpots = nil, nil, nil
+	}
 	if opts.Trace != nil {
 		events := opts.Trace.Events()
-		h := fnv.New64a()
-		for _, ev := range events {
-			fmt.Fprintf(h, "%d %d %d %d %d %d %q\n", ev.Time, ev.Rank, ev.Kind, ev.Peer, ev.Tag, ev.Size, ev.Note)
-		}
 		g.TraceEvents = len(events)
-		g.TraceFNV = fmt.Sprintf("%016x", h.Sum64())
+		g.TraceFNV = linesFNV(func(h io.Writer) {
+			for _, ev := range events {
+				fmt.Fprintf(h, "%d %d %d %d %d %d %q\n", ev.Time, ev.Rank, ev.Kind, ev.Peer, ev.Tag, ev.Size, ev.Note)
+			}
+		})
 	}
 	return g
+}
+
+// linesFNV is the FNV-1a digest of what write writes, as hex.
+func linesFNV(write func(io.Writer)) string {
+	h := fnv.New64a()
+	write(h)
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // TestEvaluateGolden pins Evaluate's outputs bit for bit: makespans,

@@ -282,7 +282,8 @@ func (pl *Plan) take() *machine {
 }
 
 // newMachine builds a machine for the plan: its processes, their loop
-// stacks and the hot-spot waits.
+// stacks, the hot-spot waits and the process sets, every process
+// runnable.
 func (pl *Plan) newMachine() *machine {
 	m := &machine{plan: pl, procs: make([]mproc, pl.procs), hot: make([]float64, len(pl.slots))}
 	loops := make([]loop, pl.procs*pl.depth)
@@ -291,7 +292,28 @@ func (pl *Plan) newMachine() *machine {
 		p.id, p.ops, p.fail = i, pl.ops[i], pl.fails[i]
 		p.loops = loops[i*pl.depth : i*pl.depth : (i+1)*pl.depth]
 	}
+	w := (pl.procs + 63) / 64
+	sets := make(procSet, 3*w)
+	m.runnable, m.recvReady, m.inColl = sets[:w:w], sets[w:2*w:2*w], sets[2*w:]
+	m.runnable.fill(pl.procs)
 	return m
+}
+
+// procSet is a set of process ids, one bit each: id i is bit i%64 of
+// word i/64, so reading the words in order and each word's bits from
+// the lowest visits the members in id order.
+type procSet []uint64
+
+func (s procSet) add(id int) { s[id>>6] |= 1 << (id & 63) }
+
+// fill makes s hold ids 0 to n-1, n being the machine's process count.
+func (s procSet) fill(n int) {
+	for w := range s {
+		s[w] = ^uint64(0)
+	}
+	if r := n & 63; r != 0 {
+		s[len(s)-1] = 1<<r - 1
+	}
 }
 
 // flight is one message on the contention scoreboard.
@@ -407,8 +429,16 @@ type machine struct {
 	flightFree []*flight
 	seq        uint64
 	sweeps     int
-	// inColl counts the processes parked in a collective.
-	inColl int
+
+	// Where the processes stand, kept as each one changes state so that
+	// no phase scans them all: runnable holds the processes the next
+	// sweep steps, recvReady the parked receivers the next match phase
+	// tries (those that parked since the last one and those whose inbox
+	// gained a flight from the process they wait for), and inColl the
+	// processes parked in a collective. done counts the finished
+	// processes.
+	runnable, recvReady, inColl procSet
+	done                        int
 
 	// hot holds the wait of each of the plan's hot-spot slots.
 	hot []float64
@@ -435,7 +465,13 @@ func (m *machine) reset() {
 	}
 	clear(m.pending)
 	clear(m.hot)
-	*m = machine{plan: m.plan, procs: m.procs, pending: m.pending[:0], flightFree: m.flightFree, hot: m.hot}
+	clear(m.recvReady)
+	clear(m.inColl)
+	m.runnable.fill(len(m.procs))
+	*m = machine{
+		plan: m.plan, procs: m.procs, pending: m.pending[:0], flightFree: m.flightFree, hot: m.hot,
+		runnable: m.runnable, recvReady: m.recvReady, inColl: m.inColl,
+	}
 }
 
 // newFlight takes a flight record from the machine's pool, or makes one.
@@ -455,42 +491,33 @@ func (m *machine) freeFlight(f *flight) {
 	m.flightFree = append(m.flightFree, f)
 }
 
+// run alternates sweeps and match phases until every process is done.
+// A sweep steps the runnable processes in id order; stepping one makes
+// no other runnable, so none is left when it ends, and a match phase
+// that releases nobody leaves the model deadlocked.
 func (m *machine) run() (*Report, error) {
 	for {
 		m.sweeps++
-		progress := false
-		for i := range m.procs {
-			if p := &m.procs[i]; p.state == stateRunnable {
-				progress = true
-				if err := m.step(p); err != nil {
+		for w, word := range m.runnable {
+			m.runnable[w] = 0
+			for ; word != 0; word &= word - 1 {
+				if err := m.step(&m.procs[w<<6|bits.TrailingZeros64(word)]); err != nil {
 					return nil, err
 				}
 			}
 		}
-		allDone := true
-		for i := range m.procs {
-			if m.procs[i].state != stateDone {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			break
+		if m.done == len(m.procs) {
+			return m.report(), nil
 		}
 		matched := m.match()
 		collMatched, err := m.matchCollective()
 		if err != nil {
 			return nil, err
 		}
-		matched = matched || collMatched
-		if !matched && !progress {
-			return nil, m.deadlockError()
-		}
-		if !matched && !m.anyRunnable() {
+		if !matched && !collMatched {
 			return nil, m.deadlockError()
 		}
 	}
-	return m.report(), nil
 }
 
 // The rules of the checks resolution makes on a directive's values,
@@ -937,15 +964,6 @@ func (m *machine) rec(proc int, at float64, kind trace.Kind, peer, tag, size int
 	})
 }
 
-func (m *machine) anyRunnable() bool {
-	for i := range m.procs {
-		if m.procs[i].state == stateRunnable {
-			return true
-		}
-	}
-	return false
-}
-
 // parkedOn is the op a parked process is waiting in.
 func (p *mproc) parkedOn() *op { return &p.ops[p.pc-1] }
 
@@ -976,6 +994,7 @@ func (m *machine) step(p *mproc) error {
 		}
 		if p.pc == len(p.ops) {
 			p.state = stateDone
+			m.done++
 			return nil
 		}
 		o := &p.ops[p.pc]
@@ -997,6 +1016,7 @@ func (m *machine) step(p *mproc) error {
 			m.rec(p.id, p.now, trace.RecvPost, int(o.peer), 0, o.n)
 			p.waitPosted = p.now
 			p.state = stateParkedRecv
+			m.recvReady.add(p.id)
 
 		case opColl:
 			// The match phase releases all processes together once
@@ -1005,7 +1025,7 @@ func (m *machine) step(p *mproc) error {
 			p.collSeq++
 			p.waitPosted = p.now
 			p.state = stateParkedColl
-			m.inColl++
+			m.inColl.add(p.id)
 
 		case opFail:
 			return p.fail
@@ -1056,27 +1076,24 @@ func (m *machine) send(p *mproc, o *op) {
 //
 //detlint:hotpath
 func (m *machine) matchCollective() (bool, error) {
-	if m.inColl == 0 {
-		return false, nil
-	}
 	var coll *op
-	seq := -1
+	seq, parked := -1, 0
 	var entryMax float64
-	for i := range m.procs {
-		p := &m.procs[i]
-		if p.state != stateParkedColl {
-			continue
-		}
-		if o := p.parkedOn(); coll == nil {
-			coll, seq = o, p.collSeq
-		} else if o.slot != coll.slot || p.collSeq != seq {
-			return false, m.collMismatch(coll, o)
-		}
-		if p.now > entryMax {
-			entryMax = p.now
+	for w, word := range m.inColl {
+		for ; word != 0; word &= word - 1 {
+			p := &m.procs[w<<6|bits.TrailingZeros64(word)]
+			parked++
+			if o := p.parkedOn(); coll == nil {
+				coll, seq = o, p.collSeq
+			} else if o.slot != coll.slot || p.collSeq != seq {
+				return false, m.collMismatch(coll, o)
+			}
+			if p.now > entryMax {
+				entryMax = p.now
+			}
 		}
 	}
-	if m.inColl < len(m.procs) {
+	if parked < len(m.procs) {
 		// Someone is not coming: either still making progress elsewhere
 		// (fine — wait) or finished/stuck (mismatch). Only fail when no
 		// other progress is possible; run() handles that via the normal
@@ -1099,7 +1116,9 @@ func (m *machine) matchCollective() (bool, error) {
 		p.now = completion
 		p.state = stateRunnable
 	}
-	m.inColl = 0
+	// Every process was parked in the collective: all run again.
+	copy(m.runnable, m.inColl)
+	clear(m.inColl)
 	return true, nil
 }
 
@@ -1122,13 +1141,18 @@ func (m *machine) nodeOf(proc int) int {
 
 // match is the PEVPM match phase. It draws arrival times for the flights
 // sent since the previous match under the current contention levels,
-// wakes rendezvous senders, and matches parked receives. Every older
-// flight is already determined, so drawing the new ones in (depart, seq)
-// order keeps the draw order of a sort over every flight in the air.
+// wakes rendezvous senders, and matches parked receives, reporting
+// whether it made any process runnable. Every older flight is already
+// determined, so drawing the new ones in (depart, seq) order keeps the
+// draw order of a sort over every flight in the air. Only the receivers
+// in recvReady are tried, in id order: one that found no flight from
+// its source when last tried cannot match before one arrives, so these
+// are the receives a scan of every process would complete, in the same
+// order.
 //
 //detlint:hotpath
 func (m *machine) match() bool {
-	progress := false
+	matched := false
 	orderPending(m.pending)
 	// Contention is counted separately for the network and for the
 	// intra-node loopback path: a message between two CPUs of one node
@@ -1150,56 +1174,70 @@ func (m *machine) match() bool {
 				s.now = f.arrival
 			}
 			s.state = stateRunnable
+			m.runnable.add(s.id)
 			f.sender = nil
-			progress = true
+			matched = true
 		}
 		to := &m.procs[f.to]
 		to.inbox = append(to.inbox, f)
+		if to.state == stateParkedRecv && int(to.parkedOn().peer) == f.from {
+			m.recvReady.add(f.to)
+		}
 	}
 	m.pending = m.pending[:0]
 
 	// Match parked receives against their inboxes, oldest flight first
 	// per sender — MPI's non-overtaking rule.
-	for i := range m.procs {
-		p := &m.procs[i]
-		if p.state != stateParkedRecv {
-			continue
-		}
-		recv := p.parkedOn()
-		best := -1
-		for i, f := range p.inbox {
-			if f.from == int(recv.peer) && (best < 0 || f.seq < p.inbox[best].seq) {
-				best = i
+	for w, word := range m.recvReady {
+		m.recvReady[w] = 0
+		for ; word != 0; word &= word - 1 {
+			if m.matchRecv(&m.procs[w<<6|bits.TrailingZeros64(word)]) {
+				matched = true
 			}
 		}
-		if best < 0 {
-			continue
-		}
-		f := p.inbox[best]
-		last := len(p.inbox) - 1
-		p.inbox[best] = p.inbox[last]
-		p.inbox = p.inbox[:last]
-		// If the message arrived before the receive was posted it was
-		// buffered: the receiver only pays the pickup cost. Otherwise
-		// the receive completes at the measured arrival time.
-		completion := f.arrival
-		if late := p.waitPosted + m.opts.DB.RecvBusy(f.size); late > completion {
-			completion = late
-		}
-		wait := completion - p.waitPosted
-		p.bd.RecvWait += wait
-		m.hot[recv.slot] += wait
-		p.now = completion
-		p.state = stateRunnable
-		if f.intra {
-			m.intraFlights--
-		} else {
-			m.interFlights--
-		}
-		m.freeFlight(f)
-		progress = true
 	}
-	return progress
+	return matched
+}
+
+// matchRecv completes p's parked receive with the oldest flight from
+// its source in p's inbox, if there is one, and makes p runnable.
+//
+//detlint:hotpath
+func (m *machine) matchRecv(p *mproc) bool {
+	recv := p.parkedOn()
+	best := -1
+	for i, f := range p.inbox {
+		if f.from == int(recv.peer) && (best < 0 || f.seq < p.inbox[best].seq) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return false
+	}
+	f := p.inbox[best]
+	last := len(p.inbox) - 1
+	p.inbox[best] = p.inbox[last]
+	p.inbox = p.inbox[:last]
+	// If the message arrived before the receive was posted it was
+	// buffered: the receiver only pays the pickup cost. Otherwise the
+	// receive completes at the measured arrival time.
+	completion := f.arrival
+	if late := p.waitPosted + m.opts.DB.RecvBusy(f.size); late > completion {
+		completion = late
+	}
+	wait := completion - p.waitPosted
+	p.bd.RecvWait += wait
+	m.hot[recv.slot] += wait
+	p.now = completion
+	p.state = stateRunnable
+	m.runnable.add(p.id)
+	if f.intra {
+		m.intraFlights--
+	} else {
+		m.interFlights--
+	}
+	m.freeFlight(f)
+	return true
 }
 
 // byDepartSeq orders flights by departure time, then by send sequence.
