@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint detlint staticcheck coverage ci clean bench bench-check bench-baseline determinism faults-smoke determinism-faults profile service-gate serve-smoke
+.PHONY: all build vet test race lint detlint staticcheck coverage ci clean bench bench-check bench-baseline determinism faults-smoke determinism-faults profile service-gate serve-smoke examples
 
 all: build
 
@@ -119,6 +119,15 @@ determinism:
 # `./scripts/service_gate.sh -update-golden` — and say so in the PR.
 service-gate:
 	./scripts/service_gate.sh
+
+# examples runs each examples/ program at GOMAXPROCS=1 and at the
+# default and compares its stdout byte for byte with its committed
+# examples/<name>/stdout.golden, pinning the examples' predictions
+# against their simulated runs. Regenerate the goldens after a
+# deliberate change with `./scripts/examples_gate.sh -update-golden` —
+# and say so in the PR.
+examples:
+	./scripts/examples_gate.sh
 
 # serve-smoke is the load half of the service gate: N concurrent mixed
 # requests (SERVICE_SMOKE_N, default 32) against a fresh server, with

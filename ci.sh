@@ -56,7 +56,8 @@
 #      pattern smoke runs below keep the hierarchical-topology and
 #      group-to-group CLI paths exercised (docs/PATTERNS.md), and the
 #      examples smoke runs each of the five examples/ programs, which
-#      nothing else runs, to completion
+#      nothing else runs, at GOMAXPROCS=1 and at the default, and
+#      compares its output with its committed golden file
 #   7. the pprof smoke: `make profile` must produce non-empty CPU and
 #      allocation profiles of the serial figure sweep, of a sharded
 #      2048-node run and of PEVPM evaluations (tooling stays usable;
@@ -101,12 +102,9 @@ go run ./cmd/run -app largerun -topo dragonfly:8x4x8+2rail -shards 0 -rounds 1 -
 # pattern smoke: the group-to-group engine end to end on both topology families
 go run ./cmd/mpibench -pattern dense -topo dragonfly:4x2x4 -pgk 8x4x2 -direction omni -window 2 -sizes 4096 -reps 6 -warmup 2 -summary=false
 go run ./cmd/run -app patternrun -topo fattree:512x16x4 -pattern rail -pgk 16x4x2 -rounds 1 -window 2 -msg-size 4096 -shards 0 > /dev/null
-# examples smoke: every examples/ program runs to completion
-go run ./examples/quickstart > /dev/null
-go run ./examples/jacobi > /dev/null
-go run ./examples/fft > /dev/null
-go run ./examples/summa > /dev/null
-go run ./examples/taskfarm > /dev/null
+# examples smoke: every examples/ program runs to completion and prints
+# its committed golden output, at GOMAXPROCS=1 and at the default
+make examples
 make profile
 test -s profiles/cpu.pprof
 test -s profiles/allocs.pprof

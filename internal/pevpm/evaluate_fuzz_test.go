@@ -188,14 +188,27 @@ var fuzzSeeds = []struct {
 	{"loop count warning on some processes, failing on others", "Loop count -0.5 is negative", []byte{2, 0, 1,
 		fzLoop, 7, 1, // Loop 1.5-procnum {
 		fzSerial, 0}}, // Serial 1e-4 }
+	{"unreceived sends", "", []byte{3, 2, 2,
+		fzMsg, 0, 1, 0, 2, // Send 65536 procnum -> (procnum+numprocs-1)%numprocs, which no receive takes
+		fzLoop, 2, 2, // Loop 2 {
+		fzMsg, 1, 0, 0, 1, // Isend 1024 procnum -> (procnum+1)%numprocs
+		fzMsg, 2, 0, 2, 0}}, // Recv 1024 (procnum+numprocs-1)%numprocs -> procnum }
+	{"same-source burst", "", []byte{2, 0, 2,
+		fzLoop, 3, 1, // Loop 3 {
+		fzMsg, 1, 0, 0, 3, // Isend 1024 procnum -> 0 }
+		fzRunon, 0, 0, 1, // Runon procnum == 0 {
+		fzLoop, 3, 1, // Loop 3 {
+		fzMsg, 2, 0, 4, 3}}, // Recv 1024 1 -> 0 } }
 }
 
 // TestFuzzEvaluateSeeds checks that FuzzEvaluate's seeds decode into the
 // programs their comments describe, so the corpus covers a clean run, a
 // reused directive, a rendezvous, a deadlock, a lazy failure,
 // collectives, a negative Loop count that truncates to zero passes, a
-// Collective root that fails to evaluate and a Loop count that warns on
-// some processes and fails on the others.
+// Collective root that fails to evaluate, a Loop count that warns on
+// some processes and fails on the others, sends that no receive takes
+// (a rendezvous one among them) and a burst of sends from one source
+// that its receiver takes in turn while another source's go untaken.
 func TestFuzzEvaluateSeeds(t *testing.T) {
 	db, coll := goldenDBs(t)
 	for _, s := range fuzzSeeds {

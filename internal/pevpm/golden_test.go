@@ -178,7 +178,65 @@ func goldenCases(t *testing.T) []goldenCase {
 		},
 	})
 
+	// Many-to-one bursts: each worker Isends two messages to process 0
+	// in one sweep, waits for process 0's answer, then Isends three more,
+	// twice over, so a source has up to five messages waiting; process 0
+	// takes them in an order that interleaves the sources.
+	from := func(w string, size float64) pevpm.Node { return msg(pevpm.MsgRecv, size, e(w), e("0")) }
+	bursts := program(&pevpm.Loop{Count: pevpm.Num(2), Body: pevpm.Block{&pevpm.Runon{
+		Conds: []pevpm.Expr{e("procnum == 0"), e("procnum != 0")},
+		Bodies: []pevpm.Block{
+			{
+				from("3", 1024), from("1", 1024), from("3", 8192), from("2", 1024), from("1", 8192), from("2", 8192),
+				msg(pevpm.MsgIsend, 64, e("0"), e("1")), msg(pevpm.MsgIsend, 64, e("0"), e("2")), msg(pevpm.MsgIsend, 64, e("0"), e("3")),
+				from("2", 1024), from("1", 1024), from("2", 8192), from("3", 1024), from("3", 8192), from("1", 8192),
+				from("1", 1024), from("3", 1024), from("2", 1024),
+			},
+			{
+				msg(pevpm.MsgIsend, 1024, e("procnum"), e("0")),
+				&pevpm.Serial{Time: e("1e-5*procnum")},
+				msg(pevpm.MsgIsend, 8192, e("procnum"), e("0")),
+				msg(pevpm.MsgRecv, 64, e("0"), e("procnum")),
+				msg(pevpm.MsgIsend, 1024, e("procnum"), e("0")),
+				msg(pevpm.MsgIsend, 8192, e("procnum"), e("0")),
+				msg(pevpm.MsgIsend, 1024, e("procnum"), e("0")),
+			},
+		},
+	}}})
+	// Sends no receive takes stay in the air: every process Isends to,
+	// and rendezvous-Sends to, a process that never receives from it,
+	// and process 0 sends process 1 one message more than the ring's
+	// receives take, before a ring exchange whose draws see them all.
+	unreceived := program(
+		msg(pevpm.MsgIsend, 8192, e("procnum"), e("(procnum+2)%numprocs")),
+		msg(pevpm.MsgSend, 65536, e("procnum"), e("(procnum+2)%numprocs")),
+		&pevpm.Runon{Conds: []pevpm.Expr{e("procnum == 0")}, Bodies: []pevpm.Block{{msg(pevpm.MsgIsend, 1024, e("0"), e("1"))}}},
+		&pevpm.Loop{Count: pevpm.Num(3), Body: pevpm.Block{
+			msg(pevpm.MsgIsend, 1024, e("procnum"), e("(procnum+1)%numprocs")),
+			msg(pevpm.MsgRecv, 1024, e("(procnum+numprocs-1)%numprocs"), e("procnum")),
+		}},
+	)
+	// Falling departs: a negative send cost makes process 0's second
+	// Isend depart before its first, so one match phase draws the later
+	// send first; process 1 must still receive the first one first.
+	falling := program(&pevpm.Runon{
+		Conds: []pevpm.Expr{e("procnum == 0"), e("procnum == 1")},
+		Bodies: []pevpm.Block{
+			{msg(pevpm.MsgIsend, 1000, e("0"), e("1")), msg(pevpm.MsgIsend, 2000, e("0"), e("1"))},
+			{msg(pevpm.MsgRecv, 1000, e("0"), e("1")), &pevpm.Serial{Time: pevpm.Num(1e-3)}, msg(pevpm.MsgRecv, 2000, e("0"), e("1"))},
+		},
+	})
+	fallingDB := &pevpm.AnalyticDB{
+		OneWayFor: func(size, _ int) stats.Dist { return stats.Constant(1e-6 + float64(size)*1e-8) },
+		SendCost:  func(int) float64 { return -1e-6 },
+		RecvCost:  func(int) float64 { return 0 },
+		Eager:     db.EagerLimit(),
+	}
+
 	cases := []goldenCase{
+		{name: "bursts_many_to_one_4x2", prog: bursts, opts: pevpm.Options{Procs: 4, DB: db, Seed: 14, NodeOf: pl4x2.NodeOf}, trace: true},
+		{name: "unreceived_sends_4x2", prog: unreceived, opts: pevpm.Options{Procs: 4, DB: db, Seed: 15, NodeOf: pl4x2.NodeOf}},
+		{name: "falling_departs_analytic", prog: falling, opts: pevpm.Options{Procs: 2, DB: fallingDB, Seed: 16}},
 		{name: "jacobi_8x1", prog: jacobi, opts: pevpm.Options{Procs: 8, DB: db, Seed: 1, NodeOf: pl8x1.NodeOf}},
 		{name: "jacobi_4x2", prog: jacobi, opts: pevpm.Options{Procs: 8, DB: db, Seed: 2, NodeOf: pl4x2.NodeOf}},
 		{name: "jacobi_4x2_collapse_mean", prog: jacobi, opts: pevpm.Options{Procs: 8, DB: pevpm.Collapse(db, pevpm.ModeMean), Seed: 3, NodeOf: pl4x2.NodeOf}},
