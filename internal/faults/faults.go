@@ -70,6 +70,15 @@ func (k Kind) String() string {
 // a single one.
 const AllTargets = -1
 
+// MaxSlowFactor is the most a schedule may slow one node: the largest
+// product of the NodeSlow severities active on a node at one time, and
+// so the largest SlowFactor. The scenario presets slow a node 3× in
+// windows that may overlap. internal/mpi multiplies host costs and
+// compute segments by the factor before converting them to a
+// sim.Duration, which an unbounded product (two overlapping 1e308
+// rules make +Inf) would overflow.
+const MaxSlowFactor = 1000
+
 // Rule is one time-windowed perturbation: during [Start, End) the fault
 // applies to Target (a node index, or a backplane-segment index for
 // BackplaneDegrade; AllTargets hits everything).
@@ -91,11 +100,15 @@ func (r Rule) matches(target int) bool {
 
 // String renders the rule compactly (used for trace annotations).
 func (r Rule) String() string {
-	tgt := "all"
-	if r.Target != AllTargets {
-		tgt = fmt.Sprintf("%d", r.Target)
+	return fmt.Sprintf("%s target=%s sev=%.2f [%v,%v)", r.Kind, targetName(r.Target), r.Severity, r.Start, r.End)
+}
+
+// targetName renders a rule target: a node or segment index, or "all".
+func targetName(target int) string {
+	if target == AllTargets {
+		return "all"
 	}
-	return fmt.Sprintf("%s target=%s sev=%.2f [%v,%v)", r.Kind, tgt, r.Severity, r.Start, r.End)
+	return fmt.Sprintf("%d", target)
 }
 
 // Validate reports the first inconsistency in the rule.
@@ -144,7 +157,8 @@ type Schedule struct {
 // Empty reports whether the schedule perturbs anything.
 func (s *Schedule) Empty() bool { return s == nil || len(s.Rules) == 0 }
 
-// Validate checks every rule.
+// Validate checks every rule, then that no node is slowed more than
+// MaxSlowFactor at any time.
 func (s *Schedule) Validate() error {
 	if s == nil {
 		return nil
@@ -152,6 +166,23 @@ func (s *Schedule) Validate() error {
 	for i, r := range s.Rules {
 		if err := r.Validate(); err != nil {
 			return fmt.Errorf("rule %d: %w", i, err)
+		}
+	}
+	// Every NodeSlow severity exceeds 1, so a node's SlowFactor only
+	// grows where a window opens: it peaks at some rule's start, on a
+	// node a NodeSlow rule names or on one only AllTargets rules reach.
+	for i, r := range s.Rules {
+		if r.Kind != NodeSlow {
+			continue
+		}
+		for _, q := range s.Rules {
+			if q.Kind != NodeSlow {
+				continue
+			}
+			if f := s.SlowFactor(q.Target, r.Start); f > MaxSlowFactor {
+				return fmt.Errorf("rule %d: %s severities active at its start multiply to %v on target=%s, above MaxSlowFactor %v",
+					i, NodeSlow, f, targetName(q.Target), MaxSlowFactor)
+			}
 		}
 	}
 	return nil
@@ -229,6 +260,7 @@ func (s *Schedule) DropBoost(node int, t sim.Time) float64 {
 
 // SlowFactor returns the host CPU cost multiplier for a node at time t
 // (1 when healthy, the product of active NodeSlow severities otherwise).
+// A schedule that validated keeps it at most MaxSlowFactor.
 func (s *Schedule) SlowFactor(node int, t sim.Time) float64 {
 	if s.Empty() {
 		return 1

@@ -57,6 +57,56 @@ func TestRuleValidateRefusesNonFiniteSeverity(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsSlowFactor: every NodeSlow severity above 1 passes
+// Rule.Validate, so two overlapping 1e308 rules used to validate and
+// make SlowFactor +Inf, which internal/mpi's host costs then convert to
+// a sim.Duration. A schedule now validates only while the product of
+// the NodeSlow severities active on a node at one time stays at most
+// MaxSlowFactor, and the error names the first rule whose start
+// exceeds it.
+func TestValidateBoundsSlowFactor(t *testing.T) {
+	sec := func(s float64) sim.Time { return sim.TimeFromSeconds(s) }
+	slow := func(start, end float64, target int, sev float64) Rule {
+		return Rule{Kind: NodeSlow, Start: sec(start), End: sec(end), Target: target, Severity: sev}
+	}
+	cases := []struct {
+		name  string
+		rules []Rule
+		want  string // "" accepts
+	}{
+		{"two overlapping 1e308", []Rule{
+			{Kind: NodeSlow, End: sec(1), Target: AllTargets, Severity: 1e308},
+			{Kind: NodeSlow, Start: -sec(1), End: sim.Forever, Target: 1, Severity: 1e308},
+		}, "rule 0: node-slow severities active at its start multiply to 1e+308 on target=all, above MaxSlowFactor 1000"},
+		{"one rule at the maximum", []Rule{slow(0, 1, 0, MaxSlowFactor)}, ""},
+		{"one rule above the maximum", []Rule{slow(0, 1, 0, 1001)}, "rule 0: node-slow severities active at its start multiply to 1001 on target=0, above MaxSlowFactor 1000"},
+		{"overlap at the maximum", []Rule{slow(0, 2, AllTargets, 10), slow(1, 3, 1, 100)}, ""},
+		{"overlap above the maximum", []Rule{slow(0, 2, AllTargets, 10), slow(1, 3, 1, 101)}, "rule 1: node-slow severities active at its start multiply to 1010 on target=1, above MaxSlowFactor 1000"},
+		{"every node after a named one", []Rule{slow(0, 10, 1, 40), slow(5, 20, AllTargets, 30)}, "rule 1: node-slow severities active at its start multiply to 1200 on target=1, above MaxSlowFactor 1000"},
+		{"apart, each below the maximum", []Rule{slow(0, 1, 0, 999), slow(1, 2, 0, 999), slow(0, 2, 1, 999)}, ""},
+		{"noisy-node's four windows at once", []Rule{slow(0, 4, 2, 3), slow(1, 4, 2, 3), slow(2, 4, 2, 3), slow(3, 4, 2, 3)}, ""},
+	}
+	for _, c := range cases {
+		s := &Schedule{Rules: c.rules}
+		for range 2 {
+			err := s.ValidateFor(4, 0)
+			switch {
+			case c.want == "" && err != nil:
+				t.Errorf("%s: %v", c.name, err)
+			case c.want != "" && (err == nil || err.Error() != c.want):
+				t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+			}
+		}
+		if c.want == "" {
+			for _, r := range c.rules {
+				if f := s.SlowFactor(r.Target, r.Start); f > MaxSlowFactor {
+					t.Errorf("%s: SlowFactor %v at an accepted rule's start", c.name, f)
+				}
+			}
+		}
+	}
+}
+
 func TestScheduleQueries(t *testing.T) {
 	sec := func(s float64) sim.Time { return sim.TimeFromSeconds(s) }
 	s := &Schedule{Name: "mixed", Rules: []Rule{

@@ -46,13 +46,14 @@ func decodeRules(b []byte) []faults.Rule {
 
 // FuzzSchedule holds fault-schedule validation to repeatable errors,
 // and a schedule it accepts to queries inside their ranges: LinkFactor
-// and StackFactor in [0.01, 1], DropBoost in [0, 1] and SlowFactor at
-// least 1, none of them NaN. The queries are asked at every window
-// edge, at both ends of time, at each target a rule names and at one
-// no rule names, which between them give every answer the schedule
-// has. Its seeds are the five scenario presets' rules, every kind with
-// a NaN or infinite severity, and severities whose products overflow
-// or underflow.
+// and StackFactor in [0.01, 1], DropBoost in [0, 1] and SlowFactor in
+// [1, MaxSlowFactor], none of them NaN. The queries are asked at every
+// window edge, at both ends of time, at each target a rule names and
+// at one no rule names, which between them give every answer the
+// schedule has. Its seeds are the five scenario presets' rules, every
+// kind with a NaN or infinite severity, severities whose products
+// overflow or underflow, and the same products with the node-slow ones
+// at MaxSlowFactor.
 func FuzzSchedule(f *testing.F) {
 	for _, name := range cluster.ScenarioNames() {
 		s, err := cluster.Scenario(name, 1, cluster.ScenarioEnv{Nodes: 16, Segments: 4, Span: 2})
@@ -67,14 +68,16 @@ func FuzzSchedule(f *testing.F) {
 			f.Add(encodeRules([]faults.Rule{{Kind: k, End: second, Target: 0, Severity: sev}}), uint8(4), uint8(4))
 		}
 	}
-	f.Add(encodeRules([]faults.Rule{
-		{Kind: faults.NodeSlow, End: second, Target: faults.AllTargets, Severity: 1e308},
-		{Kind: faults.NodeSlow, Start: -second, End: sim.Forever, Target: 1, Severity: 1e308},
-		{Kind: faults.LinkDegrade, End: second, Target: 1, Severity: 1e-308},
-		{Kind: faults.LinkDegrade, End: second, Target: 1, Severity: 1e-308},
-		{Kind: faults.DropBoost, End: second, Target: 1, Severity: 1},
-		{Kind: faults.DropBoost, End: second, Target: faults.AllTargets, Severity: math.SmallestNonzeroFloat64},
-	}), uint8(2), uint8(0))
+	for _, slow := range [][2]float64{{1e308, 1e308}, {10, faults.MaxSlowFactor / 10}} {
+		f.Add(encodeRules([]faults.Rule{
+			{Kind: faults.NodeSlow, End: second, Target: faults.AllTargets, Severity: slow[0]},
+			{Kind: faults.NodeSlow, Start: -second, End: sim.Forever, Target: 1, Severity: slow[1]},
+			{Kind: faults.LinkDegrade, End: second, Target: 1, Severity: 1e-308},
+			{Kind: faults.LinkDegrade, End: second, Target: 1, Severity: 1e-308},
+			{Kind: faults.DropBoost, End: second, Target: 1, Severity: 1},
+			{Kind: faults.DropBoost, End: second, Target: faults.AllTargets, Severity: math.SmallestNonzeroFloat64},
+		}), uint8(2), uint8(0))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, nodes, segments uint8) {
 		s := &faults.Schedule{Name: "fuzz", Rules: decodeRules(data)}
@@ -103,8 +106,8 @@ func FuzzSchedule(f *testing.F) {
 				if v := s.DropBoost(tg, at); !(v >= 0 && v <= 1) {
 					t.Fatalf("DropBoost(%d, %v) = %v, want [0, 1]", tg, at, v)
 				}
-				if v := s.SlowFactor(tg, at); !(v >= 1) {
-					t.Fatalf("SlowFactor(%d, %v) = %v, want at least 1", tg, at, v)
+				if v := s.SlowFactor(tg, at); !(v >= 1 && v <= faults.MaxSlowFactor) {
+					t.Fatalf("SlowFactor(%d, %v) = %v, want [1, MaxSlowFactor]", tg, at, v)
 				}
 			}
 		}
