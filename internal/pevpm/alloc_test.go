@@ -8,7 +8,7 @@ import (
 )
 
 // TestEvaluateAllocsFlatInIterations guards the sweep/match hot path:
-// once a Jacobi evaluation's processes, ops, loop stacks, inboxes and
+// once a Jacobi evaluation's processes, ops, loop stacks, channels and
 // flight pool have grown to their working size, further iterations allocate
 // nothing, so 400 iterations cost the same allocations as 100. The
 // iteration count is edited between the two counts, so the 400-iteration

@@ -23,7 +23,7 @@ func sendRuns(rng *sim.RNG, n, procs int) []*flight {
 		}
 		depart := float64(p) * 1e-7
 		for i := 0; i < k; i++ {
-			fs = append(fs, &flight{seq: uint64(len(fs) + 1), from: p, depart: depart})
+			fs = append(fs, &flight{seq: uint64(len(fs) + 1), depart: depart})
 			depart += 1e-6 + rng.Float64()*1e-4
 		}
 	}
@@ -74,7 +74,7 @@ func TestOrderPendingMatchesSortFunc(t *testing.T) {
 			if i == 1 && p%2 == 1 {
 				d = math.Copysign(0, -1)
 			}
-			ties = append(ties, &flight{seq: uint64(len(ties) + 1), from: p, depart: d})
+			ties = append(ties, &flight{seq: uint64(len(ties) + 1), depart: d})
 		}
 	}
 	cases = append(cases, orderCase{"ties across processes", ties, 8})

@@ -226,6 +226,7 @@ type Plan struct {
 	nodes [][]Node // per process: the directive of each op (Resolve only)
 	fails []error  // per process: the error its first Fail op raises, or nil
 	depth int      // deepest Loop nesting
+	chans int      // channels: the (receiver, sender) pairs receives name
 	// slots holds the receive or collective directive of each hot-spot
 	// slot, in the order processes first reached them.
 	slots []Node
@@ -282,10 +283,13 @@ func (pl *Plan) take() *machine {
 }
 
 // newMachine builds a machine for the plan: its processes, their loop
-// stacks, the hot-spot waits and the process sets, every process
-// runnable.
+// stacks, the channels, the hot-spot waits and the process sets, every
+// process runnable.
 func (pl *Plan) newMachine() *machine {
-	m := &machine{plan: pl, procs: make([]mproc, pl.procs), hot: make([]float64, len(pl.slots))}
+	m := &machine{
+		plan: pl, procs: make([]mproc, pl.procs), chans: make([]channel, pl.chans),
+		hot: make([]float64, len(pl.slots)),
+	}
 	loops := make([]loop, pl.procs*pl.depth)
 	for i := range m.procs {
 		p := &m.procs[i]
@@ -318,13 +322,43 @@ func (s procSet) fill(n int) {
 
 // flight is one message on the contention scoreboard.
 type flight struct {
-	seq      uint64
-	from, to int
-	size     int
-	intra    bool // endpoints share a node: loopback, not the network
-	depart   float64
-	arrival  float64
-	sender   *mproc // parked rendezvous sender, if any
+	seq     uint64
+	to      int
+	size    int
+	depart  float64
+	arrival float64
+	sender  *mproc  // parked rendezvous sender, if any
+	next    *flight // the next flight of its channel
+	ch      int32   // the channel it waits in once drawn, or -1
+	intra   bool    // endpoints share a node: loopback, not the network
+}
+
+// channel holds the drawn flights from one sender to one receiver that
+// no receive has taken yet, oldest first: MPI's non-overtaking rule
+// makes a receive take the head.
+type channel struct {
+	head, tail *flight
+}
+
+// push links a drawn flight into c in seq order. A match phase draws a
+// sender's flights in (depart, seq) order, so a flight goes at the tail
+// unless a negative or NaN send cost let a later send of its sender
+// depart first: then it goes in front of the later ones.
+//
+//detlint:hotpath
+func (c *channel) push(f *flight) {
+	switch {
+	case c.tail == nil:
+		c.head, c.tail = f, f
+	case c.tail.seq < f.seq:
+		c.tail.next, c.tail = f, f
+	default:
+		at := &c.head
+		for (*at).seq < f.seq {
+			at = &(*at).next
+		}
+		f.next, *at = *at, f
+	}
 }
 
 // procState enumerates where a model process is between phases.
@@ -358,6 +392,7 @@ type op struct {
 	kind opKind
 	slot int32   // Recv, Coll: hot-spot slot
 	peer int32   // Send, Isend: destination; Recv: source
+	ch   int32   // Send, Isend, Recv: channel from sender to receiver, or -1 (a send no receive takes)
 	body int32   // Loop: number of ops in the body
 	n    int     // Send, Isend, Recv, Coll: size in bytes; Loop: passes
 	secs float64 // Serial: seconds
@@ -393,10 +428,6 @@ type mproc struct {
 	waitPosted float64
 	collSeq    int // how many collectives this process has entered
 
-	// inbox holds the determined flights addressed to this process that
-	// no receive has taken yet.
-	inbox []*flight
-
 	// node is the process's cluster node, asked of Options.NodeOf on the
 	// process's first message.
 	node      int
@@ -419,10 +450,13 @@ type machine struct {
 	procs []mproc
 	// pending holds the flights sent since the last match phase, whose
 	// arrival times are not drawn yet; drawn flights wait in their
-	// receiver's inbox.
+	// channel, the plan's number for their (receiver, sender) pair.
 	pending []*flight
-	// interFlights and intraFlights count every flight in the air,
-	// pending or in an inbox: the contention levels match samples under.
+	chans   []channel
+	// interFlights and intraFlights count every flight in the air:
+	// pending, waiting in a channel, or drawn for a receiver that never
+	// receives from its sender. They are the contention levels match
+	// samples under.
 	interFlights, intraFlights int
 	// flightFree recycles flight records: a long model run moves many
 	// messages but only a bounded number are ever in the air at once.
@@ -433,8 +467,8 @@ type machine struct {
 	// Where the processes stand, kept as each one changes state so that
 	// no phase scans them all: runnable holds the processes the next
 	// sweep steps, recvReady the parked receivers the next match phase
-	// tries (those that parked since the last one and those whose inbox
-	// gained a flight from the process they wait for), and inColl the
+	// tries (those that parked since the last one and those whose
+	// channel gained a flight), and inColl the
 	// processes parked in a collective. done counts the finished
 	// processes.
 	runnable, recvReady, inColl procSet
@@ -454,12 +488,16 @@ type machine struct {
 func (m *machine) reset() {
 	for i := range m.procs {
 		p := &m.procs[i]
-		for _, f := range p.inbox {
-			m.freeFlight(f)
-		}
-		clear(p.inbox)
-		*p = mproc{id: p.id, ops: p.ops, fail: p.fail, loops: p.loops[:0], inbox: p.inbox[:0]}
+		*p = mproc{id: p.id, ops: p.ops, fail: p.fail, loops: p.loops[:0]}
 	}
+	for i := range m.chans {
+		for f := m.chans[i].head; f != nil; {
+			next := f.next
+			m.freeFlight(f)
+			f = next
+		}
+	}
+	clear(m.chans)
 	for _, f := range m.pending {
 		m.freeFlight(f)
 	}
@@ -469,7 +507,7 @@ func (m *machine) reset() {
 	clear(m.inColl)
 	m.runnable.fill(len(m.procs))
 	*m = machine{
-		plan: m.plan, procs: m.procs, pending: m.pending[:0], flightFree: m.flightFree, hot: m.hot,
+		plan: m.plan, procs: m.procs, pending: m.pending[:0], chans: m.chans, flightFree: m.flightFree, hot: m.hot,
 		runnable: m.runnable, recvReady: m.recvReady, inColl: m.inColl,
 	}
 }
@@ -653,7 +691,48 @@ func newPlan(prog *Program, procs int, db PerfDB, record bool) *Plan {
 			b.nodes[b.id] = slices.Clone(b.at)
 		}
 	}
+	b.numberChannels()
 	return b.Plan
+}
+
+// numberChannels numbers the channels, one per (receiver, sender) pair
+// that some Recv op names, in pair order, and gives each Recv op its
+// channel and each Send and Isend op its receiver's channel from it, or
+// -1 when that receiver never receives from it. The pairs are kept as
+// one row per receiver: from[first[to]:first[to+1]] holds the senders
+// receiver to receives from, sorted, and the channel of a pair is its
+// index in from.
+func (pl *Plan) numberChannels() {
+	first := make([]int32, len(pl.ops)+1)
+	var from []int32
+	for to, ops := range pl.ops {
+		row := len(from)
+		for _, o := range ops {
+			if o.kind == opRecv {
+				from = append(from, o.peer)
+			}
+		}
+		slices.Sort(from[row:])
+		from = from[:row+len(slices.Compact(from[row:]))]
+		first[to+1] = int32(len(from))
+	}
+	pl.chans = len(from)
+	channel := func(to, sender int32) int32 {
+		if i, ok := slices.BinarySearch(from[first[to]:first[to+1]], sender); ok {
+			return first[to] + int32(i)
+		}
+		return -1
+	}
+	for id, ops := range pl.ops {
+		for i := range ops {
+			switch o := &ops[i]; o.kind {
+			case opRecv:
+				o.ch = channel(int32(id), o.peer)
+			case opSend, opIsend:
+				o.ch = channel(o.peer, int32(id))
+			}
+		}
+	}
 }
 
 // shape bounds what block b resolves to for any one process: ops counts
@@ -1050,7 +1129,7 @@ func (m *machine) send(p *mproc, o *op) {
 	m.seq++
 	m.sent++
 	f := m.newFlight()
-	f.seq, f.from, f.to, f.size = m.seq, p.id, to, o.n
+	f.seq, f.to, f.ch, f.size = m.seq, to, o.ch, o.n
 	f.intra = m.opts.NodeOf != nil && m.nodeOf(p.id) == m.nodeOf(to)
 	f.depart = p.now
 	if f.intra {
@@ -1145,9 +1224,9 @@ func (m *machine) nodeOf(proc int) int {
 // whether it made any process runnable. Every older flight is already
 // determined, so drawing the new ones in (depart, seq) order keeps the
 // draw order of a sort over every flight in the air. Only the receivers
-// in recvReady are tried, in id order: one that found no flight from
-// its source when last tried cannot match before one arrives, so these
-// are the receives a scan of every process would complete, in the same
+// in recvReady are tried, in id order: one that found its channel empty
+// when last tried cannot match before a flight joins it, so these are
+// the receives a scan of every process would complete, in the same
 // order.
 //
 //detlint:hotpath
@@ -1178,16 +1257,21 @@ func (m *machine) match() bool {
 			f.sender = nil
 			matched = true
 		}
-		to := &m.procs[f.to]
-		to.inbox = append(to.inbox, f)
-		if to.state == stateParkedRecv && int(to.parkedOn().peer) == f.from {
+		if f.ch < 0 {
+			// No receive takes it: it stays in the contention levels,
+			// as a message nobody receives stays in the air, but its
+			// record is free.
+			m.freeFlight(f)
+			continue
+		}
+		m.chans[f.ch].push(f)
+		if to := &m.procs[f.to]; to.state == stateParkedRecv && to.parkedOn().ch == f.ch {
 			m.recvReady.add(f.to)
 		}
 	}
 	m.pending = m.pending[:0]
 
-	// Match parked receives against their inboxes, oldest flight first
-	// per sender — MPI's non-overtaking rule.
+	// Match parked receives against the heads of their channels.
 	for w, word := range m.recvReady {
 		m.recvReady[w] = 0
 		for ; word != 0; word &= word - 1 {
@@ -1199,25 +1283,20 @@ func (m *machine) match() bool {
 	return matched
 }
 
-// matchRecv completes p's parked receive with the oldest flight from
-// its source in p's inbox, if there is one, and makes p runnable.
+// matchRecv completes p's parked receive with the oldest flight of its
+// channel, if there is one, and makes p runnable.
 //
 //detlint:hotpath
 func (m *machine) matchRecv(p *mproc) bool {
 	recv := p.parkedOn()
-	best := -1
-	for i, f := range p.inbox {
-		if f.from == int(recv.peer) && (best < 0 || f.seq < p.inbox[best].seq) {
-			best = i
-		}
-	}
-	if best < 0 {
+	c := &m.chans[recv.ch]
+	f := c.head
+	if f == nil {
 		return false
 	}
-	f := p.inbox[best]
-	last := len(p.inbox) - 1
-	p.inbox[best] = p.inbox[last]
-	p.inbox = p.inbox[:last]
+	if c.head = f.next; c.head == nil {
+		c.tail = nil
+	}
 	// If the message arrived before the receive was posted it was
 	// buffered: the receiver only pays the pickup cost. Otherwise the
 	// receive completes at the measured arrival time.
