@@ -39,43 +39,34 @@ func NewCollectiveDB(base PerfDB, set *mpibench.Set) (*CollectiveDB, error) {
 		if res.Op.PointToPoint() || res.Pattern != nil {
 			continue
 		}
-		entry := dbEntry{procs: res.Procs}
-		for _, pt := range res.Points {
-			// Prefer the per-instance slowest-rank distribution: in an
-			// iterative program the whole job waits for the collective
-			// to finish everywhere, so its gating cost is the instance
-			// maximum, not a random rank's time.
-			h := pt.MaxHist
-			if h == nil || h.Count() == 0 {
-				h = pt.Hist
-			}
-			if h == nil || h.Count() == 0 {
-				return nil, fmt.Errorf("pevpm: empty histogram for %s %s size %d",
-					res.Op, res.Placement, pt.Size)
-			}
-			entry.sizes = append(entry.sizes, pt.Size)
-			entry.hists = append(entry.hists, h)
+		entry, empty := readEntry(res, slowestRank)
+		if empty != nil {
+			return nil, fmt.Errorf("pevpm: empty histogram for %s %s size %d",
+				res.Op, res.Placement, empty.Size)
 		}
-		if len(entry.sizes) == 0 {
-			continue
+		if len(entry.sizes) > 0 {
+			db.grids[string(res.Op)] = append(db.grids[string(res.Op)], entry)
 		}
-		if !sort.IntsAreSorted(entry.sizes) {
-			sort.Sort(&entryBysize{&entry})
-		}
-		op := string(res.Op)
-		db.grids[op] = append(db.grids[op], entry)
 	}
 	if len(db.grids) == 0 {
 		return nil, fmt.Errorf("pevpm: result set contains no collective measurements")
 	}
-	//detlint:ordered -- each iteration sorts and freezes only its own key's grid; no cross-key state
-	for op := range db.grids {
-		grid := db.grids[op]
-		sort.Slice(grid, func(i, j int) bool { return grid[i].procs < grid[j].procs })
-		db.grids[op] = grid
-		freezeEntries(grid)
+	//detlint:ordered -- each iteration sorts only its own key's grid; no cross-key state
+	for _, grid := range db.grids {
+		byProcs(grid)
 	}
 	return db, nil
+}
+
+// slowestRank prefers a point's per-instance slowest-rank distribution:
+// in an iterative program the whole job waits for the collective to
+// finish everywhere, so its gating cost is the instance maximum, not a
+// random rank's time.
+func slowestRank(pt *mpibench.Point) *stats.Histogram {
+	if pt.MaxHist == nil || pt.MaxHist.Count() == 0 {
+		return pt.Hist
+	}
+	return pt.MaxHist
 }
 
 // HasCollective reports whether the operation was benchmarked.

@@ -35,5 +35,5 @@ func (db *PatternDB) MeanRound(cell mpibench.PatternCell, size int) (float64, er
 	if err != nil {
 		return 0, err
 	}
-	return e.blend(size, (*stats.Histogram).Mean), nil
+	return e.blend(size, stats.Dist.Mean), nil
 }

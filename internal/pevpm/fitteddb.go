@@ -2,6 +2,7 @@ package pevpm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -11,9 +12,9 @@ import (
 // fits to the histograms using standard functions." Each grid point's
 // histogram is replaced by its best-fitting parametric distribution
 // (shifted lognormal / shifted exponential / Weibull, chosen by KS
-// distance); sampling blends the analytic quantile behaviour through
-// the same bilinear interpolation as EmpiricalDB by sampling the
-// nearest-by-weight grid point.
+// distance), and lookups blend across the same bracketing grid points
+// as EmpiricalDB's. Sample draws from each bracketing point's fit
+// independently and blends the draws.
 //
 // A fitted database is far smaller than the histograms it came from and
 // smooths bin-granularity noise, at the cost of losing multi-modal
@@ -21,18 +22,10 @@ import (
 // FitReport says how well each point fit, so callers can keep the
 // empirical histogram where the fit is poor.
 type FittedDB struct {
-	base *EmpiricalDB
-
-	grid  []fittedEntry
-	intra []fittedEntry
-
+	// fit is a copy of the base database whose grid entries carry each
+	// point's fitted distribution beside its histogram.
+	fit    EmpiricalDB
 	report []FitPoint
-}
-
-type fittedEntry struct {
-	procs int
-	sizes []int
-	dists []stats.Dist
 }
 
 // FitPoint records the quality of one grid point's fit.
@@ -56,41 +49,30 @@ func NewFittedDBFrom(base *EmpiricalDB) (*FittedDB, error) {
 	if base == nil {
 		return nil, fmt.Errorf("pevpm: nil base database")
 	}
-	db := &FittedDB{base: base}
-	var err error
-	if db.grid, err = db.fitGrid(base.grid, "inter"); err != nil {
-		return nil, err
-	}
-	if db.intra, err = db.fitGrid(base.intra, "intra"); err != nil {
-		return nil, err
-	}
+	db := &FittedDB{fit: *base}
+	db.fit.grid = db.fitGrid(base.grid, "inter")
+	db.fit.intra = db.fitGrid(base.intra, "intra")
 	return db, nil
 }
 
-// histDist adapts a histogram to the Dist interface so unfittable points
-// can stay empirical inside a fitted grid.
-type histDist struct{ h *stats.Histogram }
-
-func (d histDist) Sample(r stats.Rand) float64 { return d.h.Sample(r) }
-func (d histDist) Mean() float64               { return d.h.Mean() }
-func (d histDist) MinBound() float64           { return d.h.Min() }
-func (d histDist) CDF(x float64) float64       { return d.h.CDF(x) }
-
-func (db *FittedDB) fitGrid(grid []dbEntry, kind string) ([]fittedEntry, error) {
-	var out []fittedEntry
-	for _, e := range grid {
-		fe := fittedEntry{procs: e.procs, sizes: e.sizes}
-		for i, h := range e.hists {
+// fitGrid copies a grid, giving each entry the fit of every histogram,
+// and reports each fit.
+func (db *FittedDB) fitGrid(grid []dbEntry, kind string) []dbEntry {
+	out := slices.Clone(grid)
+	for i := range out {
+		e := &out[i]
+		e.dists = make([]stats.Dist, len(e.hists))
+		for j, h := range e.hists {
 			fits := stats.FitBest(h)
 			point := FitPoint{
 				Placement: fmt.Sprintf("%s-%dprocs", kind, e.procs),
-				Size:      e.sizes[i],
+				Size:      e.sizes[j],
 			}
 			if len(fits) > 0 && fits[0].KS <= maxAcceptableKS {
-				fe.dists = append(fe.dists, fits[0].Dist)
+				e.dists[j] = fits[0].Dist
 				point.Family, point.KS = fits[0].Name, fits[0].KS
 			} else {
-				fe.dists = append(fe.dists, histDist{h})
+				e.dists[j] = histDist{h}
 				point.Family = "empirical-fallback"
 				if len(fits) > 0 {
 					point.KS = fits[0].KS
@@ -98,9 +80,8 @@ func (db *FittedDB) fitGrid(grid []dbEntry, kind string) ([]fittedEntry, error) 
 			}
 			db.report = append(db.report, point)
 		}
-		out = append(out, fe)
 	}
-	return out, nil
+	return out
 }
 
 // Report lists every grid point's chosen family and fit quality.
@@ -110,91 +91,38 @@ func (db *FittedDB) Report() []FitPoint {
 	return out
 }
 
-// bracketFitted mirrors bracketDB for fitted grids: bracket over the
-// procs column without a throwaway slice per lookup.
-func bracketFitted(grid []fittedEntry, value int) (lo, hi int, w float64) {
-	if value <= grid[0].procs {
-		return 0, 0, 0
-	}
-	n := len(grid)
-	if value >= grid[n-1].procs {
-		return n - 1, n - 1, 0
-	}
-	hi = 1
-	for grid[hi].procs < value {
-		hi++
-	}
-	if grid[hi].procs == value {
-		return hi, hi, 0
-	}
-	lo = hi - 1
-	w = float64(value-grid[lo].procs) / float64(grid[hi].procs-grid[lo].procs)
-	return lo, hi, w
-}
-
-// atFitted picks the four bracketing grid points and blends f over them.
-func atFitted(grid []fittedEntry, size, contention int, f func(d stats.Dist) float64) float64 {
-	pLo, pHi, pw := bracketFitted(grid, contention)
-	blendEntry := func(e fittedEntry) float64 {
-		sLo, sHi, sw := bracket(e.sizes, size)
-		lo := f(e.dists[sLo])
-		if sLo == sHi {
-			return lo
-		}
-		return lo*(1-sw) + f(e.dists[sHi])*sw
-	}
-	lo := blendEntry(grid[pLo])
-	if pLo == pHi {
-		return lo
-	}
-	return lo*(1-pw) + blendEntry(grid[pHi])*pw
-}
-
-func (db *FittedDB) intraFitted() []fittedEntry {
-	if len(db.intra) > 0 {
-		return db.intra
-	}
-	return db.grid
-}
-
 // Sample draws from the blended fitted distributions. Each of the
 // bracketing distributions is sampled with an independent draw and the
 // results blended; for the smooth unimodal families this preserves the
 // location-scale behaviour the bilinear blend intends.
 func (db *FittedDB) Sample(r stats.Rand, size, contention int) float64 {
-	return atFitted(db.grid, size, contention, func(d stats.Dist) float64 { return d.Sample(r) })
+	return at(db.fit.grid, size, contention, func(d stats.Dist) float64 { return d.Sample(r) })
 }
 
 // Mean blends the analytic means.
-func (db *FittedDB) Mean(size, contention int) float64 {
-	return atFitted(db.grid, size, contention, stats.Dist.Mean)
-}
+func (db *FittedDB) Mean(size, contention int) float64 { return db.fit.Mean(size, contention) }
 
 // Min blends the analytic support bounds.
-func (db *FittedDB) Min(size, contention int) float64 {
-	return atFitted(db.grid, size, contention, stats.Dist.MinBound)
-}
+func (db *FittedDB) Min(size, contention int) float64 { return db.fit.Min(size, contention) }
 
 // SampleIntra draws from the fitted intra-node distributions.
 func (db *FittedDB) SampleIntra(r stats.Rand, size, contention int) float64 {
-	return atFitted(db.intraFitted(), size, contention, func(d stats.Dist) float64 { return d.Sample(r) })
+	return at(db.fit.intraGrid(), size, contention, func(d stats.Dist) float64 { return d.Sample(r) })
 }
 
 // MeanIntra blends the fitted intra-node means.
 func (db *FittedDB) MeanIntra(size, contention int) float64 {
-	return atFitted(db.intraFitted(), size, contention, stats.Dist.Mean)
+	return db.fit.MeanIntra(size, contention)
 }
 
 // MinIntra blends the fitted intra-node bounds.
-func (db *FittedDB) MinIntra(size, contention int) float64 {
-	return atFitted(db.intraFitted(), size, contention, stats.Dist.MinBound)
-}
+func (db *FittedDB) MinIntra(size, contention int) float64 { return db.fit.MinIntra(size, contention) }
 
 // SendBusy delegates to the machine constants of the base database.
-func (db *FittedDB) SendBusy(size int) float64 { return db.base.SendBusy(size) }
+func (db *FittedDB) SendBusy(size int) float64 { return db.fit.SendBusy(size) }
 
 // RecvBusy delegates to the machine constants of the base database.
-func (db *FittedDB) RecvBusy(size int) float64 { return db.base.RecvBusy(size) }
+func (db *FittedDB) RecvBusy(size int) float64 { return db.fit.RecvBusy(size) }
 
 // EagerLimit delegates to the base database.
-func (db *FittedDB) EagerLimit() int { return db.base.EagerLimit() }
+func (db *FittedDB) EagerLimit() int { return db.fit.EagerLimit() }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -216,9 +217,8 @@ func goldenCases(t *testing.T) []goldenCase {
 			msg(pevpm.MsgRecv, 1024, e("(procnum+numprocs-1)%numprocs"), e("procnum")),
 		}},
 	)
-	// Falling departs: a negative send cost makes process 0's second
-	// Isend depart before its first, so one match phase draws the later
-	// send first; process 1 must still receive the first one first.
+	// Falling departs: a negative send cost would make process 0's
+	// second Isend depart before its first; Evaluate refuses the cost.
 	falling := program(&pevpm.Runon{
 		Conds: []pevpm.Expr{e("procnum == 0"), e("procnum == 1")},
 		Bodies: []pevpm.Block{
@@ -232,11 +232,33 @@ func goldenCases(t *testing.T) []goldenCase {
 		RecvCost:  func(int) float64 { return 0 },
 		Eager:     db.EagerLimit(),
 	}
+	// A zero-byte ping and a 1 KB answer, on databases whose one-way
+	// time for zero bytes is NaN and whose receive cost is infinite.
+	pingZero := program(&pevpm.Runon{
+		Conds: []pevpm.Expr{e("procnum == 0"), e("procnum == 1")},
+		Bodies: []pevpm.Block{
+			{msg(pevpm.MsgIsend, 0, e("0"), e("1")), msg(pevpm.MsgRecv, 1024, e("1"), e("0"))},
+			{msg(pevpm.MsgRecv, 0, e("0"), e("1")), msg(pevpm.MsgIsend, 1024, e("1"), e("0"))},
+		},
+	})
+	nanDB := *fallingDB
+	nanDB.SendCost = func(int) float64 { return 1e-6 }
+	nanDB.OneWayFor = func(size, _ int) stats.Dist {
+		if size == 0 {
+			return stats.Constant(math.NaN())
+		}
+		return stats.Constant(1e-6 + float64(size)*1e-8)
+	}
+	infDB := *fallingDB
+	infDB.SendCost = nanDB.SendCost
+	infDB.RecvCost = func(int) float64 { return math.Inf(1) }
 
 	cases := []goldenCase{
 		{name: "bursts_many_to_one_4x2", prog: bursts, opts: pevpm.Options{Procs: 4, DB: db, Seed: 14, NodeOf: pl4x2.NodeOf}, trace: true},
 		{name: "unreceived_sends_4x2", prog: unreceived, opts: pevpm.Options{Procs: 4, DB: db, Seed: 15, NodeOf: pl4x2.NodeOf}},
 		{name: "falling_departs_analytic", prog: falling, opts: pevpm.Options{Procs: 2, DB: fallingDB, Seed: 16}},
+		{name: "error_nan_oneway_analytic", prog: pingZero, opts: pevpm.Options{Procs: 2, DB: &nanDB, Seed: 17}},
+		{name: "error_inf_recv_cost_analytic", prog: pingZero, opts: pevpm.Options{Procs: 2, DB: &infDB, Seed: 18}},
 		{name: "jacobi_8x1", prog: jacobi, opts: pevpm.Options{Procs: 8, DB: db, Seed: 1, NodeOf: pl8x1.NodeOf}},
 		{name: "jacobi_4x2", prog: jacobi, opts: pevpm.Options{Procs: 8, DB: db, Seed: 2, NodeOf: pl4x2.NodeOf}},
 		{name: "jacobi_4x2_collapse_mean", prog: jacobi, opts: pevpm.Options{Procs: 8, DB: pevpm.Collapse(db, pevpm.ModeMean), Seed: 3, NodeOf: pl4x2.NodeOf}},

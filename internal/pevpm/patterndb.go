@@ -41,24 +41,14 @@ func NewPatternDB(set *mpibench.Set) (*PatternDB, error) {
 		if r.Pattern == nil {
 			continue
 		}
-		e := cellEntry{cell: *r.Pattern}
-		for _, pt := range r.Points {
-			if pt.MaxHist == nil || pt.MaxHist.Count() == 0 {
-				return nil, fmt.Errorf("pevpm: empty round distribution for %s size %d", r.Pattern, pt.Size)
-			}
-			e.sizes = append(e.sizes, pt.Size)
-			e.hists = append(e.hists, pt.MaxHist)
+		e, empty := readEntry(r, func(pt *mpibench.Point) *stats.Histogram { return pt.MaxHist })
+		if empty != nil {
+			return nil, fmt.Errorf("pevpm: empty round distribution for %s size %d", r.Pattern, empty.Size)
 		}
 		if len(e.sizes) == 0 {
 			return nil, fmt.Errorf("pevpm: pattern result %s has no sizes", r.Pattern)
 		}
-		if !sort.IntsAreSorted(e.sizes) {
-			sort.Sort(&entryBysize{&e.dbEntry})
-		}
-		for _, h := range e.hists {
-			h.Freeze()
-		}
-		db.entries = append(db.entries, e)
+		db.entries = append(db.entries, cellEntry{cell: *r.Pattern, dbEntry: e})
 	}
 	if len(db.entries) == 0 {
 		return nil, fmt.Errorf("pevpm: result set contains no pattern measurements")

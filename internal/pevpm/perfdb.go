@@ -3,6 +3,7 @@ package pevpm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -48,7 +49,6 @@ type PerfDB interface {
 // all four bracketing quantile functions, which keeps the blended
 // distribution's shape between its neighbours.
 type EmpiricalDB struct {
-	op    mpibench.Op
 	cfg   cluster.Config
 	grid  []dbEntry // inter-node configurations, ascending by procs
 	intra []dbEntry // intra-node configurations (single-node placements)
@@ -58,28 +58,24 @@ type dbEntry struct {
 	procs int
 	sizes []int
 	hists []*stats.Histogram
+	// dists holds a FittedDB's fit of each histogram; a measured grid
+	// has none, and its lookups read the histograms themselves.
+	dists []stats.Dist
 }
 
 // NewEmpiricalDB builds a database from a benchmark result set for one
 // operation. Every placement present for the op contributes one
 // contention level (its total process count).
 func NewEmpiricalDB(set *mpibench.Set, op mpibench.Op, cfg cluster.Config) (*EmpiricalDB, error) {
-	db := &EmpiricalDB{op: op, cfg: cfg}
+	db := &EmpiricalDB{cfg: cfg}
 	for _, placement := range set.Placements(op) {
 		res, _ := set.Find(op, placement)
-		entry := dbEntry{procs: res.Procs}
-		for _, pt := range res.Points {
-			if pt.Hist == nil || pt.Hist.Count() == 0 {
-				return nil, fmt.Errorf("pevpm: empty histogram for %s %s size %d", op, placement, pt.Size)
-			}
-			entry.sizes = append(entry.sizes, pt.Size)
-			entry.hists = append(entry.hists, pt.Hist)
+		entry, empty := readEntry(res, func(pt *mpibench.Point) *stats.Histogram { return pt.Hist })
+		if empty != nil {
+			return nil, fmt.Errorf("pevpm: empty histogram for %s %s size %d", op, placement, empty.Size)
 		}
 		if len(entry.sizes) == 0 {
 			return nil, fmt.Errorf("pevpm: no sizes for %s %s", op, placement)
-		}
-		if !sort.IntsAreSorted(entry.sizes) {
-			sort.Sort(&entryBysize{&entry})
 		}
 		// Single-node placements benchmark the intra-node (loopback)
 		// path: their pairs share a node.
@@ -92,30 +88,40 @@ func NewEmpiricalDB(set *mpibench.Set, op mpibench.Op, cfg cluster.Config) (*Emp
 	if len(db.grid) == 0 {
 		return nil, fmt.Errorf("pevpm: result set has no inter-node data for %s", op)
 	}
-	sort.Slice(db.grid, func(i, j int) bool { return db.grid[i].procs < db.grid[j].procs })
-	sort.Slice(db.intra, func(i, j int) bool { return db.intra[i].procs < db.intra[j].procs })
-	// Freeze every histogram so sampling is read-only from here on:
-	// concurrent Monte-Carlo evaluations share the database.
-	freezeEntries(db.grid)
-	freezeEntries(db.intra)
+	byProcs(db.grid)
+	byProcs(db.intra)
 	return db, nil
 }
 
-func freezeEntries(entries []dbEntry) {
-	for _, e := range entries {
-		for _, h := range e.hists {
-			h.Freeze()
+// readEntry reads a result into a grid entry: one point per measured
+// size, ascending, each holding the histogram pick chooses, frozen so
+// that concurrent Monte-Carlo evaluations can share it. It returns
+// instead the first point, in the result's order, whose chosen
+// histogram is nil or empty.
+func readEntry(res *mpibench.Result, pick func(*mpibench.Point) *stats.Histogram) (dbEntry, *mpibench.Point) {
+	for i := range res.Points {
+		if h := pick(&res.Points[i]); h == nil || h.Count() == 0 {
+			return dbEntry{}, &res.Points[i]
 		}
 	}
+	pts := res.Points
+	bySize := func(i, j int) bool { return pts[i].Size < pts[j].Size }
+	if !sort.SliceIsSorted(pts, bySize) {
+		pts = slices.Clone(pts)
+		sort.Slice(pts, bySize)
+	}
+	e := dbEntry{procs: res.Procs, sizes: make([]int, len(pts)), hists: make([]*stats.Histogram, len(pts))}
+	for i := range pts {
+		e.sizes[i], e.hists[i] = pts[i].Size, pick(&pts[i])
+		e.hists[i].Freeze()
+	}
+	return e, nil
 }
 
-type entryBysize struct{ e *dbEntry }
-
-func (s *entryBysize) Len() int           { return len(s.e.sizes) }
-func (s *entryBysize) Less(i, j int) bool { return s.e.sizes[i] < s.e.sizes[j] }
-func (s *entryBysize) Swap(i, j int) {
-	s.e.sizes[i], s.e.sizes[j] = s.e.sizes[j], s.e.sizes[i]
-	s.e.hists[i], s.e.hists[j] = s.e.hists[j], s.e.hists[i]
+// byProcs orders grid entries by process count, the contention level
+// bracketDB looks up.
+func byProcs(grid []dbEntry) {
+	sort.Slice(grid, func(i, j int) bool { return grid[i].procs < grid[j].procs })
 }
 
 // bracket finds indices lo <= hi and a weight w in [0,1] such that value
@@ -175,7 +181,7 @@ func bracketDB(grid []dbEntry, value int) (lo, hi int, w float64) {
 
 // at evaluates f over the four bracketing (procs, size) grid points and
 // blends bilinearly. Draws use quantileAt, its closure-free twin.
-func at(grid []dbEntry, size, contention int, f func(h *stats.Histogram) float64) float64 {
+func at(grid []dbEntry, size, contention int, f func(stats.Dist) float64) float64 {
 	pLo, pHi, pw := bracketDB(grid, contention)
 	lo := grid[pLo].blend(size, f)
 	if pLo == pHi {
@@ -186,14 +192,32 @@ func at(grid []dbEntry, size, contention int, f func(h *stats.Histogram) float64
 
 // blend evaluates f at e's sizes bracketing size and interpolates
 // linearly between them; quantile is its closure-free twin for draws.
-func (e *dbEntry) blend(size int, f func(h *stats.Histogram) float64) float64 {
+func (e *dbEntry) blend(size int, f func(stats.Dist) float64) float64 {
 	sLo, sHi, sw := bracket(e.sizes, size)
-	lo := f(e.hists[sLo])
+	lo := f(e.dist(sLo))
 	if sLo == sHi {
 		return lo
 	}
-	return lo*(1-sw) + f(e.hists[sHi])*sw
+	return lo*(1-sw) + f(e.dist(sHi))*sw
 }
+
+// dist is point i's distribution: its fit, if e has fits, else its
+// histogram.
+func (e *dbEntry) dist(i int) stats.Dist {
+	if e.dists != nil {
+		return e.dists[i]
+	}
+	return histDist{e.hists[i]}
+}
+
+// histDist adapts a histogram to the Dist interface, for blend and for
+// the points a FittedDB keeps empirical.
+type histDist struct{ h *stats.Histogram }
+
+func (d histDist) Sample(r stats.Rand) float64 { return d.h.Sample(r) }
+func (d histDist) Mean() float64               { return d.h.Mean() }
+func (d histDist) MinBound() float64           { return d.h.Min() }
+func (d histDist) CDF(x float64) float64       { return d.h.CDF(x) }
 
 // quantileAt is at with f = Quantile(u), written out so a draw calls
 // Quantile directly rather than through a closure. The blend arithmetic
@@ -228,12 +252,12 @@ func (db *EmpiricalDB) Sample(r stats.Rand, size, contention int) float64 {
 
 // Mean blends the measured means.
 func (db *EmpiricalDB) Mean(size, contention int) float64 {
-	return at(db.grid, size, contention, (*stats.Histogram).Mean)
+	return at(db.grid, size, contention, stats.Dist.Mean)
 }
 
 // Min blends the measured minima.
 func (db *EmpiricalDB) Min(size, contention int) float64 {
-	return at(db.grid, size, contention, (*stats.Histogram).Min)
+	return at(db.grid, size, contention, stats.Dist.MinBound)
 }
 
 // intraGrid returns the grid used for intra-node lookups: the measured
@@ -253,12 +277,12 @@ func (db *EmpiricalDB) SampleIntra(r stats.Rand, size, contention int) float64 {
 
 // MeanIntra blends the intra-node means.
 func (db *EmpiricalDB) MeanIntra(size, contention int) float64 {
-	return at(db.intraGrid(), size, contention, (*stats.Histogram).Mean)
+	return at(db.intraGrid(), size, contention, stats.Dist.Mean)
 }
 
 // MinIntra blends the intra-node minima.
 func (db *EmpiricalDB) MinIntra(size, contention int) float64 {
-	return at(db.intraGrid(), size, contention, (*stats.Histogram).Min)
+	return at(db.intraGrid(), size, contention, stats.Dist.MinBound)
 }
 
 // SendBusy charges the host-side send initiation cost. These constants

@@ -340,24 +340,16 @@ type channel struct {
 	head, tail *flight
 }
 
-// push links a drawn flight into c in seq order. A match phase draws a
-// sender's flights in (depart, seq) order, so a flight goes at the tail
-// unless a negative or NaN send cost let a later send of its sender
-// depart first: then it goes in front of the later ones.
+// push links a drawn flight at c's tail. A match phase draws a sender's
+// flights in (depart, seq) order, and a sender's departs never fall
+// (Evaluate refuses negative and NaN costs), so the tail is the newest.
 //
 //detlint:hotpath
 func (c *channel) push(f *flight) {
-	switch {
-	case c.tail == nil:
+	if c.tail == nil {
 		c.head, c.tail = f, f
-	case c.tail.seq < f.seq:
+	} else {
 		c.tail.next, c.tail = f, f
-	default:
-		at := &c.head
-		for (*at).seq < f.seq {
-			at = &(*at).next
-		}
-		f.next, *at = *at, f
 	}
 }
 
@@ -477,6 +469,9 @@ type machine struct {
 	// hot holds the wait of each of the plan's hot-spot slots.
 	hot []float64
 
+	// err is the first database answer refused as a cost (refuse).
+	err error
+
 	// The evaluation's counters, which report lays out as a metrics
 	// snapshot (counterLayout).
 	sent                              uint64
@@ -540,21 +535,44 @@ func (m *machine) run() (*Report, error) {
 			m.runnable[w] = 0
 			for ; word != 0; word &= word - 1 {
 				if err := m.step(&m.procs[w<<6|bits.TrailingZeros64(word)]); err != nil {
-					return nil, err
+					return nil, cmp.Or(m.err, err)
 				}
 			}
 		}
+		if m.err != nil {
+			return nil, m.err
+		}
 		if m.done == len(m.procs) {
-			return m.report(), nil
+			// Only an infinite answer takes a clock to +Inf, and it
+			// stays there: every other cost is finite and non-negative.
+			if r := m.report(); !math.IsInf(r.Makespan, 1) {
+				return r, nil
+			}
+			return nil, errInfiniteCost
 		}
 		matched := m.match()
 		collMatched, err := m.matchCollective()
-		if err != nil {
+		if err = cmp.Or(m.err, err); err != nil {
 			return nil, err
 		}
 		if !matched && !collMatched {
 			return nil, m.deadlockError()
 		}
+	}
+}
+
+// errInfiniteCost fails an evaluation that a database's infinite answer
+// left finishing at +Inf.
+var errInfiniteCost = errors.New("pevpm: a process finishes at +Inf s: the performance database answered an infinite cost")
+
+// refuse records the first database answer that cannot be a cost, a
+// negative or NaN time. The hot paths test each answer with one
+// comparison, !(t >= 0), and go on; run fails the evaluation with the
+// error when the phase ends. An infinite answer passes that test, and
+// run refuses the makespan it leads to.
+func (m *machine) refuse(what string, size int, t float64) {
+	if m.err == nil {
+		m.err = fmt.Errorf("pevpm: the performance database answered %s = %v s for a %d-byte message: a cost must be finite and non-negative", what, t, size)
 	}
 }
 
@@ -1124,6 +1142,9 @@ func (m *machine) send(p *mproc, o *op) {
 	to := int(o.peer)
 	m.rec(p.id, p.now, trace.SendStart, to, 0, o.n)
 	busy := m.opts.DB.SendBusy(o.n)
+	if !(busy >= 0) {
+		m.refuse("SendBusy", o.n, busy)
+	}
 	p.now += busy
 	p.bd.SendBusy += busy
 	m.seq++
@@ -1186,7 +1207,12 @@ func (m *machine) matchCollective() (bool, error) {
 	cs := m.opts.DB.(CollectiveSampler)
 	hot := &m.hot[coll.slot]
 	m.drawsColl++
-	completion := entryMax + cs.SampleCollective(&m.rng, m.plan.slots[coll.slot].(*Coll).Op, m.procs[0].parkedOn().n, m.opts.Procs)
+	size := m.procs[0].parkedOn().n
+	t := cs.SampleCollective(&m.rng, m.plan.slots[coll.slot].(*Coll).Op, size, m.opts.Procs)
+	if !(t >= 0) {
+		m.refuse("SampleCollective", size, t)
+	}
+	completion := entryMax + t
 	for i := range m.procs {
 		p := &m.procs[i]
 		wait := completion - p.waitPosted
@@ -1237,13 +1263,19 @@ func (m *machine) match() bool {
 	// intra-node loopback path: a message between two CPUs of one node
 	// does not occupy the NIC or switch fabric.
 	for _, f := range m.pending {
+		var t float64
 		if f.intra {
 			m.drawsIntra++
-			f.arrival = f.depart + m.opts.DB.SampleIntra(&m.rng, f.size, m.intraFlights)
+			if t = m.opts.DB.SampleIntra(&m.rng, f.size, m.intraFlights); !(t >= 0) {
+				m.refuse("SampleIntra", f.size, t)
+			}
 		} else {
 			m.drawsInter++
-			f.arrival = f.depart + m.opts.DB.Sample(&m.rng, f.size, m.interFlights)
+			if t = m.opts.DB.Sample(&m.rng, f.size, m.interFlights); !(t >= 0) {
+				m.refuse("Sample", f.size, t)
+			}
 		}
+		f.arrival = f.depart + t
 		if s := f.sender; s != nil {
 			// Rendezvous completion: the sender was blocked from depart
 			// until delivery.
@@ -1300,8 +1332,12 @@ func (m *machine) matchRecv(p *mproc) bool {
 	// If the message arrived before the receive was posted it was
 	// buffered: the receiver only pays the pickup cost. Otherwise the
 	// receive completes at the measured arrival time.
+	busy := m.opts.DB.RecvBusy(f.size)
+	if !(busy >= 0) {
+		m.refuse("RecvBusy", f.size, busy)
+	}
 	completion := f.arrival
-	if late := p.waitPosted + m.opts.DB.RecvBusy(f.size); late > completion {
+	if late := p.waitPosted + busy; late > completion {
 		completion = late
 	}
 	wait := completion - p.waitPosted
